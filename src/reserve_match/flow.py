@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     GENERAL_TYPE,
@@ -367,6 +368,45 @@ def check_validity_flow(
     return bounded
 
 
+def _bisect_last(good: int, bad: int, holds: Callable[[int], bool]) -> int:
+    """Largest p in [good, bad) with holds(p), for a predicate that holds at
+    good, fails at bad (never evaluated there) and is monotone in between.
+    Makes ceil(log2(bad - good)) calls."""
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _gallop_last(limit: int, holds: Callable[[int], bool]) -> int:
+    """Largest p in [0, limit] with holds(p), for a predicate that holds at 0
+    and is monotone: probe 1, 2, 4, ... (capped at limit), then bisect the
+    last doubling step. Makes at most 2 * ceil(log2(limit + 1)) + 1 calls."""
+    good, bad = 0, limit + 1
+    while good < limit and bad > limit:
+        probe = min(2 * good or 1, limit)
+        if holds(probe):
+            good = probe
+        else:
+            bad = probe
+    return _bisect_last(good, bad, holds)
+
+
+def _candidate_groups(
+    instance: Instance, targets: dict[GroupKey, int]
+) -> list[GroupKey]:
+    """Group of every student past its group's target, in priority order."""
+    rank = instance.priority_index
+    slots: list[Optional[GroupKey]] = [None] * len(rank)
+    for g in instance.groups():
+        for sid in g.members[targets[g.key] :]:
+            slots[rank[sid]] = g.key
+    return [key for key in slots if key is not None]
+
+
 def crucial_vector(
     instance: Instance,
     *,
@@ -376,18 +416,21 @@ def crucial_vector(
     """Maximum balanced ratio alpha and its per-group targets.
 
     The targets are the pointwise ceilings ceil(alpha * |S_u|). Ceilings make
-    validity at a ratio beta equivalent to beta <= alpha, so the exact binary
-    search below over the finite candidate set {k / |S_u|} is sound, and the
-    resulting vector is the tightest one every balanced selection must meet.
+    validity at a ratio beta equivalent to beta <= alpha (validity is
+    downward closed and the targets grow with beta), and alpha is the largest
+    feasible point of the candidate set {0} | {k / |S_u|}. The search never
+    builds that set. It first bisects over the grid k / m of the largest
+    group (size m), which brackets alpha in [k / m, (k + 1) / m). A group of
+    size at most m has at most one grid point in a half-open interval of
+    length 1 / m, so a second bisection over those few points (at most one
+    per group) finishes the search: ceil(log2(m + 1)) + ceil(log2(G)) checks
+    plus a final invariant check, for G groups. The resulting vector is the
+    tightest one every balanced selection must meet.
     """
     net = network if network is not None else build_network(instance)
     if cert is None:
         cert = compute_certificate(net)
     groups = instance.groups()
-    candidates = {Fraction(0)}
-    for g in groups:
-        candidates.update(Fraction(k, g.size) for k in range(1, g.size + 1))
-    ordered = sorted(candidates)
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
         return {g.key: math.ceil(beta * g.size) for g in groups}
@@ -398,14 +441,17 @@ def crucial_vector(
         )
         return witness is not None
 
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(ordered[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    alpha = ordered[lo]
+    top = max((g.size for g in groups), default=0)
+    k = _bisect_last(0, top + 1, lambda mid: feasible(Fraction(mid, top)))
+    # alpha lies in [k / top, (k + 1) / top); collect each group's smallest
+    # grid point j / |S_u| at or above k / top that falls inside it
+    window = set()
+    for g in groups:
+        j = -(-k * g.size // top)
+        if j * top < (k + 1) * g.size:
+            window.add(Fraction(j, g.size))
+    ordered = sorted(window) or [Fraction(0)]
+    alpha = ordered[_bisect_last(0, len(ordered), lambda i: feasible(ordered[i]))]
     if not feasible(alpha):
         raise InternalInvariantError("zero-target validity failed")
     return alpha, targets_at(alpha)
@@ -417,13 +463,25 @@ def choice_flow(
     *,
     alpha: Optional[Ratio] = None,
 ) -> ChoiceResult:
-    """Maximum balanced selection via repeated lower-bounded solves.
+    """Maximum balanced selection via batched lower-bounded solves.
 
     delta_star must be the instance's crucial vector (recomputed when omitted;
     validity of the supplied vector is checked, full optimality is the
-    caller's contract). Each group is seeded with its top delta students, then
-    the remaining students are admitted in priority order whenever a
-    maximal-diversity flow exists with the incremented group bounds.
+    caller's contract). Each group is seeded with its top delta students; the
+    rest are then offered in priority order, and one is admitted whenever a
+    maximal-diversity flow exists with its group's bound raised by one.
+
+    That walk is computed without one check per student. Validity is
+    downward closed in the bounds, so once a group's next member is rejected
+    the group is dead: its count never moves again and every later attempt
+    faces componentwise larger bounds. The walk therefore admits the longest
+    valid prefix of the remaining candidates, drops the group of the first
+    candidate past it, and repeats on what follows. Each prefix is found by
+    galloping (1, 2, 4, ... candidates, capped at the seats left below F*)
+    and then bisecting, with prefix counts read by bisect from each group's
+    candidate positions. That is at most G + 1 rounds of O(log n) checks for
+    G groups and n remaining students, and no checks once the targets fill
+    the certificate's flow value.
     """
     net = build_network(instance)
     cert = compute_certificate(net)
@@ -440,34 +498,44 @@ def choice_flow(
         )
 
     counts = dict(targets)
-    selected: set[str] = set()
-    for g in groups:
-        selected.update(g.members[: targets[g.key]])
-    # (group, attempted count) pairs already rejected; later attempts with the
-    # same pair face componentwise larger bounds, so they stay invalid
-    dead: set[tuple[GroupKey, int]] = set()
-    for sid in instance.priority:
-        if sid in selected:
-            continue
-        key = instance.group_of(sid)
-        attempt = counts[key] + 1
-        if (key, attempt) in dead:
-            continue
-        trial = dict(counts)
-        trial[key] = attempt
-        if check_validity_flow(instance, trial, network=net, cert=cert) is not None:
-            counts = trial
-            selected.add(sid)
-        else:
-            dead.add((key, attempt))
+    room = cert.max_value - sum(counts.values())
+    queue = _candidate_groups(instance, targets) if room else []
+    while room and queue:
+        base = counts
+        at: dict[GroupKey, list[int]] = {}
+        for i, key in enumerate(queue):
+            at.setdefault(key, []).append(i)
 
+        def admit(p: int) -> dict[GroupKey, int]:
+            return {
+                key: count + (bisect_left(at[key], p) if key in at else 0)
+                for key, count in base.items()
+            }
+
+        good = _gallop_last(
+            min(room, len(queue)),
+            lambda p: check_validity_flow(
+                instance, admit(p), network=net, cert=cert
+            )
+            is not None,
+        )
+        counts = admit(good)
+        room -= good
+        if good == len(queue):
+            break
+        rejected = queue[good]
+        queue = [key for key in queue[good + 1 :] if key != rejected]
+
+    selected = frozenset(
+        sid for g in groups for sid in g.members[: counts[g.key]]
+    )
     witness = check_validity_flow(instance, counts, network=net, cert=cert)
     if witness is None:
         raise InternalInvariantError("final selection lost maximal diversity")
     if len(selected) != min(len(instance.students), instance.capacity):
         raise InternalInvariantError("selection is wasteful")
     return ChoiceResult(
-        selected=frozenset(selected),
+        selected=selected,
         per_group_counts=counts,
         signature=flow_signature(net, witness),
         alpha=alpha,

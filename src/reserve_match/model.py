@@ -28,10 +28,6 @@ Ratio = Fraction
 # Per-group minimum counts, keyed by group key.
 TargetVector = Mapping[GroupKey, int]
 
-NEG_INFINITY = float("-inf")
-POS_INFINITY = float("inf")
-
-
 class MalformedInstanceError(ValueError):
     """The instance data violates a structural invariant."""
 
@@ -277,21 +273,6 @@ def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     if not 0 <= matched_in_group <= group_size:
         raise ValueError("matched count out of range")
     return Fraction(matched_in_group, group_size)
-
-
-def general_selection_ratio(matched: int, upper: int, lower: int):
-    """Selection ratio of a group relative to an upper and a lower target.
-
-    Returns (matched - lower) / (upper - lower) when upper > lower. When the
-    two targets coincide the ratio degenerates to -inf (below the target) or
-    +inf (target met). The infinities are plain floats and must not leak into
-    exact decision paths.
-    """
-    if upper < lower:
-        raise ValueError("upper target must be at least the lower target")
-    if upper == lower:
-        return NEG_INFINITY if matched < upper else POS_INFINITY
-    return Fraction(matched - lower, upper - lower)
 
 
 def min_selection_ratio(instance: Instance, selected: Iterable[str]) -> Ratio:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from reserve_match import Instance, StudentRecord
+from reserve_match.generator import generate_instance
 
 
 def make_instance(
@@ -152,3 +153,24 @@ def random_targets(rng: random.Random, instance: Instance) -> dict[tuple[str, ..
         if rng.random() < 0.8:
             targets[group.key] = rng.randint(0, group.size + 1)
     return targets
+
+
+def hard_regime_school(
+    num_students: int, seed: int, reserved_percent: int = 92
+) -> Instance:
+    """Generated students under rank-1 quotas that reserve most of q.
+
+    Three types, q = half the students, and rank-1 quotas holding
+    reserved_percent of q. The untyped group can then only take the general
+    share, alpha stays small and the crucial targets fill well under q, so
+    most admissions happen in the greedy walk after the targets are seeded.
+    """
+    base = generate_instance(num_students, 3, 1, seed)
+    capacity = num_students // 2
+    types = sorted(base.types)
+    reserved = capacity * reserved_percent // 100
+    quotas = {
+        (t, 1): reserved // len(types) + (1 if i < reserved % len(types) else 0)
+        for i, t in enumerate(types)
+    }
+    return Instance(base.students, capacity, base.priority, types, quotas)

@@ -18,7 +18,6 @@ from reserve_match.model import (
     StudentRecord,
     build_groups,
     check_matching,
-    general_selection_ratio,
     group_counts,
     group_label,
     lex_compare,
@@ -160,14 +159,6 @@ def test_selection_ratio_bounds():
         selection_ratio(3, 2)
     with pytest.raises(ValueError):
         selection_ratio(0, 0)
-
-
-def test_general_selection_ratio_degenerate_targets():
-    assert general_selection_ratio(1, 3, 0) == Fraction(1, 3)
-    assert general_selection_ratio(2, 2, 2) == float("inf")
-    assert general_selection_ratio(1, 2, 2) == float("-inf")
-    with pytest.raises(ValueError):
-        general_selection_ratio(0, 1, 2)
 
 
 def test_min_selection_ratio():

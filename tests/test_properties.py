@@ -6,6 +6,11 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference_search import (
+    assert_same_choice,
+    full_candidate_crucial_vector,
+    sequential_choice,
+)
 
 from reserve_match.flow import (
     build_network,
@@ -57,7 +62,9 @@ BUDGET = OracleBudget(max_students=12, max_seats=80, max_enumerations=10**7)
 
 
 @st.composite
-def instances(draw: st.DrawFn, max_students: int = 8) -> Instance:
+def instances(
+    draw: st.DrawFn, max_students: int = 8, max_capacity: int = 6
+) -> Instance:
     n = draw(st.integers(0, max_students))
     num_types = draw(st.integers(1, 3))
     types = [f"t{i}" for i in range(1, num_types + 1)]
@@ -70,7 +77,7 @@ def instances(draw: st.DrawFn, max_students: int = 8) -> Instance:
     )
     students = [StudentRecord(f"s{i}", types_) for i, types_ in enumerate(held)]
     priority = draw(st.permutations([s.id for s in students]))
-    capacity = draw(st.integers(0, 6))
+    capacity = draw(st.integers(0, max_capacity))
     quotas = {}
     for t in types:
         for rank in (1, 2):
@@ -202,6 +209,14 @@ def test_crucial_alpha_matches_oracle(instance):
     oracle_alpha, oracle_targets = oracle_max_min_ratio(instance, BUDGET)
     assert alpha == oracle_alpha
     assert targets == oracle_targets
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_students=30, max_capacity=20), st.booleans())
+def test_batched_searches_match_sequential_reference(instance, from_zero):
+    assert crucial_vector(instance) == full_candidate_crucial_vector(instance)
+    delta = {} if from_zero else None
+    assert_same_choice(choice_flow(instance, delta), sequential_choice(instance, delta))
 
 
 @PROPERTY_SETTINGS
