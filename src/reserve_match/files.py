@@ -3,15 +3,20 @@
 All documents are schema-validated and unknown keys are rejected. Output is
 byte-deterministic: sorted keys, two-space indent, trailing newline, ratios
 as exact "p/q" strings.
+
+The JSON Schema dicts below are the published spec of each document. They
+are checked by validators compiled from those dicts in one pass over the
+payload, with the verdicts, messages and error paths of
+``jsonschema.validate`` under Draft 2020-12 (the tests compare the two).
+Integer fields accept integral floats such as ``2.0``, as that draft does,
+and are read as ints.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional
-
-import jsonschema
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .baseline import BaselineResult
 from .gda import MultiInstance, MultiMatching, School
@@ -119,12 +124,161 @@ SELECTED_SCHEMA = {
 }
 
 
+# A compiled check returns None for a valid value, else the (path, message)
+# of the error jsonschema.validate reports: the shallowest one, the one whose
+# path sorts last among equally deep ones (its best_match), and the first in
+# schema keyword order among those at one path.
+_Error = tuple[tuple[Any, ...], str]
+_Check = Callable[[Any], Optional[_Error]]
+
+_TYPE_KEYWORDS = {
+    "array": {"type", "items"},
+    "integer": {"type", "minimum"},
+    "object": {"type", "additionalProperties", "required", "properties"},
+    "string": {"type"},
+}
+
+
+def _is_integer(value: Any) -> bool:
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, float) and value.is_integer()
+
+
+def _type_error(value: Any, name: str) -> _Error:
+    return (), f"{value!r} is not of type {name!r}"
+
+
+def _deeper(best: Optional[_Error], key: Any, error: _Error) -> _Error:
+    """The better of best and a child's error, once key is put before it."""
+    path = (key,) + error[0]
+    if best is None or (-len(path), path) > (-len(best[0]), best[0]):
+        return path, error[1]
+    return best
+
+
+def _compile(schema: Mapping[str, Any]) -> _Check:
+    """Check for the JSON Schema subset these documents use.
+
+    Every (sub)schema names its type first; the other keywords allowed are
+    those of _TYPE_KEYWORDS. Anything else raises, so the spec cannot grow a
+    keyword that goes unchecked.
+    """
+    if next(iter(schema), None) != "type" or schema["type"] not in _TYPE_KEYWORDS:
+        raise ValueError(f"unsupported schema {schema!r}")
+    kind = schema["type"]
+    unknown = schema.keys() - _TYPE_KEYWORDS[kind]
+    if unknown:
+        raise ValueError(f"unsupported keywords {sorted(unknown)} for {kind}")
+    if kind == "string":
+        return _check_string
+    if kind == "integer":
+        return _compile_integer(schema.get("minimum"))
+    if kind == "array":
+        return _compile_array(schema.get("items"))
+    return _compile_object(schema)
+
+
+def _check_string(value: Any) -> Optional[_Error]:
+    return None if isinstance(value, str) else _type_error(value, "string")
+
+
+def _compile_integer(minimum: Optional[int]) -> _Check:
+    def check(value: Any) -> Optional[_Error]:
+        if not _is_integer(value):
+            return _type_error(value, "integer")
+        if minimum is not None and value < minimum:
+            return (), f"{value!r} is less than the minimum of {minimum!r}"
+        return None
+
+    return check
+
+
+def _compile_array(items: Optional[Mapping[str, Any]]) -> _Check:
+    item_check = _compile(items) if items is not None else None
+    strings = items == {"type": "string"}
+
+    def check(value: Any) -> Optional[_Error]:
+        if not isinstance(value, list):
+            return _type_error(value, "array")
+        if strings:  # the common case, scanned without a call per item
+            for item in value:
+                if not isinstance(item, str):
+                    break
+            else:
+                return None
+        best = None
+        if item_check is not None:
+            for index, item in enumerate(value):
+                error = item_check(item)
+                if error is not None:
+                    best = _deeper(best, index, error)
+        return best
+
+    return check
+
+
+def _compile_object(schema: Mapping[str, Any]) -> _Check:
+    properties = {
+        key: _compile(sub) for key, sub in schema.get("properties", {}).items()
+    }
+    known = frozenset(properties)
+    extra = schema.get("additionalProperties", True)
+    extra_check = _compile(extra) if isinstance(extra, Mapping) else None
+    required = tuple(schema.get("required", ()))
+    needed = frozenset(required)
+
+    def closed(value: dict) -> Optional[str]:
+        if value.keys() <= known:
+            return None
+        extras = sorted((key for key in value if key not in known), key=str)
+        listed = ", ".join(repr(key) for key in extras)
+        verb = "was" if len(extras) == 1 else "were"
+        return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+
+    def present(value: dict) -> Optional[str]:
+        if value.keys() >= needed:
+            return None
+        missing = next(key for key in required if key not in value)
+        return f"{missing!r} is a required property"
+
+    rules = []  # own-level checks, in schema keyword order
+    for keyword in schema:
+        if keyword == "additionalProperties" and extra is False:
+            rules.append(closed)
+        elif keyword == "required":
+            rules.append(present)
+
+    def check(value: Any) -> Optional[_Error]:
+        if not isinstance(value, dict):
+            return _type_error(value, "object")
+        for rule in rules:
+            message = rule(value)
+            if message is not None:
+                return (), message
+        best = None
+        for key, sub in properties.items():
+            if key in value:
+                error = sub(value[key])
+                if error is not None:
+                    best = _deeper(best, key, error)
+        if extra_check is not None:
+            for key, item in value.items():
+                if key not in known:
+                    error = extra_check(item)
+                    if error is not None:
+                        best = _deeper(best, key, error)
+        return best
+
+    return check
+
+
 def _validated(payload: Any, schema: Mapping[str, Any], what: str) -> Any:
-    try:
-        jsonschema.validate(payload, schema)
-    except jsonschema.ValidationError as err:
-        where = "/".join(str(p) for p in err.absolute_path) or "document root"
-        raise InstanceFormatError(f"bad {what}: {err.message} (at {where})") from err
+    error = _compile(schema)(payload)
+    if error is not None:
+        path, message = error
+        where = "/".join(str(p) for p in path) or "document root"
+        raise InstanceFormatError(f"bad {what}: {message} (at {where})")
     return payload
 
 
@@ -141,12 +295,12 @@ def _read_json(path: str, what: str) -> Any:
 def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
     quotas: dict[tuple[str, int], int] = {}
     for entry in raw:
-        key = (entry["type"], entry["rank"])
+        key = (entry["type"], int(entry["rank"]))
         if key in quotas:
             raise InstanceFormatError(
                 f"duplicate quota for type {key[0]!r} rank {key[1]}"
             )
-        quotas[key] = entry["quota"]
+        quotas[key] = int(entry["quota"])
     return quotas
 
 
@@ -159,7 +313,7 @@ def instance_from_payload(payload: Any) -> Instance:
                 StudentRecord(s["id"], frozenset(s["types"]))
                 for s in payload["students"]
             ],
-            capacity=payload["capacity"],
+            capacity=int(payload["capacity"]),
             priority=payload["priority"],
             types=payload["types"],
             quotas=_quotas_from_payload(payload["quotas"]),
@@ -196,7 +350,7 @@ def multi_from_payload(payload: Any) -> MultiInstance:
             schools=[
                 School(
                     id=c["id"],
-                    capacity=c["capacity"],
+                    capacity=int(c["capacity"]),
                     priority=tuple(c["priority"]),
                     quotas=_quotas_from_payload(c["quotas"]),
                 )
@@ -229,7 +383,7 @@ def load_targets(path: str, instance: Instance) -> dict[GroupKey, int]:
             raise InstanceFormatError(f"targets name unknown group {label!r}")
         if key in targets:
             raise InstanceFormatError(f"targets repeat group {label!r}")
-        targets[key] = value
+        targets[key] = int(value)
     return targets
 
 

@@ -430,6 +430,15 @@ def crucial_vector(
     net = network if network is not None else build_network(instance)
     if cert is None:
         cert = compute_certificate(net)
+    alpha, targets, _witness = _crucial_search(instance, net, cert)
+    return alpha, targets
+
+
+def _crucial_search(
+    instance: Instance, net: FlowNetwork, cert: OptimalityCertificate
+) -> tuple[Ratio, dict[GroupKey, int], FlowAssignment]:
+    """crucial_vector's alpha and targets, plus the witness flow of its final
+    invariant check: a maximal-diversity flow meeting exactly those targets."""
     groups = instance.groups()
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
@@ -452,9 +461,11 @@ def crucial_vector(
             window.add(Fraction(j, g.size))
     ordered = sorted(window) or [Fraction(0)]
     alpha = ordered[_bisect_last(0, len(ordered), lambda i: feasible(ordered[i]))]
-    if not feasible(alpha):
+    targets = targets_at(alpha)
+    witness = check_validity_flow(instance, targets, network=net, cert=cert)
+    if witness is None:
         raise InternalInvariantError("zero-target validity failed")
-    return alpha, targets_at(alpha)
+    return alpha, targets, witness
 
 
 def choice_flow(
@@ -481,16 +492,20 @@ def choice_flow(
     and then bisecting, with prefix counts read by bisect from each group's
     candidate positions. That is at most G + 1 rounds of O(log n) checks for
     G groups and n remaining students, and no checks once the targets fill
-    the certificate's flow value.
+    the certificate's flow value. The signature is read from the witness
+    flow of the last check that held, which meets exactly the final counts,
+    so no check is repeated.
     """
     net = build_network(instance)
     cert = compute_certificate(net)
     groups = instance.groups()
     if delta_star is None:
-        alpha, delta_star = crucial_vector(instance, network=net, cert=cert)
-    targets = {g.key: int(delta_star.get(g.key, 0)) for g in groups}
-    if check_validity_flow(instance, targets, network=net, cert=cert) is None:
-        raise ValueError("delta_star is not a valid target vector")
+        alpha, targets, witness = _crucial_search(instance, net, cert)
+    else:
+        targets = {g.key: int(delta_star.get(g.key, 0)) for g in groups}
+        witness = check_validity_flow(instance, targets, network=net, cert=cert)
+        if witness is None:
+            raise ValueError("delta_star is not a valid target vector")
     if alpha is None:
         alpha = min(
             (Fraction(targets[g.key], g.size) for g in groups),
@@ -512,14 +527,16 @@ def choice_flow(
                 for key, count in base.items()
             }
 
-        good = _gallop_last(
-            min(room, len(queue)),
-            lambda p: check_validity_flow(
-                instance, admit(p), network=net, cert=cert
-            )
-            is not None,
-        )
-        counts = admit(good)
+        witnesses = {0: witness}  # witness flow of each prefix that held
+
+        def holds(p: int) -> bool:
+            found = check_validity_flow(instance, admit(p), network=net, cert=cert)
+            if found is not None:
+                witnesses[p] = found
+            return found is not None
+
+        good = _gallop_last(min(room, len(queue)), holds)
+        counts, witness = admit(good), witnesses[good]
         room -= good
         if good == len(queue):
             break
@@ -529,11 +546,10 @@ def choice_flow(
     selected = frozenset(
         sid for g in groups for sid in g.members[: counts[g.key]]
     )
-    witness = check_validity_flow(instance, counts, network=net, cert=cert)
-    if witness is None:
-        raise InternalInvariantError("final selection lost maximal diversity")
     if len(selected) != min(len(instance.students), instance.capacity):
         raise InternalInvariantError("selection is wasteful")
+    if flow_group_counts(net, witness) != counts:
+        raise InternalInvariantError("witness flow does not carry the selection")
     return ChoiceResult(
         selected=selected,
         per_group_counts=counts,

@@ -285,3 +285,27 @@ def test_malformed_instance_file_is_input_error(tmp_path, capsys):
 
     missing = str(tmp_path / "missing.json")
     assert main(["solve", missing]) == 2
+
+
+def test_integral_float_fields_solve_like_ints(tmp_path, capsys):
+    plain = write_json(tmp_path, "plain.json", INSTANCE)
+    floats = json.loads(json.dumps(INSTANCE))
+    floats["capacity"] = 2.0
+    floats["quotas"][0]["rank"] = 1.0
+    floats["quotas"][0]["quota"] = 1.0
+    floated = write_json(tmp_path, "floats.json", floats)
+    assert main(["solve", plain, "--out", str(tmp_path / "plain.out")]) == 0
+    assert main(["solve", floated, "--out", str(tmp_path / "floats.out")]) == 0
+    assert (tmp_path / "floats.out").read_bytes() == (
+        tmp_path / "plain.out"
+    ).read_bytes()
+
+
+def test_boolean_quota_is_input_error_without_traceback(tmp_path, capsys):
+    bad = json.loads(json.dumps(INSTANCE))
+    bad["quotas"][0]["quota"] = True
+    path = write_json(tmp_path, "bad.json", bad)
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert "bad instance file" in err
+    assert "Traceback" not in err
