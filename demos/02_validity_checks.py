@@ -1,4 +1,4 @@
-"""Walkthrough: two independent backends and target-vector validity checks."""
+"""Walkthrough: target-vector validity checks on the flow network."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from reserve_match import (
     Instance,
     StudentRecord,
     check_validity_flow,
-    check_validity_graph,
+    crucial_vector,
+    flow_to_matching,
     group_label,
     matching_signature,
     solve,
@@ -39,47 +40,51 @@ def build_school() -> Instance:
     )
 
 
+def describe(instance: Instance, targets: dict) -> str:
+    """'invalid', or the group counts and signature of a decomposed witness."""
+    witness = check_validity_flow(instance, targets)
+    if witness is None:
+        return "invalid"
+    matching = flow_to_matching(instance, witness)
+    counts = Counter(instance.group_of(sid) for sid in matching)
+    shape = ", ".join(f"{group_label(key)}={counts[key]}" for key in sorted(counts))
+    sig = list(matching_signature(instance, matching))
+    return f"valid, witness {shape}, signature {sig}"
+
+
 def main() -> None:
     instance = build_school()
     print("Sixteen students in four blocks of four (no type, t1, t2, both),")
     print("eight seats, two rank-1 seats reserved per type.")
     print()
 
-    by_flow = solve(instance, backend="flow")
-    by_graph = solve(instance, backend="graph")
-    assert by_flow.selected == by_graph.selected
-    assert by_flow.signature == by_graph.signature
-    print("Both backends pick the same students:")
-    print(" ", ", ".join(sorted(by_flow.selected)))
-    print(f"alpha = {by_flow.alpha}, signature = {list(by_flow.signature)}")
+    result = solve(instance)
+    print("The balanced choice:")
+    print(" ", ", ".join(sorted(result.selected)))
+    print(f"alpha = {result.alpha}, signature = {list(result.signature)}")
     print()
 
     print("Validity asks: can a rank-maximal selection give the doubly-typed")
-    print("block at least k students? Both checkers must agree on every k.")
+    print("block at least k students? One lower-bounded flow solve answers it,")
+    print("and its witness flow decomposes into a seat matching.")
     both = ("t1", "t2")
     for k in range(BLOCK_SIZE + 1):
-        targets = {both: k}
-        flow_witness = check_validity_flow(instance, targets)
-        graph_witness = check_validity_graph(instance, targets)
-        assert (flow_witness is None) == (graph_witness is None)
-        if graph_witness is None:
-            print(f"  k = {k}: invalid")
-            continue
-        counts = Counter(instance.group_of(sid) for sid in graph_witness)
-        shape = ", ".join(
-            f"{group_label(key)}={counts[key]}" for key in sorted(counts)
-        )
-        sig = list(matching_signature(instance, graph_witness))
-        print(f"  k = {k}: valid, witness {shape}, signature {sig}")
+        print(f"  k = {k}: {describe(instance, {both: k})}")
     print()
+
     print("Every single-group demand is satisfiable here, but joint demands")
     print("can collide with the reserves. Asking for four untyped and four")
     print("pure-t1 students would fill all eight seats while leaving the t2")
     print("reserve empty, dropping the signature below rank-maximal:")
     joint = {(): BLOCK_SIZE, ("t1",): BLOCK_SIZE}
     assert check_validity_flow(instance, joint) is None
-    assert check_validity_graph(instance, joint) is None
-    print("  targets none=4, t1=4: invalid (both checkers agree)")
+    print(f"  targets none=4, t1=4: {describe(instance, joint)}")
+    print()
+
+    alpha, targets = crucial_vector(instance)
+    print("The crucial vector sets each target to ceil(alpha * |group|) for")
+    print(f"the largest alpha that keeps it valid; here alpha = {alpha}:")
+    print(f"  {describe(instance, targets)}")
 
 
 if __name__ == "__main__":

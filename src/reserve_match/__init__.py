@@ -1,8 +1,9 @@
 """Student selection under ranked diversity quotas with overlapping types.
 
-Library surface: build an Instance, call solve() (or the backend-specific
-choice functions), verify outputs with the axiom verifiers, extend to
-several schools with the gda module.
+Library surface: build an Instance, call solve() (or the flow module's
+choice_flow, check_validity_flow and crucial_vector directly), verify
+outputs with the axiom verifiers, extend to several schools with the gda
+module.
 """
 
 from .baseline import BaselineResult, sequential_baseline
@@ -28,16 +29,6 @@ from .gda import (
     substitutability_probe,
 )
 from .generator import generate_instance
-from .graph import (
-    AlternatingPath,
-    RankedReservationGraph,
-    apply_path,
-    build_graph,
-    check_validity_graph,
-    choice_graph,
-    find_alternating_path,
-    rank_maximal_matching,
-)
 from .model import (
     GENERAL_TYPE,
     ChoiceResult,
@@ -66,15 +57,13 @@ from .oracle import (
     oracle_choice,
     oracle_max_min_ratio,
 )
-from .solve import BACKENDS, solve
+from .solve import solve
 from .verify import AxiomReport, verify_balanced_and_jef
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternatingPath",
     "AxiomReport",
-    "BACKENDS",
     "BaselineResult",
     "ChoiceResult",
     "FlowNetwork",
@@ -89,23 +78,17 @@ __all__ = [
     "OptimalityCertificate",
     "OracleBudget",
     "OracleBudgetExceeded",
-    "RankedReservationGraph",
     "School",
     "Seat",
     "SeatMatching",
     "Signature",
     "StudentRecord",
-    "apply_path",
-    "build_graph",
     "build_network",
     "check_validity_flow",
-    "check_validity_graph",
     "choice_flow",
-    "choice_graph",
     "compute_certificate",
     "crucial_vector",
     "enumerate_maximal_diversity_matchings",
-    "find_alternating_path",
     "flow_to_matching",
     "generate_instance",
     "group_label",
@@ -118,7 +101,6 @@ __all__ = [
     "oracle_choice",
     "oracle_max_min_ratio",
     "parse_group_label",
-    "rank_maximal_matching",
     "restrict_instance",
     "run_gda",
     "selection_ratio",

@@ -1,11 +1,10 @@
-"""Backend scaling benchmark.
+"""Certificate-solve scaling benchmark.
 
-Times the flow backend's certificate solve (network build plus min-cost
+Times the flow engine's certificate solve (network build plus min-cost
 max-flow; group statistics are precomputed, decomposition into per-student
-seats is excluded) against the graph backend's matching construction
-(graph build plus rank-maximal matching with its per-student decomposition)
-across student counts. The flow side depends on groups, types and ranks
-only, so its time should stay roughly flat while the graph side grows.
+seats is excluded) across student counts. The network depends on groups,
+types and ranks only, so with those held fixed the time should stay roughly
+flat as the number of students grows.
 """
 
 from __future__ import annotations
@@ -14,45 +13,31 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import flow, graph
+from . import flow
 from .generator import generate_instance
 from .model import Instance
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One measured size: seconds per backend, best of the repeats."""
+    """One measured size: certificate-solve seconds, best of the repeats."""
 
     students: int
     groups: int
     flow_seconds: float
-    graph_seconds: float
 
 
-def _best_of(repeats: int, task) -> float:
+def bench_instance(instance: Instance, repeats: int = 3) -> float:
+    """Best-of-repeats seconds for one certificate solve on the instance."""
+    instance.groups()
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        task()
+        flow.compute_certificate(flow.build_network(instance))
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
     return best
-
-
-def bench_instance(instance: Instance, repeats: int = 3) -> tuple[float, float]:
-    """(flow_seconds, graph_seconds) for one instance, best of repeats."""
-    instance.groups()
-
-    def flow_task() -> None:
-        network = flow.build_network(instance)
-        flow.compute_certificate(network)
-
-    def graph_task() -> None:
-        g = graph.build_graph(instance)
-        graph.rank_maximal_matching(g)
-
-    return _best_of(repeats, flow_task), _best_of(repeats, graph_task)
 
 
 def run_bench(
@@ -62,36 +47,28 @@ def run_bench(
     seed: int = 2024,
     repeats: int = 3,
 ) -> list[BenchRow]:
-    """Generate one instance per size and time both backends on it."""
+    """Generate one instance per size and time its certificate solve."""
     rows = []
     for n in sizes:
         instance = generate_instance(n, num_types, num_ranks, seed)
-        flow_s, graph_s = bench_instance(instance, repeats)
         rows.append(
             BenchRow(
                 students=n,
                 groups=len(instance.groups()),
-                flow_seconds=flow_s,
-                graph_seconds=graph_s,
+                flow_seconds=bench_instance(instance, repeats),
             )
         )
     return rows
 
 
 def bench_payload(rows: Iterable[BenchRow]) -> dict:
-    """Machine-readable table with growth ratios against the smallest size."""
+    """Machine-readable table with the growth ratio against the smallest size."""
     listed = sorted(rows, key=lambda r: r.students)
     table = [
-        {
-            "students": r.students,
-            "groups": r.groups,
-            "flow_seconds": r.flow_seconds,
-            "graph_seconds": r.graph_seconds,
-        }
+        {"students": r.students, "groups": r.groups, "flow_seconds": r.flow_seconds}
         for r in listed
     ]
     payload = {"backend_timings": table}
-    if len(listed) >= 2 and listed[0].flow_seconds > 0 and listed[0].graph_seconds > 0:
+    if len(listed) >= 2 and listed[0].flow_seconds > 0:
         payload["flow_growth"] = listed[-1].flow_seconds / listed[0].flow_seconds
-        payload["graph_growth"] = listed[-1].graph_seconds / listed[0].graph_seconds
     return payload

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success (or VALID / all axioms PASS), 1 negative verdict
-(NO-INSTANCE, a FAIL line, or a reported violation), 2 malformed input,
-3 internal invariant failure.
+(NO-INSTANCE, a FAIL line, or a reported violation), 2 malformed input
+(an InstanceFormatError from the file loaders or the explicit argument
+checks here), 3 internal failure (a failed invariant, or any other
+ValueError or KeyError raised inside the solver).
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import argparse
 import sys
 from typing import Optional
 
-from . import files, flow, gda, graph
+from . import files, flow, gda, oracle
 from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
 from .model import matching_signature
-from .solve import BACKENDS, solve
+from .solve import solve
 from .verify import verify_balanced_and_jef
 
 EXIT_OK = 0
@@ -27,8 +29,8 @@ EXIT_INTERNAL = 3
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
-    result = solve(instance, args.backend)
-    payload = files.choice_result_payload(instance, result, args.backend)
+    result = solve(instance)
+    payload = files.choice_result_payload(instance, result)
     files.write_text(files.dump_json(payload), args.out)
     return EXIT_OK
 
@@ -44,22 +46,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     targets = files.load_targets(args.targets, instance)
-    witnesses = {}
-    if args.cross_check or args.backend == "flow":
-        witnesses["flow"] = flow.check_validity_flow(instance, targets)
-    if args.cross_check or args.backend == "graph":
-        witnesses["graph"] = graph.check_validity_graph(instance, targets)
-    verdicts = {name: w is not None for name, w in witnesses.items()}
-    if len(set(verdicts.values())) > 1:
-        raise AssertionError(f"backends disagree on validity: {verdicts}")
-    witness = witnesses[args.backend]
+    witness = flow.check_validity_flow(instance, targets)
     if witness is None:
         print("NO-INSTANCE")
         return EXIT_NEGATIVE
-    if args.backend == "flow":
-        matching = flow.flow_to_matching(instance, witness)
-    else:
-        matching = witness
+    matching = flow.flow_to_matching(instance, witness)
     print("VALID")
     print(f"signature: {list(matching_signature(instance, matching))}")
     counts = files.choice_counts_by_label(instance, matching)
@@ -71,7 +62,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     selected = files.load_selected(args.result)
-    report = verify_balanced_and_jef(instance, selected)
+    unknown = set(selected) - instance.priority_index.keys()
+    if unknown:
+        raise files.InstanceFormatError(
+            f"result file names unknown student ids: {sorted(unknown)}"
+        )
+    try:
+        budget = oracle.budget_from_env()
+    except ValueError as err:
+        raise files.InstanceFormatError(str(err)) from err
+    report = verify_balanced_and_jef(instance, selected, budget)
     print(f"mode: {report.mode}")
     lines = [
         ("non-wastefulness", report.non_wasteful),
@@ -88,6 +88,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_gen_sizes([args.students], args.types, args.ranks)
     instance = generate_instance(
         args.students, args.types, args.ranks, args.seed, args.quota_style
     )
@@ -114,12 +115,19 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
         )
     school_id, s1, s2 = parts
     everyone = [s.id for s in multi.students]
-    try:
-        instance = gda.induced_instance(multi, school_id, everyone)
-        base = set(everyone) - {s1, s2}
-        violation = gda.substitutability_probe(instance, base, s1, s2)
-    except (KeyError, ValueError) as err:
-        raise files.InstanceFormatError(str(err)) from err
+    if school_id not in {c.id for c in multi.schools}:
+        raise files.InstanceFormatError(f"--probe names unknown school {school_id!r}")
+    unknown = {s1, s2} - set(everyone)
+    if unknown:
+        raise files.InstanceFormatError(
+            f"--probe names unknown student ids: {sorted(unknown)}"
+        )
+    if s1 == s2:
+        raise files.InstanceFormatError("--probe needs two distinct students")
+    instance = gda.induced_instance(multi, school_id, everyone)
+    violation = gda.substitutability_probe(
+        instance, set(everyone) - {s1, s2}, s1, s2
+    )
     if violation is None:
         print("no substitutability violation")
         return EXIT_OK
@@ -133,12 +141,23 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.students)
+    _check_gen_sizes(sizes, args.types, args.ranks)
     rows = run_bench(sizes, args.types, args.ranks, args.seed, args.repeats)
     payload = bench_payload(rows)
     if args.groups is not None:
         payload["groups_expected"] = args.groups
     files.write_text(files.dump_json(payload), args.out)
     return EXIT_OK
+
+
+def _check_gen_sizes(students: list[int], types: int, ranks: int) -> None:
+    """Reject generator sizes generate_instance would refuse."""
+    if any(n < 0 for n in students):
+        raise files.InstanceFormatError("--students must be non-negative")
+    if types < 1:
+        raise files.InstanceFormatError("--types must be at least 1")
+    if ranks < 1:
+        raise files.InstanceFormatError("--ranks must be at least 1")
 
 
 def _parse_sizes(raw: str) -> list[int]:
@@ -160,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the balanced choice function")
     p_solve.add_argument("instance", help="instance file (JSON)")
-    p_solve.add_argument("--backend", choices=BACKENDS, default="flow")
     p_solve.add_argument("--out", default=None, help="write result here")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -172,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a target vector")
     p_val.add_argument("instance")
     p_val.add_argument("--targets", required=True, help="targets file (JSON)")
-    p_val.add_argument("--backend", choices=BACKENDS, default="flow")
-    p_val.add_argument(
-        "--cross-check", action="store_true", help="insist both backends agree"
-    )
     p_val.set_defaults(func=cmd_validate)
 
     p_ver = sub.add_parser("verify", help="verify a result against the axioms")
@@ -203,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gda.add_argument("--out", default=None)
     p_gda.set_defaults(func=cmd_gda)
 
-    p_bench = sub.add_parser("bench", help="time both backends across sizes")
+    p_bench = sub.add_parser(
+        "bench", help="time the flow certificate solve across sizes"
+    )
     p_bench.add_argument(
         "--students", default="10000,100000", help="comma-separated sizes"
     )
@@ -230,5 +246,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal invariant failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL

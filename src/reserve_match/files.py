@@ -416,9 +416,14 @@ def _sorted_by_priority(instance: Instance, ids: Iterable[str]) -> list[str]:
 
 
 def choice_result_payload(
-    instance: Instance, result: ChoiceResult, backend: str
+    instance: Instance, result: ChoiceResult, backend: str = "flow"
 ) -> dict[str, Any]:
-    """ResultFile payload for a solver run."""
+    """ResultFile payload for a solver run.
+
+    ``backend`` names the solver in the file. The flow engine is the only
+    one, so it defaults to "flow"; the parameter stays because existing
+    callers (the benchmark's traced run) pass it positionally.
+    """
     return {
         "alpha": fraction_str(result.alpha),
         "targets": {

@@ -1,4 +1,4 @@
-"""Flow-network backend: exact min-cost max-flow over the four-layer reserve
+"""Flow-network solver: exact min-cost max-flow over the four-layer reserve
 network, validity checking, crucial-vector search and the choice function.
 
 The network has one node per group, per type (including the general type) and

@@ -144,22 +144,16 @@ class Instance:
 def build_groups(instance: Instance) -> list[Group]:
     """Partition students into groups by exact type set.
 
-    Members are sorted by descending priority; the groups themselves come out
+    One walk of the priority order appends each student to its group, so
+    members come out in descending priority; the groups themselves come out
     in lexicographic key order so downstream iteration is deterministic.
     """
-    ids = [s.id for s in instance.students]
-    if len(set(ids)) != len(ids):
-        raise MalformedInstanceError("duplicate student id")
-    by_key: dict[GroupKey, list[str]] = {}
-    for s in instance.students:
-        key = tuple(sorted(s.type_set))
-        by_key.setdefault(key, []).append(s.id)
-    rank = instance.priority_index
-    result = []
-    for key in sorted(by_key):
-        members = sorted(by_key[key], key=lambda sid: rank[sid])
-        result.append(Group(key=key, members=tuple(members)))
-    return result
+    by_set: dict[frozenset[str], list[str]] = {}
+    by_id = instance._by_id
+    for sid in instance.priority:
+        by_set.setdefault(by_id[sid].type_set, []).append(sid)
+    by_key = {tuple(sorted(type_set)): ids for type_set, ids in by_set.items()}
+    return [Group(key=key, members=tuple(by_key[key])) for key in sorted(by_key)]
 
 
 def group_label(key: GroupKey) -> str:

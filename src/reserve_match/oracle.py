@@ -5,7 +5,7 @@ groups (students of a group are interchangeable, so allocations are counted
 at the group level and witnesses rebuilt from priority prefixes). From the
 full enumeration it derives the best signature, the set of rank-maximal
 count vectors, the max-min selection ratio and the literal greedy choice.
-Deliberately independent of the flow and graph backends.
+Deliberately independent of the flow engine, so tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ def budget_from_env() -> OracleBudget:
     raw = os.environ.get(ENV_BUDGET)
     if not raw:
         return OracleBudget()
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{ENV_BUDGET} must be 'students,seats,nodes', got {raw!r}")
-    students, seats, nodes = (int(p.strip()) for p in parts)
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3 or not all(p.isdecimal() for p in parts):
+        raise ValueError(
+            f"{ENV_BUDGET} must be 'students,seats,nodes' as three "
+            f"non-negative integers, got {raw!r}"
+        )
+    students, seats, nodes = (int(p) for p in parts)
     return OracleBudget(students, seats, nodes)
 
 

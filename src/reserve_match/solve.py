@@ -1,17 +1,11 @@
-"""One-call solver entry points."""
+"""One-call solver entry point."""
 
 from __future__ import annotations
 
-from . import flow, graph
+from . import flow
 from .model import ChoiceResult, Instance
 
-BACKENDS = ("flow", "graph")
 
-
-def solve(instance: Instance, backend: str = "flow") -> ChoiceResult:
-    """Run the balanced choice function with the requested backend."""
-    if backend == "flow":
-        return flow.choice_flow(instance)
-    if backend == "graph":
-        return graph.choice_graph(instance)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+def solve(instance: Instance) -> ChoiceResult:
+    """Run the balanced choice function on the group-level flow network."""
+    return flow.choice_flow(instance)

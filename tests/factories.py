@@ -89,11 +89,11 @@ def two_type_column_school(with_extra: bool = False) -> Instance:
 
 
 def displacement_trap_school() -> Instance:
-    """Regression fixture: displacing the wrong victim strands a top student.
+    """Regression fixture: the balanced choice keeps each group's top student.
 
-    No quotas, three general seats, four students. Greedy surgery that evicts
-    the highest-priority eligible victim first ends up dropping s0 even
-    though {s0, s1, s3} is the balanced outcome.
+    No quotas, three general seats, four students in two groups. The
+    balanced outcome is {s0, s1, s3}; a solver that moves students between
+    seats and evicts the highest-priority eligible one first drops s0.
     """
     return make_instance(
         students=[("s0", []), ("s1", ["t1"]), ("s2", []), ("s3", ["t1"])],

@@ -5,6 +5,9 @@ batched: the alpha search materializes every candidate ratio k/|S_u| and
 bisects over the sorted set, and the greedy walk makes one validity check per
 remaining student. They are slow (one lower-bounded solve per admission) but
 obviously correct, so the fast versions must reproduce them exactly.
+
+It also holds the oracle's validity verdict for target vectors and the checks
+a validity witness must pass, shared by the differential validity tests.
 """
 
 from __future__ import annotations
@@ -21,7 +24,19 @@ from reserve_match.flow import (
     compute_certificate,
     flow_signature,
 )
-from reserve_match.model import ChoiceResult, GroupKey, Instance, Ratio, TargetVector
+from reserve_match.model import (
+    ChoiceResult,
+    GroupKey,
+    Instance,
+    Ratio,
+    SeatMatching,
+    Signature,
+    TargetVector,
+    check_matching,
+    matching_group_counts,
+    matching_signature,
+)
+from reserve_match.oracle import MaximalDiversitySet
 
 
 def full_candidate_crucial_vector(
@@ -126,3 +141,25 @@ def assert_same_choice(fast: ChoiceResult, slow: ChoiceResult) -> None:
     assert fast.signature == slow.signature
     assert fast.alpha == slow.alpha
     assert fast.targets == slow.targets
+
+
+def oracle_targets_valid(mset: MaximalDiversitySet, targets: TargetVector) -> bool:
+    """Targets are valid iff some rank-maximal count vector meets every one."""
+    return any(
+        all(counts[key] >= want for key, want in targets.items())
+        for counts in map(mset.counts_as_dict, mset.count_vectors)
+    )
+
+
+def assert_valid_witness(
+    instance: Instance,
+    matching: SeatMatching,
+    targets: TargetVector,
+    signature: Signature,
+) -> None:
+    """A well-formed matching with the best signature that meets the targets."""
+    check_matching(instance, matching)
+    assert matching_signature(instance, matching) == signature
+    counts = matching_group_counts(instance, matching)
+    for key, want in targets.items():
+        assert counts[key] >= want

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from reserve_match import flow
 from reserve_match.cli import main
+from reserve_match.oracle import ENV_BUDGET
 
 INSTANCE = {
     "capacity": 2,
@@ -75,29 +77,6 @@ def test_solve_writes_canonical_result(instance_file, capsys):
     }
 
 
-def test_solve_backends_agree_byte_for_byte(instance_file, tmp_path):
-    flow_out = tmp_path / "flow.json"
-    graph_out = tmp_path / "graph.json"
-    assert main(["solve", instance_file, "--out", str(flow_out)]) == 0
-    assert (
-        main(
-            [
-                "solve",
-                instance_file,
-                "--backend",
-                "graph",
-                "--out",
-                str(graph_out),
-            ]
-        )
-        == 0
-    )
-    flow_text = flow_out.read_text(encoding="utf-8")
-    graph_text = graph_out.read_text(encoding="utf-8")
-    assert json.loads(flow_text)["backend"] == "flow"
-    assert flow_text.replace('"flow"', '"graph"') == graph_text
-
-
 def test_solve_repeat_runs_are_deterministic(instance_file, capsys):
     main(["solve", instance_file])
     first = capsys.readouterr().out
@@ -119,18 +98,6 @@ def test_validate_valid_targets(instance_file, tmp_path, capsys):
     assert "VALID" in out
     assert "signature: [1, 1]" in out
     assert "none: 1" in out and "t1: 1" in out
-
-
-def test_validate_graph_backend_and_cross_check(instance_file, tmp_path, capsys):
-    targets = write_json(tmp_path, "targets.json", {"none": 1, "t1": 1})
-    assert (
-        main(["validate", instance_file, "--targets", targets, "--backend", "graph"])
-        == 0
-    )
-    capsys.readouterr()
-    assert (
-        main(["validate", instance_file, "--targets", targets, "--cross-check"]) == 0
-    )
 
 
 def test_validate_no_instance(instance_file, tmp_path, capsys):
@@ -166,6 +133,48 @@ def test_verify_failing_result_reports_witness(instance_file, tmp_path, capsys):
 def test_verify_unknown_student_is_input_error(instance_file, tmp_path, capsys):
     result = write_json(tmp_path, "result.json", {"selected": ["ghost"]})
     assert main(["verify", instance_file, result]) == 2
+    assert "unknown student ids: ['ghost']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["4,9", "4,9,x", "4,-9,100", " , , "])
+def test_verify_malformed_oracle_budget_is_input_error(
+    instance_file, tmp_path, capsys, monkeypatch, raw
+):
+    result = write_json(tmp_path, "result.json", {"selected": ["s2", "s4"]})
+    monkeypatch.setenv(ENV_BUDGET, raw)
+    assert main(["verify", instance_file, result]) == 2
+    assert ENV_BUDGET in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--students", "-1"],
+        ["gen", "--students", "4", "--types", "0"],
+        ["gen", "--students", "4", "--ranks", "0"],
+        ["bench", "--students", "10", "--types", "0"],
+        ["bench", "--students", "10", "--ranks", "0"],
+    ],
+)
+def test_generator_size_errors_are_input_errors(capsys, argv):
+    assert main(argv) == 2
+    assert f"error: {argv[-2]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("bad arc"), KeyError("s9")])
+def test_solver_value_and_key_errors_are_internal(
+    instance_file, tmp_path, capsys, monkeypatch, error
+):
+    def broken(instance):
+        raise error
+
+    monkeypatch.setattr(flow, "choice_flow", broken)
+    multi = write_json(tmp_path, "multi.json", MULTI)
+    for argv in (["solve", instance_file], ["gda", multi, "--probe", "X:a:b"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert type(error).__name__ in err
 
 
 def test_gen_is_deterministic_and_solvable(tmp_path, capsys):
@@ -248,6 +257,7 @@ def test_gda_probe_reports_violation(tmp_path, capsys):
     assert main(["gda", multi, "--probe", "nonsense"]) == 2
     assert main(["gda", multi, "--probe", "c:s13:s13"]) == 2
     assert main(["gda", multi, "--probe", "z:s16:s13"]) == 2
+    assert main(["gda", multi, "--probe", "c:ghost:s13"]) == 2
 
 
 def test_bench_small_sizes(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for the flow backend: network shape, solver, validity, choice."""
+"""Unit tests for the flow engine: network shape, solver, validity, choice."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from factories import (
+    displacement_trap_school,
     four_block_school,
     make_instance,
     two_group_school,
@@ -120,6 +121,8 @@ def test_check_validity_flow_verdicts():
     assert witness is not None
     counts = flow_group_counts(build_network(instance), witness)
     assert counts == {(): 1, ("t1",): 1}
+    # its decomposition seats each group's top students
+    assert set(flow_to_matching(instance, witness)) == {"s4", "s2"}
     # both seats to one group is not maximally diverse
     assert check_validity_flow(instance, {(): 2}) is None
     # targets beyond the group size can never be met
@@ -180,6 +183,18 @@ def test_choice_flow_columns():
     assert choice_flow(two_type_column_school(with_extra=True)).selected == frozenset(
         {"s11", "s12", "s13", "s21"}
     )
+
+
+def test_choice_flow_single_group_takes_top_by_priority():
+    instance = make_instance(
+        [("a", []), ("b", []), ("c", [])], 2, ["b", "c", "a"], ["t1"], {}
+    )
+    assert choice_flow(instance).selected == frozenset({"b", "c"})
+
+
+def test_choice_flow_keeps_each_groups_top_student():
+    result = choice_flow(displacement_trap_school())
+    assert result.selected == frozenset({"s0", "s1", "s3"})
 
 
 def test_choice_flow_rejects_invalid_delta():

@@ -119,9 +119,10 @@ def test_budget_from_env(monkeypatch):
     assert budget_from_env() == OracleBudget()
     monkeypatch.setenv(ENV_BUDGET, "4, 9, 100")
     assert budget_from_env() == OracleBudget(4, 9, 100)
-    monkeypatch.setenv(ENV_BUDGET, "4,9")
-    with pytest.raises(ValueError, match="students,seats,nodes"):
-        budget_from_env()
+    for raw in ("4,9", "4,9,x", "4,-9,100", "4,9,²"):
+        monkeypatch.setenv(ENV_BUDGET, raw)
+        with pytest.raises(ValueError, match="students,seats,nodes"):
+            budget_from_env()
 
 
 def test_env_budget_applies_to_default_calls(monkeypatch):

@@ -1,14 +1,16 @@
-"""Property-based tests tying the backends, the oracle and the verifiers."""
+"""Property-based tests tying the flow engine, the oracle and the verifiers."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_search import (
     assert_same_choice,
+    assert_valid_witness,
     full_candidate_crucial_vector,
+    oracle_targets_valid,
     sequential_choice,
 )
 
@@ -24,20 +26,12 @@ from reserve_match.flow import (
     signature_cost,
 )
 from reserve_match.gda import MultiInstance, School, induced_instance, run_gda
-from reserve_match.graph import (
-    apply_path,
-    build_graph,
-    check_validity_graph,
-    choice_graph,
-    find_alternating_path,
-    rank_maximal_matching,
-)
 from reserve_match.model import (
     Instance,
     StudentRecord,
     check_matching,
+    group_counts,
     lex_compare,
-    matching_group_counts,
     matching_signature,
     min_selection_ratio,
     verify_non_wasteful,
@@ -183,12 +177,10 @@ def test_signature_cost_orders_equal_totals_like_lex(data):
 def test_backends_and_oracle_agree(instance):
     expected = oracle_choice(instance, BUDGET)
     by_flow = choice_flow(instance)
-    by_graph = choice_graph(instance)
     assert by_flow.selected == expected
-    assert by_graph.selected == expected
-    assert by_flow.per_group_counts == by_graph.per_group_counts
-    assert by_flow.signature == by_graph.signature
-    assert by_flow.alpha == by_graph.alpha
+    assert by_flow.per_group_counts == group_counts(instance, expected)
+    mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
+    assert by_flow.signature == mset.signature
 
 
 @PROPERTY_SETTINGS
@@ -236,7 +228,8 @@ def test_flow_matching_round_trip(instance):
 @given(instances())
 def test_rank_maximal_signature_matches_oracle(instance):
     mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
-    matching = rank_maximal_matching(build_graph(instance))
+    net = build_network(instance)
+    matching = flow_to_matching(instance, min_cost_max_flow(net), network=net)
     assert matching_signature(instance, matching) == mset.signature
 
 
@@ -245,47 +238,13 @@ def test_rank_maximal_signature_matches_oracle(instance):
 def test_validity_backends_agree(pair):
     instance, targets = pair
     by_flow = check_validity_flow(instance, targets)
-    by_graph = check_validity_graph(instance, targets)
-    assert (by_flow is None) == (by_graph is None)
-    if by_graph is None:
-        return
-    check_matching(instance, by_graph)
-    counts = matching_group_counts(instance, by_graph)
-    for key, want in targets.items():
-        assert counts[key] >= want
-    # the witness is maximally diverse, not merely feasible
     mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
-    assert matching_signature(instance, by_graph) == mset.signature
-
-
-@PROPERTY_SETTINGS
-@given(st.data())
-def test_apply_path_keeps_matchings_well_formed(data):
-    instance = data.draw(instances(), label="instance")
-    assume(instance.capacity > 0)
-    assume(instance.students)
-    graph = build_graph(instance)
-    matching = rank_maximal_matching(graph, cap=instance.capacity - 1)
-    unmatched = [s.id for s in instance.students if s.id not in matching]
-    assume(unmatched)
-    start = data.draw(st.sampled_from(unmatched), label="start")
-    before_sig = matching_signature(instance, matching)
-    path = find_alternating_path(graph, matching, start, lambda end: True)
-    if path is None:
+    assert (by_flow is not None) == oracle_targets_valid(mset, targets)
+    if by_flow is None:
         return
-    updated = apply_path(instance, matching, path)
-    check_matching(instance, updated)
-    assert start in updated
-    after_sig = matching_signature(instance, updated)
-    if path.augmenting:
-        assert len(updated) == len(matching) + 1
-        grown = list(before_sig)
-        grown[path.rank - 1] += 1
-        assert after_sig == tuple(grown)
-    else:
-        assert len(updated) == len(matching)
-        assert path.end not in updated
-        assert after_sig == before_sig
+    # the witness is maximally diverse, not merely feasible
+    witness = flow_to_matching(instance, by_flow)
+    assert_valid_witness(instance, witness, targets, mset.signature)
 
 
 @PROPERTY_SETTINGS

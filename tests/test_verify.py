@@ -108,6 +108,5 @@ def test_solver_outputs_always_verify():
     rng = random.Random(515)
     for _ in range(40):
         instance = random_school(rng, max_students=8)
-        for backend in ("flow", "graph"):
-            report = verify_balanced_and_jef(instance, solve(instance, backend).selected)
-            assert report.all_hold(), (instance, backend, report)
+        report = verify_balanced_and_jef(instance, solve(instance).selected)
+        assert report.all_hold(), (instance, report)
