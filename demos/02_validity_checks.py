@@ -65,8 +65,10 @@ def main() -> None:
     print()
 
     print("Validity asks: can a rank-maximal selection give the doubly-typed")
-    print("block at least k students? One lower-bounded flow solve answers it,")
-    print("and its witness flow decomposes into a seat matching.")
+    print("block at least k students? The network's one min-cost flow already")
+    print("answers it: the witness is that optimum itself when it meets the")
+    print("target, else the optimum with the shortfall rerouted along arcs of")
+    print("zero reduced cost. It decomposes into a seat matching.")
     both = ("t1", "t2")
     for k in range(BLOCK_SIZE + 1):
         print(f"  k = {k}: {describe(instance, {both: k})}")

@@ -114,10 +114,10 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
             f"--probe expects SCHOOL:S1:S2, got {spec!r}"
         )
     school_id, s1, s2 = parts
-    everyone = [s.id for s in multi.students]
+    everyone = multi.student_ids
     if school_id not in {c.id for c in multi.schools}:
         raise files.InstanceFormatError(f"--probe names unknown school {school_id!r}")
-    unknown = {s1, s2} - set(everyone)
+    unknown = {s1, s2} - everyone
     if unknown:
         raise files.InstanceFormatError(
             f"--probe names unknown student ids: {sorted(unknown)}"
@@ -126,7 +126,7 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
         raise files.InstanceFormatError("--probe needs two distinct students")
     instance = gda.induced_instance(multi, school_id, everyone)
     violation = gda.substitutability_probe(
-        instance, set(everyone) - {s1, s2}, s1, s2
+        instance, everyone - {s1, s2}, s1, s2
     )
     if violation is None:
         print("no substitutability violation")

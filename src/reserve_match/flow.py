@@ -5,12 +5,20 @@ The network has one node per group, per type (including the general type) and
 per (type, rank) seat class, plus a capacity node. Only type->class arcs carry
 cost; the cost of rank i is chosen so that minimizing total cost over flows of
 a fixed value maximizes the per-rank signature lexicographically.
+
+Each network is solved once: the unconstrained min-cost max-flow f* and its
+final Johnson potentials are kept on the network. A validity check (is there
+a maximal-diversity flow giving every group at least its target?) is then a
+small max-flow on the residual arcs of f* whose reduced cost is 0, because
+those reroutes of f* are exactly the flows with f*'s value and cost (Ahuja,
+Magnanti and Orlin, Network Flows, 1993, ch. 9: complementary slackness).
+The alpha search and the greedy walk make their O(log n) checks each on that
+one solve.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +71,6 @@ class Arc:
     head: int
     capacity: int
     cost: int
-    lower: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,15 @@ class FlowAssignment:
     value: int
     cost: int
     arc_flows: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OptimalFlow(FlowAssignment):
+    """A min-cost max-flow plus node potentials that prove it optimal: every
+    arc of its residual graph has reduced cost
+    cost + potentials[tail] - potentials[head] >= 0."""
+
+    potentials: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -88,24 +104,17 @@ class FlowNetwork:
 
     Arc order is deterministic: source->group and group->type arcs per group
     in lexicographic group order, then type->class and class->Q arcs per type
-    and rank, then Q->sink. Lower bounds (when targets are given) sit on the
-    source->group arcs only. Zero-capacity arcs are kept so the structure
-    mirrors the construction exactly.
+    and rank, then Q->sink. Zero-capacity arcs are kept so the structure
+    mirrors the construction exactly. The unconstrained optimum is solved on
+    first use and kept (see _optimum), so every validity check on one
+    network shares a single min-cost flow solve.
     """
 
-    def __init__(
-        self, instance: Instance, targets: Optional[TargetVector] = None
-    ) -> None:
+    def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.max_rank = instance.max_rank
         groups = instance.groups()
-        bounds = dict(targets or {})
-        unknown = set(bounds) - {g.key for g in groups}
-        if unknown:
-            raise ValueError(f"targets for unknown groups: {sorted(unknown)}")
-        for key, value in bounds.items():
-            if value < 0:
-                raise ValueError(f"negative target for group {group_label(key)}")
+        self._optimum: Optional[_Optimum] = None
 
         self.node_names = ["source", "sink"]
         self.source = 0
@@ -121,10 +130,8 @@ class FlowNetwork:
         self.rank_arcs: dict[tuple[str, int], int] = {}
         self.seat_exit_arcs: dict[tuple[str, int], int] = {}
 
-        def add_arc(tail: int, head: int, cap: int, cost: int, lower: int = 0) -> int:
-            if lower > cap:
-                raise ValueError("lower bound exceeds capacity")
-            self.arcs.append(Arc(tail, head, cap, cost, lower))
+        def add_arc(tail: int, head: int, cap: int, cost: int) -> int:
+            self.arcs.append(Arc(tail, head, cap, cost))
             return len(self.arcs) - 1
 
         all_types = sorted(instance.types) + [GENERAL_TYPE]
@@ -138,9 +145,7 @@ class FlowNetwork:
 
         for g in groups:
             u = add_node(f"group:{group_label(g.key)}")
-            self.group_arcs[g.key] = add_arc(
-                self.source, u, g.size, 0, bounds.get(g.key, 0)
-            )
+            self.group_arcs[g.key] = add_arc(self.source, u, g.size, 0)
             for t in list(g.key) + [GENERAL_TYPE]:
                 self.group_type_arcs[(g.key, t)] = add_arc(u, type_node[t], g.size, 0)
         for t in all_types:
@@ -157,10 +162,6 @@ class FlowNetwork:
     @property
     def node_count(self) -> int:
         return len(self.node_names)
-
-    def with_targets(self, targets: TargetVector) -> "FlowNetwork":
-        """A fresh copy of this network with lower bounds from targets."""
-        return FlowNetwork(self.instance, targets)
 
 
 def build_network(instance: Instance) -> FlowNetwork:
@@ -256,61 +257,133 @@ class _MinCostFlow:
             cost += step[0] * step[1]
 
 
-def min_cost_max_flow(
-    network: FlowNetwork, respect_lower_bounds: bool = False
-) -> Optional[FlowAssignment]:
-    """Integral min-cost max-flow; None iff lower bounds are infeasible.
+def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
+    """Integral min-cost max-flow from source to sink, with the final
+    potentials of the successive-shortest-path solve."""
+    solver = _MinCostFlow(network.node_count)
+    ids = [solver.add(a.tail, a.head, a.capacity, a.cost) for a in network.arcs]
+    value, cost = solver.run(network.source, network.sink)
+    flows = tuple(solver.flow_on(e) for e in ids)
+    return OptimalFlow(
+        value=value, cost=cost, arc_flows=flows, potentials=tuple(solver.potential)
+    )
 
-    With lower bounds active, uses the classical elimination transform:
-    subtract bounds from capacities, route the forced imbalance through an
-    auxiliary source/sink pair (with a sink->source return arc), then
-    continue augmenting source->sink for the maximum value.
+
+class _Optimum:
+    """The unconstrained optimum f* of one network and the part of its
+    residual graph that a validity check may use.
+
+    Under f*'s potentials every residual arc has reduced cost >= 0, and a
+    circulation's cost is the sum of its reduced costs. So a flow of value
+    F* costs C* exactly when its difference from f* is a circulation on
+    residual arcs of reduced cost 0 (the admissible arcs). `steps[v]` lists
+    (arc, other end, forward) for every admissible arc at node v that does
+    not touch the source or the sink; `groups` holds, per group, its key,
+    node, flow in f* and whether its source arc is admissible (only then
+    may the group's flow move); `group_arc` maps a group node to that arc.
     """
-    arcs = network.arcs
-    n = network.node_count
-    bounded = respect_lower_bounds and any(a.lower for a in arcs)
-    if not bounded:
-        solver = _MinCostFlow(n)
-        ids = [solver.add(a.tail, a.head, a.capacity, a.cost) for a in arcs]
-        value, cost = solver.run(network.source, network.sink)
-        flows = tuple(solver.flow_on(e) for e in ids)
-        return FlowAssignment(value=value, cost=cost, arc_flows=flows)
 
-    if any(a.lower > a.capacity for a in arcs):
-        return None
-    solver = _MinCostFlow(n + 2)
-    aux_source, aux_sink = n, n + 1
-    excess = [0] * n
-    ids = []
-    for a in arcs:
-        ids.append(solver.add(a.tail, a.head, a.capacity - a.lower, a.cost))
-        excess[a.head] += a.lower
-        excess[a.tail] -= a.lower
-    big = sum(a.capacity for a in arcs) + 1
-    loop = solver.add(network.sink, network.source, big, 0)
-    required = 0
-    for v in range(n):
-        if excess[v] > 0:
-            solver.add(aux_source, v, excess[v], 0)
-            required += excess[v]
-        elif excess[v] < 0:
-            solver.add(v, aux_sink, -excess[v], 0)
-    forced, _ = solver.run(aux_source, aux_sink)
-    if forced != required:
-        return None
-    solver.cap[loop] = 0
-    solver.cap[loop ^ 1] = 0
-    solver.run(network.source, network.sink)
-    flows = tuple(solver.flow_on(e) + a.lower for e, a in zip(ids, arcs))
-    value = sum(f for f, a in zip(flows, arcs) if a.tail == network.source)
-    value -= sum(f for f, a in zip(flows, arcs) if a.head == network.source)
-    cost = sum(f * a.cost for f, a in zip(flows, arcs))
-    return FlowAssignment(value=value, cost=cost, arc_flows=flows)
+    def __init__(self, network: FlowNetwork, best: OptimalFlow) -> None:
+        self.flow = best
+        pot = best.potentials
+        self.capacity = [a.capacity for a in network.arcs]
+        self.cost = [a.cost for a in network.arcs]
+        self.steps: list[list[tuple[int, int, bool]]] = [
+            [] for _ in range(network.node_count)
+        ]
+        for e, a in enumerate(network.arcs):
+            if a.tail == network.source or a.head == network.sink:
+                continue
+            if a.cost + pot[a.tail] - pot[a.head] == 0:
+                self.steps[a.tail].append((e, a.head, True))
+                self.steps[a.head].append((e, a.tail, False))
+        self.groups: list[tuple[GroupKey, int, int, bool]] = []
+        self.group_arc: dict[int, int] = {}
+        for key, e in network.group_arcs.items():
+            node = network.arcs[e].head
+            free = pot[network.source] == pot[node]
+            self.groups.append((key, node, best.arc_flows[e], free))
+            self.group_arc[node] = e
+
+    def reroute(self, targets: TargetVector) -> Optional[FlowAssignment]:
+        """f* plus a smallest admissible circulation that lifts every group
+        to its target, or None if none exists.
+
+        A simple cycle of such a circulation passes the source once: it
+        raises one group and lowers another. Cycles that raise a group
+        already at its target can be dropped (a conformal decomposition
+        never lowers that group), so this is a max-flow problem from the
+        deficit groups (t_u - f*_u units each, admissible source arc
+        required) to the groups above their targets (f*_v - t_v each,
+        admissible source arc required) over the admissible arcs.
+        Breadth-first augmenting paths solve it exactly.
+        """
+        need: dict[int, int] = {}
+        spare: dict[int, int] = {}
+        for key, node, has, free in self.groups:
+            want = targets.get(key, 0)
+            if want > has:
+                # never true with the solver's own potentials, which keep
+                # every unsaturated source arc at reduced cost 0; exactness
+                # needs it for optimal potentials in general
+                if not free:
+                    return None
+                need[node] = want - has
+            elif want < has and free:
+                spare[node] = has - want
+        if not need:
+            return self.flow
+        cap = self.capacity
+        flows = list(self.flow.arc_flows)
+        while need:
+            prev: dict[int, Optional[tuple[int, bool, int]]] = dict.fromkeys(need)
+            queue = list(need)
+            for v in queue:
+                if v in spare:
+                    break
+                for e, w, forward in self.steps[v]:
+                    if w not in prev and (cap[e] - flows[e] if forward else flows[e]):
+                        prev[w] = (e, forward, v)
+                        queue.append(w)
+            else:
+                return None
+            end = v
+            amount = spare[end]
+            path = []
+            step = prev[v]
+            while step is not None:
+                e, forward, v = step
+                path.append((e, forward))
+                amount = min(amount, cap[e] - flows[e] if forward else flows[e])
+                step = prev[v]
+            amount = min(amount, need[v])
+            for e, forward in path:
+                flows[e] += amount if forward else -amount
+            flows[self.group_arc[v]] += amount
+            flows[self.group_arc[end]] -= amount
+            need[v] -= amount
+            if not need[v]:
+                del need[v]
+            spare[end] -= amount
+            if not spare[end]:
+                del spare[end]
+        value = sum(flows[e] for e in self.group_arc.values())
+        cost = sum(f * c for f, c in zip(flows, self.cost))
+        if value != self.flow.value or cost != self.flow.cost:
+            raise InternalInvariantError("rerouted flow left the optimum")
+        return FlowAssignment(value=value, cost=cost, arc_flows=tuple(flows))
+
+
+def _optimum(network: FlowNetwork) -> _Optimum:
+    """The network's unconstrained optimum, solved on first use and kept."""
+    if network._optimum is None:
+        network._optimum = _Optimum(network, min_cost_max_flow(network))
+    return network._optimum
 
 
 def compute_certificate(network: FlowNetwork) -> OptimalityCertificate:
     """(F*, C*) of the unconstrained network; the maximal-diversity benchmark."""
-    best = min_cost_max_flow(network)
+    best = _optimum(network).flow
     instance = network.instance
     expected = min(len(instance.students), instance.capacity)
     if best.value != expected:
@@ -343,29 +416,32 @@ def check_validity_flow(
 ) -> Optional[FlowAssignment]:
     """Witness flow if some maximal-diversity flow meets the targets, else None.
 
-    Validity means the lower-bounded solve is feasible and still attains the
-    unconstrained optimum (value F* and cost C*); feasibility alone would not
-    preserve maximal diversity.
+    Validity means some flow of the unconstrained optimum's value F* and
+    cost C* carries at least each group's target; feasibility alone would
+    not preserve maximal diversity. The check needs no new min-cost solve:
+    it starts from the network's kept optimum f* and its potentials, and
+    routes each group's shortfall t_u - f*_u from groups above their
+    targets along residual arcs of reduced cost 0 (see _Optimum). Those
+    reroutes are exactly the flows of value F* and cost C*, so the verdict
+    is exact. The witness is f* itself when f* already meets the targets,
+    and otherwise f* plus the rerouted units.
     """
     net = network if network is not None else build_network(instance)
-    sizes = {g.key: g.size for g in instance.groups()}
-    unknown = set(targets) - set(sizes)
+    unknown = set(targets) - net.group_arcs.keys()
     if unknown:
         raise ValueError(f"targets for unknown groups: {sorted(unknown)}")
     if any(v < 0 for v in targets.values()):
         raise ValueError("negative target")
     if cert is None:
         cert = compute_certificate(net)
-    if any(targets[key] > sizes[key] for key in targets):
+    if any(
+        want > net.arcs[net.group_arcs[key]].capacity
+        for key, want in targets.items()
+    ):
         return None
     if sum(targets.values()) > cert.max_value:
         return None
-    bounded = min_cost_max_flow(net.with_targets(targets), respect_lower_bounds=True)
-    if bounded is None:
-        return None
-    if bounded.value != cert.max_value or bounded.cost != cert.min_cost:
-        return None
-    return bounded
+    return _optimum(net).reroute(targets)
 
 
 def _bisect_last(good: int, bad: int, holds: Callable[[int], bool]) -> int:
@@ -393,18 +469,6 @@ def _gallop_last(limit: int, holds: Callable[[int], bool]) -> int:
         else:
             bad = probe
     return _bisect_last(good, bad, holds)
-
-
-def _candidate_groups(
-    instance: Instance, targets: dict[GroupKey, int]
-) -> list[GroupKey]:
-    """Group of every student past its group's target, in priority order."""
-    rank = instance.priority_index
-    slots: list[Optional[GroupKey]] = [None] * len(rank)
-    for g in instance.groups():
-        for sid in g.members[targets[g.key] :]:
-            slots[rank[sid]] = g.key
-    return [key for key in slots if key is not None]
 
 
 def crucial_vector(
@@ -442,7 +506,10 @@ def _crucial_search(
     groups = instance.groups()
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
-        return {g.key: math.ceil(beta * g.size) for g in groups}
+        return {
+            g.key: -(-beta.numerator * g.size // beta.denominator)
+            for g in groups
+        }
 
     def feasible(beta: Fraction) -> bool:
         witness = check_validity_flow(
@@ -474,13 +541,16 @@ def choice_flow(
     *,
     alpha: Optional[Ratio] = None,
 ) -> ChoiceResult:
-    """Maximum balanced selection via batched lower-bounded solves.
+    """Maximum balanced selection via batched validity checks on one solve.
 
     delta_star must be the instance's crucial vector (recomputed when omitted;
     validity of the supplied vector is checked, full optimality is the
     caller's contract). Each group is seeded with its top delta students; the
     rest are then offered in priority order, and one is admitted whenever a
     maximal-diversity flow exists with its group's bound raised by one.
+    Every check reroutes the network's one optimum (see check_validity_flow),
+    so a call makes a single min-cost flow solve however many checks it
+    makes.
 
     That walk is computed without one check per student. Validity is
     downward closed in the bounds, so once a group's next member is rejected
@@ -489,12 +559,14 @@ def choice_flow(
     valid prefix of the remaining candidates, drops the group of the first
     candidate past it, and repeats on what follows. Each prefix is found by
     galloping (1, 2, 4, ... candidates, capped at the seats left below F*)
-    and then bisecting, with prefix counts read by bisect from each group's
-    candidate positions. That is at most G + 1 rounds of O(log n) checks for
-    G groups and n remaining students, and no checks once the targets fill
-    the certificate's flow value. The signature is read from the witness
-    flow of the last check that held, which meets exactly the final counts,
-    so no check is repeated.
+    and then bisecting. Each group's candidate priority positions are listed
+    once per call; prefix counts are read from them by bisect, and a dead
+    group is dropped from the lists without rescanning the rest. That is at
+    most G + 1 rounds of O(log n) checks for G groups and n remaining
+    students, and no checks once the targets fill the certificate's flow
+    value. The signature is read from the witness flow of the last check
+    that held, which meets exactly the final counts, so no check is
+    repeated.
     """
     net = build_network(instance)
     cert = compute_certificate(net)
@@ -514,16 +586,37 @@ def choice_flow(
 
     counts = dict(targets)
     room = cert.max_value - sum(counts.values())
-    queue = _candidate_groups(instance, targets) if room else []
-    while room and queue:
+    # priority positions of each live group's candidates (its members past
+    # the target); a round admits a prefix of the live candidates from `start`
+    rank = instance.priority_index
+    at = {
+        g.key: [rank[sid] for sid in g.members[targets[g.key] :]]
+        for g in (groups if room else ())
+    }
+    start = 0
+    while room:
         base = counts
-        at: dict[GroupKey, list[int]] = {}
-        for i, key in enumerate(queue):
-            at.setdefault(key, []).append(i)
+        first = {key: bisect_left(pos, start) for key, pos in at.items()}
+        left = sum(len(pos) - first[key] for key, pos in at.items())
+        if not left:
+            break
+
+        def end_of(p: int) -> int:
+            """Smallest position x with p live candidates in [start, x)."""
+            lo, hi = start, len(rank)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                seen = sum(bisect_left(pos, mid) - first[k] for k, pos in at.items())
+                if seen >= p:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
 
         def admit(p: int) -> dict[GroupKey, int]:
+            x = end_of(p)
             return {
-                key: count + (bisect_left(at[key], p) if key in at else 0)
+                key: count + (bisect_left(at[key], x) - first[key] if key in at else 0)
                 for key, count in base.items()
             }
 
@@ -535,13 +628,18 @@ def choice_flow(
                 witnesses[p] = found
             return found is not None
 
-        good = _gallop_last(min(room, len(queue)), holds)
+        good = _gallop_last(min(room, left), holds)
         counts, witness = admit(good), witnesses[good]
         room -= good
-        if good == len(queue):
+        if good == left:
             break
-        rejected = queue[good]
-        queue = [key for key in queue[good + 1 :] if key != rejected]
+        past = end_of(good + 1) - 1  # the first live candidate past the prefix
+        for key, pos in at.items():
+            i = bisect_left(pos, past)
+            if i < len(pos) and pos[i] == past:
+                break
+        del at[key]
+        start = past + 1
 
     selected = frozenset(
         sid for g in groups for sid in g.members[: counts[g.key]]

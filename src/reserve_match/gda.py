@@ -46,6 +46,7 @@ class MultiInstance:
         self.preferences: dict[str, tuple[str, ...]] = {
             sid: tuple(prefs) for sid, prefs in preferences.items()
         }
+        self.student_ids: frozenset[str] = frozenset(s.id for s in self.students)
         self._validate()
 
     def _validate(self) -> None:
@@ -53,7 +54,7 @@ class MultiInstance:
         if len(set(school_ids)) != len(school_ids):
             raise MalformedInstanceError("duplicate school id")
         known_schools = set(school_ids)
-        known_students = {s.id for s in self.students}
+        known_students = self.student_ids
         if len(known_students) != len(self.students):
             raise MalformedInstanceError("duplicate student id")
         for sid, prefs in self.preferences.items():
@@ -84,7 +85,7 @@ class MultiInstance:
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The same instance with the student set cut down to keep."""
     chosen = set(keep)
-    unknown = chosen - {s.id for s in instance.students}
+    unknown = chosen - instance.priority_index.keys()
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
     return Instance(
@@ -102,7 +103,7 @@ def induced_instance(
     """Single-school instance of one school restricted to an applicant pool."""
     school = multi.school_by_id(school_id)
     chosen = set(applicants)
-    unknown = chosen - {s.id for s in multi.students}
+    unknown = chosen - multi.student_ids
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
     return Instance(

@@ -170,8 +170,7 @@ def parse_group_label(label: str) -> GroupKey:
 def group_counts(instance: Instance, selected: Iterable[str]) -> dict[GroupKey, int]:
     """Count selected students per group; unknown ids raise KeyError."""
     chosen = set(selected)
-    known = {s.id for s in instance.students}
-    unknown = chosen - known
+    unknown = chosen - instance.priority_index.keys()
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
     counts = {}
@@ -288,9 +287,9 @@ def verify_non_wasteful(instance: Instance, selected: Iterable[str]) -> bool:
 def verify_same_group_priority(instance: Instance, selected: Iterable[str]) -> bool:
     """Within each group the selected students must form a priority prefix."""
     chosen = set(selected)
-    known = {s.id for s in instance.students}
-    if chosen - known:
-        raise KeyError(f"unknown student ids: {sorted(chosen - known)}")
+    unknown = chosen - instance.priority_index.keys()
+    if unknown:
+        raise KeyError(f"unknown student ids: {sorted(unknown)}")
     for g in instance.groups():
         seen_gap = False
         for sid in g.members:

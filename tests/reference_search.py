@@ -3,11 +3,15 @@
 These are the straightforward algorithms `flow` used before its searches were
 batched: the alpha search materializes every candidate ratio k/|S_u| and
 bisects over the sorted set, and the greedy walk makes one validity check per
-remaining student. They are slow (one lower-bounded solve per admission) but
-obviously correct, so the fast versions must reproduce them exactly.
+remaining student. They are slow but obviously correct, so the fast versions
+must reproduce them exactly.
 
-It also holds the oracle's validity verdict for target vectors and the checks
-a validity witness must pass, shared by the differential validity tests.
+It also holds the references for validity checks: the lower-bounded solve
+`flow` used before it answered checks on the optimum's residual graph (lower
+bounds on the source arcs, eliminated through an auxiliary source and sink
+with a sink->source return arc, then a min-cost max-flow on top), the
+oracle's verdict for target vectors, and the checks a validity witness must
+pass, shared by the differential validity tests.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ from fractions import Fraction
 from typing import Optional
 
 from reserve_match.flow import (
+    FlowAssignment,
     FlowNetwork,
     OptimalityCertificate,
+    _MinCostFlow,
     build_network,
     check_validity_flow,
     compute_certificate,
+    flow_group_counts,
     flow_signature,
+    flow_to_matching,
 )
 from reserve_match.model import (
     ChoiceResult,
@@ -33,6 +41,7 @@ from reserve_match.model import (
     Signature,
     TargetVector,
     check_matching,
+    group_label,
     matching_group_counts,
     matching_signature,
 )
@@ -163,3 +172,107 @@ def assert_valid_witness(
     counts = matching_group_counts(instance, matching)
     for key, want in targets.items():
         assert counts[key] >= want
+
+
+def lower_bounds(network: FlowNetwork, targets: TargetVector) -> list[int]:
+    """Per-arc lower bounds: each group's target on its source arc."""
+    unknown = set(targets) - network.group_arcs.keys()
+    if unknown:
+        raise ValueError(f"targets for unknown groups: {sorted(unknown)}")
+    lower = [0] * len(network.arcs)
+    for key, value in targets.items():
+        if value < 0:
+            raise ValueError(f"negative target for group {group_label(key)}")
+        lower[network.group_arcs[key]] = value
+    return lower
+
+
+def lower_bounded_flow(
+    network: FlowNetwork, lower: list[int]
+) -> Optional[FlowAssignment]:
+    """Min-cost max-flow under per-arc lower bounds; None iff infeasible.
+
+    The classical elimination transform: subtract the bounds from the
+    capacities, route the forced imbalance through an auxiliary source/sink
+    pair (with a sink->source return arc), then close the return arc and
+    keep augmenting source->sink for the maximum value.
+    """
+    arcs = network.arcs
+    n = network.node_count
+    if any(low > a.capacity for low, a in zip(lower, arcs)):
+        return None
+    solver = _MinCostFlow(n + 2)
+    aux_source, aux_sink = n, n + 1
+    excess = [0] * n
+    ids = []
+    for low, a in zip(lower, arcs):
+        ids.append(solver.add(a.tail, a.head, a.capacity - low, a.cost))
+        excess[a.head] += low
+        excess[a.tail] -= low
+    big = sum(a.capacity for a in arcs) + 1
+    loop = solver.add(network.sink, network.source, big, 0)
+    required = 0
+    for v in range(n):
+        if excess[v] > 0:
+            solver.add(aux_source, v, excess[v], 0)
+            required += excess[v]
+        elif excess[v] < 0:
+            solver.add(v, aux_sink, -excess[v], 0)
+    forced, _ = solver.run(aux_source, aux_sink)
+    if forced != required:
+        return None
+    solver.cap[loop] = 0
+    solver.cap[loop ^ 1] = 0
+    solver.run(network.source, network.sink)
+    flows = tuple(solver.flow_on(e) + low for e, low in zip(ids, lower))
+    value = sum(f for f, a in zip(flows, arcs) if a.tail == network.source)
+    cost = sum(f * a.cost for f, a in zip(flows, arcs))
+    return FlowAssignment(value=value, cost=cost, arc_flows=flows)
+
+
+def lower_bounded_validity(
+    instance: Instance, targets: TargetVector
+) -> Optional[FlowAssignment]:
+    """Validity by a full lower-bounded solve: the witness if the
+    bounded optimum still has the unconstrained value F* and cost C*."""
+    net = build_network(instance)
+    cert = compute_certificate(net)
+    lower = lower_bounds(net, targets)
+    if sum(targets.values()) > cert.max_value:
+        return None
+    bounded = lower_bounded_flow(net, lower)
+    if bounded is None:
+        return None
+    if bounded.value != cert.max_value or bounded.cost != cert.min_cost:
+        return None
+    return bounded
+
+
+def assert_flow_witness(
+    instance: Instance,
+    network: FlowNetwork,
+    cert: OptimalityCertificate,
+    witness: FlowAssignment,
+    targets: TargetVector,
+) -> None:
+    """A witness flow respects every capacity, conserves flow, has the
+    optimum's value and cost, meets the targets and decomposes."""
+    arcs = network.arcs
+    flows = witness.arc_flows
+    assert len(flows) == len(arcs)
+    balance = [0] * network.node_count
+    for f, a in zip(flows, arcs):
+        assert 0 <= f <= a.capacity
+        balance[a.tail] -= f
+        balance[a.head] += f
+    value = balance[network.sink]
+    assert balance[network.source] == -value
+    ends = (network.source, network.sink)
+    assert all(b == 0 for v, b in enumerate(balance) if v not in ends)
+    cost = sum(f * a.cost for f, a in zip(flows, arcs))
+    assert (witness.value, witness.cost) == (value, cost)
+    assert (value, cost) == (cert.max_value, cert.min_cost)
+    counts = flow_group_counts(network, witness)
+    for key, want in targets.items():
+        assert counts[key] >= want
+    flow_to_matching(instance, witness, network=network)

@@ -106,6 +106,42 @@ def test_validate_no_instance(instance_file, tmp_path, capsys):
     assert "NO-INSTANCE" in capsys.readouterr().out
 
 
+# four blocks of four (no type, t1, t2, both) in priority order, two
+# rank-1 seats per type, eight seats: the school of demos/02_validity_checks.py
+FOUR_BLOCKS = {
+    "capacity": 8,
+    "types": ["t1", "t2"],
+    "quotas": [
+        {"type": "t1", "rank": 1, "quota": 2},
+        {"type": "t2", "rank": 1, "quota": 2},
+    ],
+    "students": [
+        {"id": f"{name}{i}", "types": types}
+        for name, types in zip("abcd", [[], ["t1"], ["t2"], ["t1", "t2"]])
+        for i in range(1, 5)
+    ],
+    "priority": [f"{name}{i}" for name in "abcd" for i in range(1, 5)],
+}
+
+
+@pytest.mark.parametrize(
+    ("want", "lines"),
+    [
+        # the min-cost optimum already gives the doubly typed block 2, so it
+        # is the witness as it stands
+        (1, ["none: 4", "t1: 2", "t1+t2: 2", "t2: 0"]),
+        # the smallest reroute moves one t1 seat from the t1 block to it
+        (3, ["none: 4", "t1: 1", "t1+t2: 3", "t2: 0"]),
+    ],
+)
+def test_validate_prints_the_rerouted_optimum(tmp_path, capsys, want, lines):
+    instance = write_json(tmp_path, "instance.json", FOUR_BLOCKS)
+    targets = write_json(tmp_path, "targets.json", {"t1+t2": want})
+    assert main(["validate", instance, "--targets", targets]) == 0
+    expected = ["VALID", "signature: [4, 4]"] + [f"  {line}" for line in lines]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_validate_unknown_group_is_input_error(instance_file, tmp_path, capsys):
     targets = write_json(tmp_path, "targets.json", {"t9": 1})
     assert main(["validate", instance_file, "--targets", targets]) == 2

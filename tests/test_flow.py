@@ -78,25 +78,6 @@ def test_network_layout_four_blocks():
         assert net.arcs[net.group_arcs[g.key]].capacity == g.size
 
 
-def test_with_targets_keeps_arc_layout():
-    instance = two_group_school()
-    net = build_network(instance)
-    bounded = net.with_targets({("t1",): 1})
-    assert [
-        (a.tail, a.head, a.capacity, a.cost) for a in bounded.arcs
-    ] == [(a.tail, a.head, a.capacity, a.cost) for a in net.arcs]
-    assert bounded.arcs[bounded.group_arcs[("t1",)]].lower == 1
-    assert bounded.arcs[bounded.group_arcs[()]].lower == 0
-
-
-def test_network_rejects_bad_targets():
-    instance = two_group_school()
-    with pytest.raises(ValueError, match="unknown groups"):
-        build_network(instance).with_targets({("t9",): 1})
-    with pytest.raises(ValueError, match="negative"):
-        build_network(instance).with_targets({("t1",): -1})
-
-
 def test_certificate_small_instance():
     instance = two_group_school()
     cert = compute_certificate(build_network(instance))
@@ -131,6 +112,32 @@ def test_check_validity_flow_verdicts():
     assert check_validity_flow(instance, {(): 2, ("t1",): 1}) is None
     # the empty target vector is always valid
     assert check_validity_flow(instance, {}) is not None
+
+
+def test_check_validity_flow_returns_the_optimum_when_it_meets_the_targets():
+    instance = four_block_school(group_size=6)
+    net = build_network(instance)
+    best = min_cost_max_flow(net)
+    for targets in ({}, flow_group_counts(net, best)):
+        witness = check_validity_flow(instance, targets, network=net)
+        assert witness.arc_flows == best.arc_flows
+        assert (witness.value, witness.cost) == (best.value, best.cost)
+
+
+def test_check_validity_flow_reroutes_only_the_shortfall():
+    instance = four_block_school(group_size=6)
+    net = build_network(instance)
+    best = min_cost_max_flow(net)
+    assert flow_group_counts(net, best) == {
+        (): 6, ("t1",): 3, ("t1", "t2"): 3, ("t2",): 0
+    }
+    # the t2 reserve moves from the doubly typed block to the t2 block; the
+    # lifted group lands exactly on its target and no other group moves
+    witness = check_validity_flow(instance, {("t2",): 3}, network=net)
+    assert flow_group_counts(net, witness) == {
+        (): 6, ("t1",): 3, ("t1", "t2"): 0, ("t2",): 3
+    }
+    assert flow_signature(net, witness) == flow_signature(net, best)
 
 
 def test_check_validity_flow_rejects_unknown_groups():
@@ -234,17 +241,3 @@ def test_matching_to_flow_rejects_bad_matchings():
         matching_to_flow(instance, {"s1": Seat("t1", 1, 5)})
     with pytest.raises(ValueError, match="no seat class"):
         matching_to_flow(instance, {"s1": Seat("t1", 9, 1)})
-
-
-def test_lower_bound_feasibility_transform():
-    # an infeasible bound combination: both students forced, one seat total
-    instance = make_instance(
-        [("a", []), ("b", [])], 1, ["a", "b"], ["t1"], {}
-    )
-    net = build_network(instance).with_targets({(): 2})
-    assert min_cost_max_flow(net, respect_lower_bounds=True) is None
-    # with lower bounds satisfied the solve reports the forced unit
-    net_ok = build_network(instance).with_targets({(): 1})
-    bounded = min_cost_max_flow(net_ok, respect_lower_bounds=True)
-    assert bounded is not None
-    assert bounded.value == 1

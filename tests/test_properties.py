@@ -7,9 +7,11 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_search import (
+    assert_flow_witness,
     assert_same_choice,
     assert_valid_witness,
     full_candidate_crucial_vector,
+    lower_bounded_validity,
     oracle_targets_valid,
     sequential_choice,
 )
@@ -245,6 +247,33 @@ def test_validity_backends_agree(pair):
     # the witness is maximally diverse, not merely feasible
     witness = flow_to_matching(instance, by_flow)
     assert_valid_witness(instance, witness, targets, mset.signature)
+
+
+@PROPERTY_SETTINGS
+@given(instances_with_targets())
+def test_validity_matches_lower_bounded_reference(pair):
+    instance, targets = pair
+    net = build_network(instance)
+    cert = compute_certificate(net)
+    by_flow = check_validity_flow(instance, targets, network=net, cert=cert)
+    reference = lower_bounded_validity(instance, targets)
+    assert (by_flow is None) == (reference is None)
+    if by_flow is not None:
+        assert_flow_witness(instance, net, cert, by_flow, targets)
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_students=30, max_capacity=20))
+def test_optimum_potentials_prove_optimality(instance):
+    # complementary slackness: arcs below capacity have reduced cost >= 0,
+    # arcs carrying flow have reduced cost <= 0
+    net = build_network(instance)
+    best = min_cost_max_flow(net)
+    pot = best.potentials
+    for f, a in zip(best.arc_flows, net.arcs):
+        reduced = a.cost + pot[a.tail] - pot[a.head]
+        assert f == a.capacity or reduced >= 0
+        assert f == 0 or reduced <= 0
 
 
 @PROPERTY_SETTINGS
