@@ -143,10 +143,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.students)
     _check_gen_sizes(sizes, args.types, args.ranks)
     rows = run_bench(sizes, args.types, args.ranks, args.seed, args.repeats)
-    payload = bench_payload(rows)
-    if args.groups is not None:
-        payload["groups_expected"] = args.groups
-    files.write_text(files.dump_json(payload), args.out)
+    files.write_text(files.dump_json(bench_payload(rows)), args.out)
     return EXIT_OK
 
 
@@ -223,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--students", default="10000,100000", help="comma-separated sizes"
     )
-    p_bench.add_argument("--groups", type=int, default=None)
     p_bench.add_argument("--types", type=int, default=3)
     p_bench.add_argument("--ranks", type=int, default=2)
     p_bench.add_argument("--seed", type=int, default=2024)

@@ -35,9 +35,9 @@ from .model import (
     SeatMatching,
     Signature,
     TargetVector,
-    group_label,
     matching_group_counts,
     matching_signature,
+    min_count_ratio,
 )
 
 
@@ -116,13 +116,13 @@ class FlowNetwork:
         groups = instance.groups()
         self._optimum: Optional[_Optimum] = None
 
-        self.node_names = ["source", "sink"]
         self.source = 0
         self.sink = 1
+        self.node_count = 2
 
-        def add_node(name: str) -> int:
-            self.node_names.append(name)
-            return len(self.node_names) - 1
+        def add_node() -> int:
+            self.node_count += 1
+            return self.node_count - 1
 
         self.arcs: list[Arc] = []
         self.group_arcs: dict[GroupKey, int] = {}
@@ -135,16 +135,16 @@ class FlowNetwork:
             return len(self.arcs) - 1
 
         all_types = sorted(instance.types) + [GENERAL_TYPE]
-        type_node = {t: add_node(f"type:{t}") for t in all_types}
+        type_node = {t: add_node() for t in all_types}
         class_node = {
-            (t, j): add_node(f"class:{t}^{j}")
+            (t, j): add_node()
             for t in all_types
             for j in range(1, self.max_rank + 1)
         }
-        hub = add_node("Q")
+        hub = add_node()
 
         for g in groups:
-            u = add_node(f"group:{group_label(g.key)}")
+            u = add_node()
             self.group_arcs[g.key] = add_arc(self.source, u, g.size, 0)
             for t in list(g.key) + [GENERAL_TYPE]:
                 self.group_type_arcs[(g.key, t)] = add_arc(u, type_node[t], g.size, 0)
@@ -158,10 +158,6 @@ class FlowNetwork:
                 self.rank_arcs[(t, j)] = add_arc(type_node[t], class_node[(t, j)], cap, cost)
                 self.seat_exit_arcs[(t, j)] = add_arc(class_node[(t, j)], hub, cap, 0)
         self.q_sink_arc = add_arc(hub, self.sink, instance.capacity, 0)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.node_names)
 
 
 def build_network(instance: Instance) -> FlowNetwork:
@@ -579,10 +575,7 @@ def choice_flow(
         if witness is None:
             raise ValueError("delta_star is not a valid target vector")
     if alpha is None:
-        alpha = min(
-            (Fraction(targets[g.key], g.size) for g in groups),
-            default=Fraction(0),
-        )
+        alpha = min_count_ratio(instance, targets)
 
     counts = dict(targets)
     room = cert.max_value - sum(counts.values())

@@ -171,10 +171,10 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             pool = held[cid] | set(proposals[cid])
             sub = induced_instance(multi, cid, pool)
             chosen = flow.choice_flow(sub).selected
-            for sid in pool - chosen:
+            pools[cid] = sub.priority
+            rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
+            for sid in rejected[cid]:
                 refused[sid].add(cid)
-            pools[cid] = _by_priority(sub, pool)
-            rejected[cid] = _by_priority(sub, pool - chosen)
             held[cid] = chosen
         rounds.append(
             RoundTrace(
@@ -196,10 +196,6 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     return MultiMatching(
         assignment=assignment, per_school=dict(held), rounds=tuple(rounds)
     )
-
-
-def _by_priority(instance: Instance, ids: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(ids, key=lambda sid: instance.priority_index[sid]))
 
 
 @dataclass(frozen=True)

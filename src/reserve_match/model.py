@@ -268,13 +268,17 @@ def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     return Fraction(matched_in_group, group_size)
 
 
+def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio:
+    """Minimum selection ratio of per-group counts; 0/1 when there are no groups."""
+    return min(
+        (selection_ratio(counts[g.key], g.size) for g in instance.groups()),
+        default=Fraction(0),
+    )
+
+
 def min_selection_ratio(instance: Instance, selected: Iterable[str]) -> Ratio:
     """Minimum selection ratio over all groups; 0/1 when there are no groups."""
-    counts = group_counts(instance, selected)
-    ratios = [
-        selection_ratio(counts[g.key], g.size) for g in instance.groups()
-    ]
-    return min(ratios) if ratios else Fraction(0)
+    return min_count_ratio(instance, group_counts(instance, selected))
 
 
 def verify_non_wasteful(instance: Instance, selected: Iterable[str]) -> bool:

@@ -239,16 +239,8 @@ def oracle_max_min_ratio(
     the count vectors that realize alpha, hence the bounds every balanced
     selection must meet.
     """
-    mset = enumerate_maximal_diversity_matchings(instance, budget)
-    groups = instance.groups()
-    if not groups:
-        return Fraction(0), {}
-    sizes = [g.size for g in groups]
-    alpha = max(
-        min(Fraction(c, n) for c, n in zip(vector, sizes))
-        for vector in mset.count_vectors
-    )
-    crucial = {g.key: math.ceil(alpha * g.size) for g in groups}
+    alpha, _mset, _balanced_vectors = balanced_count_vectors(instance, budget)
+    crucial = {g.key: math.ceil(alpha * g.size) for g in instance.groups()}
     return alpha, crucial
 
 

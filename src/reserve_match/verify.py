@@ -1,30 +1,26 @@
-"""Axiom verifiers for selection outputs.
+"""Axiom verifier for selection outputs.
 
 Checks a selected set against the four axioms: non-wastefulness, maximal
-diversity, balanced representation and justified envy-freeness. Small
-instances are judged against the enumeration oracle; larger ones fall back
-to structural flow checks, and the report says which route ran.
+diversity, balanced representation and justified envy-freeness. There is one
+checker with two sources for what it needs, the maximum balanced ratio alpha
+and the validity test (can a maximal-diversity matching realize these
+per-group counts?). Small instances take both from the enumeration oracle;
+larger ones fall back to the flow engine, and the report says which ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import flow, oracle
-from .model import (
-    GroupKey,
-    Instance,
-    Ratio,
-    group_counts,
-    min_selection_ratio,
-    selection_ratio,
-    verify_non_wasteful,
-)
+from .model import GroupKey, Instance, Ratio, group_counts, min_count_ratio
 
 MODE_ORACLE = "oracle"
 MODE_STRUCTURAL = "structural"
+
+# True when some maximal-diversity matching has exactly these group counts.
+Validity = Callable[[dict[GroupKey, int]], bool]
 
 
 @dataclass(frozen=True)
@@ -54,11 +50,29 @@ class AxiomReport:
         )
 
 
-def _min_ratio_of_vector(instance: Instance, counts: dict[GroupKey, int]) -> Ratio:
-    groups = instance.groups()
-    if not groups:
-        return Fraction(0)
-    return min(selection_ratio(counts[g.key], g.size) for g in groups)
+def _oracle_source(
+    instance: Instance, budget: Optional[oracle.OracleBudget]
+) -> tuple[str, Ratio, Validity]:
+    alpha, mset, _balanced_vectors = oracle.balanced_count_vectors(instance, budget)
+
+    def valid(counts: dict[GroupKey, int]) -> bool:
+        return tuple(counts[key] for key in mset.group_keys) in mset.count_vectors
+
+    return MODE_ORACLE, alpha, valid
+
+
+def _flow_source(instance: Instance) -> tuple[str, Ratio, Validity]:
+    network = flow.build_network(instance)
+    cert = flow.compute_certificate(network)
+    alpha, _delta_star = flow.crucial_vector(instance, network=network, cert=cert)
+
+    def valid(counts: dict[GroupKey, int]) -> bool:
+        witness = flow.check_validity_flow(
+            instance, counts, network=network, cert=cert
+        )
+        return witness is not None
+
+    return MODE_STRUCTURAL, alpha, valid
 
 
 def verify_balanced_and_jef(
@@ -68,7 +82,7 @@ def verify_balanced_and_jef(
 ) -> AxiomReport:
     """Verdicts for all four axioms on an arbitrary selected set.
 
-    Justified envy is tested per definition: an unselected student s envies a
+    Justified envy follows the definition: an unselected student s envies a
     selected, lower-priority s' when swapping them still yields a maximal
     diversity matching attaining the max-min ratio. Same-group swaps keep the
     counts and catch priority inversions inside a group.
@@ -76,113 +90,60 @@ def verify_balanced_and_jef(
     chosen = frozenset(selected)
     counts = group_counts(instance, chosen)
     try:
-        return _verify_by_oracle(instance, chosen, counts, oracle_budget)
+        mode, alpha, valid = _oracle_source(instance, oracle_budget)
     except oracle.OracleBudgetExceeded:
-        return _verify_by_flow(instance, chosen, counts)
+        mode, alpha, valid = _flow_source(instance)
+    full = min(len(instance.students), instance.capacity)
+    non_wasteful = sum(counts.values()) == full
+    maximal = non_wasteful and valid(counts)
+    # a selection of the wrong size has no valid swap: every maximal-diversity
+    # matching has exactly min(|S|, q) members
+    witness = (
+        _envy_witness(instance, chosen, counts, alpha, valid) if non_wasteful else None
+    )
+    return AxiomReport(
+        mode=mode,
+        non_wasteful=non_wasteful,
+        maximal_diversity=maximal,
+        balanced=maximal and min_count_ratio(instance, counts) == alpha,
+        justified_envy_free=witness is None,
+        alpha=alpha,
+        envy_witness=witness,
+    )
 
 
-def _verify_by_oracle(
+def _envy_witness(
     instance: Instance,
     chosen: frozenset[str],
     counts: dict[GroupKey, int],
-    budget: Optional[oracle.OracleBudget],
-) -> AxiomReport:
-    alpha, mset, _balanced_vectors = oracle.balanced_count_vectors(instance, budget)
-    full = min(len(instance.students), instance.capacity)
-    vector = tuple(counts[key] for key in mset.group_keys)
-    maximal = len(chosen) == full and vector in mset.count_vectors
-    balanced = maximal and _min_ratio_of_vector(instance, counts) == alpha
+    alpha: Ratio,
+    valid: Validity,
+) -> Optional[tuple[str, str]]:
+    """The first justified-envy pair of the definition's scan, or None.
 
-    index = {key: i for i, key in enumerate(mset.group_keys)}
-
-    def swap_ok(out_key: GroupKey, in_key: GroupKey) -> bool:
-        swapped = list(vector)
-        swapped[index[in_key]] += 1
-        swapped[index[out_key]] -= 1
-        candidate = tuple(swapped)
-        if candidate not in mset.count_vectors:
-            return False
-        as_dict = mset.counts_as_dict(candidate)
-        return _min_ratio_of_vector(instance, as_dict) == alpha
-
-    witness = None
+    A swap's verdict depends only on the two groups, so one extreme pair per
+    ordered group pair decides: the top unselected member of one group
+    against the bottom selected member of the other is the easiest pair to
+    qualify. Among qualifying pairs the highest-priority envier wins, then
+    its lowest-priority target.
+    """
     prio = instance.priority_index
-    outsiders = [sid for sid in instance.priority if sid not in chosen]
-    insiders = [sid for sid in reversed(instance.priority) if sid in chosen]
-    for s in outsiders:
-        for s_prime in insiders:
-            if prio[s] >= prio[s_prime]:
-                continue
-            if swap_ok(instance.group_of(s_prime), instance.group_of(s)):
-                witness = (s, s_prime)
-                break
-        if witness:
-            break
-
-    return AxiomReport(
-        mode=MODE_ORACLE,
-        non_wasteful=verify_non_wasteful(instance, chosen),
-        maximal_diversity=maximal,
-        balanced=balanced,
-        justified_envy_free=witness is None,
-        alpha=alpha,
-        envy_witness=witness,
-    )
-
-
-def _verify_by_flow(
-    instance: Instance, chosen: frozenset[str], counts: dict[GroupKey, int]
-) -> AxiomReport:
-    network = flow.build_network(instance)
-    cert = flow.compute_certificate(network)
-    alpha, _delta_star = flow.crucial_vector(instance, network=network, cert=cert)
-    full = min(len(instance.students), instance.capacity)
-    maximal = len(chosen) == full and (
-        flow.check_validity_flow(instance, counts, network=network, cert=cert)
-        is not None
-    )
-    balanced = maximal and min_selection_ratio(instance, chosen) == alpha
-
-    def swap_ok(out_key: GroupKey, in_key: GroupKey) -> bool:
-        swapped = dict(counts)
-        swapped[in_key] += 1
-        swapped[out_key] -= 1
-        witness_matching = flow.check_validity_flow(
-            instance, swapped, network=network, cert=cert
-        )
-        if witness_matching is None:
-            return False
-        return _min_ratio_of_vector(instance, swapped) == alpha
-
-    # one extreme pair per ordered group pair decides justified envy: the top
-    # unselected member of one group against the bottom selected member of
-    # the other is the easiest pair to qualify
-    prio = instance.priority_index
+    groups = instance.groups()
+    tops = [next((sid for sid in g.members if sid not in chosen), None) for g in groups]
     candidates: list[tuple[int, int, str, str]] = []
-    groups = instance.groups() if len(chosen) == full else ()
     for g_out in groups:
-        bottom = next(
-            (sid for sid in reversed(g_out.members) if sid in chosen), None
-        )
+        bottom = next((sid for sid in reversed(g_out.members) if sid in chosen), None)
         if bottom is None:
             continue
-        for g_in in groups:
-            top = next((sid for sid in g_in.members if sid not in chosen), None)
+        for g_in, top in zip(groups, tops):
             if top is None or prio[top] >= prio[bottom]:
                 continue
-            if swap_ok(g_out.key, g_in.key):
+            swapped = dict(counts)
+            swapped[g_in.key] += 1
+            swapped[g_out.key] -= 1
+            if valid(swapped) and min_count_ratio(instance, swapped) == alpha:
                 candidates.append((prio[top], -prio[bottom], top, bottom))
-    witness = None
-    if candidates:
-        _, _, top, bottom = min(candidates)
-        witness = (top, bottom)
-
-    return AxiomReport(
-        mode=MODE_STRUCTURAL,
-        non_wasteful=verify_non_wasteful(instance, chosen),
-        maximal_diversity=maximal,
-        balanced=balanced,
-        justified_envy_free=witness is None,
-        alpha=alpha,
-        envy_witness=witness,
-    )
+    if not candidates:
+        return None
+    _, _, top, bottom = min(candidates)
+    return top, bottom

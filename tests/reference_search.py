@@ -11,14 +11,16 @@ It also holds the references for validity checks: the lower-bounded solve
 bounds on the source arcs, eliminated through an auxiliary source and sink
 with a sink->source return arc, then a min-cost max-flow on top), the
 oracle's verdict for target vectors, and the checks a validity witness must
-pass, shared by the differential validity tests.
+pass, shared by the differential validity tests. Last, it holds the
+literal justified-envy scan over every (unselected, selected) pair, the
+reference for the verifier's one extreme pair per group pair.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Collection, Optional
 
 from reserve_match.flow import (
     FlowAssignment,
@@ -41,6 +43,7 @@ from reserve_match.model import (
     Signature,
     TargetVector,
     check_matching,
+    group_counts,
     group_label,
     matching_group_counts,
     matching_signature,
@@ -158,6 +161,58 @@ def oracle_targets_valid(mset: MaximalDiversitySet, targets: TargetVector) -> bo
         all(counts[key] >= want for key, want in targets.items())
         for counts in map(mset.counts_as_dict, mset.count_vectors)
     )
+
+
+def oracle_count_validity(
+    mset: MaximalDiversitySet,
+) -> Callable[[dict[GroupKey, int]], bool]:
+    """Exact-count validity by enumeration: the counts are a rank-maximal vector."""
+    vectors = [mset.counts_as_dict(vector) for vector in mset.count_vectors]
+    return lambda counts: counts in vectors
+
+
+def literal_envy_witness(
+    instance: Instance,
+    chosen: Collection[str],
+    alpha: Ratio,
+    valid: Callable[[dict[GroupKey, int]], bool],
+) -> Optional[tuple[str, str]]:
+    """First justified-envy pair (unselected, selected) by the definition, or None.
+
+    Unselected students are tried in descending priority, each against the
+    selected students of lower priority from the bottom up. A pair qualifies
+    when the swapped selection's counts pass valid and its minimum selection
+    ratio is alpha. valid must be an exact-count test (some maximal-diversity
+    matching has exactly these counts); the flow check is one whenever the
+    counts sum to min(|S|, q). Verdicts are memoized by swapped count vector.
+    """
+    counts = group_counts(instance, chosen)
+    groups = instance.groups()
+    verdicts: dict[tuple[int, ...], bool] = {}
+
+    def envies(s: str, s_prime: str) -> bool:
+        swapped = dict(counts)
+        swapped[instance.group_of(s)] += 1
+        swapped[instance.group_of(s_prime)] -= 1
+        vector = tuple(swapped[g.key] for g in groups)
+        if vector not in verdicts:
+            worst = min(
+                (Fraction(swapped[g.key], g.size) for g in groups),
+                default=Fraction(0),
+            )
+            verdicts[vector] = valid(swapped) and worst == alpha
+        return verdicts[vector]
+
+    prio = instance.priority_index
+    outsiders = [sid for sid in instance.priority if sid not in chosen]
+    insiders = [sid for sid in reversed(instance.priority) if sid in chosen]
+    for s in outsiders:
+        for s_prime in insiders:
+            if prio[s_prime] <= prio[s]:
+                break
+            if envies(s, s_prime):
+                return s, s_prime
+    return None
 
 
 def assert_valid_witness(

@@ -11,7 +11,9 @@ from reference_search import (
     assert_same_choice,
     assert_valid_witness,
     full_candidate_crucial_vector,
+    literal_envy_witness,
     lower_bounded_validity,
+    oracle_count_validity,
     oracle_targets_valid,
     sequential_choice,
 )
@@ -41,6 +43,7 @@ from reserve_match.model import (
 )
 from reserve_match.oracle import (
     OracleBudget,
+    balanced_count_vectors,
     enumerate_maximal_diversity_matchings,
     oracle_choice,
     oracle_max_min_ratio,
@@ -55,6 +58,9 @@ PROPERTY_SETTINGS = settings(
 
 # generous limits so random quota draws never push the oracle off a cliff
 BUDGET = OracleBudget(max_students=12, max_seats=80, max_enumerations=10**7)
+
+# forces the verifier's structural mode
+STRUCTURAL_BUDGET = OracleBudget(max_students=0, max_seats=0, max_enumerations=0)
 
 
 @st.composite
@@ -194,6 +200,23 @@ def test_choice_satisfies_all_axioms(instance):
     assert min_selection_ratio(instance, result.selected) == result.alpha
     report = verify_balanced_and_jef(instance, result.selected, BUDGET)
     assert report.all_hold()
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.data())
+def test_envy_witness_matches_literal_scan(instance, data):
+    ids = list(data.draw(st.permutations([s.id for s in instance.students])))
+    full = min(len(ids), instance.capacity)
+    # full-size subsets are the ones that can carry justified envy
+    size = data.draw(st.one_of(st.just(full), st.integers(0, len(ids))))
+    selected = set(ids[:size])
+    alpha, mset, _ = balanced_count_vectors(instance, BUDGET)
+    literal = literal_envy_witness(
+        instance, selected, alpha, oracle_count_validity(mset)
+    )
+    for budget in (BUDGET, STRUCTURAL_BUDGET):
+        report = verify_balanced_and_jef(instance, selected, budget)
+        assert report.envy_witness == literal
 
 
 @PROPERTY_SETTINGS

@@ -1,13 +1,31 @@
-"""Unit tests for the axiom verifiers, in oracle and structural mode."""
+"""Unit tests for the axiom verifier: one checker whose alpha and validity
+test come from the oracle (oracle mode) or the flow engine (structural mode).
+
+Envy witnesses are also compared with the literal scan over every
+(unselected, lower-priority selected) pair in `reference_search`.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from factories import random_school, two_group_school, two_type_column_school
+from factories import (
+    hard_regime_school,
+    random_school,
+    two_group_school,
+    two_type_column_school,
+)
+from reference_search import literal_envy_witness, oracle_count_validity
 
-from reserve_match.oracle import OracleBudget
+from reserve_match.flow import (
+    build_network,
+    check_validity_flow,
+    compute_certificate,
+    crucial_vector,
+)
+from reserve_match.generator import generate_instance
+from reserve_match.oracle import OracleBudget, balanced_count_vectors
 from reserve_match.solve import solve
 from reserve_match.verify import (
     MODE_ORACLE,
@@ -102,6 +120,12 @@ def test_modes_agree_on_random_selections():
         assert by_oracle.alpha == structural.alpha
         assert by_oracle.all_hold() == structural.all_hold()
         assert by_oracle.envy_witness == structural.envy_witness
+        alpha, mset, _ = balanced_count_vectors(instance, WIDE_BUDGET)
+        literal = literal_envy_witness(
+            instance, selected, alpha, oracle_count_validity(mset)
+        )
+        assert by_oracle.envy_witness == literal
+        assert structural.envy_witness == literal
 
 
 def test_solver_outputs_always_verify():
@@ -110,3 +134,38 @@ def test_solver_outputs_always_verify():
         instance = random_school(rng, max_students=8)
         report = verify_balanced_and_jef(instance, solve(instance).selected)
         assert report.all_hold(), (instance, report)
+
+
+def test_structural_witness_matches_literal_scan_at_scale():
+    # solver selections with one or two members swapped for outsiders keep
+    # the size, so the flow check is an exact-count test and witnesses occur
+    rng = random.Random(6151)
+    schools = [
+        generate_instance(100, 2, 2, 611),
+        generate_instance(400, 3, 2, 612, "minmax"),
+        hard_regime_school(300, 613),
+        hard_regime_school(1000, 614, 98),
+    ]
+    witnesses = 0
+    for instance in schools:
+        network = build_network(instance)
+        cert = compute_certificate(network)
+        alpha, _targets = crucial_vector(instance, network=network, cert=cert)
+
+        def valid(counts, instance=instance, network=network, cert=cert):
+            found = check_validity_flow(instance, counts, network=network, cert=cert)
+            return found is not None
+
+        chosen = sorted(solve(instance).selected)
+        others = sorted(set(instance.priority) - set(chosen))
+        for _ in range(4):
+            k = rng.randint(1, 2)
+            selected = set(chosen) - set(rng.sample(chosen, k))
+            selected |= set(rng.sample(others, k))
+            report = verify_balanced_and_jef(instance, selected, TINY_BUDGET)
+            assert report.mode == MODE_STRUCTURAL
+            assert report.alpha == alpha
+            literal = literal_envy_witness(instance, selected, alpha, valid)
+            assert report.envy_witness == literal
+            witnesses += literal is not None
+    assert witnesses >= 8
