@@ -17,7 +17,7 @@ from . import files, flow, gda, oracle
 from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
-from .model import matching_signature
+from .model import MAX_RANKS, matching_signature
 from .solve import solve
 from .verify import verify_balanced_and_jef
 
@@ -115,7 +115,7 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
         )
     school_id, s1, s2 = parts
     everyone = multi.student_ids
-    if school_id not in {c.id for c in multi.schools}:
+    if school_id not in multi.instances:
         raise files.InstanceFormatError(f"--probe names unknown school {school_id!r}")
     unknown = {s1, s2} - everyone
     if unknown:
@@ -124,9 +124,8 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
         )
     if s1 == s2:
         raise files.InstanceFormatError("--probe needs two distinct students")
-    instance = gda.induced_instance(multi, school_id, everyone)
     violation = gda.substitutability_probe(
-        instance, everyone - {s1, s2}, s1, s2
+        multi.instances[school_id], everyone - {s1, s2}, s1, s2
     )
     if violation is None:
         print("no substitutability violation")
@@ -155,6 +154,8 @@ def _check_gen_sizes(students: list[int], types: int, ranks: int) -> None:
         raise files.InstanceFormatError("--types must be at least 1")
     if ranks < 1:
         raise files.InstanceFormatError("--ranks must be at least 1")
+    if ranks > MAX_RANKS:
+        raise files.InstanceFormatError(f"--ranks must be at most {MAX_RANKS}")
 
 
 def _parse_sizes(raw: str) -> list[int]:

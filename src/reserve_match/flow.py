@@ -570,7 +570,9 @@ def choice_flow(
     if delta_star is None:
         alpha, targets, witness = _crucial_search(instance, net, cert)
     else:
-        targets = {g.key: int(delta_star.get(g.key, 0)) for g in groups}
+        # unknown keys stay in, so the validity check rejects them
+        targets = {g.key: 0 for g in groups}
+        targets.update((key, int(v)) for key, v in delta_star.items())
         witness = check_validity_flow(instance, targets, network=net, cert=cert)
         if witness is None:
             raise ValueError("delta_star is not a valid target vector")

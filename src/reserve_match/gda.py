@@ -4,6 +4,9 @@ Each round, every unmatched student proposes to their best school that has
 not rejected them yet; each school re-applies the balanced choice function
 to its held students plus the new proposers. Rejections are permanent, so
 every (student, school) proposal happens at most once and the loop ends.
+
+A MultiInstance keeps each school's validated Instance; pools and probes
+restrict it, and its indexes are built on first use, so keeping it is cheap.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ class MultiInstance:
         }
         self.student_ids: frozenset[str] = frozenset(s.id for s in self.students)
         self._validate()
+        # each school must form a coherent single-school instance over all
+        # students; this also checks priorities, quota ranks and type names
+        self.instances: dict[str, Instance] = {
+            c.id: Instance(self.students, c.capacity, c.priority, self.types, c.quotas)
+            for c in self.schools
+        }
 
     def _validate(self) -> None:
         school_ids = [c.id for c in self.schools]
@@ -67,10 +76,6 @@ class MultiInstance:
                 raise MalformedInstanceError(
                     f"student {sid!r} ranks unknown schools {sorted(unknown)}"
                 )
-        # each school must form a coherent single-school instance over all
-        # students; this also checks priorities, quota ranks and type names
-        for school in self.schools:
-            induced_instance(self, school.id, known_students)
 
     def school_by_id(self, school_id: str) -> School:
         for school in self.schools:
@@ -85,13 +90,14 @@ class MultiInstance:
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The same instance with the student set cut down to keep."""
     chosen = set(keep)
-    unknown = chosen - instance.priority_index.keys()
-    if unknown:
-        raise KeyError(f"unknown student ids: {sorted(unknown)}")
+    # this scan also finds unknown ids, so the parent's indexes stay unbuilt
+    priority = [sid for sid in instance.priority if sid in chosen]
+    if len(priority) != len(chosen):
+        raise KeyError(f"unknown student ids: {sorted(chosen.difference(priority))}")
     return Instance(
         students=[s for s in instance.students if s.id in chosen],
         capacity=instance.capacity,
-        priority=[sid for sid in instance.priority if sid in chosen],
+        priority=priority,
         types=instance.types,
         quotas=instance.quotas,
     )
@@ -101,18 +107,7 @@ def induced_instance(
     multi: MultiInstance, school_id: str, applicants: Iterable[str]
 ) -> Instance:
     """Single-school instance of one school restricted to an applicant pool."""
-    school = multi.school_by_id(school_id)
-    chosen = set(applicants)
-    unknown = chosen - multi.student_ids
-    if unknown:
-        raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    return Instance(
-        students=[s for s in multi.students if s.id in chosen],
-        capacity=school.capacity,
-        priority=[sid for sid in school.priority if sid in chosen],
-        types=multi.types,
-        quotas=school.quotas,
-    )
+    return restrict_instance(multi.instances[school_id], applicants)
 
 
 @dataclass(frozen=True)
@@ -143,22 +138,20 @@ class MultiMatching:
 def run_gda(multi: MultiInstance) -> MultiMatching:
     """Generalized deferred acceptance with the balanced choice function."""
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
-    refused: dict[str, set[str]] = {s.id: set() for s in multi.students}
-    order = [sid for sid in sorted(held)]
+    selected: dict[str, tuple[str, ...]] = {cid: () for cid in held}
+    # a student's refusals are a prefix of their list, so the count says where
+    # they propose next; only last round's rejected students propose again
+    refusals = dict.fromkeys(multi.student_ids, 0)
+    order = sorted(held)
     rounds: list[RoundTrace] = []
     limit = len(multi.students) * len(multi.schools) + 1
+    movers = [s.id for s in multi.students]
     while True:
-        matched = {sid for chosen in held.values() for sid in chosen}
         proposals: dict[str, list[str]] = {}
-        for s in multi.students:
-            if s.id in matched:
-                continue
-            target = next(
-                (c for c in multi.preference_list(s.id) if c not in refused[s.id]),
-                None,
-            )
-            if target is not None:
-                proposals.setdefault(target, []).append(s.id)
+        for sid in movers:
+            prefs = multi.preference_list(sid)
+            if refusals[sid] < len(prefs):
+                proposals.setdefault(prefs[refusals[sid]], []).append(sid)
         if not proposals:
             break
         if len(rounds) >= limit:
@@ -174,8 +167,9 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             pools[cid] = sub.priority
             rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
             for sid in rejected[cid]:
-                refused[sid].add(cid)
+                refusals[sid] += 1
             held[cid] = chosen
+            selected[cid] = tuple(sorted(chosen))
         rounds.append(
             RoundTrace(
                 number=len(rounds) + 1,
@@ -183,12 +177,11 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
                     cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
                 },
                 pools=pools,
-                selected={
-                    cid: tuple(sorted(held[cid])) for cid in order
-                },
+                selected=dict(selected),
                 rejected=rejected,
             )
         )
+        movers = [sid for out in rejected.values() for sid in out]
     assignment: dict[str, Optional[str]] = {s.id: None for s in multi.students}
     for cid, chosen in held.items():
         for sid in chosen:

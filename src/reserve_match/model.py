@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 # Reserved name for the implicit general type. Every student holds it and it
 # receives q seats at the largest rank; instance files must never mention it.
 GENERAL_TYPE = "t0"
+
+# Quota ranks must stay below this. Seat costs are (q+1)^(r-1) and the flow
+# network has (T+1)*r seat classes, so larger ranks make a solve crawl.
+MAX_RANKS = 100
 
 # Group keys are canonical sorted tuples of type names.
 GroupKey = tuple[str, ...]
@@ -66,6 +71,8 @@ class Instance:
     quotas maps (type, rank) to a non-negative seat count. The general type is
     implicit: q seats at rank max_rank, available to everyone. max_rank is
     derived as one past the largest quota rank (1 when there are no quotas).
+    The indexes behind priority_index, groups(), group_of() and
+    student_by_id() are built on first use, not by the constructor.
     """
 
     def __init__(
@@ -82,12 +89,6 @@ class Instance:
         self.types: frozenset[str] = frozenset(types)
         self.quotas: dict[tuple[str, int], int] = dict(quotas)
         self._validate()
-        self.priority_index: dict[str, int] = {
-            sid: i for i, sid in enumerate(self.priority)
-        }
-        self._groups: Optional[tuple[Group, ...]] = None
-        self._group_of: Optional[dict[str, GroupKey]] = None
-        self._by_id: dict[str, StudentRecord] = {s.id: s for s in self.students}
 
     def _validate(self) -> None:
         if self.capacity < 0:
@@ -114,6 +115,10 @@ class Instance:
                 raise MalformedInstanceError(f"quota for unknown type {t!r}")
             if rank < 1:
                 raise MalformedInstanceError("quota ranks start at 1")
+            if rank >= MAX_RANKS:
+                raise MalformedInstanceError(
+                    f"quota ranks must be below {MAX_RANKS}"
+                )
             if count < 0:
                 raise MalformedInstanceError("quota counts must be non-negative")
 
@@ -124,17 +129,27 @@ class Instance:
             return 1
         return 1 + max(rank for (_t, rank) in self.quotas)
 
+    @cached_property
+    def priority_index(self) -> dict[str, int]:
+        return {sid: i for i, sid in enumerate(self.priority)}
+
+    @cached_property
+    def _by_id(self) -> dict[str, StudentRecord]:
+        return {s.id: s for s in self.students}
+
+    @cached_property
+    def _groups(self) -> tuple[Group, ...]:
+        return tuple(build_groups(self))
+
+    @cached_property
+    def _group_of(self) -> dict[str, GroupKey]:
+        return {sid: g.key for g in self._groups for sid in g.members}
+
     def groups(self) -> tuple[Group, ...]:
-        """Groups in lexicographic key order, computed once and cached."""
-        if self._groups is None:
-            self._groups = tuple(build_groups(self))
+        """Groups in lexicographic key order."""
         return self._groups
 
     def group_of(self, student_id: str) -> GroupKey:
-        if self._group_of is None:
-            self._group_of = {
-                sid: g.key for g in self.groups() for sid in g.members
-            }
         return self._group_of[student_id]
 
     def student_by_id(self, student_id: str) -> StudentRecord:

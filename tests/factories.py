@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from reserve_match import Instance, StudentRecord
+from reserve_match.gda import MultiInstance, School
 from reserve_match.generator import generate_instance
 
 
@@ -174,3 +175,36 @@ def hard_regime_school(
         for i, t in enumerate(types)
     }
     return Instance(base.students, capacity, base.priority, types, quotas)
+
+
+def seeded_market(num_students: int, seed: int) -> MultiInstance:
+    """Generated students in a 20-school market whose popular schools reject.
+
+    Every school has its own shuffled priority, a rank-1 quota per type and
+    seats for 80% of the students in total. Each student ranks 4 schools
+    drawn with popularity falling as 1/sqrt(i + 1), so the first schools
+    overflow and rejected students fall back over several rounds.
+    """
+    num_schools = 20
+    base = generate_instance(num_students, 3, 1, seed)
+    rng = random.Random(seed)
+    ids = [s.id for s in base.students]
+    types = sorted(base.types)
+    capacity = num_students * 4 // 5 // num_schools
+    schools = []
+    for i in range(num_schools):
+        priority = ids[:]
+        rng.shuffle(priority)
+        quotas = {(t, 1): capacity // (2 * len(types)) for t in types}
+        schools.append(School(f"c{i:02d}", capacity, tuple(priority), quotas))
+    names = [c.id for c in schools]
+    popularity = [1.0 / (i + 1) ** 0.5 for i in range(num_schools)]
+    preferences = {}
+    for sid in ids:
+        ranked: list[str] = []
+        while len(ranked) < 4:
+            pick = rng.choices(names, popularity)[0]
+            if pick not in ranked:
+                ranked.append(pick)
+        preferences[sid] = ranked
+    return MultiInstance(base.students, types, schools, preferences)

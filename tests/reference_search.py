@@ -14,13 +14,18 @@ oracle's verdict for target vectors, and the checks a validity witness must
 pass, shared by the differential validity tests. Last, it holds the
 literal justified-envy scan over every (unselected, selected) pair, the
 reference for the verifier's one extreme pair per group pair.
+
+Finally it holds the multi-school rounds as `gda` ran them before it kept
+one instance per school: every round rebuilds each pool from the raw
+student list, and every unmatched student scans their list past a set of
+refusing schools.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Collection, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from reserve_match.flow import (
     FlowAssignment,
@@ -29,15 +34,18 @@ from reserve_match.flow import (
     _MinCostFlow,
     build_network,
     check_validity_flow,
+    choice_flow,
     compute_certificate,
     flow_group_counts,
     flow_signature,
     flow_to_matching,
 )
+from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
 from reserve_match.model import (
     ChoiceResult,
     GroupKey,
     Instance,
+    InternalInvariantError,
     Ratio,
     SeatMatching,
     Signature,
@@ -331,3 +339,79 @@ def assert_flow_witness(
     for key, want in targets.items():
         assert counts[key] >= want
     flow_to_matching(instance, witness, network=network)
+
+
+def rebuilt_induced_instance(
+    multi: MultiInstance, school_id: str, applicants: Iterable[str]
+) -> Instance:
+    """One school's instance over an applicant pool, built from the raw lists."""
+    school = multi.school_by_id(school_id)
+    chosen = set(applicants)
+    unknown = chosen - multi.student_ids
+    if unknown:
+        raise KeyError(f"unknown student ids: {sorted(unknown)}")
+    return Instance(
+        students=[s for s in multi.students if s.id in chosen],
+        capacity=school.capacity,
+        priority=[sid for sid in school.priority if sid in chosen],
+        types=multi.types,
+        quotas=school.quotas,
+    )
+
+
+def rescanning_gda(multi: MultiInstance) -> MultiMatching:
+    """Deferred acceptance that rescans every student each round."""
+    held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
+    refused: dict[str, set[str]] = {s.id: set() for s in multi.students}
+    order = [sid for sid in sorted(held)]
+    rounds: list[RoundTrace] = []
+    limit = len(multi.students) * len(multi.schools) + 1
+    while True:
+        matched = {sid for chosen in held.values() for sid in chosen}
+        proposals: dict[str, list[str]] = {}
+        for s in multi.students:
+            if s.id in matched:
+                continue
+            target = next(
+                (c for c in multi.preference_list(s.id) if c not in refused[s.id]),
+                None,
+            )
+            if target is not None:
+                proposals.setdefault(target, []).append(s.id)
+        if not proposals:
+            break
+        if len(rounds) >= limit:
+            raise InternalInvariantError("proposal rounds exceeded |S| * |C|")
+        pools: dict[str, tuple[str, ...]] = {}
+        rejected: dict[str, tuple[str, ...]] = {}
+        for cid in order:
+            if cid not in proposals:
+                continue
+            pool = held[cid] | set(proposals[cid])
+            sub = rebuilt_induced_instance(multi, cid, pool)
+            chosen = choice_flow(sub).selected
+            pools[cid] = sub.priority
+            rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
+            for sid in rejected[cid]:
+                refused[sid].add(cid)
+            held[cid] = chosen
+        rounds.append(
+            RoundTrace(
+                number=len(rounds) + 1,
+                proposals={
+                    cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
+                },
+                pools=pools,
+                selected={
+                    cid: tuple(sorted(held[cid])) for cid in order
+                },
+                rejected=rejected,
+            )
+        )
+    assignment: dict[str, Optional[str]] = {s.id: None for s in multi.students}
+    for cid, chosen in held.items():
+        for sid in chosen:
+            assignment[sid] = cid
+    return MultiMatching(
+        assignment=assignment, per_school=dict(held), rounds=tuple(rounds)
+    )

@@ -8,6 +8,7 @@ import pytest
 
 from reserve_match import flow
 from reserve_match.cli import main
+from reserve_match.model import MAX_RANKS
 from reserve_match.oracle import ENV_BUDGET
 
 INSTANCE = {
@@ -188,8 +189,10 @@ def test_verify_malformed_oracle_budget_is_input_error(
         ["gen", "--students", "-1"],
         ["gen", "--students", "4", "--types", "0"],
         ["gen", "--students", "4", "--ranks", "0"],
+        ["gen", "--students", "4", "--ranks", str(MAX_RANKS + 1)],
         ["bench", "--students", "10", "--types", "0"],
         ["bench", "--students", "10", "--ranks", "0"],
+        ["bench", "--students", "10", "--ranks", str(MAX_RANKS + 1)],
     ],
 )
 def test_generator_size_errors_are_input_errors(capsys, argv):
@@ -245,6 +248,25 @@ def test_gen_minmax_style(tmp_path):
     )
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert any(entry["rank"] == 1 for entry in payload["quotas"])
+
+
+def test_gen_accepts_the_largest_rank_count(tmp_path):
+    out = tmp_path / "gen.json"
+    argv = ["gen", "--students", "6", "--ranks", str(MAX_RANKS),
+            "--quota-style", "minmax", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["solve", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert max(entry["rank"] for entry in payload["quotas"]) == MAX_RANKS - 1
+
+
+@pytest.mark.parametrize("rank, code", [(MAX_RANKS - 1, 0), (MAX_RANKS, 2)])
+def test_quota_rank_bound(tmp_path, capsys, rank, code):
+    payload = json.loads(json.dumps(INSTANCE))
+    payload["quotas"][0]["rank"] = rank
+    assert main(["solve", write_json(tmp_path, "ranked.json", payload)]) == code
+    if code:
+        assert f"quota ranks must be below {MAX_RANKS}" in capsys.readouterr().err
 
 
 def test_gda_run(tmp_path, capsys):

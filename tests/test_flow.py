@@ -208,6 +208,8 @@ def test_choice_flow_rejects_invalid_delta():
     instance = two_group_school()
     with pytest.raises(ValueError, match="not a valid target"):
         choice_flow(instance, {(): 2, ("t1",): 0})
+    with pytest.raises(ValueError, match=r"unknown groups: \[\('t9',\)\]"):
+        choice_flow(instance, {("t9",): 1, ("t1",): 1, (): 0})
 
 
 def test_choice_flow_empty_instance():

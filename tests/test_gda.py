@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from factories import two_type_column_school
+from factories import seeded_market, two_type_column_school
+from reference_search import rescanning_gda
 
 from reserve_match.gda import (
     MultiInstance,
@@ -13,7 +14,7 @@ from reserve_match.gda import (
     run_gda,
     substitutability_probe,
 )
-from reserve_match.model import MalformedInstanceError, StudentRecord
+from reserve_match.model import Instance, MalformedInstanceError, StudentRecord
 
 
 def _students():
@@ -109,6 +110,17 @@ def test_induced_instance():
     assert sub.quotas == {("t1", 1): 1}
     with pytest.raises(KeyError, match="unknown"):
         induced_instance(multi, "Y", ["ghost"])
+    # the same instance as one built directly from the pool
+    direct = Instance(
+        [s for s in _students() if s.id in {"c", "e"}],
+        2,
+        ("e", "c"),
+        ["t1"],
+        {("t1", 1): 1},
+    )
+    assert sub.students == direct.students
+    assert sub.priority == direct.priority
+    assert sub.groups() == direct.groups()
 
 
 def test_run_gda_two_school_market():
@@ -181,3 +193,20 @@ def test_substitutability_probe_argument_validation():
         substitutability_probe(instance, everyone, "s16", "s13")
     with pytest.raises(ValueError, match="distinct"):
         substitutability_probe(instance, everyone - {"s13"}, "s13", "s13")
+
+
+@pytest.mark.parametrize("num_students", [200, 2000])
+def test_run_gda_matches_rescanning_reference(num_students):
+    multi = seeded_market(num_students, seed=1)
+    result = run_gda(multi)
+    assert len(result.rounds) > 2
+    assert result == rescanning_gda(multi)
+
+
+def test_kept_instances_are_restricted_without_indexes():
+    multi = two_school_market()
+    run_gda(multi)
+    substitutability_probe(multi.instances["Y"], {"a", "b", "d"}, "c", "e")
+    for instance in multi.instances.values():
+        assert "priority_index" not in vars(instance)
+        assert "_by_id" not in vars(instance)

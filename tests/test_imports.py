@@ -1,7 +1,9 @@
-"""Every import in the package's modules is used.
+"""Every import in the package's modules is used, and so is every private
+top-level name.
 
 No linter runs on this repository, so deletions can leave stale imports
-behind. `__init__.py` is exempt: its imports are the public re-exports.
+and orphaned private helpers behind. `__init__.py` is exempt from the import
+check: its imports are the public re-exports.
 """
 
 from __future__ import annotations
@@ -45,3 +47,39 @@ def test_package_modules_have_no_unused_imports():
         if (found := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert stale == {}
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Top-level `_name`s defined in some source that no source reads."""
+    defined: list[str] = []
+    read: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unread_private_names_are_found():
+    used = "def _kept(): pass\n_LIMIT = 3\n"
+    reader = "from m import _kept\n_kept(); m._LIMIT\n"
+    stale = "def _by_priority(): pass\nclass _Old: pass\n_x: int = 1\n"
+    assert unread_private_names([used, reader, stale]) == ["_by_priority", "_Old", "_x"]
+
+
+def test_package_private_names_are_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

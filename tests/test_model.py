@@ -45,6 +45,14 @@ def test_groups_empty_instance():
     assert instance.groups() == ()
 
 
+def test_indexes_are_built_on_first_use():
+    instance = two_group_school()
+    lazy = {"priority_index", "_by_id", "_groups", "_group_of"}
+    assert not lazy & vars(instance).keys()
+    instance.group_of("s1")
+    assert {"_by_id", "_groups", "_group_of"} <= vars(instance).keys()
+
+
 def test_group_of_and_student_by_id():
     instance = two_group_school()
     assert instance.group_of("s1") == ("t1",)

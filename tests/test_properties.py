@@ -15,6 +15,7 @@ from reference_search import (
     lower_bounded_validity,
     oracle_count_validity,
     oracle_targets_valid,
+    rescanning_gda,
     sequential_choice,
 )
 
@@ -332,6 +333,12 @@ def test_gda_outcomes_are_coherent(multi):
         if pool:
             sub = induced_instance(multi, school.id, pool)
             assert choice_flow(sub).selected == frozenset(pool)
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_gda_rounds_match_rescanning_reference(multi):
+    assert run_gda(multi) == rescanning_gda(multi)
 
 
 @PROPERTY_SETTINGS
