@@ -40,6 +40,7 @@ from .model import (
     Seat,
     SeatMatching,
     Signature,
+    StudentColumns,
     StudentRecord,
     group_label,
     lex_compare,
@@ -82,6 +83,7 @@ __all__ = [
     "Seat",
     "SeatMatching",
     "Signature",
+    "StudentColumns",
     "StudentRecord",
     "build_network",
     "check_validity_flow",

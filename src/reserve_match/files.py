@@ -10,12 +10,19 @@ payload, with the verdicts, messages and error paths of
 ``jsonschema.validate`` under Draft 2020-12 (the tests compare the two).
 Integer fields accept integral floats such as ``2.0``, as that draft does,
 and are read as ints.
+
+Loading makes no object per student: the ``students`` array goes straight
+into ``StudentColumns`` (ids in file order, one group index per student, one
+dict lookup per student to intern its ``types`` list), and the instance's
+``students`` view of ``StudentRecord``s is built only if a caller asks.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .baseline import BaselineResult
@@ -24,9 +31,10 @@ from .model import (
     ChoiceResult,
     GroupKey,
     Instance,
+    InternalInvariantError,
     MalformedInstanceError,
     Ratio,
-    StudentRecord,
+    StudentColumns,
     group_counts,
     group_label,
     parse_group_label,
@@ -194,19 +202,70 @@ def _compile_integer(minimum: Optional[int]) -> _Check:
     return check
 
 
+_STRING = {"type": "string"}
+_STRINGS = {"type": "array", "items": _STRING}
+
+
+def _all_strings(values: Iterable[Any]) -> bool:
+    return all(map(isinstance, values, repeat(str)))
+
+
+def _quick_check(
+    items: Optional[Mapping[str, Any]],
+) -> Optional[Callable[[list], bool]]:
+    """A scan that passes the common valid arrays without a call per item.
+
+    It covers arrays of strings and arrays of closed objects whose fields
+    are all required strings or string arrays (students). It answers only
+    "valid"; on False the generic check finds the exact error.
+    """
+    if items is None:
+        return None
+    if items == _STRING:
+        return _all_strings
+    fields = items.get("properties", {})
+    if not (
+        items["type"] == "object"
+        and items.get("additionalProperties") is False
+        and set(items.get("required", ())) == fields.keys()
+        and all(sub in (_STRING, _STRINGS) for sub in fields.values())
+    ):
+        return None
+    size = len(fields)
+    columns = [(itemgetter(key), sub == _STRINGS) for key, sub in fields.items()]
+
+    def scan(value: list) -> bool:
+        # an item of the right size holding every field has no other key
+        if not (
+            all(map(isinstance, value, repeat(dict)))
+            and all(map(eq, map(len, value), repeat(size)))
+        ):
+            return False
+        for get, nested in columns:
+            try:
+                column = list(map(get, value))
+            except KeyError:
+                return False
+            if nested:
+                if not all(map(isinstance, column, repeat(list))):
+                    return False
+                column = chain.from_iterable(column)
+            if not _all_strings(column):
+                return False
+        return True
+
+    return scan
+
+
 def _compile_array(items: Optional[Mapping[str, Any]]) -> _Check:
     item_check = _compile(items) if items is not None else None
-    strings = items == {"type": "string"}
+    quick = _quick_check(items)
 
     def check(value: Any) -> Optional[_Error]:
         if not isinstance(value, list):
             return _type_error(value, "array")
-        if strings:  # the common case, scanned without a call per item
-            for item in value:
-                if not isinstance(item, str):
-                    break
-            else:
-                return None
+        if quick is not None and quick(value):
+            return None
         best = None
         if item_check is not None:
             for index, item in enumerate(value):
@@ -304,15 +363,19 @@ def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
     return quotas
 
 
+def _student_columns(raw: list[dict]) -> StudentColumns:
+    """Columns of a schema-valid students array; no object per student."""
+    return StudentColumns.intern(
+        list(map(itemgetter("id"), raw)), map(tuple, map(itemgetter("types"), raw))
+    )
+
+
 def instance_from_payload(payload: Any) -> Instance:
     """InstanceFile JSON value to a validated Instance."""
     _validated(payload, INSTANCE_SCHEMA, "instance file")
     try:
         return Instance(
-            students=[
-                StudentRecord(s["id"], frozenset(s["types"]))
-                for s in payload["students"]
-            ],
+            students=_student_columns(payload["students"]),
             capacity=int(payload["capacity"]),
             priority=payload["priority"],
             types=payload["types"],
@@ -323,6 +386,7 @@ def instance_from_payload(payload: Any) -> Instance:
 
 
 def instance_to_payload(instance: Instance) -> dict[str, Any]:
+    keys = instance.columns.group_keys  # sorted tuples, as the file lists them
     return {
         "capacity": instance.capacity,
         "types": sorted(instance.types),
@@ -331,7 +395,8 @@ def instance_to_payload(instance: Instance) -> dict[str, Any]:
             for (t, rank), count in sorted(instance.quotas.items())
         ],
         "students": [
-            {"id": s.id, "types": sorted(s.type_set)} for s in instance.students
+            {"id": sid, "types": list(keys[g])}
+            for sid, g in zip(instance.columns.ids, instance.columns.group_index)
         ],
         "priority": list(instance.priority),
     }
@@ -342,10 +407,7 @@ def multi_from_payload(payload: Any) -> MultiInstance:
     _validated(payload, MULTI_SCHEMA, "multi-school file")
     try:
         return MultiInstance(
-            students=[
-                StudentRecord(s["id"], frozenset(s["types"]))
-                for s in payload["students"]
-            ],
+            students=_student_columns(payload["students"]),
             types=payload["types"],
             schools=[
                 School(
@@ -411,8 +473,21 @@ def fraction_str(value: Ratio) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _sorted_by_priority(instance: Instance, ids: Iterable[str]) -> list[str]:
-    return sorted(ids, key=lambda sid: instance.priority_index[sid])
+def _in_priority_order(
+    instance: Instance, selected: frozenset[str], counts: Mapping[GroupKey, int]
+) -> list[str]:
+    """A selection that takes the top counts[key] members of each group,
+    listed in priority order, read off each group's member positions."""
+    picked = sorted(
+        chain.from_iterable(
+            positions[: counts.get(g.key, 0)]
+            for g, positions in zip(instance.groups(), instance.member_positions())
+        )
+    )
+    ordered = list(map(instance.priority.__getitem__, picked))
+    if len(ordered) != len(selected) or not selected.issuperset(ordered):
+        raise InternalInvariantError("selection is not a top-of-group prefix")
+    return ordered
 
 
 def choice_result_payload(
@@ -429,7 +504,9 @@ def choice_result_payload(
         "targets": {
             group_label(key): value for key, value in result.targets.items()
         },
-        "selected": _sorted_by_priority(instance, result.selected),
+        "selected": _in_priority_order(
+            instance, result.selected, result.per_group_counts
+        ),
         "per_group": {
             group_label(key): value
             for key, value in result.per_group_counts.items()
@@ -449,7 +526,9 @@ def baseline_result_payload(
     return {
         "alpha": fraction_str(result.min_ratio),
         "targets": {},
-        "selected": _sorted_by_priority(instance, result.selected),
+        "selected": _in_priority_order(
+            instance, result.selected, result.per_group_counts
+        ),
         "per_group": {
             group_label(key): value
             for key, value in result.per_group_counts.items()

@@ -22,6 +22,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .model import (
@@ -381,7 +382,7 @@ def compute_certificate(network: FlowNetwork) -> OptimalityCertificate:
     """(F*, C*) of the unconstrained network; the maximal-diversity benchmark."""
     best = _optimum(network).flow
     instance = network.instance
-    expected = min(len(instance.students), instance.capacity)
+    expected = min(len(instance.columns), instance.capacity)
     if best.value != expected:
         raise InternalInvariantError(
             f"max flow {best.value} != min(|S|, q) = {expected}"
@@ -555,14 +556,14 @@ def choice_flow(
     valid prefix of the remaining candidates, drops the group of the first
     candidate past it, and repeats on what follows. Each prefix is found by
     galloping (1, 2, 4, ... candidates, capped at the seats left below F*)
-    and then bisecting. Each group's candidate priority positions are listed
-    once per call; prefix counts are read from them by bisect, and a dead
-    group is dropped from the lists without rescanning the rest. That is at
-    most G + 1 rounds of O(log n) checks for G groups and n remaining
-    students, and no checks once the targets fill the certificate's flow
-    value. The signature is read from the witness flow of the last check
-    that held, which meets exactly the final counts, so no check is
-    repeated.
+    and then bisecting. Each group's candidate priority positions are sliced
+    once per call from the instance's member positions; prefix counts are
+    read from them by bisect, and a dead group is dropped from the lists
+    without rescanning the rest. That is at most G + 1 rounds of O(log n)
+    checks for G groups and n remaining students, and no checks once the
+    targets fill the certificate's flow value. The signature is read from
+    the witness flow of the last check that held, which meets exactly the
+    final counts, so no check is repeated.
     """
     net = build_network(instance)
     cert = compute_certificate(net)
@@ -583,10 +584,9 @@ def choice_flow(
     room = cert.max_value - sum(counts.values())
     # priority positions of each live group's candidates (its members past
     # the target); a round admits a prefix of the live candidates from `start`
-    rank = instance.priority_index
     at = {
-        g.key: [rank[sid] for sid in g.members[targets[g.key] :]]
-        for g in (groups if room else ())
+        g.key: positions[targets[g.key] :]
+        for g, positions in zip(groups, instance.member_positions() if room else ())
     }
     start = 0
     while room:
@@ -598,7 +598,7 @@ def choice_flow(
 
         def end_of(p: int) -> int:
             """Smallest position x with p live candidates in [start, x)."""
-            lo, hi = start, len(rank)
+            lo, hi = start, len(instance.priority)
             while lo < hi:
                 mid = (lo + hi) // 2
                 seen = sum(bisect_left(pos, mid) - first[k] for k, pos in at.items())
@@ -637,9 +637,9 @@ def choice_flow(
         start = past + 1
 
     selected = frozenset(
-        sid for g in groups for sid in g.members[: counts[g.key]]
+        chain.from_iterable(g.members[: counts[g.key]] for g in groups)
     )
-    if len(selected) != min(len(instance.students), instance.capacity):
+    if len(selected) != min(len(instance.columns), instance.capacity):
         raise InternalInvariantError("selection is wasteful")
     if flow_group_counts(net, witness) != counts:
         raise InternalInvariantError("witness flow does not carry the selection")

@@ -5,8 +5,9 @@ not rejected them yet; each school re-applies the balanced choice function
 to its held students plus the new proposers. Rejections are permanent, so
 every (student, school) proposal happens at most once and the loop ends.
 
-A MultiInstance keeps each school's validated Instance; pools and probes
-restrict it, and its indexes are built on first use, so keeping it is cheap.
+A MultiInstance turns the shared student list into columns once and keeps
+each school's validated Instance over them; pools and probes restrict it,
+and its indexes are built on first use, so keeping it is cheap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .model import (
     Instance,
     InternalInvariantError,
     MalformedInstanceError,
+    StudentColumns,
     StudentRecord,
+    restrict_instance,
 )
 
 
@@ -34,29 +37,44 @@ class School:
 
 
 class MultiInstance:
-    """Students with preference lists over schools sharing one type universe."""
+    """Students with preference lists over schools sharing one type universe.
+
+    students may be StudentRecords or StudentColumns, as for Instance; every
+    school's instance shares the one set of columns.
+    """
 
     def __init__(
         self,
-        students: Sequence[StudentRecord],
+        students: Sequence[StudentRecord] | StudentColumns,
         types: Iterable[str],
         schools: Sequence[School],
         preferences: Mapping[str, Sequence[str]],
     ) -> None:
-        self.students: tuple[StudentRecord, ...] = tuple(students)
+        if not isinstance(students, StudentColumns):
+            students = StudentColumns.from_records(students)
+        self.columns = students
         self.types: frozenset[str] = frozenset(types)
         self.schools: tuple[School, ...] = tuple(schools)
         self.preferences: dict[str, tuple[str, ...]] = {
             sid: tuple(prefs) for sid, prefs in preferences.items()
         }
-        self.student_ids: frozenset[str] = frozenset(s.id for s in self.students)
+        self.student_ids: frozenset[str] = frozenset(self.columns.ids)
         self._validate()
         # each school must form a coherent single-school instance over all
         # students; this also checks priorities, quota ranks and type names
-        self.instances: dict[str, Instance] = {
-            c.id: Instance(self.students, c.capacity, c.priority, self.types, c.quotas)
-            for c in self.schools
-        }
+        self.instances: dict[str, Instance] = {}
+        for c in self.schools:
+            try:
+                self.instances[c.id] = Instance(
+                    self.columns, c.capacity, c.priority, self.types, c.quotas
+                )
+            except MalformedInstanceError as err:
+                raise MalformedInstanceError(f"school {c.id!r}: {err}") from err
+
+    @property
+    def students(self) -> tuple[StudentRecord, ...]:
+        """One StudentRecord per student in file order, built on first use."""
+        return self.columns.records
 
     def _validate(self) -> None:
         school_ids = [c.id for c in self.schools]
@@ -64,7 +82,7 @@ class MultiInstance:
             raise MalformedInstanceError("duplicate school id")
         known_schools = set(school_ids)
         known_students = self.student_ids
-        if len(known_students) != len(self.students):
+        if len(known_students) != len(self.columns):
             raise MalformedInstanceError("duplicate student id")
         for sid, prefs in self.preferences.items():
             if sid not in known_students:
@@ -85,22 +103,6 @@ class MultiInstance:
 
     def preference_list(self, student_id: str) -> tuple[str, ...]:
         return self.preferences.get(student_id, ())
-
-
-def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
-    """The same instance with the student set cut down to keep."""
-    chosen = set(keep)
-    # this scan also finds unknown ids, so the parent's indexes stay unbuilt
-    priority = [sid for sid in instance.priority if sid in chosen]
-    if len(priority) != len(chosen):
-        raise KeyError(f"unknown student ids: {sorted(chosen.difference(priority))}")
-    return Instance(
-        students=[s for s in instance.students if s.id in chosen],
-        capacity=instance.capacity,
-        priority=priority,
-        types=instance.types,
-        quotas=instance.quotas,
-    )
 
 
 def induced_instance(
@@ -144,8 +146,8 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     refusals = dict.fromkeys(multi.student_ids, 0)
     order = sorted(held)
     rounds: list[RoundTrace] = []
-    limit = len(multi.students) * len(multi.schools) + 1
-    movers = [s.id for s in multi.students]
+    limit = len(multi.columns) * len(multi.schools) + 1
+    movers = list(multi.columns.ids)
     while True:
         proposals: dict[str, list[str]] = {}
         for sid in movers:
@@ -182,7 +184,7 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             )
         )
         movers = [sid for out in rejected.values() for sid in out]
-    assignment: dict[str, Optional[str]] = {s.id: None for s in multi.students}
+    assignment: dict[str, Optional[str]] = dict.fromkeys(multi.columns.ids)
     for cid, chosen in held.items():
         for sid in chosen:
             assignment[sid] = cid

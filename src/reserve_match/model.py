@@ -8,10 +8,14 @@ which is what most of the algorithms in this package exploit.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from operator import attrgetter
+from typing import Hashable, Iterable, Mapping, Sequence
 
 # Reserved name for the implicit general type. Every student holds it and it
 # receives q seats at the largest rank; instance files must never mention it.
@@ -49,6 +53,85 @@ class StudentRecord:
     type_set: frozenset[str]
 
 
+class StudentColumns:
+    """A student list in columns: the layout every Instance is built on.
+
+    ids lists the students in file order; group_index holds, per student,
+    the index of their type combination in group_keys, the sorted table of
+    the combinations that occur. Students of one combination are
+    interchangeable, so nothing downstream needs more than these columns.
+    The id index and the StudentRecord view are built on first use, once
+    for every instance that shares the columns. Build columns with intern()
+    or from_records(); the constructor trusts its arguments.
+    """
+
+    def __init__(
+        self, ids: Sequence[str], group_index: array, group_keys: Sequence[GroupKey]
+    ) -> None:
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.group_index = group_index
+        self.group_keys: tuple[GroupKey, ...] = tuple(group_keys)
+
+    @classmethod
+    def intern(
+        cls, ids: Sequence[str], types: Iterable[Hashable]
+    ) -> StudentColumns:
+        """Columns from each student's types, one dict lookup per student.
+
+        types yields one hashable collection of type names per student (a
+        tuple of a file's list, a record's frozenset). Equal collections
+        share a slot; slots naming one combination merge into one group.
+        """
+        slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
+        column = array("I", map(slots.__getitem__, types))
+        canonical = [tuple(sorted(set(slot))) for slot in slots]
+        keys = sorted(set(canonical))
+        where = {key: g for g, key in enumerate(keys)}
+        remap = [where[key] for key in canonical]
+        if remap != list(range(len(remap))):
+            column = array("I", map(remap.__getitem__, column))
+        return cls(ids, column, keys)
+
+    @classmethod
+    def from_records(cls, records: Sequence[StudentRecord]) -> StudentColumns:
+        """Columns of records, which become the columns' records view."""
+        records = tuple(records)
+        columns = cls.intern(
+            list(map(attrgetter("id"), records)), map(attrgetter("type_set"), records)
+        )
+        columns.records = records
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Student id to file position (the last one, if ids repeat)."""
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @cached_property
+    def records(self) -> tuple[StudentRecord, ...]:
+        """One StudentRecord per student, in file order."""
+        held = [frozenset(key) for key in self.group_keys]
+        return tuple(
+            map(StudentRecord, self.ids, map(held.__getitem__, self.group_index))
+        )
+
+    def take(self, rows: Sequence[int]) -> StudentColumns:
+        """The students at the given ascending file positions."""
+        column = array("I", map(self.group_index.__getitem__, rows))
+        present = sorted(set(column))
+        if len(present) < len(self.group_keys):
+            remap = dict(zip(present, range(len(present))))
+            column = array("I", map(remap.__getitem__, column))
+        return StudentColumns(
+            list(map(self.ids.__getitem__, rows)),
+            column,
+            [self.group_keys[g] for g in present],
+        )
+
+
 @dataclass(frozen=True)
 class Group:
     """All students sharing one exact type combination.
@@ -71,19 +154,27 @@ class Instance:
     quotas maps (type, rank) to a non-negative seat count. The general type is
     implicit: q seats at rank max_rank, available to everyone. max_rank is
     derived as one past the largest quota rank (1 when there are no quotas).
-    The indexes behind priority_index, groups(), group_of() and
-    student_by_id() are built on first use, not by the constructor.
+
+    Students are held in columns (see StudentColumns): ids in file order, one
+    group index per student and the sorted table of group keys. students may
+    be given as StudentRecords, which are turned into columns and kept as the
+    students view, or as StudentColumns, which a loader fills without making
+    a record per student; the students view is then built on first use. The
+    indexes behind priority_index, groups(), member_positions(), group_of()
+    and student_by_id() are built on first use, not by the constructor.
     """
 
     def __init__(
         self,
-        students: Sequence[StudentRecord],
+        students: Sequence[StudentRecord] | StudentColumns,
         capacity: int,
         priority: Sequence[str],
         types: Iterable[str],
         quotas: Mapping[tuple[str, int], int],
     ) -> None:
-        self.students: tuple[StudentRecord, ...] = tuple(students)
+        if not isinstance(students, StudentColumns):
+            students = StudentColumns.from_records(students)
+        self.columns = students
         self.capacity = int(capacity)
         self.priority: tuple[str, ...] = tuple(priority)
         self.types: frozenset[str] = frozenset(types)
@@ -93,23 +184,31 @@ class Instance:
     def _validate(self) -> None:
         if self.capacity < 0:
             raise MalformedInstanceError("capacity must be non-negative")
-        ids = [s.id for s in self.students]
-        if len(set(ids)) != len(ids):
+        columns = self.columns
+        if len(columns.index) != len(columns):
             raise MalformedInstanceError("duplicate student id")
         if GENERAL_TYPE in self.types:
             raise MalformedInstanceError(
                 f"type name {GENERAL_TYPE!r} is reserved for the general type"
             )
-        if sorted(self.priority) != sorted(ids):
+        # the file row of each priority id; the set marks each row once
+        rows = list(map(columns.index.get, self.priority))
+        if len(rows) != len(columns) or None in rows or len(set(rows)) != len(rows):
             raise MalformedInstanceError(
                 "priority must be a permutation of all student ids"
             )
-        for s in self.students:
-            extra = s.type_set - self.types
-            if extra:
-                raise MalformedInstanceError(
-                    f"student {s.id!r} references unknown types {sorted(extra)}"
-                )
+        self._ranked = array("I", map(columns.group_index.__getitem__, rows))
+        unknown = {
+            g for g, key in enumerate(columns.group_keys)
+            if not self.types.issuperset(key)
+        }
+        if unknown:
+            row = next(i for i, g in enumerate(columns.group_index) if g in unknown)
+            extra = set(columns.group_keys[columns.group_index[row]]) - self.types
+            raise MalformedInstanceError(
+                f"student {columns.ids[row]!r} references unknown types "
+                f"{sorted(extra)}"
+            )
         for (t, rank), count in self.quotas.items():
             if t not in self.types:
                 raise MalformedInstanceError(f"quota for unknown type {t!r}")
@@ -123,6 +222,11 @@ class Instance:
                 raise MalformedInstanceError("quota counts must be non-negative")
 
     @property
+    def students(self) -> tuple[StudentRecord, ...]:
+        """One StudentRecord per student in file order, built on first use."""
+        return self.columns.records
+
+    @property
     def max_rank(self) -> int:
         """Largest rank, including the general-seat rank."""
         if not self.quotas:
@@ -131,44 +235,94 @@ class Instance:
 
     @cached_property
     def priority_index(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.priority)}
+        return dict(zip(self.priority, range(len(self.priority))))
 
     @cached_property
-    def _by_id(self) -> dict[str, StudentRecord]:
-        return {s.id: s for s in self.students}
+    def _ranked(self) -> array:
+        """The group index of each student in priority order.
+
+        _validate fills it from the rows it looks up anyway; an instance cut
+        by restrict_instance builds it here on first use.
+        """
+        columns = self.columns
+        return array(
+            "I",
+            map(
+                columns.group_index.__getitem__,
+                map(columns.index.__getitem__, self.priority),
+            ),
+        )
+
+    @cached_property
+    def _positions(self) -> list[list[int]]:
+        """The bucket pass: one walk of the group-index column in priority
+        order drops every priority position into its group's bucket."""
+        positions: list[list[int]] = [[] for _ in self.columns.group_keys]
+        into = [bucket.append for bucket in positions]
+        for p, g in enumerate(self._ranked):
+            into[g](p)
+        return positions
 
     @cached_property
     def _groups(self) -> tuple[Group, ...]:
         return tuple(build_groups(self))
 
-    @cached_property
-    def _group_of(self) -> dict[str, GroupKey]:
-        return {sid: g.key for g in self._groups for sid in g.members}
-
     def groups(self) -> tuple[Group, ...]:
         """Groups in lexicographic key order."""
         return self._groups
 
+    def member_positions(self) -> list[list[int]]:
+        """Ascending priority positions of each group's members, aligned with
+        groups(); shared, so callers slice them and never write to them."""
+        return self._positions
+
     def group_of(self, student_id: str) -> GroupKey:
-        return self._group_of[student_id]
+        columns = self.columns
+        return columns.group_keys[columns.group_index[columns.index[student_id]]]
 
     def student_by_id(self, student_id: str) -> StudentRecord:
-        return self._by_id[student_id]
+        return self.columns.records[self.columns.index[student_id]]
 
 
 def build_groups(instance: Instance) -> list[Group]:
     """Partition students into groups by exact type set.
 
-    One walk of the priority order appends each student to its group, so
-    members come out in descending priority; the groups themselves come out
-    in lexicographic key order so downstream iteration is deterministic.
+    Each group's members are read off its bucket of priority positions (see
+    Instance.member_positions), so they come out in descending priority; the
+    groups come out in the sorted order of the group-key table.
     """
-    by_set: dict[frozenset[str], list[str]] = {}
-    by_id = instance._by_id
-    for sid in instance.priority:
-        by_set.setdefault(by_id[sid].type_set, []).append(sid)
-    by_key = {tuple(sorted(type_set)): ids for type_set, ids in by_set.items()}
-    return [Group(key=key, members=tuple(by_key[key])) for key in sorted(by_key)]
+    priority = instance.priority
+    # tuple() of a list, not of a map: a tuple grown from an iterator is freed
+    # into the free list of its final size but taken from another, so the
+    # interpreter's small-tuple free lists would fill up over many pools
+    return [
+        Group(key=key, members=tuple(list(map(priority.__getitem__, positions))))
+        for key, positions in zip(
+            instance.columns.group_keys, instance.member_positions()
+        )
+    ]
+
+
+def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
+    """The same instance with the student set cut down to keep.
+
+    The columns are cut, not validated again: every check of
+    Instance._validate holds for a subset of a valid instance's students.
+    """
+    chosen = set(keep)
+    # this scan also finds unknown ids, so the parent's priority_index stays
+    # unbuilt
+    priority = [sid for sid in instance.priority if sid in chosen]
+    if len(priority) != len(chosen):
+        raise KeyError(f"unknown student ids: {sorted(chosen.difference(priority))}")
+    columns = instance.columns
+    cut = object.__new__(Instance)
+    cut.columns = columns.take(sorted(map(columns.index.__getitem__, priority)))
+    cut.capacity = instance.capacity
+    cut.priority = tuple(priority)
+    cut.types = instance.types
+    cut.quotas = dict(instance.quotas)
+    return cut
 
 
 def group_label(key: GroupKey) -> str:
@@ -185,13 +339,14 @@ def parse_group_label(label: str) -> GroupKey:
 def group_counts(instance: Instance, selected: Iterable[str]) -> dict[GroupKey, int]:
     """Count selected students per group; unknown ids raise KeyError."""
     chosen = set(selected)
-    unknown = chosen - instance.priority_index.keys()
+    columns = instance.columns
+    unknown = chosen - columns.index.keys()
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    counts = {}
-    for g in instance.groups():
-        counts[g.key] = sum(1 for sid in g.members if sid in chosen)
-    return counts
+    tally = Counter(
+        map(columns.group_index.__getitem__, map(columns.index.__getitem__, chosen))
+    )
+    return {key: tally[g] for g, key in enumerate(columns.group_keys)}
 
 
 @dataclass(frozen=True, order=True)
@@ -300,13 +455,13 @@ def verify_non_wasteful(instance: Instance, selected: Iterable[str]) -> bool:
     """|selected| must equal min(|S|, q)."""
     counts = group_counts(instance, selected)
     total = sum(counts.values())
-    return total == min(len(instance.students), instance.capacity)
+    return total == min(len(instance.columns), instance.capacity)
 
 
 def verify_same_group_priority(instance: Instance, selected: Iterable[str]) -> bool:
     """Within each group the selected students must form a priority prefix."""
     chosen = set(selected)
-    unknown = chosen - instance.priority_index.keys()
+    unknown = chosen - instance.columns.index.keys()
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
     for g in instance.groups():

@@ -60,9 +60,9 @@ def budget_from_env() -> OracleBudget:
 def _resolve_budget(instance: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
     if budget is None:
         budget = budget_from_env()
-    if len(instance.students) > budget.max_students:
+    if len(instance.columns) > budget.max_students:
         raise OracleBudgetExceeded(
-            f"{len(instance.students)} students exceed oracle budget "
+            f"{len(instance.columns)} students exceed oracle budget "
             f"{budget.max_students}"
         )
     seats = sum(instance.quotas.values()) + instance.capacity
@@ -136,7 +136,7 @@ def enumerate_maximal_diversity_matchings(
     """
     budget = _resolve_budget(instance, budget)
     groups = instance.groups()
-    target = min(len(instance.students), instance.capacity)
+    target = min(len(instance.columns), instance.capacity)
     classes = _seat_classes(instance, target)
     caps0 = tuple(cap for _t, _j, cap in classes)
 
@@ -288,7 +288,7 @@ def oracle_choice(
             selected.add(sid)
         else:
             counts[gi] -= 1
-    expected = min(len(instance.students), instance.capacity)
+    expected = min(len(instance.columns), instance.capacity)
     if len(selected) != expected:
         raise InternalInvariantError("oracle selection is wasteful")
     return frozenset(selected)

@@ -93,7 +93,7 @@ def verify_balanced_and_jef(
         mode, alpha, valid = _oracle_source(instance, oracle_budget)
     except oracle.OracleBudgetExceeded:
         mode, alpha, valid = _flow_source(instance)
-    full = min(len(instance.students), instance.capacity)
+    full = min(len(instance.columns), instance.capacity)
     non_wasteful = sum(counts.values()) == full
     maximal = non_wasteful and valid(counts)
     # a selection of the wrong size has no valid swap: every maximal-diversity

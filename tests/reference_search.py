@@ -15,17 +15,32 @@ pass, shared by the differential validity tests. Last, it holds the
 literal justified-envy scan over every (unselected, selected) pair, the
 reference for the verifier's one extreme pair per group pair.
 
-Finally it holds the multi-school rounds as `gda` ran them before it kept
+It holds the multi-school rounds as `gda` ran them before it kept
 one instance per school: every round rebuilds each pool from the raw
 student list, and every unmatched student scans their list past a set of
 refusing schools.
+
+Finally it holds the loaders as they were before instances became
+columnar: one StudentRecord and frozenset per student, validation by
+sorting the priority list against the ids and subtracting type sets per
+student, and groups built by a walk over the records. The columnar loaders
+must give the same instances and the same error text (multi-school errors
+from one school's instance now name the school).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Optional
+from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
+
+from reserve_match.files import (
+    INSTANCE_SCHEMA,
+    MULTI_SCHEMA,
+    InstanceFormatError,
+    _quotas_from_payload,
+    _validated,
+)
 
 from reserve_match.flow import (
     FlowAssignment,
@@ -42,13 +57,18 @@ from reserve_match.flow import (
 )
 from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
 from reserve_match.model import (
+    GENERAL_TYPE,
+    MAX_RANKS,
     ChoiceResult,
+    Group,
     GroupKey,
     Instance,
     InternalInvariantError,
+    MalformedInstanceError,
     Ratio,
     SeatMatching,
     Signature,
+    StudentRecord,
     TargetVector,
     check_matching,
     group_counts,
@@ -415,3 +435,133 @@ def rescanning_gda(multi: MultiInstance) -> MultiMatching:
     return MultiMatching(
         assignment=assignment, per_school=dict(held), rounds=tuple(rounds)
     )
+
+
+class RecordInstance:
+    """Instance construction and validation over one record per student."""
+
+    def __init__(
+        self,
+        students: Sequence[StudentRecord],
+        capacity: int,
+        priority: Sequence[str],
+        types: Iterable[str],
+        quotas: Mapping[tuple[str, int], int],
+    ) -> None:
+        self.students = tuple(students)
+        self.capacity = int(capacity)
+        self.priority = tuple(priority)
+        self.types = frozenset(types)
+        self.quotas = dict(quotas)
+        self._validate()
+
+    def _validate(self) -> None:
+        if self.capacity < 0:
+            raise MalformedInstanceError("capacity must be non-negative")
+        ids = [s.id for s in self.students]
+        if len(set(ids)) != len(ids):
+            raise MalformedInstanceError("duplicate student id")
+        if GENERAL_TYPE in self.types:
+            raise MalformedInstanceError(
+                f"type name {GENERAL_TYPE!r} is reserved for the general type"
+            )
+        if sorted(self.priority) != sorted(ids):
+            raise MalformedInstanceError(
+                "priority must be a permutation of all student ids"
+            )
+        for s in self.students:
+            extra = s.type_set - self.types
+            if extra:
+                raise MalformedInstanceError(
+                    f"student {s.id!r} references unknown types {sorted(extra)}"
+                )
+        for (t, rank), count in self.quotas.items():
+            if t not in self.types:
+                raise MalformedInstanceError(f"quota for unknown type {t!r}")
+            if rank < 1:
+                raise MalformedInstanceError("quota ranks start at 1")
+            if rank >= MAX_RANKS:
+                raise MalformedInstanceError(
+                    f"quota ranks must be below {MAX_RANKS}"
+                )
+            if count < 0:
+                raise MalformedInstanceError("quota counts must be non-negative")
+
+    @property
+    def priority_index(self) -> dict[str, int]:
+        return {sid: i for i, sid in enumerate(self.priority)}
+
+    def groups(self) -> tuple[Group, ...]:
+        by_set: dict[frozenset[str], list[str]] = {}
+        by_id = {s.id: s for s in self.students}
+        for sid in self.priority:
+            by_set.setdefault(by_id[sid].type_set, []).append(sid)
+        by_key = {tuple(sorted(held)): ids for held, ids in by_set.items()}
+        return tuple(Group(key, tuple(by_key[key])) for key in sorted(by_key))
+
+    def group_of(self, student_id: str) -> GroupKey:
+        return {sid: g.key for g in self.groups() for sid in g.members}[student_id]
+
+
+def _records(raw: list[dict]) -> list[StudentRecord]:
+    return [StudentRecord(s["id"], frozenset(s["types"])) for s in raw]
+
+
+def record_instance_from_payload(payload: Any) -> RecordInstance:
+    """The instance loader over one record per student."""
+    _validated(payload, INSTANCE_SCHEMA, "instance file")
+    try:
+        return RecordInstance(
+            students=_records(payload["students"]),
+            capacity=int(payload["capacity"]),
+            priority=payload["priority"],
+            types=payload["types"],
+            quotas=_quotas_from_payload(payload["quotas"]),
+        )
+    except MalformedInstanceError as err:
+        raise InstanceFormatError(str(err)) from err
+
+
+def record_multi_from_payload(payload: Any) -> dict[str, RecordInstance]:
+    """The multi-school loader over one record per student: the checks of
+    MultiInstance in their order, then one record instance per school, whose
+    errors name the school. Returns the school instances by id."""
+    _validated(payload, MULTI_SCHEMA, "multi-school file")
+    try:
+        students = _records(payload["students"])
+        schools = [
+            (
+                c["id"],
+                int(c["capacity"]),
+                c["priority"],
+                _quotas_from_payload(c["quotas"]),
+            )
+            for c in payload["schools"]
+        ]
+        school_ids = [cid for cid, *_ in schools]
+        if len(set(school_ids)) != len(school_ids):
+            raise MalformedInstanceError("duplicate school id")
+        known = {s.id for s in students}
+        if len(known) != len(students):
+            raise MalformedInstanceError("duplicate student id")
+        for sid, prefs in payload["preferences"].items():
+            if sid not in known:
+                raise MalformedInstanceError(f"preferences for unknown student {sid!r}")
+            if len(set(prefs)) != len(prefs):
+                raise MalformedInstanceError(f"student {sid!r} repeats a school")
+            unknown = set(prefs) - set(school_ids)
+            if unknown:
+                raise MalformedInstanceError(
+                    f"student {sid!r} ranks unknown schools {sorted(unknown)}"
+                )
+        instances = {}
+        for cid, capacity, priority, quotas in schools:
+            try:
+                instances[cid] = RecordInstance(
+                    students, capacity, priority, payload["types"], quotas
+                )
+            except MalformedInstanceError as err:
+                raise MalformedInstanceError(f"school {cid!r}: {err}") from err
+        return instances
+    except MalformedInstanceError as err:
+        raise InstanceFormatError(str(err)) from err

@@ -15,7 +15,9 @@ import pytest
 from factories import two_group_school
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_search import record_instance_from_payload, record_multi_from_payload
 
+from reserve_match import cli
 from reserve_match.baseline import sequential_baseline
 from reserve_match.files import (
     INSTANCE_SCHEMA,
@@ -39,6 +41,8 @@ from reserve_match.files import (
     write_text,
 )
 from reserve_match.flow import choice_flow
+from reserve_match.generator import generate_instance
+from reserve_match.model import StudentRecord
 
 
 def instance_payload() -> dict:
@@ -361,9 +365,15 @@ def _locations(value, path=()):
             yield from _locations(item, path + (index,))
 
 
-def _mutate(data, payload):
-    """Drop or add a key, or swap one value (leaf or container) for another."""
-    path, target = data.draw(st.sampled_from(list(_locations(payload))))
+def _mutate(data, payload, within=()):
+    """Drop or add a key, or swap one value (leaf or container) for another,
+    at a site drawn from those under the path prefix within."""
+    sites = [
+        (path, target)
+        for path, target in _locations(payload)
+        if path[: len(within)] == within
+    ]
+    path, target = data.draw(st.sampled_from(sites))
     kinds = ["swap"]
     if isinstance(target, dict):
         kinds += ["add", "drop"] if target else ["add"]
@@ -394,8 +404,15 @@ def _mutate(data, payload):
 def test_validators_agree_with_jsonschema(what, mutations, data):
     make, schema = DOCUMENTS[what]
     payload = make()
+    # half the mutations land inside one students item, where the fast path
+    # for arrays of closed objects must hand every fault to the full check
+    students = payload.get("students") if isinstance(payload, dict) else None
     for _ in range(mutations):
-        payload = _mutate(data, payload)
+        within = ()
+        if isinstance(students, list) and students and data.draw(st.booleans()):
+            within = ("students", data.draw(st.integers(0, len(students) - 1)))
+        payload = _mutate(data, payload, within)
+        students = payload.get("students") if isinstance(payload, dict) else None
     expected = _jsonschema_text(payload, schema, what)
     try:
         _validated(payload, schema, what)
@@ -404,3 +421,219 @@ def test_validators_agree_with_jsonschema(what, mutations, data):
         got = str(err)
     assert (got is None) == (expected is None)
     assert got == expected
+
+
+# Differential test: the columnar loaders against the record-based ones they
+# replaced (tests/reference_search.py), on valid payloads and on payloads
+# with one or two faults, most of them schema-valid.
+
+TYPE_NAMES = ["t1", "t2", "t3"]
+
+
+def _draw_quotas(draw, types):
+    if not types:
+        return []
+    entries = draw(
+        st.lists(
+            st.tuples(st.sampled_from(types), st.integers(1, 3), st.integers(0, 3)),
+            unique_by=lambda e: e[:2],
+            max_size=4,
+        )
+    )
+    return [{"type": t, "rank": r, "quota": q} for t, r, q in entries]
+
+
+@st.composite
+def _student_list(draw):
+    types = draw(st.lists(st.sampled_from(TYPE_NAMES), unique=True, max_size=3))
+    n = draw(st.integers(0, 6))
+    # types lists may be unsorted and repeat a name; they name one set
+    held = st.lists(st.sampled_from(types), max_size=3) if types else st.just([])
+    students = [{"id": f"s{i}", "types": draw(held)} for i in range(n)]
+    return types, students
+
+
+@st.composite
+def _instance_payloads(draw):
+    types, students = draw(_student_list())
+    return {
+        "capacity": draw(st.integers(0, 6)),
+        "types": types,
+        "quotas": _draw_quotas(draw, types),
+        "students": students,
+        "priority": draw(st.permutations([s["id"] for s in students])),
+    }
+
+
+@st.composite
+def _multi_payloads(draw):
+    types, students = draw(_student_list())
+    ids = [s["id"] for s in students]
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    schools = [
+        {
+            "id": cid,
+            "capacity": draw(st.integers(0, 4)),
+            "quotas": _draw_quotas(draw, types),
+            "priority": draw(st.permutations(ids)),
+        }
+        for cid in names
+    ]
+    ranked = st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+    preferences = {sid: draw(ranked) for sid in ids if draw(st.booleans())}
+    return {
+        "types": types,
+        "students": students,
+        "schools": schools,
+        "preferences": preferences,
+    }
+
+
+def _break(data, payload, school):
+    """Apply one fault. school is the dict holding priority and quotas: the
+    payload itself, or one school of a multi-school payload."""
+    students = payload["students"]
+    priority, quotas = school["priority"], school["quotas"]
+    kinds = ["extra id", "t0 listed", "rank too large", "unknown quota type",
+             "rank zero", "negative quota"]
+    if students:
+        kinds += ["unknown type", "t0 held"]
+    if len(students) >= 2:
+        kinds += ["duplicate id"]
+    if priority:
+        kinds += ["missing id"]
+    if len(priority) >= 2:
+        kinds += ["repeated id"]
+    if quotas:
+        kinds += ["duplicate quota"]
+    kind = data.draw(st.sampled_from(kinds))
+    pick = st.integers(0, max(len(students) - 1, 0))
+    if kind == "duplicate id":
+        i, j = data.draw(pick), data.draw(pick)
+        students[j]["id"] = students[i]["id"] if i != j else students[j - 1]["id"]
+    elif kind == "missing id":
+        del priority[data.draw(st.integers(0, len(priority) - 1))]
+    elif kind == "extra id":
+        priority.insert(data.draw(st.integers(0, len(priority))), "ghost")
+    elif kind == "repeated id":
+        i = data.draw(st.integers(1, len(priority) - 1))
+        priority[i] = priority[i - 1]
+    elif kind == "unknown type":
+        students[data.draw(pick)]["types"].append("t9")
+    elif kind == "t0 held":
+        students[data.draw(pick)]["types"].append("t0")
+    elif kind == "t0 listed":
+        payload["types"].append("t0")
+    elif kind == "rank too large":
+        quotas.append({"type": "t1", "rank": data.draw(st.sampled_from([99, 100])),
+                       "quota": 1})
+    elif kind == "unknown quota type":
+        quotas.append({"type": "t9", "rank": 1, "quota": 1})
+    elif kind == "rank zero":
+        quotas.append({"type": "t1", "rank": 0, "quota": 1})
+    elif kind == "negative quota":
+        quotas.append({"type": "t1", "rank": 1, "quota": -1})
+    else:
+        quotas.append(dict(quotas[data.draw(st.integers(0, len(quotas) - 1))]))
+
+
+def _multi_fault(data, payload):
+    kinds = ["school", "duplicate school", "unknown student", "unknown school"]
+    ranked = [sid for sid, prefs in payload["preferences"].items() if prefs]
+    if ranked:
+        kinds.append("repeated school")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "school":
+        _break(data, payload, data.draw(st.sampled_from(payload["schools"])))
+    elif kind == "duplicate school":
+        payload["schools"].append(copy.deepcopy(payload["schools"][0]))
+    elif kind == "unknown student":
+        payload["preferences"]["ghost"] = []
+    elif kind == "unknown school":
+        sid = payload["students"][0]["id"] if payload["students"] else "ghost"
+        payload["preferences"][sid] = ["cz"]
+    else:
+        prefs = payload["preferences"][data.draw(st.sampled_from(ranked))]
+        prefs.append(prefs[0])
+
+
+def _outcome(load, payload):
+    try:
+        return load(copy.deepcopy(payload)), None
+    except InstanceFormatError as err:
+        return None, str(err)
+
+
+def _assert_same_instance(got, want):
+    assert got.groups() == want.groups()
+    assert got.priority_index == want.priority_index
+    assert {sid: got.group_of(sid) for sid in got.priority} == {
+        sid: want.group_of(sid) for sid in want.priority
+    }
+    assert got.students == want.students
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_instance_payloads(), faults=st.integers(0, 2), data=st.data())
+def test_instance_loader_matches_record_reference(payload, faults, data):
+    for _ in range(faults):
+        _break(data, payload, payload)
+    got, error = _outcome(instance_from_payload, payload)
+    want, expected = _outcome(record_instance_from_payload, payload)
+    assert error == expected
+    if got is not None:
+        _assert_same_instance(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_multi_payloads(), faults=st.integers(0, 2), data=st.data())
+def test_multi_loader_matches_record_reference(payload, faults, data):
+    for _ in range(faults):
+        _multi_fault(data, payload)
+    got, error = _outcome(multi_from_payload, payload)
+    want, expected = _outcome(record_multi_from_payload, payload)
+    assert error == expected
+    if got is not None:
+        assert got.instances.keys() == want.keys()
+        for cid, instance in got.instances.items():
+            _assert_same_instance(instance, want[cid])
+
+
+def test_loading_and_solving_a_file_makes_no_student_records(tmp_path, monkeypatch):
+    instance = generate_instance(300, 3, 2, seed=5)
+    single = tmp_path / "instance.json"
+    single.write_text(dump_json(instance_to_payload(instance)), encoding="utf-8")
+    ids = list(instance.priority)
+    multi = tmp_path / "multi.json"
+    multi.write_text(
+        dump_json(
+            {
+                "types": sorted(instance.types),
+                "students": instance_to_payload(instance)["students"],
+                "schools": [
+                    {"id": cid, "capacity": 40, "quotas": [], "priority": order}
+                    for cid, order in (("X", ids), ("Y", ids[::-1]))
+                ],
+                "preferences": {sid: ["X", "Y"] for sid in ids},
+            }
+        ),
+        encoding="utf-8",
+    )
+    made = []
+    original = StudentRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StudentRecord, "__init__", counted)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["solve", str(single), "--out", out]) == 0
+    assert cli.main(["verify", str(single), out]) == 0
+    assert cli.main(["gda", str(multi), "--out", out]) == 0
+    probe = f"X:{ids[100]}:{ids[200]}"
+    assert cli.main(["gda", str(multi), "--probe", probe]) in (0, 1)
+    assert made == []
+    # the records view is still there for library callers, built on first use
+    assert len(load_instance(str(single)).students) == 300
+    assert len(made) == 300

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from factories import seeded_market, two_type_column_school
 from reference_search import rescanning_gda
 
+from reserve_match import cli
 from reserve_match.gda import (
     MultiInstance,
     School,
@@ -81,6 +84,34 @@ def test_multi_instance_validation():
             [School("X", 1, tuple("abcde"), {("t9", 1): 1})],
             {},
         )
+
+
+def test_school_errors_name_the_school(tmp_path, capsys):
+    schools = [
+        School("c00", 1, tuple("abcde"), {}),
+        School("c07", 1, ("a", "b"), {}),
+    ]
+    with pytest.raises(
+        MalformedInstanceError,
+        match=r"^school 'c07': priority must be a permutation of all student ids$",
+    ):
+        MultiInstance(_students(), ["t1"], schools, {})
+    too_deep = [{"type": "t1", "rank": 100, "quota": 1}]
+    payload = {
+        "types": ["t1"],
+        "students": [{"id": s.id, "types": sorted(s.type_set)} for s in _students()],
+        "schools": [
+            {"id": "c00", "capacity": 1, "quotas": [], "priority": list("abcde")},
+            {"id": "c03", "capacity": 1, "quotas": too_deep, "priority": list("edcba")},
+        ],
+        "preferences": {},
+    }
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["gda", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: school 'c03': quota ranks must be below 100\n"
+    )
 
 
 def test_school_and_preference_lookups():
@@ -203,10 +234,15 @@ def test_run_gda_matches_rescanning_reference(num_students):
     assert result == rescanning_gda(multi)
 
 
-def test_kept_instances_are_restricted_without_indexes():
+def test_kept_instances_are_restricted_without_indexes(monkeypatch):
     multi = two_school_market()
+
+    def revalidated(self):
+        raise AssertionError("a restricted instance was validated again")
+
+    monkeypatch.setattr(Instance, "_validate", revalidated)
     run_gda(multi)
     substitutability_probe(multi.instances["Y"], {"a", "b", "d"}, "c", "e")
     for instance in multi.instances.values():
         assert "priority_index" not in vars(instance)
-        assert "_by_id" not in vars(instance)
+        assert "_positions" not in vars(instance)

@@ -47,10 +47,14 @@ def test_groups_empty_instance():
 
 def test_indexes_are_built_on_first_use():
     instance = two_group_school()
-    lazy = {"priority_index", "_by_id", "_groups", "_group_of"}
+    lazy = {"priority_index", "_positions", "_groups"}
     assert not lazy & vars(instance).keys()
-    instance.group_of("s1")
-    assert {"_by_id", "_groups", "_group_of"} <= vars(instance).keys()
+    # group_of reads the columns; it builds no per-student index
+    assert instance.group_of("s1") == ("t1",)
+    assert not lazy & vars(instance).keys()
+    instance.groups()
+    assert {"_positions", "_groups"} <= vars(instance).keys()
+    assert "priority_index" not in vars(instance)
 
 
 def test_group_of_and_student_by_id():
