@@ -62,7 +62,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     selected = files.load_selected(args.result)
-    unknown = set(selected) - instance.priority_index.keys()
+    unknown = set(selected) - instance.columns.index.keys()
     if unknown:
         raise files.InstanceFormatError(
             f"result file names unknown student ids: {sorted(unknown)}"

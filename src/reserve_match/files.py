@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -563,8 +564,64 @@ def gda_result_payload(result: MultiMatching) -> dict[str, Any]:
 
 
 def dump_json(payload: Any) -> str:
-    """Canonical byte form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical byte form: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus the newline. Any indent makes the standard library fall back to
+    its pure-Python encoder, which makes several calls per item; this writer
+    lays out the containers itself, encodes each list of strings with one
+    C call per string and hands every other scalar to the C encoder.
+    """
+    parts: list[str] = []
+    _write_json(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_key(key: Any) -> str:
+    """An object key as json.dumps writes it: str, or a scalar's JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _write_json(value: Any, newline: str, parts: list[str]) -> None:
+    """Append value's indented JSON text; newline ends a line at its depth."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:  # not a list of strings
+            parts.append("[")
+            sep = inner
+            for item in value:
+                parts.append(sep)
+                _write_json(item, inner, parts)
+                sep = "," + inner
+        else:
+            parts.append("[" + inner)
+            parts.append(("," + inner).join(items))
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _json_key(key) + ": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(value))
 
 
 def write_text(text: str, out: Optional[str]) -> None:

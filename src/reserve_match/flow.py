@@ -6,6 +6,12 @@ per (type, rank) seat class, plus a capacity node. Only type->class arcs carry
 cost; the cost of rank i is chosen so that minimizing total cost over flows of
 a fixed value maximizes the per-rank signature lexicographically.
 
+A network is four flat int lists indexed by arc (tails, heads, capacities,
+costs), which the solver and the validity checks read directly. Everything
+but the group arcs depends only on the instance's types, quotas and
+capacity, so it is laid out once per instance and every restriction of the
+instance (each pool of a GDA school) inherits it.
+
 Each network is solved once: the unconstrained min-cost max-flow f* and its
 final Johnson potentials are kept on the network. A validity check (is there
 a maximal-diversity flow giving every group at least its target?) is then a
@@ -67,14 +73,6 @@ def signature_cost(signature: Signature, capacity: int) -> int:
 
 
 @dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    capacity: int
-    cost: int
-
-
-@dataclass(frozen=True)
 class FlowAssignment:
     """An integral flow: per-arc amounts plus its value and total cost."""
 
@@ -100,65 +98,117 @@ class OptimalityCertificate:
     min_cost: int
 
 
-class FlowNetwork:
-    """The four-layer reserve network for one instance.
+SOURCE = 0
+SINK = 1
 
-    Arc order is deterministic: source->group and group->type arcs per group
-    in lexicographic group order, then type->class and class->Q arcs per type
-    and rank, then Q->sink. Zero-capacity arcs are kept so the structure
-    mirrors the construction exactly. The unconstrained optimum is solved on
-    first use and kept (see _optimum), so every validity check on one
-    network shares a single min-cost flow solve.
+
+class _SeatLayout:
+    """The part of the reserve network that depends only on an instance's
+    types, quotas and capacity: the type, seat-class and hub nodes and the
+    type->class, class->hub and hub->sink arcs with their rank costs.
+
+    Arc indices here count from the first such arc; a network places these
+    arcs after its group arcs. FlowNetwork computes it once per instance and
+    keeps it on the instance's FixedPart, which every restriction shares.
     """
 
     def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self.max_rank = instance.max_rank
-        groups = instance.groups()
-        self._optimum: Optional[_Optimum] = None
-
-        self.source = 0
-        self.sink = 1
-        self.node_count = 2
-
-        def add_node() -> int:
-            self.node_count += 1
-            return self.node_count - 1
-
-        self.arcs: list[Arc] = []
-        self.group_arcs: dict[GroupKey, int] = {}
-        self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
+        self.max_rank = max_rank = instance.max_rank
+        capacity = instance.capacity
+        all_types = sorted(instance.types) + [GENERAL_TYPE]
+        self.type_node = {t: 2 + i for i, t in enumerate(all_types)}
+        first_class = 2 + len(all_types)
+        class_node = {
+            (t, j): first_class + i * max_rank + j - 1
+            for i, t in enumerate(all_types)
+            for j in range(1, max_rank + 1)
+        }
+        hub = first_class + len(class_node)
+        self.first_group_node = hub + 1
+        self.tails: list[int] = []
+        self.heads: list[int] = []
+        self.capacities: list[int] = []
+        self.costs: list[int] = []
         self.rank_arcs: dict[tuple[str, int], int] = {}
         self.seat_exit_arcs: dict[tuple[str, int], int] = {}
 
         def add_arc(tail: int, head: int, cap: int, cost: int) -> int:
-            self.arcs.append(Arc(tail, head, cap, cost))
-            return len(self.arcs) - 1
+            self.tails.append(tail)
+            self.heads.append(head)
+            self.capacities.append(cap)
+            self.costs.append(cost)
+            return len(self.tails) - 1
 
-        all_types = sorted(instance.types) + [GENERAL_TYPE]
-        type_node = {t: add_node() for t in all_types}
-        class_node = {
-            (t, j): add_node()
-            for t in all_types
-            for j in range(1, self.max_rank + 1)
+        for (t, j), node in class_node.items():
+            if t == GENERAL_TYPE:
+                cap = capacity if j == max_rank else 0
+            else:
+                cap = instance.quotas.get((t, j), 0)
+            cost = rank_cost(j, capacity, max_rank)
+            self.rank_arcs[(t, j)] = add_arc(self.type_node[t], node, cap, cost)
+            self.seat_exit_arcs[(t, j)] = add_arc(node, hub, cap, 0)
+        self.q_sink_arc = add_arc(hub, SINK, capacity, 0)
+
+
+class FlowNetwork:
+    """The four-layer reserve network for one instance, as four flat lists
+    indexed by arc: tails, heads, capacities and costs.
+
+    Node order: source 0, sink 1, one node per type (sorted, then the
+    general type), one per (type, rank) seat class, the capacity hub Q,
+    then one per group. Arc order: source->group and group->type arcs per
+    group in lexicographic group order, then type->class and class->Q arcs
+    per type and rank, then Q->sink. Zero-capacity arcs are kept so the
+    structure mirrors the construction exactly. Everything after the group
+    arcs comes from the instance's seat layout, which is built once per
+    instance and inherited by its restrictions, so a network for a pool
+    adds only its group arcs. The unconstrained optimum is solved on first
+    use and kept (see _optimum), so every validity check on one network
+    shares a single min-cost flow solve.
+    """
+
+    source = SOURCE
+    sink = SINK
+
+    def __init__(self, instance: Instance) -> None:
+        self.instance = instance
+        fixed = instance.fixed
+        if fixed.network is None:
+            fixed.network = _SeatLayout(instance)
+        layout = fixed.network
+        self.max_rank = layout.max_rank
+        self._optimum: Optional[_Optimum] = None
+
+        tails: list[int] = []
+        heads: list[int] = []
+        capacities: list[int] = []
+        self.group_arcs: dict[GroupKey, int] = {}
+        self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
+        type_node = layout.type_node
+        u = layout.first_group_node
+        for g in instance.groups():
+            size = len(g.members)
+            self.group_arcs[g.key] = len(tails)
+            tails.append(SOURCE)
+            heads.append(u)
+            capacities.append(size)
+            for t in g.key + (GENERAL_TYPE,):
+                self.group_type_arcs[(g.key, t)] = len(tails)
+                tails.append(u)
+                heads.append(type_node[t])
+                capacities.append(size)
+            u += 1
+        self.node_count = u
+        offset = len(tails)
+        self.tails = tails + layout.tails
+        self.heads = heads + layout.heads
+        self.capacities = capacities + layout.capacities
+        self.costs = [0] * offset + layout.costs
+        self.rank_arcs = {k: offset + e for k, e in layout.rank_arcs.items()}
+        self.seat_exit_arcs = {
+            k: offset + e for k, e in layout.seat_exit_arcs.items()
         }
-        hub = add_node()
-
-        for g in groups:
-            u = add_node()
-            self.group_arcs[g.key] = add_arc(self.source, u, g.size, 0)
-            for t in list(g.key) + [GENERAL_TYPE]:
-                self.group_type_arcs[(g.key, t)] = add_arc(u, type_node[t], g.size, 0)
-        for t in all_types:
-            for j in range(1, self.max_rank + 1):
-                if t == GENERAL_TYPE:
-                    cap = instance.capacity if j == self.max_rank else 0
-                else:
-                    cap = instance.quotas.get((t, j), 0)
-                cost = rank_cost(j, instance.capacity, self.max_rank)
-                self.rank_arcs[(t, j)] = add_arc(type_node[t], class_node[(t, j)], cap, cost)
-                self.seat_exit_arcs[(t, j)] = add_arc(class_node[(t, j)], hub, cap, 0)
-        self.q_sink_arc = add_arc(hub, self.sink, instance.capacity, 0)
+        self.q_sink_arc = offset + layout.q_sink_arc
 
 
 def build_network(instance: Instance) -> FlowNetwork:
@@ -168,31 +218,41 @@ def build_network(instance: Instance) -> FlowNetwork:
 class _MinCostFlow:
     """Successive shortest paths with Johnson potentials on integer data.
 
+    Arc e of the given lists becomes residual edge 2e and its reverse edge
+    2e + 1, so the flow on arc e is the residual capacity of edge 2e + 1.
     All original costs are non-negative, so potentials start at zero. After
     each Dijkstra pass the potential update is capped at the target distance,
     which keeps reduced costs non-negative for every arc that still has
     residual capacity, including across phases with different endpoints.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(
+        self,
+        n: int,
+        tails: list[int],
+        heads: list[int],
+        capacities: list[int],
+        costs: list[int],
+    ) -> None:
         self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
+        m = len(tails)
+        self.to = [0] * (2 * m)
+        self.to[0::2] = heads
+        self.to[1::2] = tails
+        self.cap = [0] * (2 * m)
+        self.cap[0::2] = capacities
+        self.cost = [0] * (2 * m)
+        self.cost[0::2] = costs
+        self.cost[1::2] = [-c for c in costs]
+        self.adjacent: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(zip(tails, heads)):
+            self.adjacent[u].append(2 * e)
+            self.adjacent[v].append(2 * e + 1)
         self.potential = [0] * n
 
-    def add(self, u: int, v: int, cap: int, cost: int) -> int:
-        e = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((cap, 0))
-        self.cost.extend((cost, -cost))
-        self.head[u].append(e)
-        self.head[v].append(e + 1)
-        return e
-
-    def flow_on(self, e: int) -> int:
-        return self.cap[e ^ 1]
+    def arc_flows(self) -> tuple[int, ...]:
+        """Flow on each arc of the lists the solver was built from."""
+        return tuple(self.cap[1::2])
 
     def _augment(self, source: int, target: int) -> Optional[tuple[int, int]]:
         """One shortest-path augmentation; returns (amount, unit cost)."""
@@ -209,7 +269,7 @@ class _MinCostFlow:
             done[v] = True
             if v == target:
                 break
-            for e in self.head[v]:
+            for e in self.adjacent[v]:
                 if self.cap[e] <= 0:
                     continue
                 w = self.to[e]
@@ -257,12 +317,19 @@ class _MinCostFlow:
 def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
     """Integral min-cost max-flow from source to sink, with the final
     potentials of the successive-shortest-path solve."""
-    solver = _MinCostFlow(network.node_count)
-    ids = [solver.add(a.tail, a.head, a.capacity, a.cost) for a in network.arcs]
-    value, cost = solver.run(network.source, network.sink)
-    flows = tuple(solver.flow_on(e) for e in ids)
+    solver = _MinCostFlow(
+        network.node_count,
+        network.tails,
+        network.heads,
+        network.capacities,
+        network.costs,
+    )
+    value, cost = solver.run(SOURCE, SINK)
     return OptimalFlow(
-        value=value, cost=cost, arc_flows=flows, potentials=tuple(solver.potential)
+        value=value,
+        cost=cost,
+        arc_flows=solver.arc_flows(),
+        potentials=tuple(solver.potential),
     )
 
 
@@ -283,22 +350,23 @@ class _Optimum:
     def __init__(self, network: FlowNetwork, best: OptimalFlow) -> None:
         self.flow = best
         pot = best.potentials
-        self.capacity = [a.capacity for a in network.arcs]
-        self.cost = [a.cost for a in network.arcs]
+        self.capacity = network.capacities
+        self.cost = network.costs
         self.steps: list[list[tuple[int, int, bool]]] = [
             [] for _ in range(network.node_count)
         ]
-        for e, a in enumerate(network.arcs):
-            if a.tail == network.source or a.head == network.sink:
+        arcs = zip(network.tails, network.heads, network.costs)
+        for e, (u, v, c) in enumerate(arcs):
+            if u == SOURCE or v == SINK:
                 continue
-            if a.cost + pot[a.tail] - pot[a.head] == 0:
-                self.steps[a.tail].append((e, a.head, True))
-                self.steps[a.head].append((e, a.tail, False))
+            if c + pot[u] - pot[v] == 0:
+                self.steps[u].append((e, v, True))
+                self.steps[v].append((e, u, False))
         self.groups: list[tuple[GroupKey, int, int, bool]] = []
         self.group_arc: dict[int, int] = {}
         for key, e in network.group_arcs.items():
-            node = network.arcs[e].head
-            free = pot[network.source] == pot[node]
+            node = network.heads[e]
+            free = pot[SOURCE] == pot[node]
             self.groups.append((key, node, best.arc_flows[e], free))
             self.group_arc[node] = e
 
@@ -432,8 +500,7 @@ def check_validity_flow(
     if cert is None:
         cert = compute_certificate(net)
     if any(
-        want > net.arcs[net.group_arcs[key]].capacity
-        for key, want in targets.items()
+        want > net.capacities[net.group_arcs[key]] for key, want in targets.items()
     ):
         return None
     if sum(targets.values()) > cert.max_value:
@@ -713,7 +780,7 @@ def matching_to_flow(
 ) -> FlowAssignment:
     """Lift a student-to-seat matching to arc flows on the reserve network."""
     net = network if network is not None else build_network(instance)
-    flows = [0] * len(net.arcs)
+    flows = [0] * len(net.tails)
     seen: set[Seat] = set()
     for sid, seat in matching.items():
         student = instance.student_by_id(sid)
@@ -724,7 +791,7 @@ def matching_to_flow(
             raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
         if (seat.type, seat.rank) not in net.rank_arcs:
             raise ValueError(f"no seat class {seat.type}^{seat.rank}")
-        class_cap = net.arcs[net.rank_arcs[(seat.type, seat.rank)]].capacity
+        class_cap = net.capacities[net.rank_arcs[(seat.type, seat.rank)]]
         if not 1 <= seat.index <= class_cap:
             raise ValueError(
                 f"seat index {seat.index} outside class {seat.type}^{seat.rank}"
@@ -735,8 +802,7 @@ def matching_to_flow(
         flows[net.rank_arcs[(seat.type, seat.rank)]] += 1
         flows[net.seat_exit_arcs[(seat.type, seat.rank)]] += 1
         flows[net.q_sink_arc] += 1
-    for f, a in zip(flows, net.arcs):
-        if f > a.capacity:
-            raise ValueError("matching overfills an arc capacity")
-    cost = sum(f * a.cost for f, a in zip(flows, net.arcs))
+    if any(f > cap for f, cap in zip(flows, net.capacities)):
+        raise ValueError("matching overfills an arc capacity")
+    cost = sum(f * c for f, c in zip(flows, net.costs))
     return FlowAssignment(value=len(matching), cost=cost, arc_flows=tuple(flows))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from operator import attrgetter
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 # Reserved name for the implicit general type. Every student holds it and it
 # receives q seats at the largest rank; instance files must never mention it.
@@ -118,18 +118,41 @@ class StudentColumns:
             map(StudentRecord, self.ids, map(held.__getitem__, self.group_index))
         )
 
-    def take(self, rows: Sequence[int]) -> StudentColumns:
-        """The students at the given ascending file positions."""
-        column = array("I", map(self.group_index.__getitem__, rows))
+    def take(
+        self, rows: Sequence[int], order: Sequence[int]
+    ) -> tuple[StudentColumns, array]:
+        """The students at the given ascending file positions, and the group
+        index of the same rows listed in another order, numbered like the
+        cut's group keys."""
+        group_index = self.group_index
+        column = array("I", map(group_index.__getitem__, rows))
+        ordered = array("I", map(group_index.__getitem__, order))
         present = sorted(set(column))
         if len(present) < len(self.group_keys):
             remap = dict(zip(present, range(len(present))))
             column = array("I", map(remap.__getitem__, column))
-        return StudentColumns(
+            ordered = array("I", map(remap.__getitem__, ordered))
+        cut = StudentColumns(
             list(map(self.ids.__getitem__, rows)),
             column,
             [self.group_keys[g] for g in present],
         )
+        return cut, ordered
+
+
+class FixedPart:
+    """What an instance derives from its capacity, types and quotas alone.
+
+    An instance and every restriction of it share one FixedPart, so what
+    is kept here is computed once per instance, not once per pool. model
+    keeps nothing here itself: flow keeps the fixed part of its network in
+    `network` (model does not import flow).
+    """
+
+    __slots__ = ("network",)
+
+    def __init__(self) -> None:
+        self.network: Any = None
 
 
 @dataclass(frozen=True)
@@ -162,6 +185,7 @@ class Instance:
     a record per student; the students view is then built on first use. The
     indexes behind priority_index, groups(), member_positions(), group_of()
     and student_by_id() are built on first use, not by the constructor.
+    fixed is shared with every restriction (see FixedPart).
     """
 
     def __init__(
@@ -179,6 +203,7 @@ class Instance:
         self.priority: tuple[str, ...] = tuple(priority)
         self.types: frozenset[str] = frozenset(types)
         self.quotas: dict[tuple[str, int], int] = dict(quotas)
+        self.fixed = FixedPart()
         self._validate()
 
     def _validate(self) -> None:
@@ -197,6 +222,8 @@ class Instance:
             raise MalformedInstanceError(
                 "priority must be a permutation of all student ids"
             )
+        # the group index of each student in priority order (restrict_instance
+        # hands each cut its own)
         self._ranked = array("I", map(columns.group_index.__getitem__, rows))
         unknown = {
             g for g, key in enumerate(columns.group_keys)
@@ -238,20 +265,13 @@ class Instance:
         return dict(zip(self.priority, range(len(self.priority))))
 
     @cached_property
-    def _ranked(self) -> array:
-        """The group index of each student in priority order.
-
-        _validate fills it from the rows it looks up anyway; an instance cut
-        by restrict_instance builds it here on first use.
-        """
-        columns = self.columns
-        return array(
-            "I",
-            map(
-                columns.group_index.__getitem__,
-                map(columns.index.__getitem__, self.priority),
-            ),
-        )
+    def _rank(self) -> array:
+        """The priority position of each file row, built once for every
+        restriction of this instance (see restrict_instance)."""
+        rank = array("I", [0]) * len(self.priority)
+        for p, row in enumerate(map(self.columns.index.__getitem__, self.priority)):
+            rank[row] = p
+        return rank
 
     @cached_property
     def _positions(self) -> list[list[int]]:
@@ -306,22 +326,28 @@ def build_groups(instance: Instance) -> list[Group]:
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The same instance with the student set cut down to keep.
 
-    The columns are cut, not validated again: every check of
-    Instance._validate holds for a subset of a valid instance's students.
+    The kept rows are ordered by the instance's rank array, so a cut of k
+    students costs O(k log k) and never walks the full priority list. The
+    columns are cut, not validated again: every check of Instance._validate
+    holds for a subset of a valid instance's students. The cut gets its
+    priority-order group column from the same pass and shares the
+    instance's fixed part.
     """
     chosen = set(keep)
-    # this scan also finds unknown ids, so the parent's priority_index stays
-    # unbuilt
-    priority = [sid for sid in instance.priority if sid in chosen]
-    if len(priority) != len(chosen):
-        raise KeyError(f"unknown student ids: {sorted(chosen.difference(priority))}")
     columns = instance.columns
+    index = columns.index
+    unknown = chosen.difference(index)
+    if unknown:
+        raise KeyError(f"unknown student ids: {sorted(unknown)}")
+    rows = sorted(map(index.__getitem__, chosen))
+    ranked_rows = sorted(rows, key=instance._rank.__getitem__)
     cut = object.__new__(Instance)
-    cut.columns = columns.take(sorted(map(columns.index.__getitem__, priority)))
+    cut.columns, cut._ranked = columns.take(rows, ranked_rows)
     cut.capacity = instance.capacity
-    cut.priority = tuple(priority)
+    cut.priority = tuple(list(map(columns.ids.__getitem__, ranked_rows)))
     cut.types = instance.types
     cut.quotas = dict(instance.quotas)
+    cut.fixed = instance.fixed
     return cut
 
 

@@ -211,21 +211,22 @@ def _rebuild_witness(instance, groups, classes, parents, state) -> SeatMatching:
         state = prev
     usages.reverse()
 
-    holders: dict[tuple[str, int], list[str]] = {}
-    for g, usage in zip(groups, usages):
+    # each class's holders as (priority position, id), so sorting them
+    # orders the class by priority
+    holders: dict[tuple[str, int], list[tuple[int, str]]] = {}
+    for g, positions, usage in zip(groups, instance.member_positions(), usages):
         slots: list[tuple[str, int]] = []
         for ci, k in enumerate(usage):
             if k:
                 t, j, _cap = classes[ci]
                 slots.extend([(t, j)] * k)
         slots.sort(key=lambda tj: (tj[1], tj[0]))
-        for sid, (t, j) in zip(g.members, slots):
-            holders.setdefault((t, j), []).append(sid)
+        for held, (t, j) in zip(zip(positions, g.members), slots):
+            holders.setdefault((t, j), []).append(held)
     matching: SeatMatching = {}
-    by_priority = instance.priority_index
-    for (t, j), sids in sorted(holders.items()):
-        sids.sort(key=lambda sid: by_priority[sid])
-        for i, sid in enumerate(sids, start=1):
+    for (t, j), held in sorted(holders.items()):
+        held.sort()
+        for i, (_p, sid) in enumerate(held, start=1):
             matching[sid] = Seat(type=t, rank=j, index=i)
     return matching
 

@@ -127,23 +127,34 @@ def _envy_witness(
     qualify. Among qualifying pairs the highest-priority envier wins, then
     its lowest-priority target.
     """
-    prio = instance.priority_index
     groups = instance.groups()
-    tops = [next((sid for sid in g.members if sid not in chosen), None) for g in groups]
-    candidates: list[tuple[int, int, str, str]] = []
-    for g_out in groups:
-        bottom = next((sid for sid in reversed(g_out.members) if sid in chosen), None)
+    positions = instance.member_positions()
+    # priority positions: each group's top unselected and bottom selected member
+    tops = [
+        next((p for sid, p in zip(g.members, pos) if sid not in chosen), None)
+        for g, pos in zip(groups, positions)
+    ]
+    candidates: list[tuple[int, int]] = []
+    for g_out, pos_out in zip(groups, positions):
+        bottom = next(
+            (
+                p
+                for sid, p in zip(reversed(g_out.members), reversed(pos_out))
+                if sid in chosen
+            ),
+            None,
+        )
         if bottom is None:
             continue
         for g_in, top in zip(groups, tops):
-            if top is None or prio[top] >= prio[bottom]:
+            if top is None or top >= bottom:
                 continue
             swapped = dict(counts)
             swapped[g_in.key] += 1
             swapped[g_out.key] -= 1
             if valid(swapped) and min_count_ratio(instance, swapped) == alpha:
-                candidates.append((prio[top], -prio[bottom], top, bottom))
+                candidates.append((top, bottom))
     if not candidates:
         return None
-    _, _, top, bottom = min(candidates)
-    return top, bottom
+    top, bottom = min(candidates, key=lambda pair: (pair[0], -pair[1]))
+    return instance.priority[top], instance.priority[bottom]

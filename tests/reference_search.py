@@ -20,6 +20,10 @@ one instance per school: every round rebuilds each pool from the raw
 student list, and every unmatched student scans their list past a set of
 refusing schools.
 
+It holds the reserve network as `flow` built it before it kept flat
+arc lists on a per-instance seat layout: one frozen `Arc` per arc, with
+every node, capacity and rank cost computed from scratch for each network.
+
 Finally it holds the loaders as they were before instances became
 columnar: one StudentRecord and frozenset per student, validation by
 sorting the priority list against the ids and subtracting type sets per
@@ -31,6 +35,7 @@ from one school's instance now name the school).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -54,6 +59,7 @@ from reserve_match.flow import (
     flow_group_counts,
     flow_signature,
     flow_to_matching,
+    rank_cost,
 )
 from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
 from reserve_match.model import (
@@ -262,7 +268,7 @@ def lower_bounds(network: FlowNetwork, targets: TargetVector) -> list[int]:
     unknown = set(targets) - network.group_arcs.keys()
     if unknown:
         raise ValueError(f"targets for unknown groups: {sorted(unknown)}")
-    lower = [0] * len(network.arcs)
+    lower = [0] * len(network.tails)
     for key, value in targets.items():
         if value < 0:
             raise ValueError(f"negative target for group {group_label(key)}")
@@ -280,36 +286,43 @@ def lower_bounded_flow(
     pair (with a sink->source return arc), then close the return arc and
     keep augmenting source->sink for the maximum value.
     """
-    arcs = network.arcs
+    tails, heads = network.tails, network.heads
+    caps, costs = network.capacities, network.costs
     n = network.node_count
-    if any(low > a.capacity for low, a in zip(lower, arcs)):
+    if any(low > cap for low, cap in zip(lower, caps)):
         return None
-    solver = _MinCostFlow(n + 2)
     aux_source, aux_sink = n, n + 1
     excess = [0] * n
-    ids = []
-    for low, a in zip(lower, arcs):
-        ids.append(solver.add(a.tail, a.head, a.capacity - low, a.cost))
-        excess[a.head] += low
-        excess[a.tail] -= low
-    big = sum(a.capacity for a in arcs) + 1
-    loop = solver.add(network.sink, network.source, big, 0)
+    for low, u, v in zip(lower, tails, heads):
+        excess[v] += low
+        excess[u] -= low
+    # the network's arcs with reduced capacities, then the return arc, then
+    # the arcs that carry the forced imbalance
+    extra = [(network.sink, network.source, sum(caps) + 1)]
     required = 0
     for v in range(n):
         if excess[v] > 0:
-            solver.add(aux_source, v, excess[v], 0)
+            extra.append((aux_source, v, excess[v]))
             required += excess[v]
         elif excess[v] < 0:
-            solver.add(v, aux_sink, -excess[v], 0)
+            extra.append((v, aux_sink, -excess[v]))
+    solver = _MinCostFlow(
+        n + 2,
+        tails + [u for u, _v, _cap in extra],
+        heads + [v for _u, v, _cap in extra],
+        [cap - low for cap, low in zip(caps, lower)] + [cap for *_ends, cap in extra],
+        costs + [0] * len(extra),
+    )
+    loop = 2 * len(tails)
     forced, _ = solver.run(aux_source, aux_sink)
     if forced != required:
         return None
     solver.cap[loop] = 0
     solver.cap[loop ^ 1] = 0
     solver.run(network.source, network.sink)
-    flows = tuple(solver.flow_on(e) + low for e, low in zip(ids, lower))
-    value = sum(f for f, a in zip(flows, arcs) if a.tail == network.source)
-    cost = sum(f * a.cost for f, a in zip(flows, arcs))
+    flows = tuple(f + low for f, low in zip(solver.arc_flows(), lower))
+    value = sum(f for f, u in zip(flows, tails) if u == network.source)
+    cost = sum(f * c for f, c in zip(flows, costs))
     return FlowAssignment(value=value, cost=cost, arc_flows=flows)
 
 
@@ -340,25 +353,102 @@ def assert_flow_witness(
 ) -> None:
     """A witness flow respects every capacity, conserves flow, has the
     optimum's value and cost, meets the targets and decomposes."""
-    arcs = network.arcs
     flows = witness.arc_flows
-    assert len(flows) == len(arcs)
+    assert len(flows) == len(network.tails)
     balance = [0] * network.node_count
-    for f, a in zip(flows, arcs):
-        assert 0 <= f <= a.capacity
-        balance[a.tail] -= f
-        balance[a.head] += f
+    for f, u, v, cap in zip(flows, network.tails, network.heads, network.capacities):
+        assert 0 <= f <= cap
+        balance[u] -= f
+        balance[v] += f
     value = balance[network.sink]
     assert balance[network.source] == -value
     ends = (network.source, network.sink)
     assert all(b == 0 for v, b in enumerate(balance) if v not in ends)
-    cost = sum(f * a.cost for f, a in zip(flows, arcs))
+    cost = sum(f * c for f, c in zip(flows, network.costs))
     assert (witness.value, witness.cost) == (value, cost)
     assert (value, cost) == (cert.max_value, cert.min_cost)
     counts = flow_group_counts(network, witness)
     for key, want in targets.items():
         assert counts[key] >= want
     flow_to_matching(instance, witness, network=network)
+
+
+@dataclass(frozen=True)
+class Arc:
+    tail: int
+    head: int
+    capacity: int
+    cost: int
+
+
+class ArcNetwork:
+    """The four-layer reserve network as one Arc per arc, built from scratch.
+
+    Same node and arc order as FlowNetwork: source 0, sink 1, type nodes,
+    seat-class nodes, the hub, then a node per group as its arcs are added.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        self.max_rank = instance.max_rank
+        self.source = 0
+        self.sink = 1
+        self.node_count = 2
+
+        def add_node() -> int:
+            self.node_count += 1
+            return self.node_count - 1
+
+        self.arcs: list[Arc] = []
+        self.group_arcs: dict[GroupKey, int] = {}
+        self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
+        self.rank_arcs: dict[tuple[str, int], int] = {}
+        self.seat_exit_arcs: dict[tuple[str, int], int] = {}
+
+        def add_arc(tail: int, head: int, cap: int, cost: int) -> int:
+            self.arcs.append(Arc(tail, head, cap, cost))
+            return len(self.arcs) - 1
+
+        all_types = sorted(instance.types) + [GENERAL_TYPE]
+        type_node = {t: add_node() for t in all_types}
+        class_node = {
+            (t, j): add_node()
+            for t in all_types
+            for j in range(1, self.max_rank + 1)
+        }
+        hub = add_node()
+
+        for g in instance.groups():
+            u = add_node()
+            self.group_arcs[g.key] = add_arc(self.source, u, g.size, 0)
+            for t in list(g.key) + [GENERAL_TYPE]:
+                self.group_type_arcs[(g.key, t)] = add_arc(u, type_node[t], g.size, 0)
+        for t in all_types:
+            for j in range(1, self.max_rank + 1):
+                if t == GENERAL_TYPE:
+                    cap = instance.capacity if j == self.max_rank else 0
+                else:
+                    cap = instance.quotas.get((t, j), 0)
+                cost = rank_cost(j, instance.capacity, self.max_rank)
+                node = class_node[(t, j)]
+                self.rank_arcs[(t, j)] = add_arc(type_node[t], node, cap, cost)
+                self.seat_exit_arcs[(t, j)] = add_arc(node, hub, cap, 0)
+        self.q_sink_arc = add_arc(hub, self.sink, instance.capacity, 0)
+
+
+def assert_same_network(network: FlowNetwork, instance: Instance) -> None:
+    """The flat arc lists and every arc-index map, in order, equal the Arc
+    reference's."""
+    ref = ArcNetwork(instance)
+    assert network.tails == [a.tail for a in ref.arcs]
+    assert network.heads == [a.head for a in ref.arcs]
+    assert network.capacities == [a.capacity for a in ref.arcs]
+    assert network.costs == [a.cost for a in ref.arcs]
+    assert (network.source, network.sink) == (ref.source, ref.sink)
+    assert (network.node_count, network.max_rank) == (ref.node_count, ref.max_rank)
+    # the maps' order too: the optimum walks groups in group_arcs order
+    for name in ("group_arcs", "group_type_arcs", "rank_arcs", "seat_exit_arcs"):
+        assert list(getattr(network, name).items()) == list(getattr(ref, name).items())
+    assert network.q_sink_arc == ref.q_sink_arc
 
 
 def rebuilt_induced_instance(

@@ -8,7 +8,7 @@ import pytest
 
 from reserve_match import flow
 from reserve_match.cli import main
-from reserve_match.model import MAX_RANKS
+from reserve_match.model import MAX_RANKS, Instance
 from reserve_match.oracle import ENV_BUDGET
 
 INSTANCE = {
@@ -171,6 +171,28 @@ def test_verify_unknown_student_is_input_error(instance_file, tmp_path, capsys):
     result = write_json(tmp_path, "result.json", {"selected": ["ghost"]})
     assert main(["verify", instance_file, result]) == 2
     assert "unknown student ids: ['ghost']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [None, "0,0,0"])
+def test_verify_builds_no_priority_index(
+    instance_file, tmp_path, capsys, monkeypatch, budget
+):
+    built = []
+
+    def recorded(self):
+        built.append(self)
+        return dict(zip(self.priority, range(len(self.priority))))
+
+    monkeypatch.setattr(Instance, "priority_index", property(recorded))
+    if budget is not None:
+        monkeypatch.setenv(ENV_BUDGET, budget)
+    for selected, code in ((["s2", "s4"], 0), (["s1", "s2"], 1)):
+        result = write_json(tmp_path, "result.json", {"selected": selected})
+        assert main(["verify", instance_file, result]) == code
+    out = capsys.readouterr().out
+    assert f"mode: {'oracle' if budget is None else 'structural'}" in out
+    assert "justified envy: s4 over s1" in out
+    assert built == []
 
 
 @pytest.mark.parametrize("raw", ["4,9", "4,9,x", "4,-9,100", " , , "])

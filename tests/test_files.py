@@ -216,6 +216,49 @@ def test_dump_json_is_canonical():
     assert dump_json({"a": 1, "b": 2}) == dump_json({"b": 2, "a": 1})
 
 
+# text with non-ASCII letters, control characters, quotes and backslashes
+_JSON_TEXT = st.text(
+    alphabet=st.sampled_from('ab"\\/\x00\x1f\n\t\x7féß€😀 '), max_size=6
+) | st.text(max_size=4)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(_JSON_TEXT, max_size=5)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_VALUES)
+def test_dump_json_matches_the_standard_indented_encoder(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_matches_the_standard_encoder_on_edge_values():
+    values = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]],
+        ("x", ("y", [])), ["é", "\x00\"\\", "😀"], [1, "a", None, True, 2.5],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+        {"b": 1, "a": [2, 1], "é": {"z": None}}, {1: "int", 2.5: "float"},
+        {True: 1}, {None: 0}, "", 0, False,
+    ]
+    for value in values:
+        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="keys must be str"):
+        dump_json({(1, 2): 3})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_json([object()])
+
+
 def test_write_text_to_file_and_stdout(tmp_path, capsys):
     out = tmp_path / "out.json"
     write_text("payload\n", str(out))

@@ -12,6 +12,8 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
+from reference_search import assert_same_network
+from test_golden import CORPUS
 
 from reserve_match.flow import (
     build_network,
@@ -33,6 +35,7 @@ from reserve_match.model import (
     check_matching,
     matching_group_counts,
     matching_signature,
+    restrict_instance,
 )
 
 
@@ -67,15 +70,27 @@ def test_network_layout_four_blocks():
     # 4 groups, 3 type nodes (t1, t2, general), classes for 2 ranks each, Q
     assert len(net.group_arcs) == 4
     assert {t for (_key, t) in net.group_type_arcs} == {"t1", "t2", GENERAL_TYPE}
-    assert net.arcs[net.rank_arcs[("t1", 1)]].capacity == 25
-    assert net.arcs[net.rank_arcs[("t2", 1)]].capacity == 25
-    assert net.arcs[net.rank_arcs[(GENERAL_TYPE, 2)]].capacity == 100
+    assert net.capacities[net.rank_arcs[("t1", 1)]] == 25
+    assert net.capacities[net.rank_arcs[("t2", 1)]] == 25
+    assert net.capacities[net.rank_arcs[(GENERAL_TYPE, 2)]] == 100
     # zero-capacity classes are kept in the arc table
-    assert net.arcs[net.rank_arcs[("t1", 2)]].capacity == 0
-    assert net.arcs[net.rank_arcs[(GENERAL_TYPE, 1)]].capacity == 0
-    assert net.arcs[net.q_sink_arc].capacity == 100
+    assert net.capacities[net.rank_arcs[("t1", 2)]] == 0
+    assert net.capacities[net.rank_arcs[(GENERAL_TYPE, 1)]] == 0
+    assert net.capacities[net.q_sink_arc] == 100
     for g in instance.groups():
-        assert net.arcs[net.group_arcs[g.key]].capacity == g.size
+        assert net.capacities[net.group_arcs[g.key]] == g.size
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_flat_network_matches_arc_reference_on_golden_corpus(name):
+    instance = CORPUS[name][0]()
+    assert_same_network(build_network(instance), instance)
+    # restrictions reuse the instance's seat layout; every third student
+    # keeps all groups, the top three usually leave some out
+    for keep in (instance.priority[::3], instance.priority[:3]):
+        cut = restrict_instance(instance, keep)
+        assert cut.fixed is instance.fixed
+        assert_same_network(build_network(cut), cut)
 
 
 def test_certificate_small_instance():

@@ -8,7 +8,7 @@ import pytest
 from factories import seeded_market, two_type_column_school
 from reference_search import rescanning_gda
 
-from reserve_match import cli
+from reserve_match import cli, flow
 from reserve_match.gda import (
     MultiInstance,
     School,
@@ -246,3 +246,41 @@ def test_kept_instances_are_restricted_without_indexes(monkeypatch):
     for instance in multi.instances.values():
         assert "priority_index" not in vars(instance)
         assert "_positions" not in vars(instance)
+
+
+class _WatchedPriority(tuple):
+    """A priority tuple that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
+    monkeypatch,
+):
+    multi = seeded_market(200, seed=1)
+    for instance in multi.instances.values():
+        instance.priority = _WatchedPriority(instance.priority)
+    built = []
+    original = flow._SeatLayout.__init__
+
+    def counted(self, instance):
+        built.append(instance.fixed)
+        original(self, instance)
+
+    monkeypatch.setattr(flow._SeatLayout, "__init__", counted)
+    result = run_gda(multi)
+    pools = {
+        cid: sum(cid in rt.pools for rt in result.rounds) for cid in multi.instances
+    }
+    assert max(pools.values()) > 2
+    for cid, instance in multi.instances.items():
+        # one walk builds the rank array that orders every pool of the school
+        assert instance.priority.walks == (1 if pools[cid] else 0)
+        assert sum(fixed is instance.fixed for fixed in built) == (
+            1 if pools[cid] else 0
+        )
+    assert len(built) == sum(1 for n in pools.values() if n)

@@ -1,10 +1,16 @@
-"""Golden corpus: `solve` output bytes on fixed instances must never drift.
+"""Golden corpus: `solve` and `gda` output bytes on fixed inputs must never
+drift.
 
-Each case builds a seeded instance, writes it as an instance file, runs the
-CLI's `solve` on it and compares the sha256 of both files with digests
-recorded with the earlier one-check-per-admission solver. The input digest
-guards the corpus itself; the output digest guards the selection, counts,
-signature, alpha and targets byte for byte.
+Each single-school case builds a seeded instance, writes it as an instance
+file, runs the CLI's `solve` on it and compares the sha256 of both files with
+digests recorded with the earlier one-check-per-admission solver. The input
+digest guards the corpus itself; the output digest guards the selection,
+counts, signature, alpha and targets byte for byte.
+
+Each market case writes `factories.seeded_market` as a multi-school file and
+compares the sha256 of `gda --out` (matches, unmatched students and the full
+round trace) and of `gda --probe` stdout with digests recorded before pools
+were ordered by rank arrays and networks built on per-school seat layouts.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from factories import hard_regime_school
+from factories import hard_regime_school, seeded_market
 
 from reserve_match import files
 from reserve_match.cli import main
@@ -71,3 +77,69 @@ def test_solve_output_bytes_match_golden_digest(name, tmp_path):
     assert _sha256(source) == input_digest
     assert main(["solve", str(source), "--out", str(out)]) == 0
     assert _sha256(out) == output_digest
+
+
+def _market_payload(multi) -> dict:
+    """A MultiInstance as a multi-school file payload."""
+    keys = multi.columns.group_keys
+    return {
+        "types": sorted(multi.types),
+        "students": [
+            {"id": sid, "types": list(keys[g])}
+            for sid, g in zip(multi.columns.ids, multi.columns.group_index)
+        ],
+        "schools": [
+            {
+                "id": c.id,
+                "capacity": c.capacity,
+                "quotas": [
+                    {"type": t, "rank": rank, "quota": count}
+                    for (t, rank), count in sorted(c.quotas.items())
+                ],
+                "priority": list(c.priority),
+            }
+            for c in multi.schools
+        ],
+        "preferences": {sid: list(p) for sid, p in multi.preferences.items()},
+    }
+
+
+# (students, seed) -> (sha256 of `gda --out`, of `gda --probe` stdout); the
+# probe asks the first school about two students a third and two thirds
+# down its priority list, and finds no violation in any of these markets
+MARKETS = {
+    (200, 1): (
+        "86b8a93dd7a54dec464439f90de3a687ce98409eedefb9b6fc5ee608bddcea63",
+        "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
+    ),
+    (200, 2): (
+        "73e2d5fcd6374abc2841073ba1a5e2738ddfe5ffde20acfba0adec9001846266",
+        "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
+    ),
+    (2000, 1): (
+        "20df53a8e899470cd112b6975ee45d030fddc869ca075094a892352d5ee46640",
+        "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
+    ),
+    (2000, 2): (
+        "1f331ba5e40c8eb3f25f261967b9422e8259be373a22da6e3d4b880af2bbb761",
+        "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
+    ),
+}
+
+
+@pytest.mark.parametrize("size,seed", sorted(MARKETS))
+def test_gda_output_bytes_match_golden_digest(size, seed, tmp_path, capsys):
+    gda_digest, probe_digest = MARKETS[(size, seed)]
+    multi = seeded_market(size, seed)
+    source = tmp_path / "multi.json"
+    out = tmp_path / "result.json"
+    files.write_text(files.dump_json(_market_payload(multi)), str(source))
+    assert main(["gda", str(source), "--out", str(out)]) == 0
+    assert _sha256(out) == gda_digest
+    school = multi.schools[0]
+    order = school.priority
+    probe = f"{school.id}:{order[len(order) // 3]}:{order[2 * len(order) // 3]}"
+    capsys.readouterr()
+    assert main(["gda", str(source), "--probe", probe]) in (0, 1)
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == probe_digest

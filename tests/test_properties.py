@@ -4,17 +4,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_search import (
     assert_flow_witness,
     assert_same_choice,
+    assert_same_network,
     assert_valid_witness,
     full_candidate_crucial_vector,
     literal_envy_witness,
     lower_bounded_validity,
     oracle_count_validity,
     oracle_targets_valid,
+    rebuilt_induced_instance,
     rescanning_gda,
     sequential_choice,
 )
@@ -39,6 +42,7 @@ from reserve_match.model import (
     lex_compare,
     matching_signature,
     min_selection_ratio,
+    restrict_instance,
     verify_non_wasteful,
     verify_same_group_priority,
 )
@@ -294,10 +298,51 @@ def test_optimum_potentials_prove_optimality(instance):
     net = build_network(instance)
     best = min_cost_max_flow(net)
     pot = best.potentials
-    for f, a in zip(best.arc_flows, net.arcs):
-        reduced = a.cost + pot[a.tail] - pot[a.head]
-        assert f == a.capacity or reduced >= 0
+    arcs = zip(net.tails, net.heads, net.capacities, net.costs)
+    for f, (u, v, cap, cost) in zip(best.arc_flows, arcs):
+        reduced = cost + pot[u] - pot[v]
+        assert f == cap or reduced >= 0
         assert f == 0 or reduced <= 0
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_students=30, max_capacity=20), st.data())
+def test_flat_network_matches_arc_reference(instance, data):
+    n = len(instance.priority)
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kept = [sid for sid, keep in zip(instance.priority, mask) if keep]
+    cut = restrict_instance(instance, kept)
+    # whichever is built first computes the seat layout the other reuses
+    pair = [(instance, build_network(instance)), (cut, build_network(cut))]
+    if data.draw(st.booleans()):
+        pair.reverse()
+    for which, net in pair:
+        assert_same_network(net, which)
+
+
+@PROPERTY_SETTINGS
+@given(markets(), st.data())
+def test_rank_ordered_restriction_matches_rebuilt_instance(multi, data):
+    ids = sorted(multi.student_ids)
+    for cid in ("X", "Y"):
+        pool = data.draw(st.sets(st.sampled_from(ids)))
+        cut = induced_instance(multi, cid, pool)
+        want = rebuilt_induced_instance(multi, cid, pool)
+        assert cut.priority == want.priority
+        assert cut.columns.ids == want.columns.ids
+        assert cut.columns.group_index == want.columns.group_index
+        assert cut.columns.group_keys == want.columns.group_keys
+        assert cut.groups() == want.groups()
+        assert cut.member_positions() == want.member_positions()
+        assert (cut.capacity, cut.types, cut.quotas) == (
+            want.capacity, want.types, want.quotas
+        )
+        ghosts = data.draw(st.sets(st.sampled_from(["ghost", "s9", "zz"]), min_size=1))
+        with pytest.raises(KeyError) as got:
+            induced_instance(multi, cid, pool | ghosts)
+        with pytest.raises(KeyError) as expected:
+            rebuilt_induced_instance(multi, cid, pool | ghosts)
+        assert str(got.value) == str(expected.value)
 
 
 @PROPERTY_SETTINGS

@@ -139,7 +139,7 @@ def test_reference_lower_bounds_sit_on_source_arcs():
     instance = two_group_school()
     net = build_network(instance)
     lower = lower_bounds(net, {("t1",): 1})
-    assert len(lower) == len(net.arcs)
+    assert len(lower) == len(net.tails)
     assert lower[net.group_arcs[("t1",)]] == 1
     assert lower[net.group_arcs[()]] == 0
     assert sum(lower) == 1
