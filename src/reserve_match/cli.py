@@ -17,9 +17,9 @@ from . import files, flow, gda, oracle
 from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
-from .model import MAX_RANKS, matching_signature
+from .model import MAX_RANKS, matching_signature, selection_flags
 from .solve import solve
-from .verify import verify_balanced_and_jef
+from .verify import verify_flags
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -62,16 +62,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     selected = files.load_selected(args.result)
-    unknown = set(selected) - instance.columns.index.keys()
-    if unknown:
-        raise files.InstanceFormatError(
-            f"result file names unknown student ids: {sorted(unknown)}"
-        )
+    try:
+        flags = selection_flags(instance, selected)
+    except KeyError as err:  # its message lists the unknown ids
+        raise files.InstanceFormatError(f"result file names {err.args[0]}") from None
     try:
         budget = oracle.budget_from_env()
     except ValueError as err:
         raise files.InstanceFormatError(str(err)) from err
-    report = verify_balanced_and_jef(instance, selected, budget)
+    report = verify_flags(instance, flags, budget)
     print(f"mode: {report.mode}")
     lines = [
         ("non-wastefulness", report.non_wasteful),

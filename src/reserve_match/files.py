@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .baseline import BaselineResult
 from .gda import MultiInstance, MultiMatching, School
@@ -387,7 +387,9 @@ def instance_from_payload(payload: Any) -> Instance:
 
 
 def instance_to_payload(instance: Instance) -> dict[str, Any]:
-    keys = instance.columns.group_keys  # sorted tuples, as the file lists them
+    # one list per group, shared by its students; the keys are sorted
+    # tuples, as the file lists them
+    types = [list(key) for key in instance.columns.group_keys]
     return {
         "capacity": instance.capacity,
         "types": sorted(instance.types),
@@ -396,7 +398,7 @@ def instance_to_payload(instance: Instance) -> dict[str, Any]:
             for (t, rank), count in sorted(instance.quotas.items())
         ],
         "students": [
-            {"id": sid, "types": list(keys[g])}
+            {"id": sid, "types": types[g]}
             for sid, g in zip(instance.columns.ids, instance.columns.group_index)
         ],
         "priority": list(instance.priority),
@@ -568,14 +570,14 @@ def dump_json(payload: Any) -> str:
 
     The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
     plus the newline. Any indent makes the standard library fall back to
-    its pure-Python encoder, which makes several calls per item; this writer
-    lays out the containers itself, encodes each list of strings with one
-    C call per string and hands every other scalar to the C encoder.
+    its pure-Python encoder, which makes several calls per item. This writer
+    works on whole arrays instead (see _texts): a list of strings is one C
+    call per string, and a list of objects with the same string keys (the
+    students array) is written column by column, each key encoded once, so
+    it costs a few C calls per object. Every other scalar goes to the C
+    encoder.
     """
-    parts: list[str] = []
-    _write_json(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return _text(payload, "\n") + "\n"
 
 
 def _json_key(key: Any) -> str:
@@ -589,39 +591,71 @@ def _json_key(key: Any) -> str:
     )
 
 
-def _write_json(value: Any, newline: str, parts: list[str]) -> None:
-    """Append value's indented JSON text; newline ends a line at its depth."""
+def _text(value: Any, newline: str) -> str:
+    """value's indented JSON text; newline ends a line at its depth."""
     if isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
-            return
+            return "[]"
         inner = newline + "  "
-        try:
-            items = list(map(encode_basestring_ascii, value))
-        except TypeError:  # not a list of strings
-            parts.append("[")
-            sep = inner
-            for item in value:
-                parts.append(sep)
-                _write_json(item, inner, parts)
-                sep = "," + inner
-        else:
-            parts.append("[" + inner)
-            parts.append(("," + inner).join(items))
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
+        texts = _texts(value, inner)
+        # the brackets join the end items, so the whole text is copied once
+        texts[0] = "[" + inner + texts[0]
+        texts[-1] += newline + "]"
+        return ("," + inner).join(texts)
+    if isinstance(value, dict):
         if not value:
-            parts.append("{}")
-            return
+            return "{}"
         inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            parts.append(sep + _json_key(key) + ": ")
-            _write_json(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
-    else:
-        parts.append(json.dumps(value))
+        keys, items = zip(*sorted(value.items()))
+        heads = ["," + inner + _json_key(key) + ": " for key in keys]
+        heads[0] = "{" + heads[0][1:]
+        # one join of heads and texts, so the whole text is copied once
+        members = chain.from_iterable(zip(heads, _texts(items, inner)))
+        return "".join(chain(members, (newline + "}",)))
+    return json.dumps(value)
+
+
+def _texts(values: Sequence[Any], newline: str) -> list[str]:
+    """The JSON text of each of values, all at the depth newline ends."""
+    try:
+        return list(map(encode_basestring_ascii, values))
+    except TypeError:  # not all strings
+        pass
+    rows = _rows(values, newline)
+    if rows is not None:
+        return rows
+    # one text per distinct object: the students of a group share their
+    # types list, and every value outlives this call, so ids stay unique
+    ids = list(map(id, values))
+    text = {key: _text(item, newline) for key, item in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
+
+
+def _rows(values: Sequence[Any], newline: str) -> Optional[list[str]]:
+    """The texts of objects that all have the same string keys, written a
+    column (one key) at a time; None for any other values."""
+    first = values[0]
+    if not (
+        isinstance(first, dict)
+        and first
+        and all(map(isinstance, first, repeat(str)))
+        and all(map(isinstance, values, repeat(dict)))
+        and all(map(eq, map(len, values), repeat(len(first))))
+    ):
+        return None
+    inner = newline + "  "
+    pieces: list[Iterable[str]] = []
+    sep = "{" + inner
+    for key in sorted(first):
+        try:  # an object of the same size holding every key has no other
+            column = list(map(itemgetter(key), values))
+        except KeyError:
+            return None
+        pieces.append(repeat(sep + encode_basestring_ascii(key) + ": "))
+        pieces.append(_texts(column, inner))
+        sep = "," + inner
+    pieces.append(repeat(newline + "}"))
+    return list(map("".join, zip(*pieces)))
 
 
 def write_text(text: str, out: Optional[str]) -> None:

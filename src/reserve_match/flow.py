@@ -567,13 +567,11 @@ def _crucial_search(
 ) -> tuple[Ratio, dict[GroupKey, int], FlowAssignment]:
     """crucial_vector's alpha and targets, plus the witness flow of its final
     invariant check: a maximal-diversity flow meeting exactly those targets."""
-    groups = instance.groups()
+    sized = [(g.key, g.size) for g in instance.groups()]
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
-        return {
-            g.key: -(-beta.numerator * g.size // beta.denominator)
-            for g in groups
-        }
+        num, den = beta.numerator, beta.denominator
+        return {key: -(-num * size // den) for key, size in sized}
 
     def feasible(beta: Fraction) -> bool:
         witness = check_validity_flow(
@@ -581,15 +579,15 @@ def _crucial_search(
         )
         return witness is not None
 
-    top = max((g.size for g in groups), default=0)
+    top = max((size for _key, size in sized), default=0)
     k = _bisect_last(0, top + 1, lambda mid: feasible(Fraction(mid, top)))
     # alpha lies in [k / top, (k + 1) / top); collect each group's smallest
     # grid point j / |S_u| at or above k / top that falls inside it
     window = set()
-    for g in groups:
-        j = -(-k * g.size // top)
-        if j * top < (k + 1) * g.size:
-            window.add(Fraction(j, g.size))
+    for _key, size in sized:
+        j = -(-k * size // top)
+        if j * top < (k + 1) * size:
+            window.add(Fraction(j, size))
     ordered = sorted(window) or [Fraction(0)]
     alpha = ordered[_bisect_last(0, len(ordered), lambda i: feasible(ordered[i]))]
     targets = targets_at(alpha)

@@ -2,7 +2,12 @@
 
 The same (parameters, seed) pair always yields the same instance: students
 are drawn first, then the priority shuffle, then the quotas, all from one
-seeded generator. quota_style "uniform" scatters counts over every rank
+seeded generator. Each student draws one ``random() < 0.5`` per type, in
+type order, student after student. The draws stream straight into
+``StudentColumns``: each student's draws form one pattern, each
+distinct pattern is turned into its type names once, and no record or set
+is made per student (the instance's ``students`` view is built only if a
+caller asks). quota_style "uniform" scatters counts over every rank
 below the top; "minmax" models minimum guarantees at rank 1 plus, when the
 rank budget allows, maximum-style quotas at the next-to-last rank.
 """
@@ -10,11 +15,28 @@ rank budget allows, maximum-style quotas at the next-to-last rank.
 from __future__ import annotations
 
 import random
+from itertools import compress, islice
 from typing import Optional
 
-from .model import Instance, StudentRecord
+from .model import Instance, StudentColumns
 
 QUOTA_STYLES = ("uniform", "minmax")
+
+
+class _TypeNames(dict):
+    """Draw pattern -> the names of the types it drew, made once a pattern.
+
+    A pattern is the bytes of one student's draws, one byte a type, so even
+    when every student draws a new pattern the keys hold a byte a draw.
+    """
+
+    def __init__(self, types: list[str]) -> None:
+        super().__init__()
+        self.types = types
+
+    def __missing__(self, pattern: bytes) -> tuple[str, ...]:
+        names = self[pattern] = tuple(compress(self.types, pattern))
+        return names
 
 
 def generate_instance(
@@ -37,20 +59,19 @@ def generate_instance(
     rng = random.Random(seed)
     types = [f"t{i + 1}" for i in range(num_types)]
     width = max(1, len(str(max(num_students - 1, 0))))
-    students = [
-        StudentRecord(
-            f"s{i:0{width}d}",
-            frozenset(t for t in types if rng.random() < 0.5),
-        )
-        for i in range(num_students)
-    ]
-    priority = [s.id for s in students]
+    ids = list(map(f"s%0{width}d".__mod__, range(num_students)))
+    # one endless stream of random() < 0.5 draws; zip over num_types
+    # references to it cuts one pattern per student, draws in type order
+    draws = map((0.5).__gt__, iter(rng.random, None))
+    patterns = map(bytes, islice(zip(*[draws] * num_types), num_students))
+    columns = StudentColumns.intern(ids, map(_TypeNames(types).__getitem__, patterns))
+    priority = ids[:]
     rng.shuffle(priority)
     if capacity is None:
         capacity = max(1, num_students // 2) if num_students else 0
     quotas = _draw_quotas(rng, types, num_ranks, capacity, quota_style)
     return Instance(
-        students=students,
+        students=columns,
         capacity=capacity,
         priority=priority,
         types=types,

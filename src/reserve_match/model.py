@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
 from operator import attrgetter
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
@@ -181,10 +181,11 @@ class Instance:
     Students are held in columns (see StudentColumns): ids in file order, one
     group index per student and the sorted table of group keys. students may
     be given as StudentRecords, which are turned into columns and kept as the
-    students view, or as StudentColumns, which a loader fills without making
-    a record per student; the students view is then built on first use. The
-    indexes behind priority_index, groups(), member_positions(), group_of()
-    and student_by_id() are built on first use, not by the constructor.
+    students view, or as StudentColumns, which a loader or the generator
+    fills without making a record per student; the students view is then
+    built on first use. The indexes behind priority_index, groups(),
+    member_positions(), group_of() and student_by_id() are built on first
+    use, not by the constructor; priority_rows() is kept from validation.
     fixed is shared with every restriction (see FixedPart).
     """
 
@@ -222,8 +223,9 @@ class Instance:
             raise MalformedInstanceError(
                 "priority must be a permutation of all student ids"
             )
-        # the group index of each student in priority order (restrict_instance
-        # hands each cut its own)
+        # the file row and the group index of each student in priority order
+        # (restrict_instance hands each cut its own group column)
+        self._rows = array("I", rows)
         self._ranked = array("I", map(columns.group_index.__getitem__, rows))
         unknown = {
             g for g, key in enumerate(columns.group_keys)
@@ -265,6 +267,12 @@ class Instance:
         return dict(zip(self.priority, range(len(self.priority))))
 
     @cached_property
+    def _rows(self) -> array:
+        """The file row of each priority position. _validate fills it in; a
+        cut (see restrict_instance) builds it on first use."""
+        return array("I", map(self.columns.index.__getitem__, self.priority))
+
+    @cached_property
     def _rank(self) -> array:
         """The priority position of each file row, built once for every
         restriction of this instance (see restrict_instance)."""
@@ -295,6 +303,11 @@ class Instance:
         """Ascending priority positions of each group's members, aligned with
         groups(); shared, so callers slice them and never write to them."""
         return self._positions
+
+    def priority_rows(self) -> array:
+        """The file row of each student in priority order; shared, so
+        callers never write to it."""
+        return self._rows
 
     def group_of(self, student_id: str) -> GroupKey:
         columns = self.columns
@@ -362,17 +375,36 @@ def parse_group_label(label: str) -> GroupKey:
     return tuple(sorted(label.split("+")))
 
 
+def selection_flags(instance: Instance, selected: Iterable[str]) -> bytearray:
+    """One flag per file row, set for each selected student.
+
+    The ids are mapped to rows in one pass over the id index, which also
+    finds unknown ids: they raise KeyError. Repeated ids set one flag.
+    """
+    columns = instance.columns
+    ids = list(selected)
+    rows = list(map(columns.index.get, ids))
+    if None in rows:
+        unknown = {sid for sid, row in zip(ids, rows) if row is None}
+        raise KeyError(f"unknown student ids: {sorted(unknown)}")
+    flags = bytearray(len(columns))
+    for row in rows:
+        flags[row] = 1
+    return flags
+
+
+def flagged_group_counts(
+    instance: Instance, flags: bytearray
+) -> dict[GroupKey, int]:
+    """Count flagged students (see selection_flags) per group."""
+    columns = instance.columns
+    tally = Counter(compress(columns.group_index, flags))
+    return {key: tally[g] for g, key in enumerate(columns.group_keys)}
+
+
 def group_counts(instance: Instance, selected: Iterable[str]) -> dict[GroupKey, int]:
     """Count selected students per group; unknown ids raise KeyError."""
-    chosen = set(selected)
-    columns = instance.columns
-    unknown = chosen - columns.index.keys()
-    if unknown:
-        raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    tally = Counter(
-        map(columns.group_index.__getitem__, map(columns.index.__getitem__, chosen))
-    )
-    return {key: tally[g] for g, key in enumerate(columns.group_keys)}
+    return flagged_group_counts(instance, selection_flags(instance, selected))
 
 
 @dataclass(frozen=True, order=True)

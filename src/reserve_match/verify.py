@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import flow, oracle
-from .model import GroupKey, Instance, Ratio, group_counts, min_count_ratio
+from .model import (
+    GroupKey,
+    Instance,
+    Ratio,
+    flagged_group_counts,
+    min_count_ratio,
+    selection_flags,
+)
 
 MODE_ORACLE = "oracle"
 MODE_STRUCTURAL = "structural"
@@ -80,15 +87,25 @@ def verify_balanced_and_jef(
     selected: Iterable[str],
     oracle_budget: Optional[oracle.OracleBudget] = None,
 ) -> AxiomReport:
-    """Verdicts for all four axioms on an arbitrary selected set.
+    """Verdicts for all four axioms on an arbitrary selected set; unknown
+    ids raise KeyError."""
+    return verify_flags(instance, selection_flags(instance, selected), oracle_budget)
+
+
+def verify_flags(
+    instance: Instance,
+    flags: bytearray,
+    oracle_budget: Optional[oracle.OracleBudget] = None,
+) -> AxiomReport:
+    """verify_balanced_and_jef on the selection's flags per file row (see
+    model.selection_flags).
 
     Justified envy follows the definition: an unselected student s envies a
     selected, lower-priority s' when swapping them still yields a maximal
     diversity matching attaining the max-min ratio. Same-group swaps keep the
     counts and catch priority inversions inside a group.
     """
-    chosen = frozenset(selected)
-    counts = group_counts(instance, chosen)
+    counts = flagged_group_counts(instance, flags)
     try:
         mode, alpha, valid = _oracle_source(instance, oracle_budget)
     except oracle.OracleBudgetExceeded:
@@ -99,7 +116,7 @@ def verify_balanced_and_jef(
     # a selection of the wrong size has no valid swap: every maximal-diversity
     # matching has exactly min(|S|, q) members
     witness = (
-        _envy_witness(instance, chosen, counts, alpha, valid) if non_wasteful else None
+        _envy_witness(instance, flags, counts, alpha, valid) if non_wasteful else None
     )
     return AxiomReport(
         mode=mode,
@@ -114,7 +131,7 @@ def verify_balanced_and_jef(
 
 def _envy_witness(
     instance: Instance,
-    chosen: frozenset[str],
+    flags: bytearray,
     counts: dict[GroupKey, int],
     alpha: Ratio,
     valid: Validity,
@@ -129,21 +146,12 @@ def _envy_witness(
     """
     groups = instance.groups()
     positions = instance.member_positions()
+    rows = instance.priority_rows()
     # priority positions: each group's top unselected and bottom selected member
-    tops = [
-        next((p for sid, p in zip(g.members, pos) if sid not in chosen), None)
-        for g, pos in zip(groups, positions)
-    ]
+    tops = [next((p for p in pos if not flags[rows[p]]), None) for pos in positions]
     candidates: list[tuple[int, int]] = []
     for g_out, pos_out in zip(groups, positions):
-        bottom = next(
-            (
-                p
-                for sid, p in zip(reversed(g_out.members), reversed(pos_out))
-                if sid in chosen
-            ),
-            None,
-        )
+        bottom = next((p for p in reversed(pos_out) if flags[rows[p]]), None)
         if bottom is None:
             continue
         for g_in, top in zip(groups, tops):

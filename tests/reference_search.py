@@ -29,12 +29,15 @@ columnar: one StudentRecord and frozenset per student, validation by
 sorting the priority list against the ids and subtracting type sets per
 student, and groups built by a walk over the records. The columnar loaders
 must give the same instances and the same error text (multi-school errors
-from one school's instance now name the school).
+from one school's instance now name the school). Beside them sits the
+generator as it was then: one StudentRecord and frozenset per student, with
+the same random calls in the same order as the columnar generator.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
@@ -62,6 +65,7 @@ from reserve_match.flow import (
     rank_cost,
 )
 from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
+from reserve_match.generator import QUOTA_STYLES, _draw_quotas
 from reserve_match.model import (
     GENERAL_TYPE,
     MAX_RANKS,
@@ -655,3 +659,46 @@ def record_multi_from_payload(payload: Any) -> dict[str, RecordInstance]:
         return instances
     except MalformedInstanceError as err:
         raise InstanceFormatError(str(err)) from err
+
+
+def reference_generate_instance(
+    num_students: int,
+    num_types: int,
+    num_ranks: int,
+    seed: int,
+    quota_style: str = "uniform",
+    capacity: Optional[int] = None,
+) -> Instance:
+    """generate_instance over one record per student: each student's draws
+    go straight into a frozenset, and Instance turns the records into
+    columns (keeping them as its students view)."""
+    if num_students < 0:
+        raise ValueError("num_students must be non-negative")
+    if num_types < 1:
+        raise ValueError("num_types must be positive")
+    if num_ranks < 1:
+        raise ValueError("num_ranks must be positive")
+    if quota_style not in QUOTA_STYLES:
+        raise ValueError(f"unknown quota style {quota_style!r}")
+    rng = random.Random(seed)
+    types = [f"t{i + 1}" for i in range(num_types)]
+    width = max(1, len(str(max(num_students - 1, 0))))
+    students = [
+        StudentRecord(
+            f"s{i:0{width}d}",
+            frozenset(t for t in types if rng.random() < 0.5),
+        )
+        for i in range(num_students)
+    ]
+    priority = [s.id for s in students]
+    rng.shuffle(priority)
+    if capacity is None:
+        capacity = max(1, num_students // 2) if num_students else 0
+    quotas = _draw_quotas(rng, types, num_ranks, capacity, quota_style)
+    return Instance(
+        students=students,
+        capacity=capacity,
+        priority=priority,
+        types=types,
+        quotas=quotas,
+    )

@@ -173,6 +173,14 @@ def test_verify_unknown_student_is_input_error(instance_file, tmp_path, capsys):
     assert "unknown student ids: ['ghost']" in capsys.readouterr().err
 
 
+def test_verify_names_every_unknown_student_once(instance_file, tmp_path, capsys):
+    result = write_json(tmp_path, "result.json", {"selected": ["zz", "s1", "ghost"]})
+    assert main(["verify", instance_file, result]) == 2
+    assert capsys.readouterr().err == (
+        "error: result file names unknown student ids: ['ghost', 'zz']\n"
+    )
+
+
 @pytest.mark.parametrize("budget", [None, "0,0,0"])
 def test_verify_builds_no_priority_index(
     instance_file, tmp_path, capsys, monkeypatch, budget

@@ -227,8 +227,25 @@ _JSON_SCALARS = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | _JSON_TEXT
 )
+
+
+@st.composite
+def _student_arrays(draw):
+    """Lists of objects shaped like a students array: a string id, a list of
+    strings that items may share (as instance_to_payload shares one per
+    group) and, on some items, scalar members of mixed types."""
+    pool = draw(st.lists(st.lists(_JSON_TEXT, max_size=3), min_size=1, max_size=3))
+    extra = st.fixed_dictionaries(
+        {}, optional={"rank": _JSON_SCALARS, "name": _JSON_SCALARS, "i": _JSON_SCALARS}
+    )
+    return [
+        {"id": draw(_JSON_TEXT), "types": draw(st.sampled_from(pool)), **draw(extra)}
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+
+
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _student_arrays(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.lists(_JSON_TEXT, max_size=5)
@@ -253,8 +270,24 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values():
     ]
     for value in values:
         assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    shared = ["t1", "t2"]
+    values = [
+        # one list object at two depths, and shared by rows
+        [shared, {"types": shared}, [{"id": "a", "types": shared}] * 2],
+        # rows of one size whose keys differ, or that hold no keys
+        [{"id": "a", "types": []}, {"id": "b", "rank": 1}],
+        [{"a": 1}, {}], [{}, {}], [{"a": 1}, {"a": 2}, "x"],
+        # rows with non-string keys, or with nested rows
+        [{1: "x", 2: "y"}, {1: "z", 2: "w"}],
+        [{"k": [{"id": "a"}, {"id": "b"}]}, {"k": []}],
+        [{"%s": "%d", "%%": ["%"]}] * 2,
+    ]
+    for value in values:
+        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
     with pytest.raises(TypeError, match="keys must be str"):
         dump_json({(1, 2): 3})
+    with pytest.raises(TypeError, match="keys must be str"):
+        dump_json([{(1, 2): 3}, {(1, 2): 4}])
     with pytest.raises(TypeError, match="not JSON serializable"):
         dump_json([object()])
 

@@ -7,6 +7,11 @@ digests recorded with the earlier one-check-per-admission solver. The input
 digest guards the corpus itself; the output digest guards the selection,
 counts, signature, alpha and targets byte for byte.
 
+Each gen case runs the CLI's `gen` and compares the sha256 of its output
+with digests recorded with the record-based generator and the recursive
+JSON writer; the second case has more than nine types, so its files list
+"t10" before "t2".
+
 Each market case writes `factories.seeded_market` as a multi-school file and
 compares the sha256 of `gda --out` (matches, unmatched students and the full
 round trace) and of `gda --probe` stdout with digests recorded before pools
@@ -77,6 +82,24 @@ def test_solve_output_bytes_match_golden_digest(name, tmp_path):
     assert _sha256(source) == input_digest
     assert main(["solve", str(source), "--out", str(out)]) == 0
     assert _sha256(out) == output_digest
+
+
+# gen arguments -> sha256 of the instance file it writes
+GEN = {
+    "--students 20000 --types 3 --ranks 1 --seed 1": (
+        "61caaeef1e367e093e312c3682286469aa0ff90fbda53030bda69dfbb8aca582"
+    ),
+    "--students 500 --types 12 --ranks 3 --seed 7": (
+        "ae123a8ce598cee40d34d00d705ba1c5bd6f17bc022ff443267fece2bd98c92b"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GEN))
+def test_gen_output_bytes_match_golden_digest(args, tmp_path):
+    out = tmp_path / "instance.json"
+    assert main(["gen", *args.split(), "--out", str(out)]) == 0
+    assert _sha256(out) == GEN[args]
 
 
 def _market_payload(multi) -> dict:

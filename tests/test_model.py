@@ -24,6 +24,8 @@ from reserve_match.model import (
     matching_signature,
     min_selection_ratio,
     parse_group_label,
+    restrict_instance,
+    selection_flags,
     selection_ratio,
     verify_non_wasteful,
     verify_same_group_priority,
@@ -122,6 +124,27 @@ def test_group_counts_and_unknown_ids():
     assert group_counts(instance, []) == {(): 0, ("t1",): 0}
     with pytest.raises(KeyError, match="unknown"):
         group_counts(instance, ["ghost"])
+
+
+def test_selection_flags_mark_each_row_once_and_name_unknown_ids():
+    instance = two_group_school()
+    flags = selection_flags(instance, ["s4", "s2", "s4"])
+    assert [sid for sid, flag in zip(instance.columns.ids, flags) if flag] == [
+        "s2",
+        "s4",
+    ]
+    assert group_counts(instance, ["s2", "s2"]) == {(): 0, ("t1",): 1}
+    with pytest.raises(KeyError) as err:
+        selection_flags(instance, ["s1", "zz", "ghost", "zz"])
+    assert err.value.args[0] == "unknown student ids: ['ghost', 'zz']"
+
+
+def test_priority_rows_name_the_priority_order_in_instances_and_cuts():
+    instance = two_group_school()
+    cut = restrict_instance(instance, ["s4", "s1", "s3"])
+    for each in (instance, cut):
+        rows = each.priority_rows()
+        assert [each.columns.ids[row] for row in rows] == list(each.priority)
 
 
 def test_lex_compare_orderings():
