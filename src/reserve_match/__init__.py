@@ -2,7 +2,7 @@
 
 Library surface: build an Instance, call solve() (or the flow module's
 choice_flow, check_validity_flow and crucial_vector directly), verify
-outputs with the axiom verifiers, extend to several schools with the gda
+outputs with the axiom verifier, extend to several schools with the gda
 module.
 """
 
@@ -45,11 +45,8 @@ from .model import (
     group_label,
     lex_compare,
     matching_signature,
-    min_selection_ratio,
     parse_group_label,
     selection_ratio,
-    verify_non_wasteful,
-    verify_same_group_priority,
 )
 from .oracle import (
     OracleBudget,
@@ -99,7 +96,6 @@ __all__ = [
     "matching_signature",
     "matching_to_flow",
     "min_cost_max_flow",
-    "min_selection_ratio",
     "oracle_choice",
     "oracle_max_min_ratio",
     "parse_group_label",
@@ -110,6 +106,4 @@ __all__ = [
     "solve",
     "substitutability_probe",
     "verify_balanced_and_jef",
-    "verify_non_wasteful",
-    "verify_same_group_priority",
 ]

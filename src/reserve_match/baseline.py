@@ -22,7 +22,7 @@ from .model import (
     check_matching,
     group_counts,
     matching_signature,
-    min_selection_ratio,
+    min_count_ratio,
 )
 
 
@@ -49,11 +49,11 @@ def sequential_baseline(instance: Instance) -> BaselineResult:
     for sid in instance.priority:
         if len(matching) >= instance.capacity:
             break
-        student = instance.student_by_id(sid)
+        held = instance.group_of(sid)
         slots = sorted(
             (rank, t)
             for (t, rank), count in open_seats.items()
-            if t in student.type_set and taken.get((t, rank), 0) < count
+            if t in held and taken.get((t, rank), 0) < count
         )
         if slots:
             rank, t = slots[0]
@@ -68,10 +68,11 @@ def sequential_baseline(instance: Instance) -> BaselineResult:
             )
     check_matching(instance, matching)
     selected = frozenset(matching)
+    counts = group_counts(instance, selected)
     return BaselineResult(
         selected=selected,
         matching=matching,
-        per_group_counts=group_counts(instance, selected),
+        per_group_counts=counts,
         signature=matching_signature(instance, matching),
-        min_ratio=min_selection_ratio(instance, selected),
+        min_ratio=min_count_ratio(instance, counts),
     )

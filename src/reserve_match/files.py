@@ -13,8 +13,9 @@ and are read as ints.
 
 Loading makes no object per student: the ``students`` array goes straight
 into ``StudentColumns`` (ids in file order, one group index per student, one
-dict lookup per student to intern its ``types`` list), and the instance's
-``students`` view of ``StudentRecord``s is built only if a caller asks.
+dict lookup per student to intern its ``types`` list). The instance's
+``students`` view of ``StudentRecord``s is a boundary view for record-taking
+callers, built only if one asks; no loader, solver or writer reads it.
 """
 
 from __future__ import annotations

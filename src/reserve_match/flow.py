@@ -42,7 +42,7 @@ from .model import (
     SeatMatching,
     Signature,
     TargetVector,
-    matching_group_counts,
+    group_counts,
     matching_signature,
     min_count_ratio,
 )
@@ -750,22 +750,22 @@ def flow_to_matching(
     if any(demand.values()):
         raise InternalInvariantError("decomposition left unplaced seat demand")
 
-    class_holders: dict[tuple[str, int], list[str]] = {}
-    for g in groups:
-        chosen = g.members[: len(slots[g.key])]
+    # each class's holders as (priority position, id), so sorting them
+    # orders the class by priority
+    class_holders: dict[tuple[str, int], list[tuple[int, str]]] = {}
+    for g, positions in zip(groups, instance.member_positions()):
         ordered = sorted(slots[g.key], key=lambda tj: (tj[1], tj[0]))
-        for sid, (t, j) in zip(chosen, ordered):
-            class_holders.setdefault((t, j), []).append(sid)
+        for held, (t, j) in zip(zip(positions, g.members), ordered):
+            class_holders.setdefault((t, j), []).append(held)
     matching: SeatMatching = {}
-    by_priority = instance.priority_index
     for (t, j), holders in sorted(class_holders.items()):
-        holders.sort(key=lambda sid: by_priority[sid])
-        for i, sid in enumerate(holders, start=1):
+        holders.sort()
+        for i, (_p, sid) in enumerate(holders, start=1):
             matching[sid] = Seat(type=t, rank=j, index=i)
 
     if matching_signature(instance, matching) != flow_signature(net, flow):
         raise InternalInvariantError("decomposition changed the signature")
-    if matching_group_counts(instance, matching) != flow_group_counts(net, flow):
+    if group_counts(instance, matching) != flow_group_counts(net, flow):
         raise InternalInvariantError("decomposition changed group counts")
     return matching
 
@@ -781,11 +781,11 @@ def matching_to_flow(
     flows = [0] * len(net.tails)
     seen: set[Seat] = set()
     for sid, seat in matching.items():
-        student = instance.student_by_id(sid)
+        key = instance.group_of(sid)
         if seat in seen:
             raise ValueError(f"seat {seat} assigned twice")
         seen.add(seat)
-        if seat.type != GENERAL_TYPE and seat.type not in student.type_set:
+        if seat.type != GENERAL_TYPE and seat.type not in key:
             raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
         if (seat.type, seat.rank) not in net.rank_arcs:
             raise ValueError(f"no seat class {seat.type}^{seat.rank}")
@@ -794,7 +794,6 @@ def matching_to_flow(
             raise ValueError(
                 f"seat index {seat.index} outside class {seat.type}^{seat.rank}"
             )
-        key = instance.group_of(sid)
         flows[net.group_arcs[key]] += 1
         flows[net.group_type_arcs[(key, seat.type)]] += 1
         flows[net.rank_arcs[(seat.type, seat.rank)]] += 1

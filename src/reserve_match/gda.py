@@ -40,7 +40,8 @@ class MultiInstance:
     """Students with preference lists over schools sharing one type universe.
 
     students may be StudentRecords or StudentColumns, as for Instance; every
-    school's instance shares the one set of columns.
+    school's instance shares the one set of columns, and students is a
+    boundary view of records, as Instance.students is.
     """
 
     def __init__(
@@ -73,7 +74,8 @@ class MultiInstance:
 
     @property
     def students(self) -> tuple[StudentRecord, ...]:
-        """One StudentRecord per student in file order, built on first use."""
+        """One StudentRecord per student in file order: a boundary view,
+        built on first use."""
         return self.columns.records
 
     def _validate(self) -> None:
@@ -94,12 +96,6 @@ class MultiInstance:
                 raise MalformedInstanceError(
                     f"student {sid!r} ranks unknown schools {sorted(unknown)}"
                 )
-
-    def school_by_id(self, school_id: str) -> School:
-        for school in self.schools:
-            if school.id == school_id:
-                return school
-        raise KeyError(f"unknown school {school_id!r}")
 
     def preference_list(self, student_id: str) -> tuple[str, ...]:
         return self.preferences.get(student_id, ())

@@ -6,10 +6,11 @@ seeded generator. Each student draws one ``random() < 0.5`` per type, in
 type order, student after student. The draws stream straight into
 ``StudentColumns``: each student's draws form one pattern, each
 distinct pattern is turned into its type names once, and no record or set
-is made per student (the instance's ``students`` view is built only if a
-caller asks). quota_style "uniform" scatters counts over every rank
-below the top; "minmax" models minimum guarantees at rank 1 plus, when the
-rank budget allows, maximum-style quotas at the next-to-last rank.
+is made per student (the instance's ``students`` view of records is a
+boundary view, built only if a record-taking caller asks). quota_style
+"uniform" scatters counts over every rank below the top; "minmax" models
+minimum guarantees at rank 1 plus, when the rank budget allows,
+maximum-style quotas at the next-to-last rank.
 """
 
 from __future__ import annotations

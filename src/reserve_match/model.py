@@ -1,4 +1,4 @@
-"""Core problem model: instances, groups, signatures, ratios and basic verifiers.
+"""Core problem model: instances, groups, signatures, ratios and matching checks.
 
 An instance bundles a student pool, a school capacity q, a strict priority
 order, a set of types and ranked quotas. Students holding the same set of
@@ -60,9 +60,10 @@ class StudentColumns:
     the index of their type combination in group_keys, the sorted table of
     the combinations that occur. Students of one combination are
     interchangeable, so nothing downstream needs more than these columns.
-    The id index and the StudentRecord view are built on first use, once
-    for every instance that shares the columns. Build columns with intern()
-    or from_records(); the constructor trusts its arguments.
+    The id index is built on first use, once for every instance that shares
+    the columns. records is a boundary view for callers that pass or ask for
+    StudentRecords; nothing in the package reads it. Build columns with
+    intern() or from_records(); the constructor trusts its arguments.
     """
 
     def __init__(
@@ -179,14 +180,14 @@ class Instance:
     derived as one past the largest quota rank (1 when there are no quotas).
 
     Students are held in columns (see StudentColumns): ids in file order, one
-    group index per student and the sorted table of group keys. students may
-    be given as StudentRecords, which are turned into columns and kept as the
-    students view, or as StudentColumns, which a loader or the generator
-    fills without making a record per student; the students view is then
-    built on first use. The indexes behind priority_index, groups(),
-    member_positions(), group_of() and student_by_id() are built on first
-    use, not by the constructor; priority_rows() is kept from validation.
-    fixed is shared with every restriction (see FixedPart).
+    group index per student and the sorted table of group keys, and every
+    engine path reads them there. students may be given as StudentRecords,
+    which are turned into columns, or as StudentColumns, which a loader or
+    the generator fills without making a record per student. The students
+    view of records is a boundary view for record-taking callers. The
+    indexes behind groups(), member_positions() and group_of() are built on
+    first use, not by the constructor; priority_rows() is kept from
+    validation. fixed is shared with every restriction (see FixedPart).
     """
 
     def __init__(
@@ -252,7 +253,8 @@ class Instance:
 
     @property
     def students(self) -> tuple[StudentRecord, ...]:
-        """One StudentRecord per student in file order, built on first use."""
+        """One StudentRecord per student in file order: a boundary view,
+        built on first use."""
         return self.columns.records
 
     @property
@@ -261,10 +263,6 @@ class Instance:
         if not self.quotas:
             return 1
         return 1 + max(rank for (_t, rank) in self.quotas)
-
-    @cached_property
-    def priority_index(self) -> dict[str, int]:
-        return dict(zip(self.priority, range(len(self.priority))))
 
     @cached_property
     def _rows(self) -> array:
@@ -276,8 +274,8 @@ class Instance:
     def _rank(self) -> array:
         """The priority position of each file row, built once for every
         restriction of this instance (see restrict_instance)."""
-        rank = array("I", [0]) * len(self.priority)
-        for p, row in enumerate(map(self.columns.index.__getitem__, self.priority)):
+        rank = array("I", [0]) * len(self._rows)
+        for p, row in enumerate(self._rows):
             rank[row] = p
         return rank
 
@@ -312,9 +310,6 @@ class Instance:
     def group_of(self, student_id: str) -> GroupKey:
         columns = self.columns
         return columns.group_keys[columns.group_index[columns.index[student_id]]]
-
-    def student_by_id(self, student_id: str) -> StudentRecord:
-        return self.columns.records[self.columns.index[student_id]]
 
 
 def build_groups(instance: Instance) -> list[Group]:
@@ -431,12 +426,6 @@ def matching_signature(instance: Instance, matching: SeatMatching) -> Signature:
     return tuple(sig)
 
 
-def matching_group_counts(
-    instance: Instance, matching: SeatMatching
-) -> dict[GroupKey, int]:
-    return group_counts(instance, matching.keys())
-
-
 def check_matching(instance: Instance, matching: SeatMatching) -> None:
     """Raise ValueError unless the matching is well-formed for the instance.
 
@@ -447,7 +436,7 @@ def check_matching(instance: Instance, matching: SeatMatching) -> None:
         raise ValueError("matching exceeds capacity")
     seen: set[Seat] = set()
     for sid, seat in matching.items():
-        student = instance.student_by_id(sid)
+        held = instance.group_of(sid)
         if seat in seen:
             raise ValueError(f"seat {seat} assigned twice")
         seen.add(seat)
@@ -456,7 +445,7 @@ def check_matching(instance: Instance, matching: SeatMatching) -> None:
                 raise ValueError("general seats live at the largest rank")
             cap = instance.capacity
         else:
-            if seat.type not in student.type_set:
+            if seat.type not in held:
                 raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
             if not 1 <= seat.rank <= instance.max_rank:
                 raise ValueError("seat rank out of range")
@@ -502,35 +491,6 @@ def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio
         (selection_ratio(counts[g.key], g.size) for g in instance.groups()),
         default=Fraction(0),
     )
-
-
-def min_selection_ratio(instance: Instance, selected: Iterable[str]) -> Ratio:
-    """Minimum selection ratio over all groups; 0/1 when there are no groups."""
-    return min_count_ratio(instance, group_counts(instance, selected))
-
-
-def verify_non_wasteful(instance: Instance, selected: Iterable[str]) -> bool:
-    """|selected| must equal min(|S|, q)."""
-    counts = group_counts(instance, selected)
-    total = sum(counts.values())
-    return total == min(len(instance.columns), instance.capacity)
-
-
-def verify_same_group_priority(instance: Instance, selected: Iterable[str]) -> bool:
-    """Within each group the selected students must form a priority prefix."""
-    chosen = set(selected)
-    unknown = chosen - instance.columns.index.keys()
-    if unknown:
-        raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    for g in instance.groups():
-        seen_gap = False
-        for sid in g.members:
-            if sid in chosen:
-                if seen_gap:
-                    return False
-            else:
-                seen_gap = True
-    return True
 
 
 @dataclass(frozen=True)

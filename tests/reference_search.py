@@ -83,7 +83,6 @@ from reserve_match.model import (
     check_matching,
     group_counts,
     group_label,
-    matching_group_counts,
     matching_signature,
 )
 from reserve_match.oracle import MaximalDiversitySet
@@ -241,7 +240,7 @@ def literal_envy_witness(
             verdicts[vector] = valid(swapped) and worst == alpha
         return verdicts[vector]
 
-    prio = instance.priority_index
+    prio = {sid: p for p, sid in enumerate(instance.priority)}
     outsiders = [sid for sid in instance.priority if sid not in chosen]
     insiders = [sid for sid in reversed(instance.priority) if sid in chosen]
     for s in outsiders:
@@ -262,7 +261,7 @@ def assert_valid_witness(
     """A well-formed matching with the best signature that meets the targets."""
     check_matching(instance, matching)
     assert matching_signature(instance, matching) == signature
-    counts = matching_group_counts(instance, matching)
+    counts = group_counts(instance, matching)
     for key, want in targets.items():
         assert counts[key] >= want
 
@@ -459,7 +458,7 @@ def rebuilt_induced_instance(
     multi: MultiInstance, school_id: str, applicants: Iterable[str]
 ) -> Instance:
     """One school's instance over an applicant pool, built from the raw lists."""
-    school = multi.school_by_id(school_id)
+    school = {c.id: c for c in multi.schools}[school_id]
     chosen = set(applicants)
     unknown = chosen - multi.student_ids
     if unknown:
@@ -580,10 +579,6 @@ class RecordInstance:
                 )
             if count < 0:
                 raise MalformedInstanceError("quota counts must be non-negative")
-
-    @property
-    def priority_index(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.priority)}
 
     def groups(self) -> tuple[Group, ...]:
         by_set: dict[frozenset[str], list[str]] = {}

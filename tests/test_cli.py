@@ -8,7 +8,7 @@ import pytest
 
 from reserve_match import flow
 from reserve_match.cli import main
-from reserve_match.model import MAX_RANKS, Instance
+from reserve_match.model import MAX_RANKS, StudentColumns
 from reserve_match.oracle import ENV_BUDGET
 
 INSTANCE = {
@@ -182,25 +182,33 @@ def test_verify_names_every_unknown_student_once(instance_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize("budget", [None, "0,0,0"])
-def test_verify_builds_no_priority_index(
+def test_no_command_builds_student_records(
     instance_file, tmp_path, capsys, monkeypatch, budget
 ):
-    built = []
+    # every engine path reads the student columns; the StudentRecord view is
+    # only for callers that pass or ask for records
+    def refused(self):
+        raise AssertionError("StudentColumns.records was built")
 
-    def recorded(self):
-        built.append(self)
-        return dict(zip(self.priority, range(len(self.priority))))
-
-    monkeypatch.setattr(Instance, "priority_index", property(recorded))
+    monkeypatch.setattr(StudentColumns, "records", property(refused))
     if budget is not None:
         monkeypatch.setenv(ENV_BUDGET, budget)
+    targets = write_json(tmp_path, "targets.json", {"none": 1, "t1": 1})
+    multi = write_json(tmp_path, "multi.json", MULTI)
+    for argv in (
+        ["solve", instance_file],
+        ["validate", instance_file, "--targets", targets],
+        ["baseline", instance_file],
+        ["gda", multi],
+        ["gda", multi, "--probe", "X:a:b"],
+    ):
+        assert main(argv) == 0, argv
     for selected, code in ((["s2", "s4"], 0), (["s1", "s2"], 1)):
         result = write_json(tmp_path, "result.json", {"selected": selected})
         assert main(["verify", instance_file, result]) == code
     out = capsys.readouterr().out
     assert f"mode: {'oracle' if budget is None else 'structural'}" in out
     assert "justified envy: s4 over s1" in out
-    assert built == []
 
 
 @pytest.mark.parametrize("raw", ["4,9", "4,9,x", "4,-9,100", " , , "])

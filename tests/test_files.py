@@ -158,7 +158,7 @@ def test_load_selected(tmp_path):
 def test_multi_payload_round_trip_and_errors():
     payload = multi_payload()
     multi = multi_from_payload(payload)
-    assert multi.school_by_id("X").quotas == {("t1", 1): 1}
+    assert multi.instances["X"].quotas == {("t1", 1): 1}
     bad = dict(payload)
     bad["preferences"] = {"a": ["Z"]}
     with pytest.raises(InstanceFormatError, match="unknown schools"):
@@ -376,7 +376,7 @@ def test_integral_floats_are_read_as_ints(tmp_path):
     )
     multi = multi_payload()
     multi["schools"][0]["capacity"] = 1.0
-    assert type(multi_from_payload(multi).school_by_id("X").capacity) is int
+    assert type(multi_from_payload(multi).schools[0].capacity) is int
     path = tmp_path / "targets.json"
     path.write_text('{"t1": 1.0, "none": 1}', encoding="utf-8")
     targets = load_targets(str(path), two_group_school())
@@ -642,7 +642,7 @@ def _outcome(load, payload):
 
 def _assert_same_instance(got, want):
     assert got.groups() == want.groups()
-    assert got.priority_index == want.priority_index
+    assert got.priority == want.priority
     assert {sid: got.group_of(sid) for sid in got.priority} == {
         sid: want.group_of(sid) for sid in want.priority
     }

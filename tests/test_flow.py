@@ -8,6 +8,7 @@ import pytest
 from factories import (
     displacement_trap_school,
     four_block_school,
+    hard_regime_school,
     make_instance,
     two_group_school,
     two_type_column_school,
@@ -33,7 +34,7 @@ from reserve_match.model import (
     GENERAL_TYPE,
     Seat,
     check_matching,
-    matching_group_counts,
+    group_counts,
     matching_signature,
     restrict_instance,
 )
@@ -241,9 +242,41 @@ def test_flow_to_matching_round_trip():
     matching = flow_to_matching(instance, best, network=net)
     check_matching(instance, matching)
     assert matching_signature(instance, matching) == flow_signature(net, best)
-    assert matching_group_counts(instance, matching) == flow_group_counts(net, best)
+    assert group_counts(instance, matching) == flow_group_counts(net, best)
     lifted = matching_to_flow(instance, matching, network=net)
     assert (lifted.value, lifted.cost) == (cert.max_value, cert.min_cost)
+
+
+DECOMPOSED = {
+    **{name: build for name, (build, _in, _out) in CORPUS.items()},
+    "hard-600-reserved-95": lambda: hard_regime_school(600, 3, reserved_percent=95),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSED))
+def test_flow_to_matching_seats_follow_priority(name):
+    # each group's seats go to its top-priority members, best ranks first,
+    # and inside each seat class the indices 1..k follow priority
+    instance = DECOMPOSED[name]()
+    net = build_network(instance)
+    _alpha, targets = crucial_vector(instance, network=net)
+    witness = check_validity_flow(instance, targets, network=net)
+    matching = flow_to_matching(instance, witness, network=net)
+    check_matching(instance, matching)
+    position = {sid: p for p, sid in enumerate(instance.priority)}
+    for g in instance.groups():
+        held = [sid for sid in g.members if sid in matching]
+        assert held == list(g.members[: len(held)])
+        ranks = [matching[sid].rank for sid in held]
+        assert ranks == sorted(ranks)
+    classes: dict[tuple[str, int], list[tuple[int, str]]] = {}
+    for sid, seat in matching.items():
+        classes.setdefault((seat.type, seat.rank), []).append((seat.index, sid))
+    for holders in classes.values():
+        holders.sort()
+        assert [i for i, _sid in holders] == list(range(1, len(holders) + 1))
+        order = [position[sid] for _i, sid in holders]
+        assert order == sorted(order)
 
 
 def test_matching_to_flow_rejects_bad_matchings():

@@ -116,9 +116,10 @@ def test_school_errors_name_the_school(tmp_path, capsys):
 
 def test_school_and_preference_lookups():
     multi = two_school_market()
-    assert multi.school_by_id("Y").capacity == 2
-    with pytest.raises(KeyError):
-        multi.school_by_id("Z")
+    assert [c.id for c in multi.schools] == ["X", "Y"]
+    assert multi.instances["Y"].capacity == 2
+    assert multi.instances["Y"].priority == multi.schools[1].priority
+    assert "Z" not in multi.instances
     assert multi.preference_list("b") == ("X",)
     assert multi.preference_list("nobody") == ()
 
@@ -244,7 +245,6 @@ def test_kept_instances_are_restricted_without_indexes(monkeypatch):
     run_gda(multi)
     substitutability_probe(multi.instances["Y"], {"a", "b", "d"}, "c", "e")
     for instance in multi.instances.values():
-        assert "priority_index" not in vars(instance)
         assert "_positions" not in vars(instance)
 
 
@@ -278,8 +278,9 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     }
     assert max(pools.values()) > 2
     for cid, instance in multi.instances.items():
-        # one walk builds the rank array that orders every pool of the school
-        assert instance.priority.walks == (1 if pools[cid] else 0)
+        # the rank array that orders every pool of the school is built from
+        # the rows kept by validation, not from a walk of the priority list
+        assert instance.priority.walks == 0
         assert sum(fixed is instance.fixed for fixed in built) == (
             1 if pools[cid] else 0
         )

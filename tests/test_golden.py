@@ -7,6 +7,12 @@ digests recorded with the earlier one-check-per-admission solver. The input
 digest guards the corpus itself; the output digest guards the selection,
 counts, signature, alpha and targets byte for byte.
 
+Each single-school case also runs the CLI's `baseline --out` and, with the
+instance's crucial vector as its targets file, `validate --targets`, and
+compares the sha256 of the baseline output and of the validate stdout with
+digests recorded while the baseline, the matching checks and the flow
+decomposition still looked students up as records.
+
 Each gen case runs the CLI's `gen` and compares the sha256 of its output
 with digests recorded with the record-based generator and the recursive
 JSON writer; the second case has more than nine types, so its files list
@@ -27,6 +33,8 @@ from factories import hard_regime_school, seeded_market
 
 from reserve_match import files
 from reserve_match.cli import main
+from reserve_match.flow import crucial_vector
+from reserve_match.model import group_label
 from reserve_match.generator import generate_instance
 
 # name -> (instance builder, sha256 of the instance file, of the solve output)
@@ -82,6 +90,59 @@ def test_solve_output_bytes_match_golden_digest(name, tmp_path):
     assert _sha256(source) == input_digest
     assert main(["solve", str(source), "--out", str(out)]) == 0
     assert _sha256(out) == output_digest
+
+
+# name -> (sha256 of `baseline --out`, of `validate --targets` stdout)
+CHECKS = {
+    "gen-50-r1-uniform": (
+        "1426fb5e83a72d4445ab2ccb692101752f99b3c854a80b2ec86ca362beff5656",
+        "054b42fa448431e4fdc4863105f04d37d9915f09e33f69fd9313844b661fb37d",
+    ),
+    "gen-400-r2-minmax": (
+        "ef186586ae8c3b61b483856004343138bf39b2d44750cadf5535aec0ea876cd8",
+        "e91317f66fe9ce2d2790b7059daca5eeaea71338c727f0b041afcaec5aa4f5ec",
+    ),
+    "gen-2000-r3-uniform": (
+        "e3e58cd68f59804a4562b24957e3c6970c87c3ddcc970a2c638b7ebcb989c039",
+        "2b29bd82ad692d883499996e8de61f7abff98444ca5caa44ad0339970361c644",
+    ),
+    "gen-5000-r3-minmax": (
+        "5273c9b9d22a18623902271f9137ecc783cd0260872468c8fbfdf2b4c808a874",
+        "2fbbccd7c84c5e69f8143d672469fbc61a72567052a9e3ea8612a0d7728e8eea",
+    ),
+    "hard-1500-reserved-92": (
+        "7836aa24bf6af8c4fba84e912edd3e17cadc019fef7ab2c8c7cee1f6aeca18aa",
+        "9d3ec6bfeacb63a5e8638db158eee9d310b6fe81570ba4bf0e21ffb7a750e3ad",
+    ),
+    "hard-1500-reserved-98": (
+        "e4b7b05d774c678a9e0d4bf5a3ae416f4d9901449fd2d56b3da6e69e1ae53fc2",
+        "dc271b54f3514375cedf6c886e454e42ba46119b5adb55c89dea2c5d4651b0dc",
+    ),
+    "capacity-above-students": (
+        "5dc330b760c429cedfe3ed01460e4dd41d1a289207de3a8a5e2ee3cc75371080",
+        "435c0a25ee25319b4ee03ab65ccd7860d241ddc7b30ed3e2909035c3769a1c09",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_baseline_and_validate_bytes_match_golden_digest(name, tmp_path, capsys):
+    build, _input_digest, _output_digest = CORPUS[name]
+    baseline_digest, validate_digest = CHECKS[name]
+    instance = build()
+    source = tmp_path / "instance.json"
+    out = tmp_path / "baseline.json"
+    targets = tmp_path / "targets.json"
+    files.write_text(files.dump_json(files.instance_to_payload(instance)), str(source))
+    assert main(["baseline", str(source), "--out", str(out)]) == 0
+    assert _sha256(out) == baseline_digest
+    _alpha, crucial = crucial_vector(instance)
+    labels = {group_label(key): value for key, value in crucial.items()}
+    files.write_text(files.dump_json(labels), str(targets))
+    capsys.readouterr()
+    assert main(["validate", str(source), "--targets", str(targets)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == validate_digest
 
 
 # gen arguments -> sha256 of the instance file it writes

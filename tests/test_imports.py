@@ -1,9 +1,14 @@
 """Every import in the package's modules is used, and so is every private
-top-level name.
+top-level name; and the engine reads students from their columns only.
 
 No linter runs on this repository, so deletions can leave stale imports
 and orphaned private helpers behind. `__init__.py` is exempt from the import
 check: its imports are the public re-exports.
+
+StudentRecord is a boundary view for callers that pass or ask for records:
+only model builds it, gda names it in type hints, and no module reads a
+record's type set or a records or students view outside those views
+themselves.
 """
 
 from __future__ import annotations
@@ -83,3 +88,127 @@ def test_unread_private_names_are_found():
 def test_package_private_names_are_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+# The attributes of the StudentRecord boundary view: a record's type set, the
+# columns' records and the instances' students
+VIEWS = ("type_set", "records", "students")
+
+
+def view_reads(source: str) -> list[str]:
+    """Reads of a VIEWS attribute, directly or through attrgetter, each as
+    "function: expression" for the innermost function that makes it."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in VIEWS
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "attrgetter"
+            and any(
+                isinstance(a, ast.Constant) and a.value in VIEWS for a in node.args
+            )
+        ):
+            found.append(f"{scope}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_view_reads_are_found():
+    source = (
+        "def f(s, c):\n"
+        "    c.records = ()\n"
+        "    g = lambda r: r.type_set\n"
+        "    return s.students, attrgetter('type_set'), c.ids\n"
+    )
+    assert view_reads(source) == [
+        "f: r.type_set", "f: s.students", "f: attrgetter('type_set')"
+    ]
+
+
+# The only reads the package makes: the record constructor and the two
+# students views themselves, and two fields that merely share the name
+# students (the --students option and a bench row's student count)
+VIEW_READS = {
+    "bench.py": ["bench_payload: r.students", "bench_payload: r.students"],
+    "cli.py": [
+        "cmd_gen: args.students", "cmd_gen: args.students", "cmd_bench: args.students"
+    ],
+    "gda.py": ["students: self.columns.records"],
+    "model.py": [
+        "from_records: attrgetter('type_set')",
+        "students: self.columns.records",
+    ],
+}
+
+
+def test_engine_reads_no_student_records():
+    reads = {
+        p.name: found
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (found := view_reads(p.read_text(encoding="utf-8")))
+    }
+    assert reads == VIEW_READS
+
+
+def record_mentions(source: str) -> list[str]:
+    """Each mention of StudentRecord: "class", "import", "hint" (inside an
+    annotation) or "code"."""
+    tree = ast.parse(source)
+    hinted: set[int] = set()
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            annotations = [p.annotation for p in params if p is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            hinted.update(map(id, ast.walk(annotation)))
+    mentions = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "StudentRecord":
+            mentions.append("class")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            alias.name == "StudentRecord" for alias in node.names
+        ):
+            mentions.append("import")
+        elif isinstance(node, ast.Name) and node.id == "StudentRecord":
+            mentions.append("hint" if id(node) in hinted else "code")
+    return mentions
+
+
+def test_record_mentions_are_found():
+    source = (
+        "from m import StudentRecord\n"
+        "def f(s: list[StudentRecord]) -> StudentRecord:\n"
+        "    x: StudentRecord = StudentRecord('a', frozenset())\n"
+        "    return map(StudentRecord, s)\n"
+    )
+    assert sorted(record_mentions(source)) == [
+        "code", "code", "hint", "hint", "hint", "import"
+    ]
+
+
+def test_only_model_makes_student_records():
+    mentions = {
+        p.name: set(record_mentions(p.read_text(encoding="utf-8")))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    # model defines and builds the records view; gda names it in hints for
+    # its record-taking constructor; __init__ re-exports it
+    assert {"class", "code"} <= mentions.pop("model.py")
+    assert mentions.pop("gda.py") == {"import", "hint"}
+    assert mentions.pop("__init__.py") == {"import"}
+    assert {name: found for name, found in mentions.items() if found} == {}

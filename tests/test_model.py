@@ -22,13 +22,11 @@ from reserve_match.model import (
     group_label,
     lex_compare,
     matching_signature,
-    min_selection_ratio,
+    min_count_ratio,
     parse_group_label,
     restrict_instance,
     selection_flags,
     selection_ratio,
-    verify_non_wasteful,
-    verify_same_group_priority,
 )
 
 
@@ -49,21 +47,23 @@ def test_groups_empty_instance():
 
 def test_indexes_are_built_on_first_use():
     instance = two_group_school()
-    lazy = {"priority_index", "_positions", "_groups"}
+    lazy = {"_rank", "_positions", "_groups"}
     assert not lazy & vars(instance).keys()
     # group_of reads the columns; it builds no per-student index
     assert instance.group_of("s1") == ("t1",)
     assert not lazy & vars(instance).keys()
     instance.groups()
     assert {"_positions", "_groups"} <= vars(instance).keys()
-    assert "priority_index" not in vars(instance)
+    assert "_rank" not in vars(instance)
 
 
-def test_group_of_and_student_by_id():
+def test_group_of():
     instance = two_group_school()
     assert instance.group_of("s1") == ("t1",)
+    assert instance.group_of("s2") == ("t1",)
     assert instance.group_of("s3") == ()
-    assert instance.student_by_id("s2").type_set == frozenset({"t1"})
+    with pytest.raises(KeyError):
+        instance.group_of("ghost")
 
 
 def test_duplicate_student_id_rejected():
@@ -198,27 +198,12 @@ def test_selection_ratio_bounds():
 
 def test_min_selection_ratio():
     instance = two_group_school()
-    assert min_selection_ratio(instance, ["s2", "s4"]) == Fraction(1, 2)
-    assert min_selection_ratio(instance, ["s1", "s2"]) == 0
+    balanced = group_counts(instance, ["s2", "s4"])
+    assert min_count_ratio(instance, balanced) == Fraction(1, 2)
+    starved = group_counts(instance, ["s1", "s2"])
+    assert min_count_ratio(instance, starved) == 0
     empty = make_instance([], 0, [], ["t1"], {})
-    assert min_selection_ratio(empty, []) == 0
-
-
-def test_verify_non_wasteful():
-    instance = two_group_school()
-    assert verify_non_wasteful(instance, ["s2", "s4"])
-    assert not verify_non_wasteful(instance, ["s4"])
-    tiny = make_instance([("a", [])], 5, ["a"], ["t1"], {})
-    assert verify_non_wasteful(tiny, ["a"])
-
-
-def test_verify_same_group_priority():
-    instance = two_group_school()
-    assert verify_same_group_priority(instance, ["s2", "s4"])
-    assert not verify_same_group_priority(instance, ["s1", "s4"])
-    assert verify_same_group_priority(instance, [])
-    with pytest.raises(KeyError):
-        verify_same_group_priority(instance, ["ghost"])
+    assert min_count_ratio(empty, group_counts(empty, [])) == 0
 
 
 def test_seat_ordering_is_total():
