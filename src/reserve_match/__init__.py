@@ -46,14 +46,12 @@ from .model import (
     lex_compare,
     matching_signature,
     parse_group_label,
-    selection_ratio,
 )
 from .oracle import (
     OracleBudget,
     OracleBudgetExceeded,
     enumerate_maximal_diversity_matchings,
     oracle_choice,
-    oracle_max_min_ratio,
 )
 from .solve import solve
 from .verify import AxiomReport, verify_balanced_and_jef
@@ -97,11 +95,9 @@ __all__ = [
     "matching_to_flow",
     "min_cost_max_flow",
     "oracle_choice",
-    "oracle_max_min_ratio",
     "parse_group_label",
     "restrict_instance",
     "run_gda",
-    "selection_ratio",
     "sequential_baseline",
     "solve",
     "substitutability_probe",

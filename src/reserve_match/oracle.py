@@ -10,7 +10,6 @@ Deliberately independent of the flow engine, so tests use it as the reference.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,20 +228,6 @@ def _rebuild_witness(instance, groups, classes, parents, state) -> SeatMatching:
         for i, (_p, sid) in enumerate(held, start=1):
             matching[sid] = Seat(type=t, rank=j, index=i)
     return matching
-
-
-def oracle_max_min_ratio(
-    instance: Instance, budget: Optional[OracleBudget] = None
-) -> tuple[Ratio, dict[GroupKey, int]]:
-    """Exact max-min selection ratio over the rank-maximal set, with targets.
-
-    Targets are the ceilings ceil(alpha * |S_u|): the componentwise floor of
-    the count vectors that realize alpha, hence the bounds every balanced
-    selection must meet.
-    """
-    alpha, _mset, _balanced_vectors = balanced_count_vectors(instance, budget)
-    crucial = {g.key: math.ceil(alpha * g.size) for g in instance.groups()}
-    return alpha, crucial
 
 
 def balanced_count_vectors(

@@ -4,7 +4,11 @@ These are the straightforward algorithms `flow` used before its searches were
 batched: the alpha search materializes every candidate ratio k/|S_u| and
 bisects over the sorted set, and the greedy walk makes one validity check per
 remaining student. They are slow but obviously correct, so the fast versions
-must reproduce them exactly.
+must reproduce them exactly. Beside them sits the two-stage bisection `flow`
+ran before its alpha search descended on cuts: the grid of the largest group,
+then at most one candidate per group, then a final check for the witness.
+The oracle's alpha and targets by enumeration are here too, since only tests
+use them.
 
 It also holds the references for validity checks: the lower-bounded solve
 `flow` used before it answered checks on the optimum's residual graph (lower
@@ -54,6 +58,7 @@ from reserve_match.flow import (
     FlowAssignment,
     FlowNetwork,
     OptimalityCertificate,
+    _bisect_last,
     _MinCostFlow,
     build_network,
     check_validity_flow,
@@ -85,7 +90,11 @@ from reserve_match.model import (
     group_label,
     matching_signature,
 )
-from reserve_match.oracle import MaximalDiversitySet
+from reserve_match.oracle import (
+    MaximalDiversitySet,
+    OracleBudget,
+    balanced_count_vectors,
+)
 
 
 def full_candidate_crucial_vector(
@@ -124,6 +133,57 @@ def full_candidate_crucial_vector(
     if not feasible(alpha):
         raise AssertionError("zero-target validity failed")
     return alpha, targets_at(alpha)
+
+
+def bisection_crucial_vector(
+    instance: Instance, net: FlowNetwork, cert: OptimalityCertificate
+) -> tuple[Ratio, dict[GroupKey, int], FlowAssignment]:
+    """Alpha, targets and witness by the two-stage bisection: the grid
+    k / m of the largest group (size m) brackets alpha in [k / m, (k + 1) / m),
+    where each group has at most one candidate, and a second bisection over
+    those finishes; a final check gives the witness."""
+    sized = [(g.key, g.size) for g in instance.groups()]
+
+    def targets_at(beta: Fraction) -> dict[GroupKey, int]:
+        num, den = beta.numerator, beta.denominator
+        return {key: -(-num * size // den) for key, size in sized}
+
+    def feasible(beta: Fraction) -> bool:
+        witness = check_validity_flow(
+            instance, targets_at(beta), network=net, cert=cert
+        )
+        return witness is not None
+
+    top = max((size for _key, size in sized), default=0)
+    k = _bisect_last(0, top + 1, lambda mid: feasible(Fraction(mid, top)))
+    # alpha lies in [k / top, (k + 1) / top); collect each group's smallest
+    # grid point j / |S_u| at or above k / top that falls inside it
+    window = set()
+    for _key, size in sized:
+        j = -(-k * size // top)
+        if j * top < (k + 1) * size:
+            window.add(Fraction(j, size))
+    ordered = sorted(window) or [Fraction(0)]
+    alpha = ordered[_bisect_last(0, len(ordered), lambda i: feasible(ordered[i]))]
+    targets = targets_at(alpha)
+    witness = check_validity_flow(instance, targets, network=net, cert=cert)
+    if witness is None:
+        raise InternalInvariantError("zero-target validity failed")
+    return alpha, targets, witness
+
+
+def oracle_max_min_ratio(
+    instance: Instance, budget: Optional[OracleBudget] = None
+) -> tuple[Ratio, dict[GroupKey, int]]:
+    """Exact max-min selection ratio over the rank-maximal set, with targets.
+
+    Targets are the ceilings ceil(alpha * |S_u|): the componentwise floor of
+    the count vectors that realize alpha, hence the bounds every balanced
+    selection must meet.
+    """
+    alpha, _mset, _balanced_vectors = balanced_count_vectors(instance, budget)
+    crucial = {g.key: math.ceil(alpha * g.size) for g in instance.groups()}
+    return alpha, crucial
 
 
 def sequential_choice(

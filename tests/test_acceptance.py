@@ -15,7 +15,11 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import assert_valid_witness, oracle_targets_valid
+from reference_search import (
+    assert_valid_witness,
+    oracle_max_min_ratio,
+    oracle_targets_valid,
+)
 
 from reserve_match.baseline import sequential_baseline
 from reserve_match.bench import bench_payload, run_bench
@@ -37,7 +41,6 @@ from reserve_match.oracle import (
     OracleBudget,
     enumerate_maximal_diversity_matchings,
     oracle_choice,
-    oracle_max_min_ratio,
 )
 from reserve_match.verify import verify_balanced_and_jef
 

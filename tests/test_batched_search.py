@@ -4,20 +4,22 @@ Differential tests pin `choice_flow` and `crucial_vector` to the sequential
 reference searches in `reference_search` on seeded instances from 10^2 to
 10^4 students, including the hard regime where most seats are filled after
 the targets are seeded. Count guards make sure the searches stay logarithmic
-in the number of validity checks.
+in the number of validity checks, that the alpha search makes at most two on
+the golden corpus, and that a GDA run stays within its check budget.
 """
 
 from __future__ import annotations
 
 import pytest
-from factories import hard_regime_school
+from factories import hard_regime_school, seeded_market
 from reference_search import (
     assert_same_choice,
     full_candidate_crucial_vector,
     sequential_choice,
 )
+from test_golden import CORPUS
 
-from reserve_match import flow
+from reserve_match import flow, gda
 from reserve_match.flow import (
     build_network,
     choice_flow,
@@ -111,3 +113,20 @@ def test_crucial_vector_check_count_is_logarithmic(monkeypatch, name):
     largest = max(g.size for g in groups)
     bound = _ceil_log2(largest + 1) + _ceil_log2(len(groups) + 1) + 1
     assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_crucial_vector_makes_at_most_two_checks_on_the_corpus(monkeypatch, name):
+    instance = CORPUS[name][0]()
+    net = build_network(instance)
+    cert = compute_certificate(net)
+    calls = _count_checks(monkeypatch)
+    crucial_vector(instance, network=net, cert=cert)
+    assert 1 <= len(calls) <= 2
+
+
+def test_gda_check_budget(monkeypatch):
+    market = seeded_market(600, 2)
+    calls = _count_checks(monkeypatch)
+    gda.run_gda(market)
+    assert len(calls) <= 450

@@ -11,6 +11,7 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
+from reference_search import oracle_max_min_ratio
 
 from reserve_match.model import check_matching, matching_signature
 from reserve_match.oracle import (
@@ -21,7 +22,6 @@ from reserve_match.oracle import (
     budget_from_env,
     enumerate_maximal_diversity_matchings,
     oracle_choice,
-    oracle_max_min_ratio,
 )
 
 

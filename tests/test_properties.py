@@ -16,6 +16,7 @@ from reference_search import (
     literal_envy_witness,
     lower_bounded_validity,
     oracle_count_validity,
+    oracle_max_min_ratio,
     oracle_targets_valid,
     rebuilt_induced_instance,
     rescanning_gda,
@@ -49,7 +50,6 @@ from reserve_match.oracle import (
     balanced_count_vectors,
     enumerate_maximal_diversity_matchings,
     oracle_choice,
-    oracle_max_min_ratio,
 )
 from reserve_match.verify import verify_balanced_and_jef
 

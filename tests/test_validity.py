@@ -125,14 +125,14 @@ def test_one_min_cost_solve_per_choice_and_verify(monkeypatch):
     monkeypatch.setattr(flow, "check_validity_flow", counted_check)
     result = choice_flow(instance)
     assert len(solves) == 1
-    assert len(checks) > 10
+    assert len(checks) >= 2
 
     solves.clear()
     checks.clear()
     report = verify_balanced_and_jef(instance, result.selected)
     assert report.mode == MODE_STRUCTURAL and report.all_hold()
     assert len(solves) == 1
-    assert len(checks) > 10
+    assert len(checks) >= 2
 
 
 def test_reference_lower_bounds_sit_on_source_arcs():
