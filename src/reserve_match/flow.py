@@ -7,13 +7,19 @@ cost; the cost of rank i is chosen so that minimizing total cost over flows of
 a fixed value maximizes the per-rank signature lexicographically.
 
 A network is four flat int lists indexed by arc (tails, heads, capacities,
-costs), which the solver and the validity checks read directly. Everything
-but the group arcs depends only on the instance's types, quotas and
-capacity, so it is laid out once per instance and every restriction of the
-instance (each pool of a GDA school) inherits it.
+costs), which the solver and the validity checks read directly. Only the
+group arcs' capacities differ between an instance and its restrictions
+(the pools of a GDA school), so the instance lays out one standing network
+with the arcs of every group key it has, and the solver's residual
+structure on it, once. A pool's network copies the capacity list and sets
+its own groups' arcs to their sizes.
 
 Each network is solved once: the unconstrained min-cost max-flow f* and its
-final Johnson potentials are kept on the network. A validity check (is there
+final Johnson potentials are kept on the network. The solve may start from
+a min-cost flow of another network on the same standing layout, with its
+potentials, when those certify it on the new capacities (every residual
+arc at reduced cost >= 0); deferred acceptance starts each school's solve
+from its last choice's witness this way. A validity check (is there
 a maximal-diversity flow giving every group at least its target?) is then a
 small max-flow on the residual arcs of f* whose reduced cost is 0, because
 those reroutes of f* are exactly the flows with f*'s value and cost (Ahuja,
@@ -119,33 +125,64 @@ SOURCE = 0
 SINK = 1
 
 
-class _SeatLayout:
-    """The part of the reserve network that depends only on an instance's
-    types, quotas and capacity: the type, seat-class and hub nodes and the
-    type->class, class->hub and hub->sink arcs with their rank costs.
+class _Residual:
+    """The fixed structure of a residual graph over arc lists.
 
-    Arc indices here count from the first such arc; a network places these
-    arcs after its group arcs. FlowNetwork computes it once per instance and
-    keeps it on the instance's FixedPart, which every restriction shares.
+    Arc e becomes residual edge 2e and its reverse edge 2e + 1: `to` holds
+    each edge's head, `cost` its cost (negated on reverse edges) and
+    `adjacent` each node's edges. Only the residual capacities change from
+    one solve to the next, so a solve on a standing network reuses these.
+    """
+
+    def __init__(
+        self, n: int, tails: list[int], heads: list[int], costs: list[int]
+    ) -> None:
+        self.n = n
+        m = len(tails)
+        self.to = [0] * (2 * m)
+        self.to[0::2] = heads
+        self.to[1::2] = tails
+        self.cost = [0] * (2 * m)
+        self.cost[0::2] = costs
+        self.cost[1::2] = [-c for c in costs]
+        self.adjacent: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(zip(tails, heads)):
+            self.adjacent[u].append(2 * e)
+            self.adjacent[v].append(2 * e + 1)
+
+
+class _StandingNetwork:
+    """The reserve network of an instance over all its group keys, laid out
+    once and shared by every restriction of the instance (see FixedPart).
+
+    It has a node, a source->group arc and group->type arcs for every key
+    in the instance's group-key table, built from those keys, so it holds
+    the arcs of every pool's groups; all group arcs have capacity 0 here.
+    After them come the type, seat-class and hub nodes' arcs with their
+    rank costs, and the residual structure the solver reads. A pool's
+    network copies only the capacity list and sets its groups' arcs to their
+    sizes. The other groups' nodes are then unreachable, and the present
+    ones keep their order, so a solve from zero gives the same optimum and
+    potentials as a network of the pool's groups alone. Because every pool
+    of the instance numbers its arcs the same way, a flow on one pool's
+    network is a flow on the next one's too.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.max_rank = max_rank = instance.max_rank
         capacity = instance.capacity
         all_types = sorted(instance.types) + [GENERAL_TYPE]
-        self.type_node = {t: 2 + i for i, t in enumerate(all_types)}
+        type_node = {t: 2 + i for i, t in enumerate(all_types)}
         first_class = 2 + len(all_types)
-        class_node = {
-            (t, j): first_class + i * max_rank + j - 1
-            for i, t in enumerate(all_types)
-            for j in range(1, max_rank + 1)
-        }
-        hub = first_class + len(class_node)
-        self.first_group_node = hub + 1
+        hub = first_class + len(all_types) * max_rank
+        keys = instance.fixed.group_keys
+        self.node_count = hub + 1 + len(keys)
         self.tails: list[int] = []
         self.heads: list[int] = []
         self.capacities: list[int] = []
         self.costs: list[int] = []
+        self.group_arcs: dict[GroupKey, int] = {}
+        self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
         self.rank_arcs: dict[tuple[str, int], int] = {}
         self.seat_exit_arcs: dict[tuple[str, int], int] = {}
 
@@ -156,15 +193,23 @@ class _SeatLayout:
             self.costs.append(cost)
             return len(self.tails) - 1
 
-        for (t, j), node in class_node.items():
-            if t == GENERAL_TYPE:
-                cap = capacity if j == max_rank else 0
-            else:
-                cap = instance.quotas.get((t, j), 0)
-            cost = rank_cost(j, capacity, max_rank)
-            self.rank_arcs[(t, j)] = add_arc(self.type_node[t], node, cap, cost)
-            self.seat_exit_arcs[(t, j)] = add_arc(node, hub, cap, 0)
+        for u, key in enumerate(keys, start=hub + 1):
+            self.group_arcs[key] = add_arc(SOURCE, u, 0, 0)
+            for t in key + (GENERAL_TYPE,):
+                self.group_type_arcs[(key, t)] = add_arc(u, type_node[t], 0, 0)
+        node = first_class
+        for t in all_types:
+            for j in range(1, max_rank + 1):
+                if t == GENERAL_TYPE:
+                    cap = capacity if j == max_rank else 0
+                else:
+                    cap = instance.quotas.get((t, j), 0)
+                cost = rank_cost(j, capacity, max_rank)
+                self.rank_arcs[(t, j)] = add_arc(type_node[t], node, cap, cost)
+                self.seat_exit_arcs[(t, j)] = add_arc(node, hub, cap, 0)
+                node += 1
         self.q_sink_arc = add_arc(hub, SINK, capacity, 0)
+        self.residual = _Residual(self.node_count, self.tails, self.heads, self.costs)
 
 
 class FlowNetwork:
@@ -173,16 +218,19 @@ class FlowNetwork:
 
     Node order: source 0, sink 1, one node per type (sorted, then the
     general type), one per (type, rank) seat class, the capacity hub Q,
-    then one per group. Arc order: source->group and group->type arcs per
-    group in lexicographic group order, then type->class and class->Q arcs
-    per type and rank, then Q->sink. Zero-capacity arcs are kept so the
-    structure mirrors the construction exactly. Everything after the group
-    arcs comes from the instance's seat layout, which is built once per
-    instance and inherited by its restrictions, so a network for a pool
-    adds only its group arcs. The unconstrained optimum is solved on first
-    use and kept (see _optimum), so every validity check on one network
-    shares a single min-cost flow solve; `cut` is the _Cut of the last
-    check on the network that failed.
+    then one per group key of the root instance (the instance a pool was
+    cut from). Arc order: source->group and group->type arcs per key in
+    lexicographic order, then type->class and class->Q arcs per type and
+    rank, then Q->sink. Zero-capacity arcs are kept so the structure
+    mirrors the construction exactly. All of it but the capacities is the
+    root instance's standing network (see _StandingNetwork), shared by every
+    restriction; a network sets its own groups' arcs to their sizes and
+    leaves every other group's at 0. `group_arcs` maps only its own groups.
+    The unconstrained optimum is solved on first use and kept (see
+    _optimum), so every validity check on one network shares a single
+    min-cost flow solve; that solve starts from `start` when it is
+    certified (see min_cost_max_flow). `cut` is the _Cut of the last check
+    on the network that failed.
     """
 
     source = SOURCE
@@ -192,42 +240,29 @@ class FlowNetwork:
         self.instance = instance
         fixed = instance.fixed
         if fixed.network is None:
-            fixed.network = _SeatLayout(instance)
-        layout = fixed.network
-        self.max_rank = layout.max_rank
+            fixed.network = _StandingNetwork(instance)
+        standing = self.standing = fixed.network
+        self.max_rank = standing.max_rank
+        self.node_count = standing.node_count
+        # shared with every network of the instance: never written
+        self.tails = standing.tails
+        self.heads = standing.heads
+        self.costs = standing.costs
+        self.group_type_arcs = standing.group_type_arcs
+        self.rank_arcs = standing.rank_arcs
+        self.seat_exit_arcs = standing.seat_exit_arcs
+        self.q_sink_arc = standing.q_sink_arc
+        self.start: Optional[OptimalFlow] = None
         self._optimum: Optional[_Optimum] = None
         self.cut: Optional[_Cut] = None
-
-        tails: list[int] = []
-        heads: list[int] = []
-        capacities: list[int] = []
+        capacities = list(standing.capacities)
         self.group_arcs: dict[GroupKey, int] = {}
-        self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
-        type_node = layout.type_node
-        u = layout.first_group_node
         for g in instance.groups():
-            size = len(g.members)
-            self.group_arcs[g.key] = len(tails)
-            tails.append(SOURCE)
-            heads.append(u)
-            capacities.append(size)
-            for t in g.key + (GENERAL_TYPE,):
-                self.group_type_arcs[(g.key, t)] = len(tails)
-                tails.append(u)
-                heads.append(type_node[t])
-                capacities.append(size)
-            u += 1
-        self.node_count = u
-        offset = len(tails)
-        self.tails = tails + layout.tails
-        self.heads = heads + layout.heads
-        self.capacities = capacities + layout.capacities
-        self.costs = [0] * offset + layout.costs
-        self.rank_arcs = {k: offset + e for k, e in layout.rank_arcs.items()}
-        self.seat_exit_arcs = {
-            k: offset + e for k, e in layout.seat_exit_arcs.items()
-        }
-        self.q_sink_arc = offset + layout.q_sink_arc
+            # the source arc, then one arc per type and the general type
+            e = self.group_arcs[g.key] = standing.group_arcs[g.key]
+            width = len(g.key) + 2
+            capacities[e : e + width] = [len(g.members)] * width
+        self.capacities = capacities
 
 
 def build_network(instance: Instance) -> FlowNetwork:
@@ -237,37 +272,35 @@ def build_network(instance: Instance) -> FlowNetwork:
 class _MinCostFlow:
     """Successive shortest paths with Johnson potentials on integer data.
 
-    Arc e of the given lists becomes residual edge 2e and its reverse edge
-    2e + 1, so the flow on arc e is the residual capacity of edge 2e + 1.
-    All original costs are non-negative, so potentials start at zero. After
-    each Dijkstra pass the potential update is capped at the target distance,
+    The residual structure comes prebuilt (see _Residual); the flow on arc
+    e is the residual capacity of edge 2e + 1. A solve starts from zero flow
+    and zero potentials, which is sound because all original costs are
+    non-negative, or from a given flow and potentials under which every
+    residual arc has reduced cost >= 0 (see _certified). After each
+    Dijkstra pass the potential update is capped at the target distance,
     which keeps reduced costs non-negative for every arc that still has
     residual capacity, including across phases with different endpoints.
     """
 
     def __init__(
         self,
-        n: int,
-        tails: list[int],
-        heads: list[int],
+        residual: _Residual,
         capacities: list[int],
-        costs: list[int],
+        start: Optional[OptimalFlow] = None,
     ) -> None:
-        self.n = n
-        m = len(tails)
-        self.to = [0] * (2 * m)
-        self.to[0::2] = heads
-        self.to[1::2] = tails
-        self.cap = [0] * (2 * m)
-        self.cap[0::2] = capacities
-        self.cost = [0] * (2 * m)
-        self.cost[0::2] = costs
-        self.cost[1::2] = [-c for c in costs]
-        self.adjacent: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(zip(tails, heads)):
-            self.adjacent[u].append(2 * e)
-            self.adjacent[v].append(2 * e + 1)
-        self.potential = [0] * n
+        self.n = residual.n
+        self.to = residual.to
+        self.cost = residual.cost
+        self.adjacent = residual.adjacent
+        self.cap = [0] * (2 * len(capacities))
+        if start is None:
+            self.cap[0::2] = capacities
+            self.potential = [0] * self.n
+        else:
+            flows = start.arc_flows
+            self.cap[0::2] = [cap - f for cap, f in zip(capacities, flows)]
+            self.cap[1::2] = flows
+            self.potential = list(start.potentials)
 
     def arc_flows(self) -> tuple[int, ...]:
         """Flow on each arc of the lists the solver was built from."""
@@ -322,32 +355,72 @@ class _MinCostFlow:
         return amount, unit_cost
 
     def run(self, source: int, target: int) -> tuple[int, int]:
-        """Augment until target is unreachable; returns (value, cost) added."""
+        """Augment until target is unreachable; returns (value, cost) added.
+
+        No augmenting path is left once the flow added equals the residual
+        capacity out of the source or into the target, so the solve stops
+        there without the failing search that would prove it.
+        """
+        cap = self.cap
+        room = min(
+            sum(cap[e] for e in self.adjacent[source]),
+            sum(cap[e ^ 1] for e in self.adjacent[target]),
+        )
         value = 0
         cost = 0
-        while True:
+        while value < room:
             step = self._augment(source, target)
             if step is None:
-                return value, cost
+                break
             value += step[0]
             cost += step[0] * step[1]
+        return value, cost
+
+
+def _certified(network: FlowNetwork, start: OptimalFlow) -> bool:
+    """Whether a solve on the network may start from `start`, a flow on the
+    same standing network with potentials.
+
+    It may when the flow is a min-cost flow of its value here: every arc
+    flow lies within this network's capacity, flow is conserved, and every
+    residual arc has reduced cost cost + potentials[tail] -
+    potentials[head] >= 0 (Ahuja, Magnanti and Orlin, Network Flows, 1993,
+    ch. 9). Successive shortest paths then go on from it to a min-cost
+    max-flow. One pass over the arcs decides it.
+    """
+    flows, pot = start.arc_flows, start.potentials
+    if len(flows) != len(network.tails) or len(pot) != network.node_count:
+        return False
+    balance = [0] * network.node_count
+    arcs = zip(network.tails, network.heads, network.capacities, network.costs)
+    for f, (u, v, cap, cost) in zip(flows, arcs):
+        if not 0 <= f <= cap:
+            return False
+        reduced = cost + pot[u] - pot[v]
+        if (reduced < 0 and f < cap) or (reduced > 0 and f > 0):
+            return False
+        balance[u] -= f
+        balance[v] += f
+    return not any(balance[SINK + 1 :])
 
 
 def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
     """Integral min-cost max-flow from source to sink, with the final
-    potentials of the successive-shortest-path solve."""
-    solver = _MinCostFlow(
-        network.node_count,
-        network.tails,
-        network.heads,
-        network.capacities,
-        network.costs,
-    )
-    value, cost = solver.run(SOURCE, SINK)
+    potentials of the successive-shortest-path solve.
+
+    The solve starts from network.start when _certified accepts it, and
+    from zero otherwise; either way the potentials prove the result optimal.
+    """
+    start = network.start
+    if start is not None and not _certified(network, start):
+        start = None
+    solver = _MinCostFlow(network.standing.residual, network.capacities, start)
+    solver.run(SOURCE, SINK)
+    flows = solver.arc_flows()
     return OptimalFlow(
-        value=value,
-        cost=cost,
-        arc_flows=solver.arc_flows(),
+        value=flows[network.q_sink_arc],
+        cost=sum(f * c for f, c in zip(flows, network.costs)),
+        arc_flows=flows,
         potentials=tuple(solver.potential),
     )
 
@@ -485,7 +558,7 @@ def compute_certificate(network: FlowNetwork) -> OptimalityCertificate:
     """(F*, C*) of the unconstrained network; the maximal-diversity benchmark."""
     best = _optimum(network).flow
     instance = network.instance
-    expected = min(len(instance.columns), instance.capacity)
+    expected = min(len(instance.priority), instance.capacity)
     if best.value != expected:
         raise InternalInvariantError(
             f"max flow {best.value} != min(|S|, q) = {expected}"
@@ -669,6 +742,7 @@ def choice_flow(
     delta_star: Optional[TargetVector] = None,
     *,
     alpha: Optional[Ratio] = None,
+    start: Optional[OptimalFlow] = None,
 ) -> ChoiceResult:
     """Maximum balanced selection via batched validity checks on one solve.
 
@@ -696,8 +770,16 @@ def choice_flow(
     targets fill the certificate's flow value. The signature is read from
     the witness flow of the last check that held, which meets exactly the
     final counts, so no check is repeated.
+
+    The result's `witness` is that flow with the potentials of the optimum
+    it was rerouted from. Passed as `start` to a choice over a restriction
+    of the same instance that keeps every selected student, it may spare
+    that choice's min-cost flow solve most of its work: the solve starts
+    from it when the potentials certify it there (see min_cost_max_flow),
+    and from zero otherwise. The result is the same either way.
     """
     net = build_network(instance)
+    net.start = start
     cert = compute_certificate(net)
     groups = instance.groups()
     if delta_star is None:
@@ -771,7 +853,7 @@ def choice_flow(
     selected = frozenset(
         chain.from_iterable(g.members[: counts[g.key]] for g in groups)
     )
-    if len(selected) != min(len(instance.columns), instance.capacity):
+    if len(selected) != min(len(instance.priority), instance.capacity):
         raise InternalInvariantError("selection is wasteful")
     if flow_group_counts(net, witness) != counts:
         raise InternalInvariantError("witness flow does not carry the selection")
@@ -781,6 +863,12 @@ def choice_flow(
         signature=flow_signature(net, witness),
         alpha=alpha,
         targets=targets,
+        witness=OptimalFlow(
+            value=witness.value,
+            cost=witness.cost,
+            arc_flows=witness.arc_flows,
+            potentials=_optimum(net).flow.potentials,
+        ),
     )
 
 

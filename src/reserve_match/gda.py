@@ -8,6 +8,14 @@ every (student, school) proposal happens at most once and the loop ends.
 A MultiInstance turns the shared student list into columns once and keeps
 each school's validated Instance over them; pools and probes restrict it,
 and its indexes are built on first use, so keeping it is cheap.
+
+Every pool of a school is solved on the school's one standing network (see
+flow.FlowNetwork), so a school's choice hands the next one its witness: a
+flow that carries exactly the held students, who all stay in the next
+pool, with the potentials of the optimum it came from. The next solve
+starts there when those potentials certify it and augments only for the
+new proposers; otherwise it starts from zero. The state lives only inside
+one run_gda call, and the choices are the same either way.
 """
 
 from __future__ import annotations
@@ -144,6 +152,8 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     rounds: list[RoundTrace] = []
     limit = len(multi.columns) * len(multi.schools) + 1
     movers = list(multi.columns.ids)
+    # each school's last witness, the start of its next choice's solve
+    starts: dict[str, Optional[flow.OptimalFlow]] = dict.fromkeys(order)
     while True:
         proposals: dict[str, list[str]] = {}
         for sid in movers:
@@ -161,7 +171,8 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
                 continue
             pool = held[cid] | set(proposals[cid])
             sub = induced_instance(multi, cid, pool)
-            chosen = flow.choice_flow(sub).selected
+            choice = flow.choice_flow(sub, start=starts[cid])
+            chosen, starts[cid] = choice.selected, choice.witness
             pools[cid] = sub.priority
             rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
             for sid in rejected[cid]:

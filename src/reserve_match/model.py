@@ -119,40 +119,36 @@ class StudentColumns:
             map(StudentRecord, self.ids, map(held.__getitem__, self.group_index))
         )
 
-    def take(
-        self, rows: Sequence[int], order: Sequence[int]
-    ) -> tuple[StudentColumns, array]:
-        """The students at the given ascending file positions, and the group
-        index of the same rows listed in another order, numbered like the
-        cut's group keys."""
+    def take(self, rows: Sequence[int]) -> StudentColumns:
+        """The students at the given ascending file positions, with the
+        group keys renumbered to the ones they hold."""
         group_index = self.group_index
         column = array("I", map(group_index.__getitem__, rows))
-        ordered = array("I", map(group_index.__getitem__, order))
         present = sorted(set(column))
         if len(present) < len(self.group_keys):
             remap = dict(zip(present, range(len(present))))
             column = array("I", map(remap.__getitem__, column))
-            ordered = array("I", map(remap.__getitem__, ordered))
-        cut = StudentColumns(
+        return StudentColumns(
             list(map(self.ids.__getitem__, rows)),
             column,
             [self.group_keys[g] for g in present],
         )
-        return cut, ordered
 
 
 class FixedPart:
-    """What an instance derives from its capacity, types and quotas alone.
+    """What an instance and every restriction of it share.
 
-    An instance and every restriction of it share one FixedPart, so what
-    is kept here is computed once per instance, not once per pool. model
-    keeps nothing here itself: flow keeps the fixed part of its network in
-    `network` (model does not import flow).
+    A restriction keeps the instance's capacity, types and quotas and a
+    subset of its groups, so whatever is laid out here over all of the
+    instance's group keys is computed once per instance, not once per
+    pool. model keeps the key table here; flow keeps the instance's
+    standing network in `network` (model does not import flow).
     """
 
-    __slots__ = ("network",)
+    __slots__ = ("group_keys", "network")
 
-    def __init__(self) -> None:
+    def __init__(self, group_keys: tuple[GroupKey, ...]) -> None:
+        self.group_keys = group_keys
         self.network: Any = None
 
 
@@ -187,7 +183,9 @@ class Instance:
     view of records is a boundary view for record-taking callers. The
     indexes behind groups(), member_positions() and group_of() are built on
     first use, not by the constructor; priority_rows() is kept from
-    validation. fixed is shared with every restriction (see FixedPart).
+    validation. fixed is shared with every restriction (see FixedPart). A
+    restriction (see restrict_instance) starts from its priority and its
+    groups' positions, and builds its columns only on first use.
     """
 
     def __init__(
@@ -205,7 +203,7 @@ class Instance:
         self.priority: tuple[str, ...] = tuple(priority)
         self.types: frozenset[str] = frozenset(types)
         self.quotas: dict[tuple[str, int], int] = dict(quotas)
-        self.fixed = FixedPart()
+        self.fixed = FixedPart(students.group_keys)
         self._validate()
 
     def _validate(self) -> None:
@@ -225,7 +223,6 @@ class Instance:
                 "priority must be a permutation of all student ids"
             )
         # the file row and the group index of each student in priority order
-        # (restrict_instance hands each cut its own group column)
         self._rows = array("I", rows)
         self._ranked = array("I", map(columns.group_index.__getitem__, rows))
         unknown = {
@@ -265,10 +262,28 @@ class Instance:
         return 1 + max(rank for (_t, rank) in self.quotas)
 
     @cached_property
+    def columns(self) -> StudentColumns:
+        """The students in columns. The constructor sets them; a cut (see
+        restrict_instance) takes them from its instance on first use."""
+        instance, ranks = self._origin
+        return instance.columns.take(sorted(map(instance._rows.__getitem__, ranks)))
+
+    @cached_property
+    def _keys(self) -> tuple[GroupKey, ...]:
+        """The sorted table of group keys; a cut keeps only its own."""
+        return self.columns.group_keys
+
+    @cached_property
     def _rows(self) -> array:
         """The file row of each priority position. _validate fills it in; a
         cut (see restrict_instance) builds it on first use."""
         return array("I", map(self.columns.index.__getitem__, self.priority))
+
+    @cached_property
+    def _ranked(self) -> array:
+        """The group index of each priority position. _validate fills it
+        in; a cut builds it on first use."""
+        return array("I", map(self.columns.group_index.__getitem__, self._rows))
 
     @cached_property
     def _rank(self) -> array:
@@ -283,7 +298,7 @@ class Instance:
     def _positions(self) -> list[list[int]]:
         """The bucket pass: one walk of the group-index column in priority
         order drops every priority position into its group's bucket."""
-        positions: list[list[int]] = [[] for _ in self.columns.group_keys]
+        positions: list[list[int]] = [[] for _ in self._keys]
         into = [bucket.append for bucket in positions]
         for p, g in enumerate(self._ranked):
             into[g](p)
@@ -325,34 +340,39 @@ def build_groups(instance: Instance) -> list[Group]:
     # interpreter's small-tuple free lists would fill up over many pools
     return [
         Group(key=key, members=tuple(list(map(priority.__getitem__, positions))))
-        for key, positions in zip(
-            instance.columns.group_keys, instance.member_positions()
-        )
+        for key, positions in zip(instance._keys, instance.member_positions())
     ]
 
 
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The same instance with the student set cut down to keep.
 
-    The kept rows are ordered by the instance's rank array, so a cut of k
-    students costs O(k log k) and never walks the full priority list. The
-    columns are cut, not validated again: every check of Instance._validate
-    holds for a subset of a valid instance's students. The cut gets its
-    priority-order group column from the same pass and shares the
-    instance's fixed part.
+    A cut is built with what a choice reads: its priority order, read off
+    the instance's rank array with one sort of k positions (never a walk of
+    the full priority list), and each kept group's priority positions,
+    bucketed in the same pass. Its columns are taken only on first use, and
+    not validated again: every check of Instance._validate holds for a
+    subset of a valid instance's students. The cut shares the instance's
+    fixed part.
     """
+    index = instance.columns.index
     chosen = set(keep)
-    columns = instance.columns
-    index = columns.index
     unknown = chosen.difference(index)
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    rows = sorted(map(index.__getitem__, chosen))
-    ranked_rows = sorted(rows, key=instance._rank.__getitem__)
+    ranks = sorted(map(instance._rank.__getitem__, map(index.__getitem__, chosen)))
+    keys = instance._keys
+    buckets: list[list[int]] = [[] for _ in keys]
+    into = [bucket.append for bucket in buckets]
+    for p, g in enumerate(map(instance._ranked.__getitem__, ranks)):
+        into[g](p)
+    present = [g for g, bucket in enumerate(buckets) if bucket]
     cut = object.__new__(Instance)
-    cut.columns, cut._ranked = columns.take(rows, ranked_rows)
+    cut._origin = (instance, ranks)
+    cut._keys = tuple(keys[g] for g in present)
+    cut._positions = [buckets[g] for g in present]
     cut.capacity = instance.capacity
-    cut.priority = tuple(list(map(columns.ids.__getitem__, ranked_rows)))
+    cut.priority = tuple(list(map(instance.priority.__getitem__, ranks)))
     cut.types = instance.types
     cut.quotas = dict(instance.quotas)
     cut.fixed = instance.fixed
@@ -495,13 +515,19 @@ def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio
 
 @dataclass(frozen=True)
 class ChoiceResult:
-    """Output of the balanced choice function plus audit data."""
+    """Output of the balanced choice function plus audit data.
+
+    witness, when the flow engine made the choice, is a flow that carries
+    the selection, with potentials that prove it optimal (a
+    flow.OptimalFlow); it can start the next choice of the same instance.
+    """
 
     selected: frozenset[str]
     per_group_counts: dict[GroupKey, int] = field(compare=False)
     signature: Signature = field(compare=False)
     alpha: Ratio = field(compare=False)
     targets: dict[GroupKey, int] = field(compare=False)
+    witness: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if sum(self.per_group_counts.values()) != len(self.selected):

@@ -24,9 +24,13 @@ one instance per school: every round rebuilds each pool from the raw
 student list, and every unmatched student scans their list past a set of
 refusing schools.
 
-It holds the reserve network as `flow` built it before it kept flat
-arc lists on a per-instance seat layout: one frozen `Arc` per arc, with
-every node, capacity and rank cost computed from scratch for each network.
+It holds the reserve network as `flow` built it for each cut before every
+cut shared its instance's standing network: one frozen `Arc` per arc and
+a node per group of the cut alone, with every node, capacity and rank cost
+computed from scratch for each network, solved from zero on a residual
+graph of its own. The standing network must hold the same arcs for the
+cut's groups, and a solve from zero must give the same optimum and
+potentials on them.
 
 Finally it holds the loaders as they were before instances became
 columnar: one StudentRecord and frozenset per student, validation by
@@ -60,6 +64,7 @@ from reserve_match.flow import (
     OptimalityCertificate,
     _bisect_last,
     _MinCostFlow,
+    _Residual,
     build_network,
     check_validity_flow,
     choice_flow,
@@ -67,6 +72,7 @@ from reserve_match.flow import (
     flow_group_counts,
     flow_signature,
     flow_to_matching,
+    min_cost_max_flow,
     rank_cost,
 )
 from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
@@ -369,12 +375,15 @@ def lower_bounded_flow(
             required += excess[v]
         elif excess[v] < 0:
             extra.append((v, aux_sink, -excess[v]))
-    solver = _MinCostFlow(
+    residual = _Residual(
         n + 2,
         tails + [u for u, _v, _cap in extra],
         heads + [v for _u, v, _cap in extra],
-        [cap - low for cap, low in zip(caps, lower)] + [cap for *_ends, cap in extra],
         costs + [0] * len(extra),
+    )
+    solver = _MinCostFlow(
+        residual,
+        [cap - low for cap, low in zip(caps, lower)] + [cap for *_ends, cap in extra],
     )
     loop = 2 * len(tails)
     forced, _ = solver.run(aux_source, aux_sink)
@@ -498,20 +507,80 @@ class ArcNetwork:
         self.q_sink_arc = add_arc(hub, self.sink, instance.capacity, 0)
 
 
-def assert_same_network(network: FlowNetwork, instance: Instance) -> None:
-    """The flat arc lists and every arc-index map, in order, equal the Arc
-    reference's."""
-    ref = ArcNetwork(instance)
-    assert network.tails == [a.tail for a in ref.arcs]
-    assert network.heads == [a.head for a in ref.arcs]
-    assert network.capacities == [a.capacity for a in ref.arcs]
-    assert network.costs == [a.cost for a in ref.arcs]
-    assert (network.source, network.sink) == (ref.source, ref.sink)
-    assert (network.node_count, network.max_rank) == (ref.node_count, ref.max_rank)
-    # the maps' order too: the optimum walks groups in group_arcs order
+def _reference_map(
+    network: FlowNetwork, ref: ArcNetwork
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The reference's nodes and arcs as the network numbers them: nodes up
+    to the hub keep their numbers, each group's node and arcs are found by
+    its key."""
+    nodes = {v: v for v in range(ref.node_count - len(ref.group_arcs))}
+    arcs = {}
     for name in ("group_arcs", "group_type_arcs", "rank_arcs", "seat_exit_arcs"):
-        assert list(getattr(network, name).items()) == list(getattr(ref, name).items())
-    assert network.q_sink_arc == ref.q_sink_arc
+        mine = getattr(network, name)
+        for key, a in getattr(ref, name).items():
+            arcs[a] = mine[key]
+    arcs[ref.q_sink_arc] = network.q_sink_arc
+    for key, a in ref.group_arcs.items():
+        nodes[ref.arcs[a].head] = network.heads[network.group_arcs[key]]
+    return nodes, arcs
+
+
+def assert_same_network(network: FlowNetwork, instance: Instance) -> None:
+    """The network holds the Arc reference's arcs, in the same order and
+    with the same ends, capacities and costs, with its groups' nodes in the
+    same order; every other arc is a group arc of capacity 0."""
+    ref = ArcNetwork(instance)
+    assert list(network.group_arcs) == list(ref.group_arcs)
+    assert (network.source, network.sink) == (ref.source, ref.sink)
+    assert network.max_rank == ref.max_rank
+    nodes, arcs = _reference_map(network, ref)
+    assert sorted(arcs.values()) == [arcs[a] for a in range(len(ref.arcs))]
+    assert sorted(nodes.values()) == [nodes[v] for v in range(ref.node_count)]
+    for a, arc in enumerate(ref.arcs):
+        e = arcs[a]
+        ends = (network.tails[e], network.heads[e])
+        assert ends == (nodes[arc.tail], nodes[arc.head])
+        assert (network.capacities[e], network.costs[e]) == (arc.capacity, arc.cost)
+    mapped = set(arcs.values())
+    others = [e for e in range(len(network.tails)) if e not in mapped]
+    assert all(network.capacities[e] == 0 for e in others)
+    assert all(network.costs[e] == 0 for e in others)
+    # the other groups' nodes come after the hub, as every group's does
+    hub = ref.node_count - len(ref.group_arcs) - 1
+    kept = set(nodes.values())
+    assert all(v > hub for v in range(network.node_count) if v not in kept)
+
+
+def reference_optimum(ref: ArcNetwork) -> tuple[tuple[int, ...], list[int]]:
+    """Arc flows and potentials of a solve from zero on the reference's own
+    arcs and residual graph."""
+    solver = _MinCostFlow(
+        _Residual(
+            ref.node_count,
+            [a.tail for a in ref.arcs],
+            [a.head for a in ref.arcs],
+            [a.cost for a in ref.arcs],
+        ),
+        [a.capacity for a in ref.arcs],
+    )
+    solver.run(ref.source, ref.sink)
+    return solver.arc_flows(), solver.potential
+
+
+def assert_same_cold_optimum(network: FlowNetwork, instance: Instance) -> None:
+    """A solve from zero on the network gives the reference's optimum on
+    every group, group->type and rank arc, and its potentials on every
+    node of the reference."""
+    assert network.start is None
+    best = min_cost_max_flow(network)
+    ref = ArcNetwork(instance)
+    flows, potentials = reference_optimum(ref)
+    nodes, arcs = _reference_map(network, ref)
+    for name in ("group_arcs", "group_type_arcs", "rank_arcs"):
+        for a in getattr(ref, name).values():
+            assert best.arc_flows[arcs[a]] == flows[a]
+    for v, pot in enumerate(potentials):
+        assert best.potentials[nodes[v]] == pot
 
 
 def rebuilt_induced_instance(

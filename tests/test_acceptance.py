@@ -180,7 +180,7 @@ def test_criterion_8_max_min_ratio_is_exact_and_tight():
 
 def test_criterion_9_flow_backend_scales_with_groups_not_students():
     rows = run_bench(
-        [10_000, 1_000_000], num_types=3, num_ranks=2, seed=2024, repeats=1
+        [10_000, 1_000_000], num_types=3, num_ranks=2, seed=2024, repeats=20
     )
     assert [row.students for row in rows] == [10_000, 1_000_000]
     assert [row.groups for row in rows] == [8, 8]

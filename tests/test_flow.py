@@ -13,7 +13,7 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import assert_same_network
+from reference_search import assert_same_cold_optimum, assert_same_network
 from test_golden import CORPUS
 
 from reserve_match.flow import (
@@ -86,12 +86,14 @@ def test_network_layout_four_blocks():
 def test_flat_network_matches_arc_reference_on_golden_corpus(name):
     instance = CORPUS[name][0]()
     assert_same_network(build_network(instance), instance)
-    # restrictions reuse the instance's seat layout; every third student
-    # keeps all groups, the top three usually leave some out
+    assert_same_cold_optimum(build_network(instance), instance)
+    # restrictions share the instance's standing network; every third
+    # student keeps all groups, the top three usually leave some out
     for keep in (instance.priority[::3], instance.priority[:3]):
         cut = restrict_instance(instance, keep)
         assert cut.fixed is instance.fixed
         assert_same_network(build_network(cut), cut)
+        assert_same_cold_optimum(build_network(cut), cut)
 
 
 def test_certificate_small_instance():

@@ -248,6 +248,29 @@ def test_kept_instances_are_restricted_without_indexes(monkeypatch):
         assert "_positions" not in vars(instance)
 
 
+def test_gda_pools_never_take_their_columns(monkeypatch):
+    multi = seeded_market(200, seed=1)
+    pools = []
+    choose = flow.choice_flow
+
+    def recorded(instance, *args, **kwargs):
+        pools.append(instance)
+        return choose(instance, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "choice_flow", recorded)
+    run_gda(multi)
+    assert len(pools) > len(multi.schools)
+    # a choice reads a cut's priority and group positions, never its columns
+    assert not any("columns" in vars(pool) for pool in pools)
+    # taken on first use, they list the pool in file order
+    cut = pools[-1]
+    root = next(i for i in multi.instances.values() if i.fixed is cut.fixed)
+    kept = set(cut.priority)
+    assert cut.columns.ids == tuple(sid for sid in root.columns.ids if sid in kept)
+    assert all(cut.group_of(sid) == root.group_of(sid) for sid in kept)
+    assert cut.columns.group_keys == tuple(g.key for g in cut.groups())
+
+
 class _WatchedPriority(tuple):
     """A priority tuple that counts the walks over it."""
 
@@ -265,13 +288,27 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     for instance in multi.instances.values():
         instance.priority = _WatchedPriority(instance.priority)
     built = []
-    original = flow._SeatLayout.__init__
+    residuals = []
+    solved_on = []
+    original = flow._StandingNetwork.__init__
+    original_residual = flow._Residual.__init__
+    original_solver = flow._MinCostFlow.__init__
 
     def counted(self, instance):
         built.append(instance.fixed)
         original(self, instance)
 
-    monkeypatch.setattr(flow._SeatLayout, "__init__", counted)
+    def counted_residual(self, *args):
+        residuals.append(self)
+        original_residual(self, *args)
+
+    def watched_solver(self, residual, *args):
+        solved_on.append(residual)
+        original_solver(self, residual, *args)
+
+    monkeypatch.setattr(flow._StandingNetwork, "__init__", counted)
+    monkeypatch.setattr(flow._Residual, "__init__", counted_residual)
+    monkeypatch.setattr(flow._MinCostFlow, "__init__", watched_solver)
     result = run_gda(multi)
     pools = {
         cid: sum(cid in rt.pools for rt in result.rounds) for cid in multi.instances
@@ -285,3 +322,9 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
             1 if pools[cid] else 0
         )
     assert len(built) == sum(1 for n in pools.values() if n)
+    # one network and one set of solver arrays per school, which every
+    # solve of the school's pools reads
+    schools = [fixed.network.residual for fixed in built]
+    assert residuals == schools
+    assert len(solved_on) == sum(pools.values())
+    assert all(any(r is mine for mine in schools) for r in solved_on)

@@ -311,7 +311,7 @@ def test_flat_network_matches_arc_reference(instance, data):
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     kept = [sid for sid, keep in zip(instance.priority, mask) if keep]
     cut = restrict_instance(instance, kept)
-    # whichever is built first computes the seat layout the other reuses
+    # whichever is built first lays out the standing network the other reuses
     pair = [(instance, build_network(instance)), (cut, build_network(cut))]
     if data.draw(st.booleans()):
         pair.reverse()
