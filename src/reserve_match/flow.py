@@ -28,11 +28,12 @@ The alpha search and the greedy walk make all their checks on that one solve.
 
 A check that fails leaves a cut: a set of groups and a bound on the total
 flow any maximal-diversity flow can give them, which the targets exceed.
-The alpha search descends on those cuts, in the manner of Dinkelbach's
-parametric method (Management Science 13(7), 1967): from the largest ratio
-whose targets fit in F*, each failed check moves it straight to the largest
-ratio its cut allows. That took one or two checks on every instance
-measured.
+Both searches descend on those cuts in one loop (_descend), in the manner
+of Dinkelbach's parametric method (Management Science 13(7), 1967): from
+the largest point whose targets fit in F*, each failed check moves straight
+to the largest point its cut allows. The alpha search (over ratios) took one
+or two checks on every instance measured, the greedy walk (over prefixes) 5
+on the benchmark's hard-regime school.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .model import (
     GENERAL_TYPE,
@@ -123,6 +124,8 @@ class OptimalityCertificate:
 
 SOURCE = 0
 SINK = 1
+
+_Point = TypeVar("_Point", int, Fraction)  # a ratio or a prefix length
 
 
 class _Residual:
@@ -636,18 +639,29 @@ def _bisect_last(good: int, bad: int, holds: Callable[[int], bool]) -> int:
     return good
 
 
-def _gallop_last(limit: int, holds: Callable[[int], bool]) -> int:
-    """Largest p in [0, limit] with holds(p), for a predicate that holds at 0
-    and is monotone: probe 1, 2, 4, ... (capped at limit), then bisect the
-    last doubling step. Makes at most 2 * ceil(log2(limit + 1)) + 1 calls."""
-    good, bad = 0, limit + 1
-    while good < limit and bad > limit:
-        probe = min(2 * good or 1, limit)
-        if holds(probe):
-            good = probe
-        else:
-            bad = probe
-    return _bisect_last(good, bad, holds)
+def _descend(
+    net: FlowNetwork,
+    cert: OptimalityCertificate,
+    point: _Point,
+    targets_at: Callable[[_Point], dict[GroupKey, int]],
+    below: Callable[[_Cut], _Point],
+) -> tuple[_Point, dict[GroupKey, int], FlowAssignment]:
+    """The largest valid point at or under `point`, its targets and the
+    witness flow of its check, for targets that grow with the point. After
+    a failed check it moves to below(cut), the largest point the check's
+    cut allows: every valid point obeys the cut and the point just checked
+    does not, so the first check that holds is at the answer."""
+    while True:
+        targets = targets_at(point)
+        witness = check_validity_flow(net.instance, targets, network=net, cert=cert)
+        if witness is not None:
+            return point, targets, witness
+        lower = below(net.cut)
+        if lower >= point:
+            raise InternalInvariantError(
+                f"cut bound {lower} is not below the checked point {point}"
+            )
+        point = lower
 
 
 def _last_ratio(sizes: list[int], bound: int) -> Fraction:
@@ -697,16 +711,13 @@ def crucial_vector(
     validity at a ratio beta equivalent to beta <= alpha (validity is
     downward closed and the targets grow with beta), and alpha is the largest
     feasible point of the candidate set {0} | {k / |S_u|}. The search
-    descends on that set from above without building it. It checks the
-    largest candidate whose targets sum to at most F*. A failed check leaves
-    a cut (R, U): no maximal-diversity flow gives the groups R more than U
-    units, yet the checked targets do. The next candidate is the largest
-    whose targets over R sum to at most U, found by arithmetic alone. That
-    bound is at least alpha, whose targets some such flow meets, and below
-    the candidate just checked, whose targets exceed it; so the first check
-    that holds is at alpha. On every instance measured, from the golden
-    corpus to G = 256 groups, that took one or two checks. The resulting
-    vector is the tightest one every balanced selection must meet.
+    descends on that set from above without building it (see _descend):
+    from the largest candidate whose targets sum to at most F*, each failed
+    check moves to the largest candidate whose targets over the cut's groups
+    sum to at most its bound, found by arithmetic alone. On every instance
+    measured, from the golden corpus to G = 256 groups, that took one or two
+    checks. The resulting vector is the tightest one every balanced
+    selection must meet.
     """
     net = network if network is not None else build_network(instance)
     if cert is None:
@@ -721,20 +732,16 @@ def _crucial_search(
     """crucial_vector's alpha and targets, plus the witness flow of the check
     that held: a maximal-diversity flow meeting exactly those targets."""
     sizes = {g.key: g.size for g in instance.groups()}
-    beta = _last_ratio(list(sizes.values()), cert.max_value)
-    while True:
+
+    def targets_at(beta: Fraction) -> dict[GroupKey, int]:
         num, den = beta.numerator, beta.denominator
-        targets = {key: -(-num * size // den) for key, size in sizes.items()}
-        witness = check_validity_flow(instance, targets, network=net, cert=cert)
-        if witness is not None:
-            return beta, targets, witness
-        cut = net.cut
-        below = _last_ratio([sizes[key] for key in cut.groups], cut.bound)
-        if below >= beta:
-            raise InternalInvariantError(
-                f"cut bound {below} is not below the checked ratio {beta}"
-            )
-        beta = below
+        return {key: -(-num * size // den) for key, size in sizes.items()}
+
+    def below(cut: _Cut) -> Fraction:
+        return _last_ratio([sizes[key] for key in cut.groups], cut.bound)
+
+    beta = _last_ratio(list(sizes.values()), cert.max_value)
+    return _descend(net, cert, beta, targets_at, below)
 
 
 def choice_flow(
@@ -756,20 +763,16 @@ def choice_flow(
     makes.
 
     That walk is computed without one check per student. Validity is
-    downward closed in the bounds, so once a group's next member is rejected
-    the group is dead: its count never moves again and every later attempt
-    faces componentwise larger bounds. The walk therefore admits the longest
-    valid prefix of the remaining candidates, drops the group of the first
-    candidate past it, and repeats on what follows. Each prefix is found by
-    galloping (1, 2, 4, ... candidates, capped at the seats left below F*)
-    and then bisecting. Each group's candidate priority positions are sliced
-    once per call from the instance's member positions; prefix counts are
-    read from them by bisect, and a dead group is dropped from the lists
-    without rescanning the rest. That is at most G + 1 rounds of O(log n)
-    checks for G groups and n remaining students, and no checks once the
-    targets fill the certificate's flow value. The signature is read from
-    the witness flow of the last check that held, which meets exactly the
-    final counts, so no check is repeated.
+    downward closed in the bounds, so a round admits the longest valid
+    prefix of the live candidates in priority order, found as alpha is (see
+    _descend): check the longest prefix that fits in F*, and after a failed
+    check move to the longest whose counts over the cut's groups fit its
+    bound. The prefix that holds leaves those groups at the bound with the
+    next candidate theirs; counts only grow, so they are dead and dropped.
+    Each round drops a group, and the walk makes no checks once the targets
+    fill F*; on 3,000 hard-regime students a call made 4 checks in all. The
+    signature is read from the witness flow of the last check that held,
+    which meets exactly the final counts, so no check is repeated.
 
     The result's `witness` is that flow with the potentials of the optimum
     it was rerouted from. Passed as `start` to a choice over a restriction
@@ -797,58 +800,54 @@ def choice_flow(
     counts = dict(targets)
     room = cert.max_value - sum(counts.values())
     # priority positions of each live group's candidates (its members past
-    # the target); a round admits a prefix of the live candidates from `start`
+    # the target); a round admits a prefix of the live candidates, so each
+    # list's admitted ones come first and precede every live one still out
     at = {
         g.key: positions[targets[g.key] :]
         for g, positions in zip(groups, instance.member_positions() if room else ())
     }
-    start = 0
     while room:
-        base = counts
-        first = {key: bisect_left(pos, start) for key, pos in at.items()}
-        left = sum(len(pos) - first[key] for key, pos in at.items())
+        first = {key: counts[key] - targets[key] for key in at}
+        taken = sum(first.values())
+        left = sum(map(len, at.values())) - taken
         if not left:
             break
 
-        def end_of(p: int) -> int:
-            """Smallest position x with p live candidates in [start, x)."""
-            lo, hi = start, len(instance.priority)
+        def targets_at(p: int) -> dict[GroupKey, int]:
+            """The counts with the first p live candidates admitted."""
+            # the smallest position x with p live candidates before it; each
+            # list's admitted candidates precede every live one still out, so
+            # once the lists count `taken` in all, each counts its own
+            lo, hi = 0, len(instance.priority)
             while lo < hi:
                 mid = (lo + hi) // 2
-                seen = sum(bisect_left(pos, mid) - first[k] for k, pos in at.items())
-                if seen >= p:
+                if sum(bisect_left(pos, mid) for pos in at.values()) - taken >= p:
                     hi = mid
                 else:
                     lo = mid + 1
-            return lo
+            grown = dict(counts)  # the round's counts until _descend returns
+            for key, pos in at.items():
+                grown[key] += bisect_left(pos, lo) - first[key]
+            return grown
 
-        def admit(p: int) -> dict[GroupKey, int]:
-            x = end_of(p)
-            return {
-                key: count + (bisect_left(at[key], x) - first[key] if key in at else 0)
-                for key, count in base.items()
-            }
+        def below(cut: _Cut) -> int:
+            """The longest prefix whose counts over the cut's groups fit."""
 
-        witnesses = {0: witness}  # witness flow of each prefix that held
+            def fits(p: int) -> bool:
+                grown = targets_at(p)
+                return sum(grown[key] for key in cut.groups) <= cut.bound
 
-        def holds(p: int) -> bool:
-            found = check_validity_flow(instance, admit(p), network=net, cert=cert)
-            if found is not None:
-                witnesses[p] = found
-            return found is not None
+            return _bisect_last(0, left + 1, fits)
 
-        good = _gallop_last(min(room, left), holds)
-        counts, witness = admit(good), witnesses[good]
+        point = min(room, left)
+        good, counts, witness = _descend(net, cert, point, targets_at, below)
         room -= good
-        if good == left:
+        if good == point:
             break
-        past = end_of(good + 1) - 1  # the first live candidate past the prefix
-        for key, pos in at.items():
-            i = bisect_left(pos, past)
-            if i < len(pos) and pos[i] == past:
-                break
-        del at[key]
-        start = past + 1
+        # the last cut's groups are at its bound and the next candidate is
+        # theirs: counts only grow, so none of them is admitted again
+        for key in net.cut.groups:
+            at.pop(key, None)
 
     selected = frozenset(
         chain.from_iterable(g.members[: counts[g.key]] for g in groups)

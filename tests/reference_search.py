@@ -58,6 +58,7 @@ from reserve_match.files import (
     _validated,
 )
 
+from reserve_match import flow
 from reserve_match.flow import (
     FlowAssignment,
     FlowNetwork,
@@ -192,6 +193,19 @@ def oracle_max_min_ratio(
     return alpha, crucial
 
 
+def count_checks(monkeypatch: Any) -> list[None]:
+    """Record one entry per call of flow.check_validity_flow from now on."""
+    calls: list[None] = []
+    original = flow.check_validity_flow
+
+    def counted(*args: Any, **kwargs: Any) -> Optional[FlowAssignment]:
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "check_validity_flow", counted)
+    return calls
+
+
 def sequential_choice(
     instance: Instance,
     delta_star: Optional[TargetVector] = None,
@@ -246,6 +260,7 @@ def sequential_choice(
         signature=flow_signature(net, witness),
         alpha=alpha,
         targets=targets,
+        witness=witness,
     )
 
 

@@ -203,7 +203,7 @@ def test_a_cut_that_allows_the_checked_ratio_is_an_internal_error(monkeypatch):
         return None
 
     monkeypatch.setattr(flow, "check_validity_flow", rejecting)
-    with pytest.raises(InternalInvariantError, match="not below the checked ratio"):
+    with pytest.raises(InternalInvariantError, match="not below the checked point"):
         crucial_vector(instance, network=net, cert=cert)
     assert len(calls) == 1
 

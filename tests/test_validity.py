@@ -18,6 +18,7 @@ import pytest
 from factories import hard_regime_school, make_instance, two_group_school
 from reference_search import (
     assert_flow_witness,
+    count_checks,
     lower_bounded_flow,
     lower_bounded_validity,
     lower_bounds,
@@ -110,19 +111,14 @@ def test_verdicts_match_lower_bounded_reference(name):
 def test_one_min_cost_solve_per_choice_and_verify(monkeypatch):
     instance = hard_regime_school(3000, 308, 98)
     solves: list[None] = []
-    checks: list[None] = []
-    run, check = flow._MinCostFlow.run, flow.check_validity_flow
+    run = flow._MinCostFlow.run
 
     def counted_run(self, source, target):
         solves.append(None)
         return run(self, source, target)
 
-    def counted_check(*args, **kwargs):
-        checks.append(None)
-        return check(*args, **kwargs)
-
     monkeypatch.setattr(flow._MinCostFlow, "run", counted_run)
-    monkeypatch.setattr(flow, "check_validity_flow", counted_check)
+    checks = count_checks(monkeypatch)
     result = choice_flow(instance)
     assert len(solves) == 1
     assert len(checks) >= 2

@@ -13,11 +13,21 @@ from itertools import product
 import pytest
 from factories import seeded_market
 from hypothesis import given
-from reference_search import assert_same_choice, assert_same_cold_optimum
+from reference_search import (
+    assert_same_choice,
+    assert_same_cold_optimum,
+    count_checks,
+)
+from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, markets
 
 from reserve_match import flow
-from reserve_match.flow import OptimalFlow, build_network, choice_flow
+from reserve_match.flow import (
+    OptimalFlow,
+    build_network,
+    check_validity_flow,
+    choice_flow,
+)
 from reserve_match.gda import MultiInstance, run_gda
 from reserve_match.model import ChoiceResult, Instance, restrict_instance
 
@@ -142,23 +152,42 @@ def test_a_start_over_a_shrunk_group_is_refused(monkeypatch):
 
 def test_warm_starts_keep_checks_and_cut_dijkstra_passes(monkeypatch):
     passes = [0]
-    checks = [0]
-    augment, check = flow._MinCostFlow._augment, flow.check_validity_flow
+    augment = flow._MinCostFlow._augment
 
     def counted_augment(self, source, target):
         passes[0] += 1
         return augment(self, source, target)
 
-    def counted_check(*args, **kwargs):
-        checks[0] += 1
-        return check(*args, **kwargs)
-
     monkeypatch.setattr(flow._MinCostFlow, "_augment", counted_augment)
-    monkeypatch.setattr(flow, "check_validity_flow", counted_check)
+    checks = count_checks(monkeypatch)
     run_gda(seeded_market(600, 2))
     # solves from zero made 2,453 passes here
-    assert checks[0] == 432
-    assert passes[0] <= 600
+    assert len(checks) == 358
+    assert passes[0] == 243
+
+
+def _assert_witness_is_the_fresh_check(
+    instance: Instance, start: OptimalFlow | None, result: ChoiceResult
+) -> None:
+    """A choice's witness is the flow that a check of its counts gives on a
+    fresh network solved from the same start, so the path the walk took to
+    those counts cannot change what the next warm start reads."""
+    net = build_network(instance)
+    net.start = start
+    fresh = check_validity_flow(instance, result.per_group_counts, network=net)
+    assert fresh is not None
+    assert result.witness.arc_flows == fresh.arc_flows
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_witness_is_the_fresh_check_of_the_counts_on_the_corpus(name):
+    instance = CORPUS[name][0]()
+    _assert_witness_is_the_fresh_check(instance, None, choice_flow(instance))
+
+
+def test_witness_is_the_fresh_check_of_the_counts_on_seeded_pools():
+    for _root, cut, start, result in _gda_choices(seeded_market(200, 1)):
+        _assert_witness_is_the_fresh_check(cut, start, result)
 
 
 def test_cold_optimum_on_seeded_pools_matches_per_cut_reference():
