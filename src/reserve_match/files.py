@@ -494,6 +494,25 @@ def _in_priority_order(
     return ordered
 
 
+def _result_payload(
+    instance: Instance,
+    result: ChoiceResult | BaselineResult,
+    alpha: Ratio,
+    targets: Mapping[GroupKey, int],
+    backend: str,
+) -> dict[str, Any]:
+    """The six keys of a single-school ResultFile, in file order."""
+    counts = result.per_group_counts
+    return {
+        "alpha": fraction_str(alpha),
+        "targets": {group_label(key): value for key, value in targets.items()},
+        "selected": _in_priority_order(instance, result.selected, counts),
+        "per_group": {group_label(key): value for key, value in counts.items()},
+        "signature": list(result.signature),
+        "backend": backend,
+    }
+
+
 def choice_result_payload(
     instance: Instance, result: ChoiceResult, backend: str = "flow"
 ) -> dict[str, Any]:
@@ -503,21 +522,7 @@ def choice_result_payload(
     one, so it defaults to "flow"; the parameter stays because existing
     callers (the benchmark's traced run) pass it positionally.
     """
-    return {
-        "alpha": fraction_str(result.alpha),
-        "targets": {
-            group_label(key): value for key, value in result.targets.items()
-        },
-        "selected": _in_priority_order(
-            instance, result.selected, result.per_group_counts
-        ),
-        "per_group": {
-            group_label(key): value
-            for key, value in result.per_group_counts.items()
-        },
-        "signature": list(result.signature),
-        "backend": backend,
-    }
+    return _result_payload(instance, result, result.alpha, result.targets, backend)
 
 
 def baseline_result_payload(
@@ -527,19 +532,7 @@ def baseline_result_payload(
 
     alpha reports the ratio the baseline achieved; there are no targets.
     """
-    return {
-        "alpha": fraction_str(result.min_ratio),
-        "targets": {},
-        "selected": _in_priority_order(
-            instance, result.selected, result.per_group_counts
-        ),
-        "per_group": {
-            group_label(key): value
-            for key, value in result.per_group_counts.items()
-        },
-        "signature": list(result.signature),
-        "backend": "baseline",
-    }
+    return _result_payload(instance, result, result.min_ratio, {}, "baseline")
 
 
 def gda_result_payload(result: MultiMatching) -> dict[str, Any]:

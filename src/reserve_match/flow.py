@@ -7,12 +7,12 @@ cost; the cost of rank i is chosen so that minimizing total cost over flows of
 a fixed value maximizes the per-rank signature lexicographically.
 
 A network is four flat int lists indexed by arc (tails, heads, capacities,
-costs), which the solver and the validity checks read directly. Only the
-group arcs' capacities differ between an instance and its restrictions
-(the pools of a GDA school), so the instance lays out one standing network
-with the arcs of every group key it has, and the solver's residual
-structure on it, once. A pool's network copies the capacity list and sets
-its own groups' arcs to their sizes.
+costs). Only the group arcs' capacities differ between an instance and its
+restrictions (the pools of a GDA school), so the instance lays out one
+standing network with the arcs of every group key it has, and its residual
+graph (_Residual), once. A pool's network copies the capacity list and sets
+its own groups' arcs to their sizes. The solver and the validity checks
+walk that one residual graph, each with residual capacities of its own.
 
 Each network is solved once: the unconstrained min-cost max-flow f* and its
 final Johnson potentials are kept on the network. The solve may start from
@@ -21,10 +21,11 @@ potentials, when those certify it on the new capacities (every residual
 arc at reduced cost >= 0); deferred acceptance starts each school's solve
 from its last choice's witness this way. A validity check (is there
 a maximal-diversity flow giving every group at least its target?) is then a
-small max-flow on the residual arcs of f* whose reduced cost is 0, because
+small max-flow on the residual edges of f* whose reduced cost is 0, because
 those reroutes of f* are exactly the flows with f*'s value and cost (Ahuja,
 Magnanti and Orlin, Network Flows, 1993, ch. 9: complementary slackness).
-The alpha search and the greedy walk make all their checks on that one solve.
+So f*'s potentials prove every witness a check returns optimal too. The
+alpha search and the greedy walk make all their checks on that one solve.
 
 A check that fails leaves a cut: a set of groups and a bound on the total
 flow any maximal-diversity flow can give them, which the targets exceed.
@@ -133,8 +134,9 @@ class _Residual:
 
     Arc e becomes residual edge 2e and its reverse edge 2e + 1: `to` holds
     each edge's head, `cost` its cost (negated on reverse edges) and
-    `adjacent` each node's edges. Only the residual capacities change from
-    one solve to the next, so a solve on a standing network reuses these.
+    `adjacent` each node's edges in arc order. Only the residual capacities
+    change from one solve or validity check to the next, so every solve and
+    check on a standing network walks these.
     """
 
     def __init__(
@@ -154,6 +156,15 @@ class _Residual:
             self.adjacent[v].append(2 * e + 1)
 
 
+def _residual_capacities(capacities: list[int], flows: tuple[int, ...]) -> list[int]:
+    """Residual capacity of each edge of a _Residual under a flow: edge 2e
+    has arc e's room left, edge 2e + 1 its flow."""
+    residual = [0] * (2 * len(capacities))
+    residual[0::2] = [cap - f for cap, f in zip(capacities, flows)]
+    residual[1::2] = flows
+    return residual
+
+
 class _StandingNetwork:
     """The reserve network of an instance over all its group keys, laid out
     once and shared by every restriction of the instance (see FixedPart).
@@ -162,7 +173,7 @@ class _StandingNetwork:
     in the instance's group-key table, built from those keys, so it holds
     the arcs of every pool's groups; all group arcs have capacity 0 here.
     After them come the type, seat-class and hub nodes' arcs with their
-    rank costs, and the residual structure the solver reads. A pool's
+    rank costs, and the residual graph that solves and checks walk. A pool's
     network copies only the capacity list and sets its groups' arcs to their
     sizes. The other groups' nodes are then unreachable, and the present
     ones keep their order, so a solve from zero gives the same optimum and
@@ -295,15 +306,9 @@ class _MinCostFlow:
         self.to = residual.to
         self.cost = residual.cost
         self.adjacent = residual.adjacent
-        self.cap = [0] * (2 * len(capacities))
-        if start is None:
-            self.cap[0::2] = capacities
-            self.potential = [0] * self.n
-        else:
-            flows = start.arc_flows
-            self.cap[0::2] = [cap - f for cap, f in zip(capacities, flows)]
-            self.cap[1::2] = flows
-            self.potential = list(start.potentials)
+        flows = start.arc_flows if start is not None else (0,) * len(capacities)
+        self.cap = _residual_capacities(capacities, flows)
+        self.potential = list(start.potentials) if start is not None else [0] * self.n
 
     def arc_flows(self) -> tuple[int, ...]:
         """Flow on each arc of the lists the solver was built from."""
@@ -341,21 +346,17 @@ class _MinCostFlow:
         for v in range(self.n):
             dv = dist[v]
             pot[v] += cut if dv is None or dv > cut else dv
-        amount: Optional[int] = None
-        unit_cost = 0
+        path = []
         v = target
         while v != source:
             e = prev_arc[v]
-            amount = self.cap[e] if amount is None else min(amount, self.cap[e])
-            unit_cost += self.cost[e]
+            path.append(e)
             v = self.to[e ^ 1]
-        v = target
-        while v != source:
-            e = prev_arc[v]
+        amount = min(self.cap[e] for e in path)
+        for e in path:
             self.cap[e] -= amount
             self.cap[e ^ 1] += amount
-            v = self.to[e ^ 1]
-        return amount, unit_cost
+        return amount, sum(self.cost[e] for e in path)
 
     def run(self, source: int, target: int) -> tuple[int, int]:
         """Augment until target is unreachable; returns (value, cost) added.
@@ -429,34 +430,25 @@ def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
 
 
 class _Optimum:
-    """The unconstrained optimum f* of one network and the part of its
-    residual graph that a validity check may use.
+    """The unconstrained optimum f* of one network, as residual capacities
+    on the standing network's residual graph, which a validity check walks.
 
-    Under f*'s potentials every residual arc has reduced cost >= 0, and a
+    Under f*'s potentials every residual edge has reduced cost >= 0, and a
     circulation's cost is the sum of its reduced costs. So a flow of value
     F* costs C* exactly when its difference from f* is a circulation on
-    residual arcs of reduced cost 0 (the admissible arcs). `steps[v]` lists
-    (arc, other end, forward) for every admissible arc at node v that does
-    not touch the source or the sink; `groups` holds, per group, its key,
-    node, flow in f* and whether its source arc is admissible (only then
-    may the group's flow move); `group_arc` maps a group node to that arc.
+    residual edges of reduced cost 0 (the admissible edges). `residual`
+    holds f*'s residual capacity per edge of `graph` (see _Residual);
+    `groups` holds, per group, its key, node, flow in f* and whether its
+    source arc is admissible (only then may the group's flow move);
+    `group_arc` maps a group node to that arc.
     """
 
     def __init__(self, network: FlowNetwork, best: OptimalFlow) -> None:
         self.flow = best
-        pot = best.potentials
-        self.capacity = network.capacities
+        self.graph = network.standing.residual
         self.cost = network.costs
-        self.steps: list[list[tuple[int, int, bool]]] = [
-            [] for _ in range(network.node_count)
-        ]
-        arcs = zip(network.tails, network.heads, network.costs)
-        for e, (u, v, c) in enumerate(arcs):
-            if u == SOURCE or v == SINK:
-                continue
-            if c + pot[u] - pot[v] == 0:
-                self.steps[u].append((e, v, True))
-                self.steps[v].append((e, u, False))
+        self.residual = _residual_capacities(network.capacities, best.arc_flows)
+        pot = best.potentials
         self.groups: list[tuple[GroupKey, int, int, bool]] = []
         self.group_arc: dict[int, int] = {}
         for key, e in network.group_arcs.items():
@@ -465,7 +457,7 @@ class _Optimum:
             self.groups.append((key, node, best.arc_flows[e], free))
             self.group_arc[node] = e
 
-    def reroute(self, targets: TargetVector) -> FlowAssignment | _Cut:
+    def reroute(self, targets: TargetVector) -> OptimalFlow | _Cut:
         """f* plus a smallest admissible circulation that lifts every group
         to its target, or a _Cut proving that none exists.
 
@@ -475,8 +467,12 @@ class _Optimum:
         never lowers that group), so this is a max-flow problem from the
         deficit groups (t_u - f*_u units each, admissible source arc
         required) to the groups above their targets (f*_v - t_v each,
-        admissible source arc required) over the admissible arcs.
-        Breadth-first augmenting paths solve it exactly.
+        admissible source arc required) over the admissible edges that
+        touch neither the source nor the sink. Breadth-first augmenting
+        paths solve it exactly; each node's edges are tried in arc order.
+
+        The flow returned carries f*'s potentials, which prove it optimal
+        too: it differs from f* only on arcs of reduced cost 0.
 
         When no path is left, let R be the free groups whose nodes the last
         search reached from the deficits. Every other maximal-diversity flow
@@ -501,18 +497,21 @@ class _Optimum:
                 spare[node] = has - want
         if not need:
             return self.flow
-        cap = self.capacity
-        flows = list(self.flow.arc_flows)
+        to, cost, adjacent = self.graph.to, self.graph.cost, self.graph.adjacent
+        pot = self.flow.potentials
+        residual = list(self.residual)
         while need:
-            prev: dict[int, Optional[tuple[int, bool, int]]] = dict.fromkeys(need)
+            prev: dict[int, Optional[int]] = dict.fromkeys(need)
             queue = list(need)
             for v in queue:
                 if v in spare:
                     break
-                for e, w, forward in self.steps[v]:
-                    if w not in prev and (cap[e] - flows[e] if forward else flows[e]):
-                        prev[w] = (e, forward, v)
-                        queue.append(w)
+                for e in adjacent[v]:
+                    w = to[e]
+                    if residual[e] and w > SINK and w not in prev:
+                        if cost[e] + pot[v] == pot[w]:
+                            prev[w] = e
+                            queue.append(w)
             else:
                 reached = [
                     (key, node)
@@ -521,33 +520,35 @@ class _Optimum:
                 ]
                 return _Cut(
                     tuple(key for key, _node in reached),
-                    sum(flows[self.group_arc[node]] for _key, node in reached),
+                    sum(
+                        residual[2 * self.group_arc[node] + 1]
+                        for _key, node in reached
+                    ),
                 )
             end = v
-            amount = spare[end]
             path = []
-            step = prev[v]
-            while step is not None:
-                e, forward, v = step
-                path.append((e, forward))
-                amount = min(amount, cap[e] - flows[e] if forward else flows[e])
-                step = prev[v]
-            amount = min(amount, need[v])
-            for e, forward in path:
-                flows[e] += amount if forward else -amount
-            flows[self.group_arc[v]] += amount
-            flows[self.group_arc[end]] -= amount
+            while prev[v] is not None:
+                e = prev[v]
+                path.append(e)
+                v = to[e ^ 1]
+            amount = min(spare[end], need[v], *(residual[e] for e in path))
+            # the source arcs close the cycle: v's rises, end's falls
+            path += (2 * self.group_arc[v], 2 * self.group_arc[end] + 1)
+            for e in path:
+                residual[e] -= amount
+                residual[e ^ 1] += amount
             need[v] -= amount
             if not need[v]:
                 del need[v]
             spare[end] -= amount
             if not spare[end]:
                 del spare[end]
+        flows = tuple(residual[1::2])
         value = sum(flows[e] for e in self.group_arc.values())
-        cost = sum(f * c for f, c in zip(flows, self.cost))
-        if value != self.flow.value or cost != self.flow.cost:
+        total = sum(f * c for f, c in zip(flows, self.cost))
+        if value != self.flow.value or total != self.flow.cost:
             raise InternalInvariantError("rerouted flow left the optimum")
-        return FlowAssignment(value=value, cost=cost, arc_flows=tuple(flows))
+        return OptimalFlow(value=value, cost=total, arc_flows=flows, potentials=pot)
 
 
 def _optimum(network: FlowNetwork) -> _Optimum:
@@ -589,7 +590,7 @@ def check_validity_flow(
     *,
     network: Optional[FlowNetwork] = None,
     cert: Optional[OptimalityCertificate] = None,
-) -> Optional[FlowAssignment]:
+) -> Optional[OptimalFlow]:
     """Witness flow if some maximal-diversity flow meets the targets, else None.
 
     Validity means some flow of the unconstrained optimum's value F* and
@@ -597,11 +598,12 @@ def check_validity_flow(
     not preserve maximal diversity. The check needs no new min-cost solve:
     it starts from the network's kept optimum f* and its potentials, and
     routes each group's shortfall t_u - f*_u from groups above their
-    targets along residual arcs of reduced cost 0 (see _Optimum). Those
-    reroutes are exactly the flows of value F* and cost C*, so the verdict
-    is exact. The witness is f* itself when f* already meets the targets,
-    and otherwise f* plus the rerouted units. A failed check leaves its
-    _Cut on the network.
+    targets along residual edges of reduced cost 0 (see _Optimum.reroute).
+    Those reroutes are exactly the flows of value F* and cost C*, so the
+    verdict is exact. The witness is f* itself when f* already meets the
+    targets, and otherwise f* plus the rerouted units; either way it
+    carries f*'s potentials, which prove it optimal. A failed check leaves
+    its _Cut on the network.
     """
     net = network if network is not None else build_network(instance)
     unknown = set(targets) - net.group_arcs.keys()
@@ -645,7 +647,7 @@ def _descend(
     point: _Point,
     targets_at: Callable[[_Point], dict[GroupKey, int]],
     below: Callable[[_Cut], _Point],
-) -> tuple[_Point, dict[GroupKey, int], FlowAssignment]:
+) -> tuple[_Point, dict[GroupKey, int], OptimalFlow]:
     """The largest valid point at or under `point`, its targets and the
     witness flow of its check, for targets that grow with the point. After
     a failed check it moves to below(cut), the largest point the check's
@@ -728,7 +730,7 @@ def crucial_vector(
 
 def _crucial_search(
     instance: Instance, net: FlowNetwork, cert: OptimalityCertificate
-) -> tuple[Ratio, dict[GroupKey, int], FlowAssignment]:
+) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
     """crucial_vector's alpha and targets, plus the witness flow of the check
     that held: a maximal-diversity flow meeting exactly those targets."""
     sizes = {g.key: g.size for g in instance.groups()}
@@ -774,12 +776,13 @@ def choice_flow(
     signature is read from the witness flow of the last check that held,
     which meets exactly the final counts, so no check is repeated.
 
-    The result's `witness` is that flow with the potentials of the optimum
-    it was rerouted from. Passed as `start` to a choice over a restriction
-    of the same instance that keeps every selected student, it may spare
-    that choice's min-cost flow solve most of its work: the solve starts
-    from it when the potentials certify it there (see min_cost_max_flow),
-    and from zero otherwise. The result is the same either way.
+    The result's `witness` is that flow, with the potentials of the optimum
+    it was rerouted from (see check_validity_flow). Passed as `start` to a
+    choice over a restriction of the same instance that keeps every
+    selected student, it may spare that choice's min-cost flow solve most
+    of its work: the solve starts from it when the potentials certify it
+    there (see min_cost_max_flow), and from zero otherwise. The result is
+    the same either way.
     """
     net = build_network(instance)
     net.start = start
@@ -862,12 +865,7 @@ def choice_flow(
         signature=flow_signature(net, witness),
         alpha=alpha,
         targets=targets,
-        witness=OptimalFlow(
-            value=witness.value,
-            cost=witness.cost,
-            arc_flows=witness.arc_flows,
-            potentials=_optimum(net).flow.potentials,
-        ),
+        witness=witness,
     )
 
 

@@ -216,6 +216,14 @@ class Instance:
             raise MalformedInstanceError(
                 f"type name {GENERAL_TYPE!r} is reserved for the general type"
             )
+        # a group label joins its types with "+" and names the untyped
+        # group "none" (see group_label), so neither may be part of a type
+        for t in sorted(self.types):
+            if t == "none" or "+" in t:
+                raise MalformedInstanceError(
+                    f"type name {t!r} would make group labels ambiguous "
+                    "(\"none\" and \"+\" are reserved)"
+                )
         # the file row of each priority id; the set marks each row once
         rows = list(map(columns.index.get, self.priority))
         if len(rows) != len(columns) or None in rows or len(set(rows)) != len(rows):

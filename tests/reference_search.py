@@ -15,9 +15,14 @@ It also holds the references for validity checks: the lower-bounded solve
 bounds on the source arcs, eliminated through an auxiliary source and sink
 with a sink->source return arc, then a min-cost max-flow on top), the
 oracle's verdict for target vectors, and the checks a validity witness must
-pass, shared by the differential validity tests. Last, it holds the
-literal justified-envy scan over every (unselected, selected) pair, the
-reference for the verifier's one extreme pair per group pair.
+pass, shared by the differential validity tests. Beside them sits the
+reroute search as `flow` ran it before its checks walked the solver's own
+residual graph: a second adjacency list of admissible (arc, other end,
+forward) steps, rebuilt for each network, walked with forward and backward
+arithmetic. The search on the solver's edges must find the same flows and
+cuts. Last, it holds the literal justified-envy scan over every
+(unselected, selected) pair, the reference for the verifier's one extreme
+pair per group pair.
 
 It holds the multi-school rounds as `gda` ran them before it kept
 one instance per school: every round rebuilds each pool from the raw
@@ -60,9 +65,13 @@ from reserve_match.files import (
 
 from reserve_match import flow
 from reserve_match.flow import (
+    SINK,
+    SOURCE,
     FlowAssignment,
     FlowNetwork,
+    OptimalFlow,
     OptimalityCertificate,
+    _Cut,
     _bisect_last,
     _MinCostFlow,
     _Residual,
@@ -198,7 +207,7 @@ def count_checks(monkeypatch: Any) -> list[None]:
     calls: list[None] = []
     original = flow.check_validity_flow
 
-    def counted(*args: Any, **kwargs: Any) -> Optional[FlowAssignment]:
+    def counted(*args: Any, **kwargs: Any) -> Optional[OptimalFlow]:
         calls.append(None)
         return original(*args, **kwargs)
 
@@ -458,6 +467,88 @@ def assert_flow_witness(
     for key, want in targets.items():
         assert counts[key] >= want
     flow_to_matching(instance, witness, network=network)
+
+
+def steps_reroute(
+    network: FlowNetwork, best: OptimalFlow, targets: TargetVector
+) -> FlowAssignment | _Cut:
+    """The optimum's reroute search over its own list of admissible steps.
+
+    `steps[v]` lists (arc, other end, forward) for every arc of reduced
+    cost 0 under best's potentials at node v that touches neither the
+    source nor the sink, in arc order. Breadth-first augmenting paths from
+    the groups below their targets to the free groups above them, each
+    closed through the two groups' source arcs, lift every group to its
+    target or leave a _Cut of the free groups the last search reached.
+    """
+    pot = best.potentials
+    steps: list[list[tuple[int, int, bool]]] = [[] for _ in range(network.node_count)]
+    arcs = zip(network.tails, network.heads, network.costs)
+    for e, (u, v, c) in enumerate(arcs):
+        if u != SOURCE and v != SINK and c + pot[u] - pot[v] == 0:
+            steps[u].append((e, v, True))
+            steps[v].append((e, u, False))
+    groups = []
+    group_arc = {}
+    for key, e in network.group_arcs.items():
+        node = network.heads[e]
+        groups.append((key, node, best.arc_flows[e], pot[SOURCE] == pot[node]))
+        group_arc[node] = e
+    need: dict[int, int] = {}
+    spare: dict[int, int] = {}
+    for key, node, has, free in groups:
+        want = targets.get(key, 0)
+        if want > has:
+            if not free:
+                return _Cut((key,), has)
+            need[node] = want - has
+        elif want < has and free:
+            spare[node] = has - want
+    if not need:
+        return best
+    cap = network.capacities
+    flows = list(best.arc_flows)
+    while need:
+        prev: dict[int, Optional[tuple[int, bool, int]]] = dict.fromkeys(need)
+        queue = list(need)
+        for v in queue:
+            if v in spare:
+                break
+            for e, w, forward in steps[v]:
+                if w not in prev and (cap[e] - flows[e] if forward else flows[e]):
+                    prev[w] = (e, forward, v)
+                    queue.append(w)
+        else:
+            reached = [
+                (key, node) for key, node, _has, free in groups if free and node in prev
+            ]
+            return _Cut(
+                tuple(key for key, _node in reached),
+                sum(flows[group_arc[node]] for _key, node in reached),
+            )
+        end = v
+        amount = spare[end]
+        path = []
+        step = prev[v]
+        while step is not None:
+            e, forward, v = step
+            path.append((e, forward))
+            amount = min(amount, cap[e] - flows[e] if forward else flows[e])
+            step = prev[v]
+        amount = min(amount, need[v])
+        for e, forward in path:
+            flows[e] += amount if forward else -amount
+        flows[group_arc[v]] += amount
+        flows[group_arc[end]] -= amount
+        need[v] -= amount
+        if not need[v]:
+            del need[v]
+        spare[end] -= amount
+        if not spare[end]:
+            del spare[end]
+    value = sum(flows[e] for e in group_arc.values())
+    cost = sum(f * c for f, c in zip(flows, network.costs))
+    return FlowAssignment(value=value, cost=cost, arc_flows=tuple(flows))
 
 
 @dataclass(frozen=True)

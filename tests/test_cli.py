@@ -378,6 +378,49 @@ def test_malformed_instance_file_is_input_error(tmp_path, capsys):
     assert main(["solve", missing]) == 2
 
 
+def test_type_named_none_is_input_error(tmp_path, capsys):
+    # two students typed "none" and two untyped: both groups would be
+    # labelled "none" in per_group and targets
+    ambiguous = {
+        "capacity": 2,
+        "types": ["none"],
+        "quotas": [],
+        "students": [
+            {"id": "s1", "types": ["none"]},
+            {"id": "s2", "types": ["none"]},
+            {"id": "s3", "types": []},
+            {"id": "s4", "types": []},
+        ],
+        "priority": ["s1", "s2", "s3", "s4"],
+    }
+    path = write_json(tmp_path, "none.json", ambiguous)
+    assert main(["solve", path]) == 2
+    assert "type name 'none'" in capsys.readouterr().err
+
+
+def test_type_with_plus_is_input_error_in_gda_files(tmp_path, capsys):
+    # types x, y and x+y: the groups {x, y} and {x+y} share the label "x+y"
+    multi = json.loads(json.dumps(MULTI))
+    multi["types"] = ["x", "y", "x+y"]
+    multi["students"][0]["types"] = ["x", "y"]
+    multi["students"][2]["types"] = ["x+y"]
+    for school in multi["schools"]:
+        school["quotas"] = []
+    path = write_json(tmp_path, "plus.json", multi)
+    assert main(["gda", path]) == 2
+    assert "type name 'x+y'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("types", ["1", "3", "5"])
+def test_gen_type_names_pass_the_label_rule(tmp_path, types):
+    out = tmp_path / "gen.json"
+    argv = ["gen", "--students", "20", "--types", types, "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["types"] == [f"t{i}" for i in range(1, int(types) + 1)]
+    assert main(["solve", str(out), "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_integral_float_fields_solve_like_ints(tmp_path, capsys):
     plain = write_json(tmp_path, "plain.json", INSTANCE)
     floats = json.loads(json.dumps(INSTANCE))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,14 @@ def test_duplicate_student_id_rejected():
 def test_general_type_name_reserved():
     with pytest.raises(MalformedInstanceError, match="reserved"):
         make_instance([("a", [])], 1, ["a"], [GENERAL_TYPE], {})
+
+
+@pytest.mark.parametrize("bad", ["none", "x+y", "+", "t1+"])
+def test_type_names_that_break_group_labels_rejected(bad):
+    # "none" labels the untyped group and "+" joins a group's types, so
+    # either in a type name would give two groups one label
+    with pytest.raises(MalformedInstanceError, match=re.escape(repr(bad))):
+        make_instance([("a", [bad]), ("b", [])], 1, ["a", "b"], ["t1", bad], {})
 
 
 def test_priority_must_be_permutation():
