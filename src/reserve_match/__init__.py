@@ -16,8 +16,8 @@ from .flow import (
     compute_certificate,
     crucial_vector,
     flow_to_matching,
-    matching_to_flow,
     min_cost_max_flow,
+    solve,
 )
 from .gda import (
     MultiInstance,
@@ -43,7 +43,6 @@ from .model import (
     StudentColumns,
     StudentRecord,
     group_label,
-    lex_compare,
     matching_signature,
     parse_group_label,
 )
@@ -51,9 +50,7 @@ from .oracle import (
     OracleBudget,
     OracleBudgetExceeded,
     enumerate_maximal_diversity_matchings,
-    oracle_choice,
 )
-from .solve import solve
 from .verify import AxiomReport, verify_balanced_and_jef
 
 __version__ = "0.1.0"
@@ -90,11 +87,8 @@ __all__ = [
     "generate_instance",
     "group_label",
     "induced_instance",
-    "lex_compare",
     "matching_signature",
-    "matching_to_flow",
     "min_cost_max_flow",
-    "oracle_choice",
     "parse_group_label",
     "restrict_instance",
     "run_gda",

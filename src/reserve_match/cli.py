@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (or VALID / all axioms PASS), 1 negative verdict
 (NO-INSTANCE, a FAIL line, or a reported violation), 2 malformed input
-(an InstanceFormatError from the file loaders or the explicit argument
-checks here), 3 internal failure (a failed invariant, or any other
-ValueError or KeyError raised inside the solver).
+(an InstanceFormatError from the file loaders, the --out writer or the
+explicit argument checks here), 3 internal failure (a failed invariant,
+or any other ValueError or KeyError raised inside the solver).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
 from .model import MAX_RANKS, matching_signature, selection_flags
-from .solve import solve
 from .verify import verify_flags
 
 EXIT_OK = 0
@@ -29,7 +28,7 @@ EXIT_INTERNAL = 3
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
-    result = solve(instance)
+    result = flow.choice_flow(instance)
     payload = files.choice_result_payload(instance, result)
     files.write_text(files.dump_json(payload), args.out)
     return EXIT_OK

@@ -349,8 +349,10 @@ def _read_json(path: str, what: str) -> Any:
             return json.load(handle)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {what} {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, bad UTF-8 or an over-long integer
         raise InstanceFormatError(f"{what} {path!r} is not JSON: {err}") from err
+    except RecursionError as err:
+        raise InstanceFormatError(f"{what} {path!r} nests too deeply") from err
 
 
 def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
@@ -655,6 +657,9 @@ def _rows(values: Sequence[Any], newline: str) -> Optional[list[str]]:
 def write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text, end="")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise InstanceFormatError(f"cannot write {out!r}: {err}") from err

@@ -78,15 +78,6 @@ def rank_cost(rank: int, capacity: int, max_rank: int) -> int:
     return base ** (max_rank - 1) - base ** (max_rank - rank)
 
 
-def signature_cost(signature: Signature, capacity: int) -> int:
-    """Encoded cost of a signature: sum of per-rank counts times rank_cost."""
-    r = len(signature)
-    return sum(
-        count * rank_cost(i, capacity, r)
-        for i, count in enumerate(signature, start=1)
-    )
-
-
 @dataclass(frozen=True)
 class FlowAssignment:
     """An integral flow: per-arc amounts plus its value and total cost."""
@@ -246,9 +237,6 @@ class FlowNetwork:
     certified (see min_cost_max_flow). `cut` is the _Cut of the last check
     on the network that failed.
     """
-
-    source = SOURCE
-    sink = SINK
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
@@ -869,6 +857,12 @@ def choice_flow(
     )
 
 
+def solve(instance: Instance) -> ChoiceResult:
+    """The balanced choice of an instance: choice_flow with its own crucial
+    vector."""
+    return choice_flow(instance)
+
+
 def flow_to_matching(
     instance: Instance,
     flow: FlowAssignment,
@@ -920,38 +914,3 @@ def flow_to_matching(
     if group_counts(instance, matching) != flow_group_counts(net, flow):
         raise InternalInvariantError("decomposition changed group counts")
     return matching
-
-
-def matching_to_flow(
-    instance: Instance,
-    matching: SeatMatching,
-    *,
-    network: Optional[FlowNetwork] = None,
-) -> FlowAssignment:
-    """Lift a student-to-seat matching to arc flows on the reserve network."""
-    net = network if network is not None else build_network(instance)
-    flows = [0] * len(net.tails)
-    seen: set[Seat] = set()
-    for sid, seat in matching.items():
-        key = instance.group_of(sid)
-        if seat in seen:
-            raise ValueError(f"seat {seat} assigned twice")
-        seen.add(seat)
-        if seat.type != GENERAL_TYPE and seat.type not in key:
-            raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
-        if (seat.type, seat.rank) not in net.rank_arcs:
-            raise ValueError(f"no seat class {seat.type}^{seat.rank}")
-        class_cap = net.capacities[net.rank_arcs[(seat.type, seat.rank)]]
-        if not 1 <= seat.index <= class_cap:
-            raise ValueError(
-                f"seat index {seat.index} outside class {seat.type}^{seat.rank}"
-            )
-        flows[net.group_arcs[key]] += 1
-        flows[net.group_type_arcs[(key, seat.type)]] += 1
-        flows[net.rank_arcs[(seat.type, seat.rank)]] += 1
-        flows[net.seat_exit_arcs[(seat.type, seat.rank)]] += 1
-        flows[net.q_sink_arc] += 1
-    if any(f > cap for f, cap in zip(flows, net.capacities)):
-        raise ValueError("matching overfills an arc capacity")
-    cost = sum(f * c for f, c in zip(flows, net.costs))
-    return FlowAssignment(value=len(matching), cost=cost, arc_flows=tuple(flows))

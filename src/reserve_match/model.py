@@ -484,26 +484,6 @@ def check_matching(instance: Instance, matching: SeatMatching) -> None:
             )
 
 
-A_STRICTLY_BETTER = 1
-EQUAL = 0
-B_STRICTLY_BETTER = -1
-
-
-def lex_compare(a: Signature, b: Signature) -> int:
-    """Compare two signatures lexicographically.
-
-    Returns A_STRICTLY_BETTER (1), EQUAL (0) or B_STRICTLY_BETTER (-1).
-    """
-    if len(a) != len(b):
-        raise ValueError(f"signature length mismatch: {len(a)} vs {len(b)}")
-    for x, y in zip(a, b):
-        if x > y:
-            return A_STRICTLY_BETTER
-        if x < y:
-            return B_STRICTLY_BETTER
-    return EQUAL
-
-
 def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     """Fraction of a group's students that were selected."""
     if group_size < 1:

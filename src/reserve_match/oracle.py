@@ -4,8 +4,9 @@ Enumerates every achievable seat allocation by dynamic programming over
 groups (students of a group are interchangeable, so allocations are counted
 at the group level and witnesses rebuilt from priority prefixes). From the
 full enumeration it derives the best signature, the set of rank-maximal
-count vectors, the max-min selection ratio and the literal greedy choice.
-Deliberately independent of the flow engine, so tests use it as the reference.
+count vectors and the max-min selection ratio. Deliberately independent of
+the flow engine, so tests use it as the reference (tests/reference_search.py
+builds the literal greedy choice on it).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import (
     Seat,
     SeatMatching,
     Signature,
-    lex_compare,
 )
 
 ENV_BUDGET = "RESERVE_MATCH_ORACLE_BUDGET"
@@ -85,9 +85,6 @@ class MaximalDiversitySet:
     signature: Signature
     count_vectors: frozenset[tuple[int, ...]]
     witnesses: dict[tuple[int, ...], SeatMatching]
-
-    def counts_as_dict(self, vector: tuple[int, ...]) -> dict[GroupKey, int]:
-        return dict(zip(self.group_keys, vector))
 
 
 def _seat_classes(instance: Instance, target: int) -> list[tuple[str, int, int]]:
@@ -173,7 +170,7 @@ def enumerate_maximal_diversity_matchings(
     best: Optional[Signature] = None
     for caps_left, counts in parents[len(groups)]:
         sig = signature_of(caps_left)
-        if best is None or lex_compare(sig, best) > 0:
+        if best is None or sig > best:  # tuples of max_rank counts
             best = sig
     if best is None:
         raise InternalInvariantError("state space collapsed")
@@ -246,35 +243,3 @@ def balanced_count_vectors(
     alpha = max(worst(v) for v in mset.count_vectors)
     best = frozenset(v for v in mset.count_vectors if worst(v) == alpha)
     return alpha, mset, best
-
-
-def oracle_choice(
-    instance: Instance, budget: Optional[OracleBudget] = None
-) -> frozenset[str]:
-    """The greedy maximum balanced selection, answered by enumeration.
-
-    Walks students in descending priority and accepts s whenever some
-    matching with the best signature and the max-min ratio can match all of
-    the tentative selection. Because accepted students always form priority
-    prefixes inside their groups, the existence test reduces to a
-    componentwise comparison against the balanced count vectors.
-    """
-    alpha, mset, best_vectors = balanced_count_vectors(instance, budget)
-    groups = instance.groups()
-    index = {g.key: i for i, g in enumerate(groups)}
-    counts = [0] * len(groups)
-    selected: set[str] = set()
-    for sid in instance.priority:
-        gi = index[instance.group_of(sid)]
-        counts[gi] += 1
-        if any(
-            all(c >= have for c, have in zip(vector, counts))
-            for vector in best_vectors
-        ):
-            selected.add(sid)
-        else:
-            counts[gi] -= 1
-    expected = min(len(instance.columns), instance.capacity)
-    if len(selected) != expected:
-        raise InternalInvariantError("oracle selection is wasteful")
-    return frozenset(selected)

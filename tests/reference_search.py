@@ -8,7 +8,10 @@ must reproduce them exactly. Beside them sits the two-stage bisection `flow`
 ran before its alpha search descended on cuts: the grid of the largest group,
 then at most one candidate per group, then a final check for the witness.
 The oracle's alpha and targets by enumeration are here too, since only tests
-use them.
+use them, and so are three helpers the package no longer exports: the
+oracle's literal greedy choice (`oracle_choice`), the cost encoding of a
+whole signature (`signature_cost`) and the lift of a seat matching to arc
+flows (`matching_to_flow`).
 
 It also holds the references for validity checks: the lower-bounded solve
 `flow` used before it answered checks on the optimum's residual graph (lower
@@ -97,6 +100,7 @@ from reserve_match.model import (
     InternalInvariantError,
     MalformedInstanceError,
     Ratio,
+    Seat,
     SeatMatching,
     Signature,
     StudentRecord,
@@ -286,7 +290,7 @@ def oracle_targets_valid(mset: MaximalDiversitySet, targets: TargetVector) -> bo
     """Targets are valid iff some rank-maximal count vector meets every one."""
     return any(
         all(counts[key] >= want for key, want in targets.items())
-        for counts in map(mset.counts_as_dict, mset.count_vectors)
+        for counts in (dict(zip(mset.group_keys, v)) for v in mset.count_vectors)
     )
 
 
@@ -294,8 +298,84 @@ def oracle_count_validity(
     mset: MaximalDiversitySet,
 ) -> Callable[[dict[GroupKey, int]], bool]:
     """Exact-count validity by enumeration: the counts are a rank-maximal vector."""
-    vectors = [mset.counts_as_dict(vector) for vector in mset.count_vectors]
+    vectors = [dict(zip(mset.group_keys, v)) for v in mset.count_vectors]
     return lambda counts: counts in vectors
+
+
+def oracle_choice(
+    instance: Instance, budget: Optional[OracleBudget] = None
+) -> frozenset[str]:
+    """The greedy maximum balanced selection, answered by enumeration.
+
+    Walks students in descending priority and accepts s whenever some
+    matching with the best signature and the max-min ratio can match all of
+    the tentative selection. Because accepted students always form priority
+    prefixes inside their groups, the existence test reduces to a
+    componentwise comparison against the balanced count vectors.
+    """
+    _alpha, _mset, best_vectors = balanced_count_vectors(instance, budget)
+    groups = instance.groups()
+    index = {g.key: i for i, g in enumerate(groups)}
+    counts = [0] * len(groups)
+    selected: set[str] = set()
+    for sid in instance.priority:
+        gi = index[instance.group_of(sid)]
+        counts[gi] += 1
+        if any(
+            all(c >= have for c, have in zip(vector, counts))
+            for vector in best_vectors
+        ):
+            selected.add(sid)
+        else:
+            counts[gi] -= 1
+    expected = min(len(instance.columns), instance.capacity)
+    if len(selected) != expected:
+        raise InternalInvariantError("oracle selection is wasteful")
+    return frozenset(selected)
+
+
+def signature_cost(signature: Signature, capacity: int) -> int:
+    """Encoded cost of a signature: sum of per-rank counts times rank_cost."""
+    r = len(signature)
+    return sum(
+        count * rank_cost(i, capacity, r)
+        for i, count in enumerate(signature, start=1)
+    )
+
+
+def matching_to_flow(
+    instance: Instance,
+    matching: SeatMatching,
+    *,
+    network: Optional[FlowNetwork] = None,
+) -> FlowAssignment:
+    """Lift a student-to-seat matching to arc flows on the reserve network."""
+    net = network if network is not None else build_network(instance)
+    flows = [0] * len(net.tails)
+    seen: set[Seat] = set()
+    for sid, seat in matching.items():
+        key = instance.group_of(sid)
+        if seat in seen:
+            raise ValueError(f"seat {seat} assigned twice")
+        seen.add(seat)
+        if seat.type != GENERAL_TYPE and seat.type not in key:
+            raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
+        if (seat.type, seat.rank) not in net.rank_arcs:
+            raise ValueError(f"no seat class {seat.type}^{seat.rank}")
+        class_cap = net.capacities[net.rank_arcs[(seat.type, seat.rank)]]
+        if not 1 <= seat.index <= class_cap:
+            raise ValueError(
+                f"seat index {seat.index} outside class {seat.type}^{seat.rank}"
+            )
+        flows[net.group_arcs[key]] += 1
+        flows[net.group_type_arcs[(key, seat.type)]] += 1
+        flows[net.rank_arcs[(seat.type, seat.rank)]] += 1
+        flows[net.seat_exit_arcs[(seat.type, seat.rank)]] += 1
+        flows[net.q_sink_arc] += 1
+    if any(f > cap for f, cap in zip(flows, net.capacities)):
+        raise ValueError("matching overfills an arc capacity")
+    cost = sum(f * c for f, c in zip(flows, net.costs))
+    return FlowAssignment(value=len(matching), cost=cost, arc_flows=tuple(flows))
 
 
 def literal_envy_witness(
@@ -391,7 +471,7 @@ def lower_bounded_flow(
         excess[u] -= low
     # the network's arcs with reduced capacities, then the return arc, then
     # the arcs that carry the forced imbalance
-    extra = [(network.sink, network.source, sum(caps) + 1)]
+    extra = [(SINK, SOURCE, sum(caps) + 1)]
     required = 0
     for v in range(n):
         if excess[v] > 0:
@@ -415,9 +495,9 @@ def lower_bounded_flow(
         return None
     solver.cap[loop] = 0
     solver.cap[loop ^ 1] = 0
-    solver.run(network.source, network.sink)
+    solver.run(SOURCE, SINK)
     flows = tuple(f + low for f, low in zip(solver.arc_flows(), lower))
-    value = sum(f for f, u in zip(flows, tails) if u == network.source)
+    value = sum(f for f, u in zip(flows, tails) if u == SOURCE)
     cost = sum(f * c for f, c in zip(flows, costs))
     return FlowAssignment(value=value, cost=cost, arc_flows=flows)
 
@@ -456,10 +536,9 @@ def assert_flow_witness(
         assert 0 <= f <= cap
         balance[u] -= f
         balance[v] += f
-    value = balance[network.sink]
-    assert balance[network.source] == -value
-    ends = (network.source, network.sink)
-    assert all(b == 0 for v, b in enumerate(balance) if v not in ends)
+    value = balance[SINK]
+    assert balance[SOURCE] == -value
+    assert all(b == 0 for v, b in enumerate(balance) if v not in (SOURCE, SINK))
     cost = sum(f * c for f, c in zip(flows, network.costs))
     assert (witness.value, witness.cost) == (value, cost)
     assert (value, cost) == (cert.max_value, cert.min_cost)
@@ -637,7 +716,7 @@ def assert_same_network(network: FlowNetwork, instance: Instance) -> None:
     same order; every other arc is a group arc of capacity 0."""
     ref = ArcNetwork(instance)
     assert list(network.group_arcs) == list(ref.group_arcs)
-    assert (network.source, network.sink) == (ref.source, ref.sink)
+    assert (SOURCE, SINK) == (ref.source, ref.sink)
     assert network.max_rank == ref.max_rank
     nodes, arcs = _reference_map(network, ref)
     assert sorted(arcs.values()) == [arcs[a] for a in range(len(ref.arcs))]

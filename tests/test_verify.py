@@ -23,10 +23,10 @@ from reserve_match.flow import (
     check_validity_flow,
     compute_certificate,
     crucial_vector,
+    solve,
 )
 from reserve_match.generator import generate_instance
 from reserve_match.oracle import OracleBudget, balanced_count_vectors
-from reserve_match.solve import solve
 from reserve_match.verify import (
     MODE_ORACLE,
     MODE_STRUCTURAL,
