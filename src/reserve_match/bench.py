@@ -29,9 +29,11 @@ class BenchRow:
 
 def bench_instance(instance: Instance, repeats: int = 3) -> float:
     """Best-of-repeats seconds for one certificate solve on the instance."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     instance.groups()
     best = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         start = time.perf_counter()
         flow.compute_certificate(flow.build_network(instance))
         elapsed = time.perf_counter() - start

@@ -139,6 +139,8 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.students)
     _check_gen_sizes(sizes, args.types, args.ranks)
+    if args.repeats < 1:
+        raise files.InstanceFormatError("--repeats must be at least 1")
     rows = run_bench(sizes, args.types, args.ranks, args.seed, args.repeats)
     files.write_text(files.dump_json(bench_payload(rows)), args.out)
     return EXIT_OK

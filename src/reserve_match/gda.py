@@ -6,8 +6,11 @@ to its held students plus the new proposers. Rejections are permanent, so
 every (student, school) proposal happens at most once and the loop ends.
 
 A MultiInstance turns the shared student list into columns once and keeps
-each school's validated Instance over them; pools and probes restrict it,
-and its indexes are built on first use, so keeping it is cheap.
+each school's validated Instance over them; pools and probes restrict it.
+Validation keeps only each school's file rows in priority order; the rest
+of a school's indexes, its priority-order group column among them, are
+built when a pool or probe first restricts it, so `gda --probe` builds
+them for the probed school alone.
 
 Every pool of a school is solved on the school's one standing network (see
 flow.FlowNetwork), so a school's choice hands the next one its witness: a
@@ -21,6 +24,8 @@ one run_gda call, and the choices are the same either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import flow
@@ -94,6 +99,15 @@ class MultiInstance:
         known_students = self.student_ids
         if len(known_students) != len(self.columns):
             raise MalformedInstanceError("duplicate student id")
+        # the checks below in bulk; only a file that fails one is walked
+        # student by student, to name its first offender
+        lists = self.preferences.values()
+        if (
+            known_students.issuperset(self.preferences)
+            and known_schools.issuperset(chain.from_iterable(lists))
+            and all(map(eq, map(len, map(set, lists)), map(len, lists)))
+        ):
+            return
         for sid, prefs in self.preferences.items():
             if sid not in known_students:
                 raise MalformedInstanceError(f"preferences for unknown student {sid!r}")

@@ -180,12 +180,14 @@ class Instance:
     engine path reads them there. students may be given as StudentRecords,
     which are turned into columns, or as StudentColumns, which a loader or
     the generator fills without making a record per student. The students
-    view of records is a boundary view for record-taking callers. The
-    indexes behind groups(), member_positions() and group_of() are built on
-    first use, not by the constructor; priority_rows() is kept from
-    validation. fixed is shared with every restriction (see FixedPart). A
-    restriction (see restrict_instance) starts from its priority and its
-    groups' positions, and builds its columns only on first use.
+    view of records is a boundary view for record-taking callers.
+    Validation keeps the file row of each priority position (priority_rows());
+    every other index, the group of each priority position among them, is
+    built on first use, not by the constructor, so an instance that is
+    loaded and never solved costs one pass over its priority. fixed is
+    shared with every restriction (see FixedPart). A restriction (see
+    restrict_instance) starts from its priority and its groups' positions,
+    and builds its columns only on first use.
     """
 
     def __init__(
@@ -224,15 +226,14 @@ class Instance:
                     f"type name {t!r} would make group labels ambiguous "
                     "(\"none\" and \"+\" are reserved)"
                 )
-        # the file row of each priority id; the set marks each row once
+        # the file row of each priority id: n rows, n distinct, all known
         rows = list(map(columns.index.get, self.priority))
-        if len(rows) != len(columns) or None in rows or len(set(rows)) != len(rows):
+        marked = set(rows)
+        if len(rows) != len(columns) or len(marked) != len(rows) or None in marked:
             raise MalformedInstanceError(
                 "priority must be a permutation of all student ids"
             )
-        # the file row and the group index of each student in priority order
         self._rows = array("I", rows)
-        self._ranked = array("I", map(columns.group_index.__getitem__, rows))
         unknown = {
             g for g, key in enumerate(columns.group_keys)
             if not self.types.issuperset(key)
@@ -283,15 +284,17 @@ class Instance:
 
     @cached_property
     def _rows(self) -> array:
-        """The file row of each priority position. _validate fills it in; a
+        """The file row of each priority position. _validate keeps it; a
         cut (see restrict_instance) builds it on first use."""
         return array("I", map(self.columns.index.__getitem__, self.priority))
 
     @cached_property
     def _ranked(self) -> array:
-        """The group index of each priority position. _validate fills it
-        in; a cut builds it on first use."""
-        return array("I", map(self.columns.group_index.__getitem__, self._rows))
+        """The group index of each priority position, built on first use
+        from _rows, read through a list view of the group-index column (a
+        list hands out the ints it holds; an array makes one per read)."""
+        group_index = self.columns.group_index.tolist()
+        return array("I", map(group_index.__getitem__, self._rows))
 
     @cached_property
     def _rank(self) -> array:

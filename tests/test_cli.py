@@ -7,7 +7,9 @@ import json
 import pytest
 
 from reserve_match import flow
+from reserve_match.bench import bench_instance
 from reserve_match.cli import main
+from reserve_match.generator import generate_instance
 from reserve_match.model import MAX_RANKS, StudentColumns
 from reserve_match.oracle import ENV_BUDGET
 
@@ -402,6 +404,16 @@ def test_bench_small_sizes(tmp_path, capsys):
     assert all(row["flow_seconds"] > 0 for row in payload["backend_timings"])
     assert main(["bench", "--students", "10,-3"]) == 2
     assert main(["bench", "--students", "abc"]) == 2
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_rejects_repeats_below_one(capsys, repeats):
+    assert main(["bench", "--students", "10", "--repeats", repeats]) == 2
+    captured = capsys.readouterr()
+    assert "error: --repeats must be at least 1" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="repeats"):
+        bench_instance(generate_instance(10, 2, 2, seed=0), int(repeats))
 
 
 def test_malformed_instance_file_is_input_error(tmp_path, capsys):

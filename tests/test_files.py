@@ -403,9 +403,23 @@ def test_cli_import_does_not_load_jsonschema():
 # Differential fuzz test: the compiled validators against jsonschema, the
 # reference implementation of the schemas, on mutated valid payloads.
 
+def ranked_multi_payload() -> dict:
+    """A multi-school payload with several preference lists, so that two
+    faults can land in different lists of the one map."""
+    payload = multi_payload()
+    payload["students"].append({"id": "c", "types": []})
+    payload["schools"].append(
+        {"id": "Y", "capacity": 1, "quotas": [], "priority": ["c", "b", "a"]}
+    )
+    payload["schools"][0]["priority"].append("c")
+    payload["preferences"] = {"a": ["X", "Y"], "b": ["Y"], "c": ["Y", "X"]}
+    return payload
+
+
 DOCUMENTS = {
     "instance file": (instance_payload, INSTANCE_SCHEMA),
     "multi-school file": (multi_payload, MULTI_SCHEMA),
+    "ranked multi-school file": (ranked_multi_payload, MULTI_SCHEMA),
     "targets file": (lambda: {"t1": 1, "none": 0}, TARGETS_SCHEMA),
     "result file": (
         lambda: {"selected": ["s4", "s2"], "alpha": "1/2", "per_group": {"t1": 1}},
@@ -471,6 +485,17 @@ def _mutate(data, payload, within=()):
     return payload
 
 
+def _steered_areas(payload):
+    """The keys of a non-empty students array and preferences map."""
+    if not isinstance(payload, dict):
+        return []
+    kinds = {"students": list, "preferences": dict}
+    return [
+        key for key, kind in kinds.items()
+        if isinstance(payload.get(key), kind) and payload[key]
+    ]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     what=st.sampled_from(sorted(DOCUMENTS)),
@@ -480,15 +505,17 @@ def _mutate(data, payload, within=()):
 def test_validators_agree_with_jsonschema(what, mutations, data):
     make, schema = DOCUMENTS[what]
     payload = make()
-    # half the mutations land inside one students item, where the fast path
-    # for arrays of closed objects must hand every fault to the full check
-    students = payload.get("students") if isinstance(payload, dict) else None
+    # half the mutations land inside one students item or the preferences
+    # map, where the fast paths for arrays of closed objects and for maps of
+    # arrays must hand every fault to the full check
     for _ in range(mutations):
         within = ()
-        if isinstance(students, list) and students and data.draw(st.booleans()):
-            within = ("students", data.draw(st.integers(0, len(students) - 1)))
+        areas = _steered_areas(payload)
+        if areas and data.draw(st.booleans()):
+            within = (data.draw(st.sampled_from(areas)),)
+            if within == ("students",):
+                within += (data.draw(st.integers(0, len(payload["students"]) - 1)),)
         payload = _mutate(data, payload, within)
-        students = payload.get("students") if isinstance(payload, dict) else None
     expected = _jsonschema_text(payload, schema, what)
     try:
         _validated(payload, schema, what)
@@ -577,7 +604,7 @@ def _break(data, payload, school):
     if len(students) >= 2:
         kinds += ["duplicate id"]
     if priority:
-        kinds += ["missing id"]
+        kinds += ["missing id", "replaced id"]
     if len(priority) >= 2:
         kinds += ["repeated id"]
     if quotas:
@@ -589,6 +616,8 @@ def _break(data, payload, school):
         students[j]["id"] = students[i]["id"] if i != j else students[j - 1]["id"]
     elif kind == "missing id":
         del priority[data.draw(st.integers(0, len(priority) - 1))]
+    elif kind == "replaced id":
+        priority[data.draw(st.integers(0, len(priority) - 1))] = "ghost"
     elif kind == "extra id":
         priority.insert(data.draw(st.integers(0, len(priority))), "ghost")
     elif kind == "repeated id":

@@ -8,7 +8,8 @@ import pytest
 from factories import seeded_market, two_type_column_school
 from reference_search import rescanning_gda
 
-from reserve_match import cli, flow
+from reserve_match import cli, files, flow
+from reserve_match.files import dump_json, instance_to_payload
 from reserve_match.gda import (
     MultiInstance,
     School,
@@ -328,3 +329,69 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     assert residuals == schools
     assert len(solved_on) == sum(pools.values())
     assert all(any(r is mine for mine in schools) for r in solved_on)
+
+
+def _market_file(tmp_path, multi: MultiInstance) -> str:
+    """The market as a multi-school file, plus a school that no one ranks."""
+    students = instance_to_payload(next(iter(multi.instances.values())))["students"]
+    unranked = School("zz", 1, multi.schools[0].priority, {})
+    payload = {
+        "types": sorted(multi.types),
+        "students": students,
+        "schools": [
+            {
+                "id": c.id,
+                "capacity": c.capacity,
+                "quotas": [
+                    {"type": t, "rank": rank, "quota": count}
+                    for (t, rank), count in sorted(c.quotas.items())
+                ],
+                "priority": list(c.priority),
+            }
+            for c in multi.schools + (unranked,)
+        ],
+        "preferences": {sid: list(p) for sid, p in multi.preferences.items()},
+    }
+    path = tmp_path / "market.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_engine_columns_are_built_on_first_use(tmp_path, monkeypatch, capsys):
+    path = _market_file(tmp_path, seeded_market(200, seed=1))
+    engine = {"_ranked", "_rank"}
+
+    def built(multi):
+        return {
+            cid for cid, instance in multi.instances.items()
+            if engine <= vars(instance).keys()
+        }
+
+    def untouched(multi):
+        return {
+            cid for cid, instance in multi.instances.items()
+            if not engine & vars(instance).keys()
+        }
+
+    multi = files.load_multi(path)
+    assert untouched(multi) == set(multi.instances)
+    # the probe loads its own copy: it builds the columns of its school only
+    loaded = []
+    load = files.load_multi
+
+    def recorded(p):
+        loaded.append(load(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(files, "load_multi", recorded)
+    s1, s2 = multi.columns.ids[:2]
+    assert cli.main(["gda", path, "--probe", f"c03:{s1}:{s2}"]) in (0, 1)
+    capsys.readouterr()
+    (probed,) = loaded
+    assert built(probed) == {"c03"}
+    assert untouched(probed) == set(probed.instances) - {"c03"}
+    result = run_gda(multi)
+    pooled = {cid for rt in result.rounds for cid in rt.pools}
+    assert "zz" not in pooled
+    assert built(multi) == pooled
+    assert untouched(multi) == set(multi.instances) - pooled

@@ -86,6 +86,9 @@ def test_priority_must_be_permutation():
         make_instance([("a", []), ("b", [])], 1, ["a"], ["t1"], {})
     with pytest.raises(MalformedInstanceError, match="permutation"):
         make_instance([("a", [])], 1, ["a", "b"], ["t1"], {})
+    # the right length and no repeat, but one id no student holds
+    with pytest.raises(MalformedInstanceError, match="permutation"):
+        make_instance([("a", []), ("b", [])], 1, ["a", "ghost"], ["t1"], {})
 
 
 def test_unknown_student_type_rejected():
