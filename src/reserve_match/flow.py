@@ -13,6 +13,10 @@ standing network with the arcs of every group key it has, and its residual
 graph (_Residual), once. A pool's network copies the capacity list and sets
 its own groups' arcs to their sizes. The solver and the validity checks
 walk that one residual graph, each with residual capacities of its own.
+The engine reads an instance's groups as its group keys and the priority
+positions of each group's members (Instance.member_positions), never as
+Group objects: a choice reads a group's selected students off its
+positions in the priority.
 
 Each network is solved once: the unconstrained min-cost max-flow f* and its
 final Johnson potentials are kept on the network. The solve may start from
@@ -43,7 +47,10 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
+from math import gcd
+from operator import mul
 from typing import Callable, Optional, TypeVar
 
 from .model import (
@@ -259,11 +266,11 @@ class FlowNetwork:
         self.cut: Optional[_Cut] = None
         capacities = list(standing.capacities)
         self.group_arcs: dict[GroupKey, int] = {}
-        for g in instance.groups():
+        for key, members in zip(instance.group_keys(), instance.member_positions()):
             # the source arc, then one arc per type and the general type
-            e = self.group_arcs[g.key] = standing.group_arcs[g.key]
-            width = len(g.key) + 2
-            capacities[e : e + width] = [len(g.members)] * width
+            e = self.group_arcs[key] = standing.group_arcs[key]
+            width = len(key) + 2
+            capacities[e : e + width] = [len(members)] * width
         self.capacities = capacities
 
 
@@ -411,7 +418,7 @@ def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
     flows = solver.arc_flows()
     return OptimalFlow(
         value=flows[network.q_sink_arc],
-        cost=sum(f * c for f, c in zip(flows, network.costs)),
+        cost=sum(map(mul, flows, network.costs)),
         arc_flows=flows,
         potentials=tuple(solver.potential),
     )
@@ -532,8 +539,8 @@ class _Optimum:
             if not spare[end]:
                 del spare[end]
         flows = tuple(residual[1::2])
-        value = sum(flows[e] for e in self.group_arc.values())
-        total = sum(f * c for f, c in zip(flows, self.cost))
+        value = sum(map(flows.__getitem__, self.group_arc.values()))
+        total = sum(map(mul, flows, self.cost))
         if value != self.flow.value or total != self.flow.cost:
             raise InternalInvariantError("rerouted flow left the optimum")
         return OptimalFlow(value=value, cost=total, arc_flows=flows, potentials=pot)
@@ -661,7 +668,9 @@ def _last_ratio(sizes: list[int], bound: int) -> Fraction:
     The sum grows with beta, so bisecting the grid k / m of the largest
     size m brackets the answer in [k / m, (k + 1) / m). A size of at most m
     has at most one grid point in that window, so a second bisection over
-    those points finishes. Only sums are evaluated, no validity check.
+    those points finishes. Only sums are evaluated, no validity check, and
+    only on integers: the window holds each point as a reduced (j, s) pair,
+    and one Fraction is built for the answer.
     """
     top = max(sizes, default=0)
     if not top:
@@ -681,12 +690,13 @@ def _last_ratio(sizes: list[int], bound: int) -> Fraction:
     for size in sizes:
         j = -(-k * size // top)
         if j * top < (k + 1) * size:
-            window.add(Fraction(j, size))
-    ordered = sorted(window)  # starts at k / top, from the largest size
-    last = _bisect_last(
-        0, len(ordered), lambda i: fits(ordered[i].numerator, ordered[i].denominator)
-    )
-    return ordered[last]
+            d = gcd(j, size)
+            window.add((j // d, size // d))
+    # reduced pairs name distinct points; cross-multiplying orders them, so
+    # the list starts at k / top, from the largest size
+    ordered = sorted(window, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    last = _bisect_last(0, len(ordered), lambda i: fits(*ordered[i]))
+    return Fraction(*ordered[last])
 
 
 def crucial_vector(
@@ -721,7 +731,7 @@ def _crucial_search(
 ) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
     """crucial_vector's alpha and targets, plus the witness flow of the check
     that held: a maximal-diversity flow meeting exactly those targets."""
-    sizes = {g.key: g.size for g in instance.groups()}
+    sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
         num, den = beta.numerator, beta.denominator
@@ -775,12 +785,13 @@ def choice_flow(
     net = build_network(instance)
     net.start = start
     cert = compute_certificate(net)
-    groups = instance.groups()
+    keys = instance.group_keys()
+    positions = instance.member_positions()
     if delta_star is None:
         alpha, targets, witness = _crucial_search(instance, net, cert)
     else:
         # unknown keys stay in, so the validity check rejects them
-        targets = {g.key: 0 for g in groups}
+        targets = dict.fromkeys(keys, 0)
         targets.update((key, int(v)) for key, v in delta_star.items())
         witness = check_validity_flow(instance, targets, network=net, cert=cert)
         if witness is None:
@@ -794,8 +805,8 @@ def choice_flow(
     # the target); a round admits a prefix of the live candidates, so each
     # list's admitted ones come first and precede every live one still out
     at = {
-        g.key: positions[targets[g.key] :]
-        for g, positions in zip(groups, instance.member_positions() if room else ())
+        key: members[targets[key] :]
+        for key, members in zip(keys, positions if room else ())
     }
     while room:
         first = {key: counts[key] - targets[key] for key in at}
@@ -840,8 +851,13 @@ def choice_flow(
         for key in net.cut.groups:
             at.pop(key, None)
 
+    # each group's selected students are its first counts[key] members
+    priority = instance.priority
     selected = frozenset(
-        chain.from_iterable(g.members[: counts[g.key]] for g in groups)
+        chain.from_iterable(
+            map(priority.__getitem__, members[: counts[key]])
+            for key, members in zip(keys, positions)
+        )
     )
     if len(selected) != min(len(instance.priority), instance.capacity):
         raise InternalInvariantError("selection is wasteful")
@@ -876,13 +892,13 @@ def flow_to_matching(
     the best ranks), and seat indices within a class follow instance priority.
     """
     net = network if network is not None else build_network(instance)
-    groups = instance.groups()
+    keys = instance.group_keys()
     amounts = flow.arc_flows
     demand = {key: amounts[e] for key, e in net.rank_arcs.items()}
-    slots: dict[GroupKey, list[tuple[str, int]]] = {g.key: [] for g in groups}
-    for g in groups:
-        for t in list(g.key) + [GENERAL_TYPE]:
-            supply = amounts[net.group_type_arcs[(g.key, t)]]
+    slots: dict[GroupKey, list[tuple[str, int]]] = {key: [] for key in keys}
+    for key in keys:
+        for t in list(key) + [GENERAL_TYPE]:
+            supply = amounts[net.group_type_arcs[(key, t)]]
             for j in range(1, net.max_rank + 1):
                 if supply == 0:
                     break
@@ -890,7 +906,7 @@ def flow_to_matching(
                 if take:
                     demand[(t, j)] -= take
                     supply -= take
-                    slots[g.key].extend([(t, j)] * take)
+                    slots[key].extend([(t, j)] * take)
             if supply:
                 raise InternalInvariantError("decomposition ran out of seat demand")
     if any(demand.values()):
@@ -899,9 +915,11 @@ def flow_to_matching(
     # each class's holders as (priority position, id), so sorting them
     # orders the class by priority
     class_holders: dict[tuple[str, int], list[tuple[int, str]]] = {}
-    for g, positions in zip(groups, instance.member_positions()):
-        ordered = sorted(slots[g.key], key=lambda tj: (tj[1], tj[0]))
-        for held, (t, j) in zip(zip(positions, g.members), ordered):
+    priority = instance.priority
+    for key, positions in zip(keys, instance.member_positions()):
+        ordered = sorted(slots[key], key=lambda tj: (tj[1], tj[0]))
+        members = map(priority.__getitem__, positions)
+        for held, (t, j) in zip(zip(positions, members), ordered):
             class_holders.setdefault((t, j), []).append(held)
     matching: SeatMatching = {}
     for (t, j), holders in sorted(class_holders.items()):

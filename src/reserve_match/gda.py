@@ -12,6 +12,13 @@ of a school's indexes, its priority-order group column among them, are
 built when a pool or probe first restricts it, so `gda --probe` builds
 them for the probed school alone.
 
+A school's held students are carried from round to round as ascending
+positions of its priority. A pool is those positions plus the new
+proposers', sorted, and only the proposers are mapped from ids to
+positions; the pool is cut from the school's instance by position (see
+model.restrict_to_ranks). The next held positions and the rejected ids are
+read off the pool with one compress each.
+
 Every pool of a school is solved on the school's one standing network (see
 flow.FlowNetwork), so a school's choice hands the next one its witness: a
 flow that carries exactly the held students, who all stay in the next
@@ -24,8 +31,8 @@ one run_gda call, and the choices are the same either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import eq
+from itertools import chain, compress
+from operator import eq, not_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import flow
@@ -36,6 +43,7 @@ from .model import (
     StudentColumns,
     StudentRecord,
     restrict_instance,
+    restrict_to_ranks,
 )
 
 
@@ -159,6 +167,8 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     """Generalized deferred acceptance with the balanced choice function."""
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
     selected: dict[str, tuple[str, ...]] = {cid: () for cid in held}
+    # each school's held students as ascending positions of its priority
+    ranks: dict[str, list[int]] = {cid: [] for cid in held}
     # a student's refusals are a prefix of their list, so the count says where
     # they propose next; only last round's rejected students propose again
     refusals = dict.fromkeys(multi.student_ids, 0)
@@ -183,12 +193,17 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
         for cid in order:
             if cid not in proposals:
                 continue
-            pool = held[cid] | set(proposals[cid])
-            sub = induced_instance(multi, cid, pool)
+            school = multi.instances[cid]
+            # only the new proposers are mapped to positions; the held ones
+            # carry theirs from the last choice
+            pool = sorted(chain(ranks[cid], school.ranks_of(proposals[cid])))
+            sub = restrict_to_ranks(school, pool)
             choice = flow.choice_flow(sub, start=starts[cid])
             chosen, starts[cid] = choice.selected, choice.witness
+            kept = list(map(chosen.__contains__, sub.priority))
+            ranks[cid] = list(compress(pool, kept))
             pools[cid] = sub.priority
-            rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
+            rejected[cid] = tuple(compress(sub.priority, map(not_, kept)))
             for sid in rejected[cid]:
                 refusals[sid] += 1
             held[cid] = chosen

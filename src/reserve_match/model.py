@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from operator import attrgetter
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 # Reserved name for the implicit general type. Every student holds it and it
 # receives q seats at the largest rank; instance files must never mention it.
@@ -186,8 +186,8 @@ class Instance:
     built on first use, not by the constructor, so an instance that is
     loaded and never solved costs one pass over its priority. fixed is
     shared with every restriction (see FixedPart). A restriction (see
-    restrict_instance) starts from its priority and its groups' positions,
-    and builds its columns only on first use.
+    restrict_instance and restrict_to_ranks) starts from its priority and
+    its groups' positions, and builds its columns only on first use.
     """
 
     def __init__(
@@ -323,10 +323,20 @@ class Instance:
         """Groups in lexicographic key order."""
         return self._groups
 
+    def group_keys(self) -> tuple[GroupKey, ...]:
+        """The key of each group in lexicographic order, aligned with
+        groups() and member_positions()."""
+        return self._keys
+
     def member_positions(self) -> list[list[int]]:
         """Ascending priority positions of each group's members, aligned with
         groups(); shared, so callers slice them and never write to them."""
         return self._positions
+
+    def ranks_of(self, ids: Iterable[str]) -> Iterator[int]:
+        """The priority position of each id, read through the id index and
+        the rank array; an unknown id raises KeyError."""
+        return map(self._rank.__getitem__, map(self.columns.index.__getitem__, ids))
 
     def priority_rows(self) -> array:
         """The file row of each student in priority order; shared, so
@@ -358,20 +368,31 @@ def build_groups(instance: Instance) -> list[Group]:
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The same instance with the student set cut down to keep.
 
-    A cut is built with what a choice reads: its priority order, read off
-    the instance's rank array with one sort of k positions (never a walk of
-    the full priority list), and each kept group's priority positions,
-    bucketed in the same pass. Its columns are taken only on first use, and
-    not validated again: every check of Instance._validate holds for a
-    subset of a valid instance's students. The cut shares the instance's
-    fixed part.
+    The ids are checked against the instance's id index, so an unknown one
+    raises KeyError, and mapped to their priority positions through the
+    rank array; the cut is then built from those positions (see
+    restrict_to_ranks).
     """
     index = instance.columns.index
     chosen = set(keep)
     unknown = chosen.difference(index)
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    ranks = sorted(map(instance._rank.__getitem__, map(index.__getitem__, chosen)))
+    return restrict_to_ranks(instance, sorted(instance.ranks_of(chosen)))
+
+
+def restrict_to_ranks(instance: Instance, ranks: list[int]) -> Instance:
+    """The same instance cut down to the students at the given ascending
+    priority positions of its priority order.
+
+    A cut is built with what a choice reads: its priority order, read off
+    the instance's priority at those positions (never a walk of the full
+    priority list), and each kept group's priority positions, bucketed in
+    one pass over the given positions. Its columns are taken only on
+    first use, and not validated again: every check of Instance._validate
+    holds for a subset of a valid instance's students. The cut shares the
+    instance's fixed part.
+    """
     keys = instance._keys
     buckets: list[list[int]] = [[] for _ in keys]
     into = [bucket.append for bucket in buckets]
@@ -499,7 +520,12 @@ def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
 def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio:
     """Minimum selection ratio of per-group counts; 0/1 when there are no groups."""
     return min(
-        (selection_ratio(counts[g.key], g.size) for g in instance.groups()),
+        (
+            selection_ratio(counts[key], len(positions))
+            for key, positions in zip(
+                instance.group_keys(), instance.member_positions()
+            )
+        ),
         default=Fraction(0),
     )
 

@@ -30,7 +30,13 @@ pair per group pair.
 It holds the multi-school rounds as `gda` ran them before it kept
 one instance per school: every round rebuilds each pool from the raw
 student list, and every unmatched student scans their list past a set of
-refusing schools.
+refusing schools. Beside them sits the pool loop `gda` ran before it
+carried held students as priority positions (`id_set_gda`): each pool is
+the union of the held and the proposing id sets, cut from the school's
+instance by id, and the rejected students are found by scanning the pool
+for ids outside the choice. Beside the two-stage bisection sits the
+window search `flow` ran before it kept the alpha window in integers
+(`fraction_last_ratio`), one Fraction per window point.
 
 It holds the reserve network as `flow` built it for each cut before every
 cut shared its instance's standing network: one frozen `Arc` per arc and
@@ -88,7 +94,12 @@ from reserve_match.flow import (
     min_cost_max_flow,
     rank_cost,
 )
-from reserve_match.gda import MultiInstance, MultiMatching, RoundTrace
+from reserve_match.gda import (
+    MultiInstance,
+    MultiMatching,
+    RoundTrace,
+    induced_instance,
+)
 from reserve_match.generator import QUOTA_STYLES, _draw_quotas
 from reserve_match.model import (
     GENERAL_TYPE,
@@ -190,6 +201,41 @@ def bisection_crucial_vector(
     if witness is None:
         raise InternalInvariantError("zero-target validity failed")
     return alpha, targets, witness
+
+
+def fraction_last_ratio(sizes: list[int], bound: int) -> Fraction:
+    """Largest beta in {0} | {j / s : s in sizes, 0 < j <= s} with
+    sum(ceil(beta * s) for s in sizes) <= bound, for a bound >= 0.
+
+    The sum grows with beta, so bisecting the grid k / m of the largest
+    size m brackets the answer in [k / m, (k + 1) / m). A size of at most m
+    has at most one grid point in that window, so a second bisection over
+    those points finishes. Only sums are evaluated, no validity check.
+    """
+    top = max(sizes, default=0)
+    if not top:
+        return Fraction(0)
+    total = sum(sizes)
+
+    def fits(num: int, den: int) -> bool:
+        return sum(-(-num * size // den) for size in sizes) <= bound
+
+    # the sum lies in [beta * total, beta * total + len(sizes)), so it fits
+    # at every grid point up to (bound + 1 - len(sizes)) / total and at
+    # none past bound / total: only the points between are bisected
+    low = min(max(0, (bound + 1 - len(sizes)) * top // total), top)
+    high = min(bound * top // total, top)
+    k = _bisect_last(low, high + 1, lambda mid: fits(mid, top))
+    window = set()
+    for size in sizes:
+        j = -(-k * size // top)
+        if j * top < (k + 1) * size:
+            window.add(Fraction(j, size))
+    ordered = sorted(window)  # starts at k / top, from the largest size
+    last = _bisect_last(
+        0, len(ordered), lambda i: fits(ordered[i].numerator, ordered[i].denominator)
+    )
+    return ordered[last]
 
 
 def oracle_max_min_ratio(
@@ -836,6 +882,66 @@ def rescanning_gda(multi: MultiInstance) -> MultiMatching:
             )
         )
     assignment: dict[str, Optional[str]] = {s.id: None for s in multi.students}
+    for cid, chosen in held.items():
+        for sid in chosen:
+            assignment[sid] = cid
+    return MultiMatching(
+        assignment=assignment, per_school=dict(held), rounds=tuple(rounds)
+    )
+
+
+def id_set_gda(multi: MultiInstance) -> MultiMatching:
+    """Deferred acceptance whose pools are id sets, cut from each school's
+    instance by id every round."""
+    held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
+    selected: dict[str, tuple[str, ...]] = {cid: () for cid in held}
+    # a student's refusals are a prefix of their list, so the count says where
+    # they propose next; only last round's rejected students propose again
+    refusals = dict.fromkeys(multi.student_ids, 0)
+    order = sorted(held)
+    rounds: list[RoundTrace] = []
+    limit = len(multi.columns) * len(multi.schools) + 1
+    movers = list(multi.columns.ids)
+    # each school's last witness, the start of its next choice's solve
+    starts: dict[str, Optional[flow.OptimalFlow]] = dict.fromkeys(order)
+    while True:
+        proposals: dict[str, list[str]] = {}
+        for sid in movers:
+            prefs = multi.preference_list(sid)
+            if refusals[sid] < len(prefs):
+                proposals.setdefault(prefs[refusals[sid]], []).append(sid)
+        if not proposals:
+            break
+        if len(rounds) >= limit:
+            raise InternalInvariantError("proposal rounds exceeded |S| * |C|")
+        pools: dict[str, tuple[str, ...]] = {}
+        rejected: dict[str, tuple[str, ...]] = {}
+        for cid in order:
+            if cid not in proposals:
+                continue
+            pool = held[cid] | set(proposals[cid])
+            sub = induced_instance(multi, cid, pool)
+            choice = flow.choice_flow(sub, start=starts[cid])
+            chosen, starts[cid] = choice.selected, choice.witness
+            pools[cid] = sub.priority
+            rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
+            for sid in rejected[cid]:
+                refusals[sid] += 1
+            held[cid] = chosen
+            selected[cid] = tuple(sorted(chosen))
+        rounds.append(
+            RoundTrace(
+                number=len(rounds) + 1,
+                proposals={
+                    cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
+                },
+                pools=pools,
+                selected=dict(selected),
+                rejected=rejected,
+            )
+        )
+        movers = [sid for out in rejected.values() for sid in out]
+    assignment: dict[str, Optional[str]] = dict.fromkeys(multi.columns.ids)
     for cid, chosen in held.items():
         for sid in chosen:
             assignment[sid] = cid

@@ -17,7 +17,7 @@ import pytest
 from factories import hard_regime_school, make_instance, random_school
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference_search import bisection_crucial_vector
+from reference_search import bisection_crucial_vector, fraction_last_ratio
 
 from reserve_match import flow
 from reserve_match.flow import (
@@ -114,6 +114,22 @@ def generated(draw: st.DrawFn) -> Instance:
 @given(generated())
 def test_descent_matches_bisection_on_drawn_instances(instance):
     assert_same_search(instance)
+
+
+@st.composite
+def window_cases(draw: st.DrawFn) -> tuple[list[int], int]:
+    """Group sizes and a bound from 0 to one past their sum."""
+    sizes = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=300))
+    return sizes, draw(st.integers(0, sum(sizes) + 1))
+
+
+@settings(DRAWN, max_examples=200)
+@given(window_cases())
+def test_integer_window_matches_fraction_window(case):
+    sizes, bound = case
+    got = flow._last_ratio(sizes, bound)
+    assert type(got) is Fraction
+    assert got == fraction_last_ratio(sizes, bound)
 
 
 def _traced_search(monkeypatch, instance: Instance):
