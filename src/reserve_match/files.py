@@ -504,8 +504,10 @@ def _in_priority_order(
     listed in priority order, read off each group's member positions."""
     picked = sorted(
         chain.from_iterable(
-            positions[: counts.get(g.key, 0)]
-            for g, positions in zip(instance.groups(), instance.member_positions())
+            positions[: counts.get(key, 0)]
+            for key, positions in zip(
+                instance.group_keys(), instance.member_positions()
+            )
         )
     )
     ordered = list(map(instance.priority.__getitem__, picked))

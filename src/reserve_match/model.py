@@ -398,11 +398,11 @@ def restrict_to_ranks(instance: Instance, ranks: list[int]) -> Instance:
     into = [bucket.append for bucket in buckets]
     for p, g in enumerate(map(instance._ranked.__getitem__, ranks)):
         into[g](p)
-    present = [g for g, bucket in enumerate(buckets) if bucket]
     cut = object.__new__(Instance)
     cut._origin = (instance, ranks)
-    cut._keys = tuple(keys[g] for g in present)
-    cut._positions = [buckets[g] for g in present]
+    # only the groups with a member in the cut
+    cut._keys = tuple(compress(keys, buckets))
+    cut._positions = list(filter(None, buckets))
     cut.capacity = instance.capacity
     cut.priority = tuple(list(map(instance.priority.__getitem__, ranks)))
     cut.types = instance.types

@@ -144,22 +144,22 @@ def _envy_witness(
     qualify. Among qualifying pairs the highest-priority envier wins, then
     its lowest-priority target.
     """
-    groups = instance.groups()
+    keys = instance.group_keys()
     positions = instance.member_positions()
     rows = instance.priority_rows()
     # priority positions: each group's top unselected and bottom selected member
     tops = [next((p for p in pos if not flags[rows[p]]), None) for pos in positions]
     candidates: list[tuple[int, int]] = []
-    for g_out, pos_out in zip(groups, positions):
+    for out_key, pos_out in zip(keys, positions):
         bottom = next((p for p in reversed(pos_out) if flags[rows[p]]), None)
         if bottom is None:
             continue
-        for g_in, top in zip(groups, tops):
+        for in_key, top in zip(keys, tops):
             if top is None or top >= bottom:
                 continue
             swapped = dict(counts)
-            swapped[g_in.key] += 1
-            swapped[g_out.key] -= 1
+            swapped[in_key] += 1
+            swapped[out_key] -= 1
             if valid(swapped) and min_count_ratio(instance, swapped) == alpha:
                 candidates.append((top, bottom))
     if not candidates:
