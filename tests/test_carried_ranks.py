@@ -53,9 +53,8 @@ def test_rank_cut_matches_id_cut(multi, data):
         pool = data.draw(st.sets(st.sampled_from(ids)))
         ranks = [p for p, sid in enumerate(instance.priority) if sid in pool]
         by_rank = restrict_to_ranks(instance, ranks)
-        for cut in (restrict_instance(instance, pool), rebuilt_induced_instance(
-            multi, cid, pool
-        )):
+        by_id = restrict_instance(instance, pool)
+        for cut in (by_id, rebuilt_induced_instance(multi, cid, pool)):
             assert by_rank.priority == cut.priority
             assert by_rank.group_keys() == cut.group_keys()
             assert by_rank.member_positions() == cut.member_positions()
