@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import os
@@ -742,3 +743,136 @@ def test_loading_and_solving_a_file_makes_no_student_records(tmp_path, monkeypat
     # the records view is still there for library callers, built on first use
     assert len(load_instance(str(single)).students) == 300
     assert len(made) == 300
+
+
+# The loaders run with the cyclic collector paused and scan the students
+# array once; both must leave every verdict and message as it was.
+
+# what -> (file loader, payload loader, its record reference, CLI command);
+# DOCUMENTS gives each one's payload and schema
+LOADERS = {
+    "instance file": (
+        load_instance, instance_from_payload, record_instance_from_payload, "solve"
+    ),
+    "multi-school file": (
+        load_multi, multi_from_payload, record_multi_from_payload, "gda"
+    ),
+}
+
+
+def _write(tmp_path, text) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def collector_enabled():
+    """Leave the collector on after the test, whatever the test did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_loaders_put_back_the_callers_collector_state(
+    what, caller_enabled, tmp_path, collector_enabled
+):
+    load = LOADERS[what][0]
+    make, _schema = DOCUMENTS[what]
+    broken = make()
+    broken["students"][0]["types"] = "t1"
+    texts = {
+        "good": json.dumps(make()),
+        "bad JSON": "{",
+        "schema error": json.dumps(broken),
+    }
+    for case, text in texts.items():
+        if caller_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        path = _write(tmp_path, text)
+        if case == "good":
+            load(path)
+        else:
+            with pytest.raises(InstanceFormatError):
+                load(path)
+        assert gc.isenabled() is caller_enabled, case
+
+
+def test_loading_starts_at_most_one_collection_and_leaves_no_garbage(tmp_path):
+    instance = generate_instance(20000, 3, 2, 7)
+    path = _write(tmp_path, dump_json(instance_to_payload(instance)))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        loaded = load_instance(path)
+    finally:
+        gc.callbacks.remove(count)
+    # one may start as the load hands back the collector
+    assert len(starts) <= 1
+    assert gc.collect() == 0
+    assert loaded.columns.ids == instance.columns.ids
+
+
+SCAN_FAULTS = {
+    "integer type name": lambda s: s["types"].append(1),
+    "null type name": lambda s: s["types"].append(None),
+    "boolean type name": lambda s: s["types"].append(True),
+    "float type name": lambda s: s["types"].append(1.5),
+    "list type name": lambda s: s["types"].append([]),
+    "object type name": lambda s: s["types"].append({}),
+    "types as a string": lambda s: s.update(types="ab"),
+    "integer id": lambda s: s.update(id=7),
+    "missing key": lambda s: s.pop("types"),
+    "extra key": lambda s: s.update(extra=1),
+}
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+@pytest.mark.parametrize("fault", sorted(SCAN_FAULTS))
+def test_students_scan_faults_keep_the_jsonschema_messages(
+    what, fault, tmp_path, capsys
+):
+    command = LOADERS[what][3]
+    make, schema = DOCUMENTS[what]
+    payload = make()
+    SCAN_FAULTS[fault](payload["students"][-1])
+    expected = _jsonschema_text(payload, schema, what)
+    assert expected is not None
+    capsys.readouterr()
+    assert cli.main([command, _write(tmp_path, json.dumps(payload))]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    what=st.sampled_from(sorted(LOADERS)),
+    mutations=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_loaders_agree_with_jsonschema(what, mutations, data):
+    _load, load, reference, _command = LOADERS[what]
+    make, schema = DOCUMENTS[what]
+    payload = make()
+    # most mutations land inside one students item, the scanned array
+    for _ in range(mutations):
+        within = ()
+        if isinstance(payload, dict) and isinstance(payload.get("students"), list):
+            if payload["students"] and data.draw(st.integers(0, 3)):
+                index = data.draw(st.integers(0, len(payload["students"]) - 1))
+                within = ("students", index)
+        payload = _mutate(data, payload, within)
+    expected = _jsonschema_text(payload, schema, what)
+    _got, error = _outcome(load, payload)
+    if expected is not None:
+        assert error == expected
+    else:
+        assert error == _outcome(reference, payload)[1]

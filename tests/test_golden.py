@@ -31,7 +31,7 @@ import hashlib
 import pytest
 from factories import hard_regime_school, seeded_market
 
-from reserve_match import files
+from reserve_match import files, model
 from reserve_match.cli import main
 from reserve_match.flow import crucial_vector
 from reserve_match.model import group_label
@@ -143,6 +143,30 @@ def test_baseline_and_validate_bytes_match_golden_digest(name, tmp_path, capsys)
     assert main(["validate", str(source), "--targets", str(targets)]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(stdout).hexdigest() == validate_digest
+
+
+def test_validate_builds_no_groups(tmp_path, capsys, monkeypatch):
+    name = "gen-400-r2-minmax"
+    instance = CORPUS[name][0]()
+    source = tmp_path / "instance.json"
+    targets = tmp_path / "targets.json"
+    files.write_text(files.dump_json(files.instance_to_payload(instance)), str(source))
+    _alpha, crucial = crucial_vector(instance)
+    labels = {group_label(key): value for key, value in crucial.items()}
+    files.write_text(files.dump_json(labels), str(targets))
+    calls = []
+    original = model.build_groups
+
+    def counted(instance):
+        calls.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(model, "build_groups", counted)
+    capsys.readouterr()
+    assert main(["validate", str(source), "--targets", str(targets)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == CHECKS[name][1]
+    assert calls == []
 
 
 # gen arguments -> sha256 of the instance file it writes
