@@ -9,7 +9,6 @@ module.
 from .baseline import BaselineResult, sequential_baseline
 from .flow import (
     FlowNetwork,
-    OptimalityCertificate,
     build_network,
     check_validity_flow,
     choice_flow,
@@ -68,7 +67,6 @@ __all__ = [
     "MalformedInstanceError",
     "MultiInstance",
     "MultiMatching",
-    "OptimalityCertificate",
     "OracleBudget",
     "OracleBudgetExceeded",
     "School",

@@ -18,18 +18,20 @@ positions of each group's members (Instance.member_positions), never as
 Group objects: a choice reads a group's selected students off its
 positions in the priority.
 
-Each network is solved once: the unconstrained min-cost max-flow f* and its
-final Johnson potentials are kept on the network. The solve may start from
-a min-cost flow of another network on the same standing layout, with its
-potentials, when those certify it on the new capacities (every residual
-arc at reduced cost >= 0); deferred acceptance starts each school's solve
-from its last choice's witness this way. A validity check (is there
-a maximal-diversity flow giving every group at least its target?) is then a
-small max-flow on the residual edges of f* whose reduced cost is 0, because
-those reroutes of f* are exactly the flows with f*'s value and cost (Ahuja,
-Magnanti and Orlin, Network Flows, 1993, ch. 9: complementary slackness).
-So f*'s potentials prove every witness a check returns optimal too. The
-alpha search and the greedy walk make all their checks on that one solve.
+Each network is solved once: the unconstrained min-cost max-flow f* with
+its final Johnson potentials, which certify it, is kept as the network's
+`optimum` and nowhere else (see compute_certificate). The solve may start
+from a min-cost flow of another network on the same standing layout, with
+its potentials, when those certify it on the new capacities (every
+residual arc at reduced cost >= 0); deferred acceptance starts each
+school's solve from its last choice's witness this way. A validity check
+(is there a maximal-diversity flow giving every group at least its target?)
+is then a small max-flow on the residual edges of f* whose reduced cost is
+0, because those reroutes of f* are exactly the flows with f*'s value and
+cost (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9: complementary
+slackness). So f*'s potentials prove every witness a check returns optimal
+too. The alpha search and the greedy walk make all their checks on that
+one solve.
 
 A check that fails leaves a cut: a set of groups and a bound on the total
 flow any maximal-diversity flow can give them, which the targets exceed.
@@ -86,20 +88,15 @@ def rank_cost(rank: int, capacity: int, max_rank: int) -> int:
 
 
 @dataclass(frozen=True)
-class FlowAssignment:
-    """An integral flow: per-arc amounts plus its value and total cost."""
+class OptimalFlow:
+    """An integral min-cost max-flow: per-arc amounts, its value and total
+    cost, plus node potentials that prove it optimal: every arc of its
+    residual graph has reduced cost
+    cost + potentials[tail] - potentials[head] >= 0."""
 
     value: int
     cost: int
     arc_flows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OptimalFlow(FlowAssignment):
-    """A min-cost max-flow plus node potentials that prove it optimal: every
-    arc of its residual graph has reduced cost
-    cost + potentials[tail] - potentials[head] >= 0."""
-
     potentials: tuple[int, ...]
 
 
@@ -111,14 +108,6 @@ class _Cut:
 
     groups: tuple[GroupKey, ...]
     bound: int
-
-
-@dataclass(frozen=True)
-class OptimalityCertificate:
-    """Value and cost of a min-cost max-flow on the unconstrained network."""
-
-    max_value: int
-    min_cost: int
 
 
 SOURCE = 0
@@ -196,7 +185,6 @@ class _StandingNetwork:
         self.group_arcs: dict[GroupKey, int] = {}
         self.group_type_arcs: dict[tuple[GroupKey, str], int] = {}
         self.rank_arcs: dict[tuple[str, int], int] = {}
-        self.seat_exit_arcs: dict[tuple[str, int], int] = {}
 
         def add_arc(tail: int, head: int, cap: int, cost: int) -> int:
             self.tails.append(tail)
@@ -218,7 +206,7 @@ class _StandingNetwork:
                     cap = instance.quotas.get((t, j), 0)
                 cost = rank_cost(j, capacity, max_rank)
                 self.rank_arcs[(t, j)] = add_arc(type_node[t], node, cap, cost)
-                self.seat_exit_arcs[(t, j)] = add_arc(node, hub, cap, 0)
+                add_arc(node, hub, cap, 0)
                 node += 1
         self.q_sink_arc = add_arc(hub, SINK, capacity, 0)
         self.residual = _Residual(self.node_count, self.tails, self.heads, self.costs)
@@ -238,8 +226,9 @@ class FlowNetwork:
     root instance's standing network (see _StandingNetwork), shared by every
     restriction; a network sets its own groups' arcs to their sizes and
     leaves every other group's at 0. `group_arcs` maps only its own groups.
-    The unconstrained optimum is solved on first use and kept (see
-    _optimum), so every validity check on one network shares a single
+    `optimum` is the unconstrained min-cost max-flow f* with its
+    potentials, solved on first use (see compute_certificate) and held
+    nowhere else, so every validity check on one network reroutes a single
     min-cost flow solve; that solve starts from `start` when it is
     certified (see min_cost_max_flow). `cut` is the _Cut of the last check
     on the network that failed.
@@ -259,10 +248,9 @@ class FlowNetwork:
         self.costs = standing.costs
         self.group_type_arcs = standing.group_type_arcs
         self.rank_arcs = standing.rank_arcs
-        self.seat_exit_arcs = standing.seat_exit_arcs
         self.q_sink_arc = standing.q_sink_arc
         self.start: Optional[OptimalFlow] = None
-        self._optimum: Optional[_Optimum] = None
+        self.optimum: Optional[OptimalFlow] = None
         self.cut: Optional[_Cut] = None
         capacities = list(standing.capacities)
         self.group_arcs: dict[GroupKey, int] = {}
@@ -424,148 +412,127 @@ def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
     )
 
 
-class _Optimum:
-    """The unconstrained optimum f* of one network, as residual capacities
-    on the standing network's residual graph, which a validity check walks.
+def compute_certificate(network: FlowNetwork) -> OptimalFlow:
+    """f*, the unconstrained min-cost max-flow of the network with the
+    potentials that prove it optimal: its value F* and cost C* are the
+    maximal-diversity benchmark. Solved on first use and kept as
+    network.optimum."""
+    if network.optimum is None:
+        best = min_cost_max_flow(network)
+        expected = min(len(network.instance.priority), network.instance.capacity)
+        if best.value != expected:
+            raise InternalInvariantError(
+                f"max flow {best.value} != min(|S|, q) = {expected}"
+            )
+        network.optimum = best
+    return network.optimum
 
-    Under f*'s potentials every residual edge has reduced cost >= 0, and a
-    circulation's cost is the sum of its reduced costs. So a flow of value
-    F* costs C* exactly when its difference from f* is a circulation on
-    residual edges of reduced cost 0 (the admissible edges). `residual`
-    holds f*'s residual capacity per edge of `graph` (see _Residual);
-    `groups` holds, per group, its key, node, flow in f* and whether its
-    source arc is admissible (only then may the group's flow move);
-    `group_arc` maps a group node to that arc.
+
+def _reroute(
+    net: FlowNetwork, best: OptimalFlow, targets: TargetVector
+) -> OptimalFlow | _Cut:
+    """best plus a smallest admissible circulation that lifts every group
+    to its target, or a _Cut proving that none exists.
+
+    best is the network's optimum f*. Under its potentials every residual
+    edge has reduced cost >= 0, and a circulation's cost is the sum of its
+    reduced costs. So a flow of value F* costs C* exactly when its
+    difference from f* is a circulation on residual edges of reduced cost 0
+    (the admissible edges). A group's flow may move only when its source
+    arc is admissible (the group is free).
+
+    A simple cycle of such a circulation passes the source once: it
+    raises one group and lowers another. Cycles that raise a group
+    already at its target can be dropped (a conformal decomposition
+    never lowers that group), so this is a max-flow problem from the
+    deficit groups (t_u - f*_u units each, admissible source arc
+    required) to the groups above their targets (f*_v - t_v each,
+    admissible source arc required) over the admissible edges that
+    touch neither the source nor the sink. Breadth-first augmenting
+    paths on the standing network's residual graph solve it exactly;
+    each node's edges are tried in arc order.
+
+    The flow returned carries f*'s potentials, which prove it optimal
+    too: it differs from f* only on arcs of reduced cost 0.
+
+    When no path is left, let R be the free groups whose nodes the last
+    search reached from the deficits. Every other maximal-diversity flow
+    differs from the current one by admissible cycles through the
+    source; one that raises a group of R runs on from it to a free group
+    it reaches, which is in R too. So no such flow gives R more than its
+    current total, while R's targets ask for more: each of its groups is
+    at or below its target (none is a surplus), and a deficit is below.
     """
-
-    def __init__(self, network: FlowNetwork, best: OptimalFlow) -> None:
-        self.flow = best
-        self.graph = network.standing.residual
-        self.cost = network.costs
-        self.residual = _residual_capacities(network.capacities, best.arc_flows)
-        pot = best.potentials
-        self.groups: list[tuple[GroupKey, int, int, bool]] = []
-        self.group_arc: dict[int, int] = {}
-        for key, e in network.group_arcs.items():
-            node = network.heads[e]
-            free = pot[SOURCE] == pot[node]
-            self.groups.append((key, node, best.arc_flows[e], free))
-            self.group_arc[node] = e
-
-    def reroute(self, targets: TargetVector) -> OptimalFlow | _Cut:
-        """f* plus a smallest admissible circulation that lifts every group
-        to its target, or a _Cut proving that none exists.
-
-        A simple cycle of such a circulation passes the source once: it
-        raises one group and lowers another. Cycles that raise a group
-        already at its target can be dropped (a conformal decomposition
-        never lowers that group), so this is a max-flow problem from the
-        deficit groups (t_u - f*_u units each, admissible source arc
-        required) to the groups above their targets (f*_v - t_v each,
-        admissible source arc required) over the admissible edges that
-        touch neither the source nor the sink. Breadth-first augmenting
-        paths solve it exactly; each node's edges are tried in arc order.
-
-        The flow returned carries f*'s potentials, which prove it optimal
-        too: it differs from f* only on arcs of reduced cost 0.
-
-        When no path is left, let R be the free groups whose nodes the last
-        search reached from the deficits. Every other maximal-diversity flow
-        differs from the current one by admissible cycles through the
-        source; one that raises a group of R runs on from it to a free group
-        it reaches, which is in R too. So no such flow gives R more than its
-        current total, while R's targets ask for more: each of its groups is
-        at or below its target (none is a surplus), and a deficit is below.
-        """
-        need: dict[int, int] = {}
-        spare: dict[int, int] = {}
-        for key, node, has, free in self.groups:
-            want = targets.get(key, 0)
-            if want > has:
-                # never true with the solver's own potentials, which keep
-                # every unsaturated source arc at reduced cost 0; exactness
-                # needs it for optimal potentials in general
-                if not free:
-                    return _Cut((key,), has)
-                need[node] = want - has
-            elif want < has and free:
-                spare[node] = has - want
-        if not need:
-            return self.flow
-        to, cost, adjacent = self.graph.to, self.graph.cost, self.graph.adjacent
-        pot = self.flow.potentials
-        residual = list(self.residual)
-        while need:
-            prev: dict[int, Optional[int]] = dict.fromkeys(need)
-            queue = list(need)
-            for v in queue:
-                if v in spare:
-                    break
-                for e in adjacent[v]:
-                    w = to[e]
-                    if residual[e] and w > SINK and w not in prev:
-                        if cost[e] + pot[v] == pot[w]:
-                            prev[w] = e
-                            queue.append(w)
-            else:
-                reached = [
-                    (key, node)
-                    for key, node, _has, free in self.groups
-                    if free and node in prev
-                ]
-                return _Cut(
-                    tuple(key for key, _node in reached),
-                    sum(
-                        residual[2 * self.group_arc[node] + 1]
-                        for _key, node in reached
-                    ),
-                )
-            end = v
-            path = []
-            while prev[v] is not None:
-                e = prev[v]
-                path.append(e)
-                v = to[e ^ 1]
-            amount = min(spare[end], need[v], *(residual[e] for e in path))
-            # the source arcs close the cycle: v's rises, end's falls
-            path += (2 * self.group_arc[v], 2 * self.group_arc[end] + 1)
-            for e in path:
-                residual[e] -= amount
-                residual[e ^ 1] += amount
-            need[v] -= amount
-            if not need[v]:
-                del need[v]
-            spare[end] -= amount
-            if not spare[end]:
-                del spare[end]
-        flows = tuple(residual[1::2])
-        value = sum(map(flows.__getitem__, self.group_arc.values()))
-        total = sum(map(mul, flows, self.cost))
-        if value != self.flow.value or total != self.flow.cost:
-            raise InternalInvariantError("rerouted flow left the optimum")
-        return OptimalFlow(value=value, cost=total, arc_flows=flows, potentials=pot)
+    flows, pot = best.arc_flows, best.potentials
+    need: dict[int, int] = {}
+    spare: dict[int, int] = {}
+    group_arc: dict[int, int] = {}  # group node -> its source arc
+    free: dict[int, GroupKey] = {}  # free group node -> its key
+    for key, e in net.group_arcs.items():
+        node = net.heads[e]
+        group_arc[node] = e
+        if pot[SOURCE] == pot[node]:
+            free[node] = key
+        has, want = flows[e], targets.get(key, 0)
+        if want > has:
+            # never true with the solver's own potentials, which keep
+            # every unsaturated source arc at reduced cost 0; exactness
+            # needs it for optimal potentials in general
+            if node not in free:
+                return _Cut((key,), has)
+            need[node] = want - has
+        elif want < has and node in free:
+            spare[node] = has - want
+    if not need:
+        return best
+    graph = net.standing.residual
+    to, cost, adjacent = graph.to, graph.cost, graph.adjacent
+    residual = _residual_capacities(net.capacities, flows)
+    while need:
+        prev: dict[int, Optional[int]] = dict.fromkeys(need)
+        queue = list(need)
+        for v in queue:
+            if v in spare:
+                break
+            for e in adjacent[v]:
+                w = to[e]
+                if residual[e] and w > SINK and w not in prev:
+                    if cost[e] + pot[v] == pot[w]:
+                        prev[w] = e
+                        queue.append(w)
+        else:
+            reached = [node for node in free if node in prev]
+            return _Cut(
+                tuple(map(free.__getitem__, reached)),
+                sum(residual[2 * group_arc[node] + 1] for node in reached),
+            )
+        end = v
+        path = []
+        while prev[v] is not None:
+            e = prev[v]
+            path.append(e)
+            v = to[e ^ 1]
+        amount = min(spare[end], need[v], *(residual[e] for e in path))
+        # the source arcs close the cycle: v's rises, end's falls
+        path += (2 * group_arc[v], 2 * group_arc[end] + 1)
+        for e in path:
+            residual[e] -= amount
+            residual[e ^ 1] += amount
+        need[v] -= amount
+        if not need[v]:
+            del need[v]
+        spare[end] -= amount
+        if not spare[end]:
+            del spare[end]
+    flows = tuple(residual[1::2])
+    value = sum(map(flows.__getitem__, group_arc.values()))
+    total = sum(map(mul, flows, net.costs))
+    if value != best.value or total != best.cost:
+        raise InternalInvariantError("rerouted flow left the optimum")
+    return OptimalFlow(value=value, cost=total, arc_flows=flows, potentials=pot)
 
 
-def _optimum(network: FlowNetwork) -> _Optimum:
-    """The network's unconstrained optimum, solved on first use and kept."""
-    if network._optimum is None:
-        network._optimum = _Optimum(network, min_cost_max_flow(network))
-    return network._optimum
-
-
-def compute_certificate(network: FlowNetwork) -> OptimalityCertificate:
-    """(F*, C*) of the unconstrained network; the maximal-diversity benchmark."""
-    best = _optimum(network).flow
-    instance = network.instance
-    expected = min(len(instance.priority), instance.capacity)
-    if best.value != expected:
-        raise InternalInvariantError(
-            f"max flow {best.value} != min(|S|, q) = {expected}"
-        )
-    return OptimalityCertificate(max_value=best.value, min_cost=best.cost)
-
-
-def flow_signature(network: FlowNetwork, flow: FlowAssignment) -> Signature:
+def flow_signature(network: FlowNetwork, flow: OptimalFlow) -> Signature:
     """Per-rank unit counts of a flow, read off the type->class arcs."""
     sig = [0] * network.max_rank
     for (_t, j), e in network.rank_arcs.items():
@@ -573,9 +540,7 @@ def flow_signature(network: FlowNetwork, flow: FlowAssignment) -> Signature:
     return tuple(sig)
 
 
-def flow_group_counts(
-    network: FlowNetwork, flow: FlowAssignment
-) -> dict[GroupKey, int]:
+def flow_group_counts(network: FlowNetwork, flow: OptimalFlow) -> dict[GroupKey, int]:
     return {key: flow.arc_flows[e] for key, e in network.group_arcs.items()}
 
 
@@ -584,16 +549,16 @@ def check_validity_flow(
     targets: TargetVector,
     *,
     network: Optional[FlowNetwork] = None,
-    cert: Optional[OptimalityCertificate] = None,
 ) -> Optional[OptimalFlow]:
     """Witness flow if some maximal-diversity flow meets the targets, else None.
 
     Validity means some flow of the unconstrained optimum's value F* and
     cost C* carries at least each group's target; feasibility alone would
     not preserve maximal diversity. The check needs no new min-cost solve:
-    it starts from the network's kept optimum f* and its potentials, and
-    routes each group's shortfall t_u - f*_u from groups above their
-    targets along residual edges of reduced cost 0 (see _Optimum.reroute).
+    it starts from the network's optimum f* and its potentials (solved by
+    compute_certificate on the first check), and routes each group's
+    shortfall t_u - f*_u from groups above their targets along residual
+    edges of reduced cost 0 (see _reroute).
     Those reroutes are exactly the flows of value F* and cost C*, so the
     verdict is exact. The witness is f* itself when f* already meets the
     targets, and otherwise f* plus the rerouted units; either way it
@@ -606,17 +571,16 @@ def check_validity_flow(
         raise ValueError(f"targets for unknown groups: {sorted(unknown)}")
     if any(v < 0 for v in targets.values()):
         raise ValueError("negative target")
-    if cert is None:
-        cert = compute_certificate(net)
+    best = net.optimum or compute_certificate(net)
     for key, want in targets.items():
         size = net.capacities[net.group_arcs[key]]
         if want > size:
             net.cut = _Cut((key,), size)
             return None
-    if sum(targets.values()) > cert.max_value:
-        net.cut = _Cut(tuple(net.group_arcs), cert.max_value)
+    if sum(targets.values()) > best.value:
+        net.cut = _Cut(tuple(net.group_arcs), best.value)
         return None
-    found = _optimum(net).reroute(targets)
+    found = _reroute(net, best, targets)
     if isinstance(found, _Cut):
         net.cut = found
         return None
@@ -638,7 +602,6 @@ def _bisect_last(good: int, bad: int, holds: Callable[[int], bool]) -> int:
 
 def _descend(
     net: FlowNetwork,
-    cert: OptimalityCertificate,
     point: _Point,
     targets_at: Callable[[_Point], dict[GroupKey, int]],
     below: Callable[[_Cut], _Point],
@@ -650,7 +613,7 @@ def _descend(
     does not, so the first check that holds is at the answer."""
     while True:
         targets = targets_at(point)
-        witness = check_validity_flow(net.instance, targets, network=net, cert=cert)
+        witness = check_validity_flow(net.instance, targets, network=net)
         if witness is not None:
             return point, targets, witness
         lower = below(net.cut)
@@ -703,7 +666,7 @@ def crucial_vector(
     instance: Instance,
     *,
     network: Optional[FlowNetwork] = None,
-    cert: Optional[OptimalityCertificate] = None,
+    cert: Optional[OptimalFlow] = None,
 ) -> tuple[Ratio, dict[GroupKey, int]]:
     """Maximum balanced ratio alpha and its per-group targets.
 
@@ -718,16 +681,17 @@ def crucial_vector(
     measured, from the golden corpus to G = 256 groups, that took one or two
     checks. The resulting vector is the tightest one every balanced
     selection must meet.
+
+    `cert` is never read: the network holds its optimum f*. The parameter
+    stays because an existing caller (the benchmark's traced run) passes it.
     """
     net = network if network is not None else build_network(instance)
-    if cert is None:
-        cert = compute_certificate(net)
-    alpha, targets, _witness = _crucial_search(instance, net, cert)
+    alpha, targets, _witness = _crucial_search(instance, net)
     return alpha, targets
 
 
 def _crucial_search(
-    instance: Instance, net: FlowNetwork, cert: OptimalityCertificate
+    instance: Instance, net: FlowNetwork
 ) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
     """crucial_vector's alpha and targets, plus the witness flow of the check
     that held: a maximal-diversity flow meeting exactly those targets."""
@@ -740,8 +704,9 @@ def _crucial_search(
     def below(cut: _Cut) -> Fraction:
         return _last_ratio([sizes[key] for key in cut.groups], cut.bound)
 
-    beta = _last_ratio(list(sizes.values()), cert.max_value)
-    return _descend(net, cert, beta, targets_at, below)
+    best = net.optimum or compute_certificate(net)
+    beta = _last_ratio(list(sizes.values()), best.value)
+    return _descend(net, beta, targets_at, below)
 
 
 def choice_flow(
@@ -784,23 +749,23 @@ def choice_flow(
     """
     net = build_network(instance)
     net.start = start
-    cert = compute_certificate(net)
+    best = compute_certificate(net)
     keys = instance.group_keys()
     positions = instance.member_positions()
     if delta_star is None:
-        alpha, targets, witness = _crucial_search(instance, net, cert)
+        alpha, targets, witness = _crucial_search(instance, net)
     else:
         # unknown keys stay in, so the validity check rejects them
         targets = dict.fromkeys(keys, 0)
         targets.update((key, int(v)) for key, v in delta_star.items())
-        witness = check_validity_flow(instance, targets, network=net, cert=cert)
+        witness = check_validity_flow(instance, targets, network=net)
         if witness is None:
             raise ValueError("delta_star is not a valid target vector")
     if alpha is None:
         alpha = min_count_ratio(instance, targets)
 
     counts = dict(targets)
-    room = cert.max_value - sum(counts.values())
+    room = best.value - sum(counts.values())
     # priority positions of each live group's candidates (its members past
     # the target); a round admits a prefix of the live candidates, so each
     # list's admitted ones come first and precede every live one still out
@@ -842,7 +807,7 @@ def choice_flow(
             return _bisect_last(0, left + 1, fits)
 
         point = min(room, left)
-        good, counts, witness = _descend(net, cert, point, targets_at, below)
+        good, counts, witness = _descend(net, point, targets_at, below)
         room -= good
         if good == point:
             break
@@ -881,7 +846,7 @@ def solve(instance: Instance) -> ChoiceResult:
 
 def flow_to_matching(
     instance: Instance,
-    flow: FlowAssignment,
+    flow: OptimalFlow,
     *,
     network: Optional[FlowNetwork] = None,
 ) -> SeatMatching:

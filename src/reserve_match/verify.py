@@ -70,14 +70,10 @@ def _oracle_source(
 
 def _flow_source(instance: Instance) -> tuple[str, Ratio, Validity]:
     network = flow.build_network(instance)
-    cert = flow.compute_certificate(network)
-    alpha, _delta_star = flow.crucial_vector(instance, network=network, cert=cert)
+    alpha, _delta_star = flow.crucial_vector(instance, network=network)
 
     def valid(counts: dict[GroupKey, int]) -> bool:
-        witness = flow.check_validity_flow(
-            instance, counts, network=network, cert=cert
-        )
-        return witness is not None
+        return flow.check_validity_flow(instance, counts, network=network) is not None
 
     return MODE_STRUCTURAL, alpha, valid
 

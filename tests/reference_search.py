@@ -76,10 +76,8 @@ from reserve_match import flow
 from reserve_match.flow import (
     SINK,
     SOURCE,
-    FlowAssignment,
     FlowNetwork,
     OptimalFlow,
-    OptimalityCertificate,
     _Cut,
     _bisect_last,
     _MinCostFlow,
@@ -128,16 +126,24 @@ from reserve_match.oracle import (
 )
 
 
+@dataclass(frozen=True)
+class FlowAssignment:
+    """An integral flow without potentials, as the references build it:
+    per-arc amounts plus its value and total cost. The package's readers of
+    a flow (flow_signature, flow_to_matching) read only its arc flows."""
+
+    value: int
+    cost: int
+    arc_flows: tuple[int, ...]
+
+
 def full_candidate_crucial_vector(
     instance: Instance,
     *,
     network: Optional[FlowNetwork] = None,
-    cert: Optional[OptimalityCertificate] = None,
 ) -> tuple[Ratio, dict[GroupKey, int]]:
     """Alpha by bisection over the full sorted set {0} | {k / |S_u|}."""
     net = network if network is not None else build_network(instance)
-    if cert is None:
-        cert = compute_certificate(net)
     groups = instance.groups()
     candidates = {Fraction(0)}
     for g in groups:
@@ -148,9 +154,7 @@ def full_candidate_crucial_vector(
         return {g.key: math.ceil(beta * g.size) for g in groups}
 
     def feasible(beta: Fraction) -> bool:
-        witness = check_validity_flow(
-            instance, targets_at(beta), network=net, cert=cert
-        )
+        witness = check_validity_flow(instance, targets_at(beta), network=net)
         return witness is not None
 
     lo, hi = 0, len(ordered) - 1
@@ -167,8 +171,8 @@ def full_candidate_crucial_vector(
 
 
 def bisection_crucial_vector(
-    instance: Instance, net: FlowNetwork, cert: OptimalityCertificate
-) -> tuple[Ratio, dict[GroupKey, int], FlowAssignment]:
+    instance: Instance, net: FlowNetwork
+) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
     """Alpha, targets and witness by the two-stage bisection: the grid
     k / m of the largest group (size m) brackets alpha in [k / m, (k + 1) / m),
     where each group has at most one candidate, and a second bisection over
@@ -180,9 +184,7 @@ def bisection_crucial_vector(
         return {key: -(-num * size // den) for key, size in sized}
 
     def feasible(beta: Fraction) -> bool:
-        witness = check_validity_flow(
-            instance, targets_at(beta), network=net, cert=cert
-        )
+        witness = check_validity_flow(instance, targets_at(beta), network=net)
         return witness is not None
 
     top = max((size for _key, size in sized), default=0)
@@ -197,7 +199,7 @@ def bisection_crucial_vector(
     ordered = sorted(window) or [Fraction(0)]
     alpha = ordered[_bisect_last(0, len(ordered), lambda i: feasible(ordered[i]))]
     targets = targets_at(alpha)
-    witness = check_validity_flow(instance, targets, network=net, cert=cert)
+    witness = check_validity_flow(instance, targets, network=net)
     if witness is None:
         raise InternalInvariantError("zero-target validity failed")
     return alpha, targets, witness
@@ -273,14 +275,11 @@ def sequential_choice(
 ) -> ChoiceResult:
     """Balanced selection with one validity check per remaining student."""
     net = build_network(instance)
-    cert = compute_certificate(net)
     groups = instance.groups()
     if delta_star is None:
-        alpha, delta_star = full_candidate_crucial_vector(
-            instance, network=net, cert=cert
-        )
+        alpha, delta_star = full_candidate_crucial_vector(instance, network=net)
     targets = {g.key: int(delta_star.get(g.key, 0)) for g in groups}
-    if check_validity_flow(instance, targets, network=net, cert=cert) is None:
+    if check_validity_flow(instance, targets, network=net) is None:
         raise ValueError("delta_star is not a valid target vector")
     if alpha is None:
         alpha = min(
@@ -304,13 +303,13 @@ def sequential_choice(
             continue
         trial = dict(counts)
         trial[key] = attempt
-        if check_validity_flow(instance, trial, network=net, cert=cert) is not None:
+        if check_validity_flow(instance, trial, network=net) is not None:
             counts = trial
             selected.add(sid)
         else:
             dead.add((key, attempt))
 
-    witness = check_validity_flow(instance, counts, network=net, cert=cert)
+    witness = check_validity_flow(instance, counts, network=net)
     if witness is None:
         raise AssertionError("final selection lost maximal diversity")
     return ChoiceResult(
@@ -416,7 +415,8 @@ def matching_to_flow(
         flows[net.group_arcs[key]] += 1
         flows[net.group_type_arcs[(key, seat.type)]] += 1
         flows[net.rank_arcs[(seat.type, seat.rank)]] += 1
-        flows[net.seat_exit_arcs[(seat.type, seat.rank)]] += 1
+        # the class->hub arc follows its type->class arc
+        flows[net.rank_arcs[(seat.type, seat.rank)] + 1] += 1
         flows[net.q_sink_arc] += 1
     if any(f > cap for f, cap in zip(flows, net.capacities)):
         raise ValueError("matching overfills an arc capacity")
@@ -554,14 +554,14 @@ def lower_bounded_validity(
     """Validity by a full lower-bounded solve: the witness if the
     bounded optimum still has the unconstrained value F* and cost C*."""
     net = build_network(instance)
-    cert = compute_certificate(net)
+    cert = compute_certificate(net)  # f*: its value F* and cost C*
     lower = lower_bounds(net, targets)
-    if sum(targets.values()) > cert.max_value:
+    if sum(targets.values()) > cert.value:
         return None
     bounded = lower_bounded_flow(net, lower)
     if bounded is None:
         return None
-    if bounded.value != cert.max_value or bounded.cost != cert.min_cost:
+    if bounded.value != cert.value or bounded.cost != cert.cost:
         return None
     return bounded
 
@@ -569,8 +569,8 @@ def lower_bounded_validity(
 def assert_flow_witness(
     instance: Instance,
     network: FlowNetwork,
-    cert: OptimalityCertificate,
-    witness: FlowAssignment,
+    cert: OptimalFlow,
+    witness: OptimalFlow,
     targets: TargetVector,
 ) -> None:
     """A witness flow respects every capacity, conserves flow, has the
@@ -587,11 +587,22 @@ def assert_flow_witness(
     assert all(b == 0 for v, b in enumerate(balance) if v not in (SOURCE, SINK))
     cost = sum(f * c for f, c in zip(flows, network.costs))
     assert (witness.value, witness.cost) == (value, cost)
-    assert (value, cost) == (cert.max_value, cert.min_cost)
+    assert (value, cost) == (cert.value, cert.cost)
     counts = flow_group_counts(network, witness)
     for key, want in targets.items():
         assert counts[key] >= want
     flow_to_matching(instance, witness, network=network)
+
+
+def free_groups(network: FlowNetwork) -> dict[GroupKey, bool]:
+    """Whether each group's source arc is admissible (reduced cost 0) under
+    the potentials of the network's optimum: only a free group's flow may
+    move in a reroute."""
+    pot = compute_certificate(network).potentials
+    return {
+        key: pot[SOURCE] == pot[network.heads[e]]
+        for key, e in network.group_arcs.items()
+    }
 
 
 def steps_reroute(
@@ -746,10 +757,14 @@ def _reference_map(
     its key."""
     nodes = {v: v for v in range(ref.node_count - len(ref.group_arcs))}
     arcs = {}
-    for name in ("group_arcs", "group_type_arcs", "rank_arcs", "seat_exit_arcs"):
+    for name in ("group_arcs", "group_type_arcs", "rank_arcs"):
         mine = getattr(network, name)
         for key, a in getattr(ref, name).items():
             arcs[a] = mine[key]
+    # the network keeps no map of its class->hub arcs: each follows its
+    # type->class arc
+    for key, a in ref.seat_exit_arcs.items():
+        arcs[a] = network.rank_arcs[key] + 1
     arcs[ref.q_sink_arc] = network.q_sink_arc
     for key, a in ref.group_arcs.items():
         nodes[ref.arcs[a].head] = network.heads[network.group_arcs[key]]

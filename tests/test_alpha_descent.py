@@ -17,7 +17,11 @@ import pytest
 from factories import hard_regime_school, make_instance, random_school
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference_search import bisection_crucial_vector, fraction_last_ratio
+from reference_search import (
+    bisection_crucial_vector,
+    fraction_last_ratio,
+    free_groups,
+)
 
 from reserve_match import flow
 from reserve_match.flow import (
@@ -82,11 +86,8 @@ def nonfree_reached_school() -> Instance:
 
 def assert_same_search(instance: Instance) -> None:
     net = build_network(instance)
-    cert = compute_certificate(net)
-    alpha, targets, witness = flow._crucial_search(instance, net, cert)
-    ref_alpha, ref_targets, ref_witness = bisection_crucial_vector(
-        instance, net, cert
-    )
+    alpha, targets, witness = flow._crucial_search(instance, net)
+    ref_alpha, ref_targets, ref_witness = bisection_crucial_vector(instance, net)
     assert (alpha, targets) == (ref_alpha, ref_targets)
     assert flow_group_counts(net, witness) == flow_group_counts(net, ref_witness)
 
@@ -135,7 +136,6 @@ def test_integer_window_matches_fraction_window(case):
 def _traced_search(monkeypatch, instance: Instance):
     """(alpha, [(checked beta, its cut, the next beta)] per failed check)."""
     net = build_network(instance)
-    cert = compute_certificate(net)
     betas: list[Fraction] = []
     cuts: list = []
     last_ratio, check = flow._last_ratio, flow.check_validity_flow
@@ -151,7 +151,7 @@ def _traced_search(monkeypatch, instance: Instance):
 
     monkeypatch.setattr(flow, "_last_ratio", recorded_ratio)
     monkeypatch.setattr(flow, "check_validity_flow", recorded_check)
-    alpha, _targets = crucial_vector(instance, network=net, cert=cert)
+    alpha, _targets = crucial_vector(instance, network=net)
     monkeypatch.undo()
     # the first ratio starts the descent, each later one follows a failure
     assert len(betas) == len(cuts) and cuts[-1] is None
@@ -196,7 +196,7 @@ def test_cuts_are_sound_on_random_schools(monkeypatch):
 def test_cut_keeps_only_free_groups(monkeypatch):
     instance = nonfree_reached_school()
     net = build_network(instance)
-    free = {key: is_free for key, _node, _flow, is_free in flow._optimum(net).groups}
+    free = free_groups(net)
     assert free == {(): True, ("t1",): False}
     alpha, failed = _traced_search(monkeypatch, instance)
     assert alpha == Fraction(1, 4)
@@ -212,15 +212,15 @@ def test_a_cut_that_allows_the_checked_ratio_is_an_internal_error(monkeypatch):
     cert = compute_certificate(net)
     calls: list[None] = []
 
-    def rejecting(_instance, _targets, *, network, cert):
+    def rejecting(_instance, _targets, *, network):
         calls.append(None)
         assert len(calls) < 3, "the descent went on past a cut that did not fall"
-        network.cut = flow._Cut(tuple(network.group_arcs), cert.max_value)
+        network.cut = flow._Cut(tuple(network.group_arcs), cert.value)
         return None
 
     monkeypatch.setattr(flow, "check_validity_flow", rejecting)
     with pytest.raises(InternalInvariantError, match="not below the checked point"):
-        crucial_vector(instance, network=net, cert=cert)
+        crucial_vector(instance, network=net)
     assert len(calls) == 1
 
 

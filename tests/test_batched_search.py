@@ -30,7 +30,6 @@ from reserve_match import flow, gda
 from reserve_match.flow import (
     build_network,
     choice_flow,
-    compute_certificate,
     crucial_vector,
     flow_group_counts,
 )
@@ -58,10 +57,9 @@ def _ceil_log2(x: int) -> int:
 def test_batched_searches_match_sequential_reference(name):
     instance = SEEDED[name]()
     net = build_network(instance)
-    cert = compute_certificate(net)
-    assert crucial_vector(
-        instance, network=net, cert=cert
-    ) == full_candidate_crucial_vector(instance, network=net, cert=cert)
+    assert crucial_vector(instance, network=net) == full_candidate_crucial_vector(
+        instance, network=net
+    )
     assert_same_choice(choice_flow(instance), sequential_choice(instance))
 
 
@@ -137,12 +135,12 @@ def test_a_walk_cut_that_allows_the_checked_prefix_is_an_internal_error(
     calls: list[None] = []
     check = flow.check_validity_flow
 
-    def rejecting(checked, asked, *, network, cert):
+    def rejecting(checked, asked, *, network):
         calls.append(None)
         if len(calls) == 1:  # the check of the crucial vector
-            return check(checked, asked, network=network, cert=cert)
+            return check(checked, asked, network=network)
         assert len(calls) < 4, "the walk went on past a cut that did not fall"
-        network.cut = flow._Cut(tuple(network.group_arcs), cert.max_value)
+        network.cut = flow._Cut(tuple(network.group_arcs), network.optimum.value)
         return None
 
     monkeypatch.setattr(flow, "check_validity_flow", rejecting)
@@ -164,9 +162,8 @@ def test_greedy_makes_no_checks_when_targets_fill_q(monkeypatch):
 def test_crucial_vector_check_count_is_logarithmic(monkeypatch, name):
     instance = SEEDED[name]()
     net = build_network(instance)
-    cert = compute_certificate(net)
     calls = count_checks(monkeypatch)
-    crucial_vector(instance, network=net, cert=cert)
+    crucial_vector(instance, network=net)
     groups = instance.groups()
     largest = max(g.size for g in groups)
     bound = _ceil_log2(largest + 1) + _ceil_log2(len(groups) + 1) + 1
@@ -177,9 +174,8 @@ def test_crucial_vector_check_count_is_logarithmic(monkeypatch, name):
 def test_crucial_vector_makes_at_most_two_checks_on_the_corpus(monkeypatch, name):
     instance = CORPUS[name][0]()
     net = build_network(instance)
-    cert = compute_certificate(net)
     calls = count_checks(monkeypatch)
-    crucial_vector(instance, network=net, cert=cert)
+    crucial_vector(instance, network=net)
     assert 1 <= len(calls) <= 2
 
 

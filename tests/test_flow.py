@@ -102,9 +102,9 @@ def test_flat_network_matches_arc_reference_on_golden_corpus(name):
 def test_certificate_small_instance():
     instance = two_group_school()
     cert = compute_certificate(build_network(instance))
-    assert cert.max_value == 2
+    assert cert.value == 2
     # best signature is (1, 1): one reserved seat, one general seat
-    assert cert.min_cost == signature_cost((1, 1), instance.capacity)
+    assert cert.cost == signature_cost((1, 1), instance.capacity)
 
 
 def test_min_cost_max_flow_unbounded_matches_signature():
@@ -249,7 +249,7 @@ def test_flow_to_matching_round_trip():
     assert matching_signature(instance, matching) == flow_signature(net, best)
     assert group_counts(instance, matching) == flow_group_counts(net, best)
     lifted = matching_to_flow(instance, matching, network=net)
-    assert (lifted.value, lifted.cost) == (cert.max_value, cert.min_cost)
+    assert (lifted.value, lifted.cost) == (cert.value, cert.cost)
 
 
 DECOMPOSED = {

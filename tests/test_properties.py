@@ -239,7 +239,7 @@ def test_flow_matching_round_trip(instance):
     check_matching(instance, matching)
     assert len(matching) == min(len(instance.students), instance.capacity)
     lifted = matching_to_flow(instance, matching, network=net)
-    assert (lifted.value, lifted.cost) == (cert.max_value, cert.min_cost)
+    assert (lifted.value, lifted.cost) == (cert.value, cert.cost)
 
 
 @PROPERTY_SETTINGS
@@ -271,7 +271,7 @@ def test_validity_matches_lower_bounded_reference(pair):
     instance, targets = pair
     net = build_network(instance)
     cert = compute_certificate(net)
-    by_flow = check_validity_flow(instance, targets, network=net, cert=cert)
+    by_flow = check_validity_flow(instance, targets, network=net)
     reference = lower_bounded_validity(instance, targets)
     assert (by_flow is None) == (reference is None)
     if by_flow is not None:

@@ -1,6 +1,6 @@
 """Validity checks on the solver's own residual graph.
 
-`_Optimum.reroute` walks the standing network's residual edges (see
+`flow._reroute` walks the standing network's residual edges (see
 `flow._Residual`) under the optimum's residual capacities. These tests check
 that it makes the same search as the reference over a separate list of
 admissible steps (`reference_search.steps_reroute`): the same arc flows, or
@@ -20,7 +20,7 @@ import pytest
 from factories import hard_regime_school, seeded_market
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_search import steps_reroute
+from reference_search import free_groups, steps_reroute
 from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, instances, markets
 
@@ -44,9 +44,9 @@ def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
     choices: list[Any] = []
     check, choose = flow.check_validity_flow, flow.choice_flow
 
-    def recorded_check(instance, targets, *, network=None, cert=None):
+    def recorded_check(instance, targets, *, network=None):
         net = network if network is not None else build_network(instance)
-        witness = check(instance, targets, network=net, cert=cert)
+        witness = check(instance, targets, network=net)
         checks.append((net, dict(targets), witness))
         return witness
 
@@ -62,9 +62,9 @@ def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
 
 
 def _assert_same_search(net: FlowNetwork, targets: TargetVector) -> None:
-    optimum = flow._optimum(net)
-    found = optimum.reroute(targets)
-    reference = steps_reroute(net, optimum.flow, targets)
+    best = flow.compute_certificate(net)
+    found = flow._reroute(net, best, targets)
+    reference = steps_reroute(net, best, targets)
     if isinstance(reference, _Cut):
         assert found == reference
     else:
@@ -78,7 +78,7 @@ def _assert_same_search(net: FlowNetwork, targets: TargetVector) -> None:
 
 def _assert_certified(net: FlowNetwork, witness: Any) -> None:
     assert isinstance(witness, OptimalFlow)
-    assert witness.potentials == flow._optimum(net).flow.potentials
+    assert witness.potentials == flow.compute_certificate(net).potentials
     assert flow._certified(net, witness)
 
 
@@ -119,11 +119,7 @@ def test_market_pools_search_like_the_reference():
     # so a group's source arc need not be admissible there
     warm = [net for net, _targets, _witness in checks if net.start is not None]
     assert warm
-    assert any(
-        not free
-        for net in warm
-        for _key, _node, _has, free in flow._optimum(net).groups
-    )
+    assert any(not free for net in warm for free in free_groups(net).values())
     _assert_recorded(checks, choices)
 
 

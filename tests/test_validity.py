@@ -4,9 +4,10 @@
 one min-cost optimum. These tests compare its verdicts with the full
 lower-bounded solve in `reference_search` on seeded instances of 10^2 to
 10^4 students (hard regime included), put every witness through the flow
-checks, and guard that a choice or a structural verify makes one min-cost
-solve however many checks it makes. The reference's own lower-bound
-transform is tested here too.
+checks, and guard that a choice, a structural verify or `validate` makes
+one min-cost solve however many checks it makes, and a substitutability
+probe one per choice. The reference's own lower-bound transform is tested
+here too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from reference_search import (
     lower_bounds,
 )
 
-from reserve_match import flow
+from reserve_match import cli, flow
+from reserve_match.files import dump_json, instance_to_payload
 from reserve_match.flow import (
     build_network,
     check_validity_flow,
@@ -34,8 +36,9 @@ from reserve_match.flow import (
     flow_group_counts,
     min_cost_max_flow,
 )
+from reserve_match.gda import substitutability_probe
 from reserve_match.generator import generate_instance
-from reserve_match.model import Instance, TargetVector
+from reserve_match.model import Instance, TargetVector, group_label
 from reserve_match.verify import MODE_STRUCTURAL, verify_balanced_and_jef
 
 SEEDED = {
@@ -90,7 +93,7 @@ def test_verdicts_match_lower_bounded_reference(name):
     start = flow_group_counts(net, min_cost_max_flow(net))
     verdicts = set()
     for i, targets in enumerate(_probe_vectors(instance, len(name))):
-        witness = check_validity_flow(instance, targets, network=net, cert=cert)
+        witness = check_validity_flow(instance, targets, network=net)
         reference = lower_bounded_validity(instance, targets)
         assert (witness is None) == (reference is None), (i, targets)
         verdicts.add(witness is None)
@@ -108,7 +111,7 @@ def test_verdicts_match_lower_bounded_reference(name):
     assert verdicts == {True, False}
 
 
-def test_one_min_cost_solve_per_choice_and_verify(monkeypatch):
+def test_one_min_cost_solve_per_choice_and_verify(monkeypatch, tmp_path, capsys):
     instance = hard_regime_school(3000, 308, 98)
     solves: list[None] = []
     run = flow._MinCostFlow.run
@@ -129,6 +132,24 @@ def test_one_min_cost_solve_per_choice_and_verify(monkeypatch):
     assert report.mode == MODE_STRUCTURAL and report.all_hold()
     assert len(solves) == 1
     assert len(checks) >= 2
+
+    # `validate` checks one target vector on one network: one solve
+    path = tmp_path / "instance.json"
+    path.write_text(dump_json(instance_to_payload(instance)), encoding="utf-8")
+    targets = tmp_path / "targets.json"
+    labels = {group_label(key): want for key, want in result.targets.items()}
+    targets.write_text(dump_json(labels), encoding="utf-8")
+    solves.clear()
+    assert cli.main(["validate", str(path), "--targets", str(targets)]) == 0
+    assert capsys.readouterr().out.startswith("VALID")
+    assert len(solves) == 1
+
+    # the probe makes two choices on two pools: one solve each
+    solves.clear()
+    priority = instance.priority
+    s1, s2 = priority[len(priority) // 3], priority[2 * len(priority) // 3]
+    substitutability_probe(instance, set(priority) - {s1, s2}, s1, s2)
+    assert len(solves) == 2
 
 
 def test_reference_lower_bounds_sit_on_source_arcs():

@@ -21,7 +21,6 @@ from reference_search import literal_envy_witness, oracle_count_validity
 from reserve_match.flow import (
     build_network,
     check_validity_flow,
-    compute_certificate,
     crucial_vector,
     solve,
 )
@@ -149,11 +148,10 @@ def test_structural_witness_matches_literal_scan_at_scale():
     witnesses = 0
     for instance in schools:
         network = build_network(instance)
-        cert = compute_certificate(network)
-        alpha, _targets = crucial_vector(instance, network=network, cert=cert)
+        alpha, _targets = crucial_vector(instance, network=network)
 
-        def valid(counts, instance=instance, network=network, cert=cert):
-            found = check_validity_flow(instance, counts, network=network, cert=cert)
+        def valid(counts, instance=instance, network=network):
+            found = check_validity_flow(instance, counts, network=network)
             return found is not None
 
         chosen = sorted(solve(instance).selected)
