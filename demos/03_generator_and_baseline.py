@@ -1,4 +1,4 @@
-"""Walkthrough: a generated school and the cost of sequential reservation."""
+"""Walkthrough: a generated school and what balance adds to rank-maximality."""
 
 from __future__ import annotations
 
@@ -20,9 +20,11 @@ def main() -> None:
     naive = sequential_baseline(instance)
     balanced = solve(instance)
 
-    print("The sequential baseline fills reserved seats quota by quota and")
-    print("hands leftovers to the general pool. The balanced solver commits")
-    print("to the same reserved seats but spreads selection across groups.")
+    print("The baseline is the solver's walk from zero targets: among the")
+    print("rank-maximal selections it admits students in priority order,")
+    print("each one whenever a maximal-diversity matching still fits. It is")
+    print("non-wasteful and free of justified envy, but it lifts no group.")
+    print("The balanced solver first seats each group's target, then walks.")
     print()
     header = f"{'group':>10} {'size':>5} {'baseline':>9} {'balanced':>9}"
     print(header)
@@ -39,8 +41,9 @@ def main() -> None:
     print(f"Baseline worst-off group ratio: {naive.min_ratio}")
     print(f"Balanced worst-off group ratio: {balanced.alpha}")
     print()
-    print("Here both fill every reserved seat, yet the baseline leaves its")
-    print("worst group far behind. The balanced solver chooses, among the")
+    print("Both reach the same signature, so both fill reserved seats as")
+    print("well as any selection can, yet the baseline leaves its worst")
+    print("group far behind. The balanced solver chooses, among the")
     print("selections with the best signature, one lifting that group as")
     print("high as any selection can.")
 

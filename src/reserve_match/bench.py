@@ -31,7 +31,7 @@ def bench_instance(instance: Instance, repeats: int = 3) -> float:
     """Best-of-repeats seconds for one certificate solve on the instance."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    instance.groups()
+    instance.member_positions()
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -56,7 +56,7 @@ def run_bench(
         rows.append(
             BenchRow(
                 students=n,
-                groups=len(instance.groups()),
+                groups=len(instance.group_keys()),
                 flow_seconds=bench_instance(instance, repeats),
             )
         )

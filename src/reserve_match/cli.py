@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="write result here")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_base = sub.add_parser("baseline", help="run the sequential baseline")
+    p_base = sub.add_parser("baseline", help="run the rank-maximal baseline")
     p_base.add_argument("instance")
     p_base.add_argument("--out", default=None)
     p_base.set_defaults(func=cmd_baseline)

@@ -574,7 +574,7 @@ def choice_result_payload(
 def baseline_result_payload(
     instance: Instance, result: BaselineResult
 ) -> dict[str, Any]:
-    """ResultFile payload for the sequential baseline.
+    """ResultFile payload for the baseline (see baseline.sequential_baseline).
 
     alpha reports the ratio the baseline achieved; there are no targets.
     """

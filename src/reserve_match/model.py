@@ -478,36 +478,6 @@ def matching_signature(instance: Instance, matching: SeatMatching) -> Signature:
     return tuple(sig)
 
 
-def check_matching(instance: Instance, matching: SeatMatching) -> None:
-    """Raise ValueError unless the matching is well-formed for the instance.
-
-    Checks seat uniqueness, type compatibility, rank/index bounds against the
-    quota for the seat's class, and the overall size cap q.
-    """
-    if len(matching) > instance.capacity:
-        raise ValueError("matching exceeds capacity")
-    seen: set[Seat] = set()
-    for sid, seat in matching.items():
-        held = instance.group_of(sid)
-        if seat in seen:
-            raise ValueError(f"seat {seat} assigned twice")
-        seen.add(seat)
-        if seat.type == GENERAL_TYPE:
-            if seat.rank != instance.max_rank:
-                raise ValueError("general seats live at the largest rank")
-            cap = instance.capacity
-        else:
-            if seat.type not in held:
-                raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
-            if not 1 <= seat.rank <= instance.max_rank:
-                raise ValueError("seat rank out of range")
-            cap = instance.quotas.get((seat.type, seat.rank), 0)
-        if not 1 <= seat.index <= cap:
-            raise ValueError(
-                f"seat index {seat.index} outside quota for {seat.type}^{seat.rank}"
-            )
-
-
 def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     """Fraction of a group's students that were selected."""
     if group_size < 1:

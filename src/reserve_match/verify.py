@@ -156,7 +156,8 @@ def _envy_witness(
             swapped = dict(counts)
             swapped[in_key] += 1
             swapped[out_key] -= 1
-            if valid(swapped) and min_count_ratio(instance, swapped) == alpha:
+            # balance first: it is the cheap test, and rules out most pairs
+            if min_count_ratio(instance, swapped) == alpha and valid(swapped):
                 candidates.append((top, bottom))
     if not candidates:
         return None

@@ -106,11 +106,14 @@ def displacement_trap_school() -> Instance:
 
 
 def baseline_overshoot_school() -> Instance:
-    """Baseline seats the t2 student although no rank-maximal matching does.
+    """A top-priority student whom no rank-maximal matching seats.
 
-    The rank-2 quota for t2 beats the general pool in the baseline walk, but
-    the best signature (2, 0) fills both seats at rank 1, so the solver's
-    max-min ratio is 0 while the baseline's achieved minimum is 1/2.
+    c (type t2) comes first in priority, but its only reserved seats are at
+    rank 2, while the best signature (2, 0, 0) fills both seats at rank 1
+    with the t1 students. A walk that seats each student in turn on their
+    best open seat takes c and misses that signature; a rank-maximal choice,
+    the baseline included, passes over c, so its worst-off ratio is 0, as
+    is the solver's max-min ratio.
     """
     return make_instance(
         students=[("c", ["t2"]), ("a1", ["t1"]), ("a2", ["t1"])],

@@ -8,10 +8,11 @@ must reproduce them exactly. Beside them sits the two-stage bisection `flow`
 ran before its alpha search descended on cuts: the grid of the largest group,
 then at most one candidate per group, then a final check for the witness.
 The oracle's alpha and targets by enumeration are here too, since only tests
-use them, and so are three helpers the package no longer exports: the
+use them, and so are four helpers the package no longer exports: the
 oracle's literal greedy choice (`oracle_choice`), the cost encoding of a
-whole signature (`signature_cost`) and the lift of a seat matching to arc
-flows (`matching_to_flow`).
+whole signature (`signature_cost`), the lift of a seat matching to arc
+flows (`matching_to_flow`) and the well-formedness check of a seat
+matching (`check_matching`).
 
 It also holds the references for validity checks: the lower-bounded solve
 `flow` used before it answered checks on the optimum's residual graph (lower
@@ -114,7 +115,6 @@ from reserve_match.model import (
     Signature,
     StudentRecord,
     TargetVector,
-    check_matching,
     group_counts,
     group_label,
     matching_signature,
@@ -466,6 +466,36 @@ def literal_envy_witness(
             if envies(s, s_prime):
                 return s, s_prime
     return None
+
+
+def check_matching(instance: Instance, matching: SeatMatching) -> None:
+    """Raise ValueError unless the matching is well-formed for the instance.
+
+    Checks seat uniqueness, type compatibility, rank/index bounds against the
+    quota for the seat's class, and the overall size cap q.
+    """
+    if len(matching) > instance.capacity:
+        raise ValueError("matching exceeds capacity")
+    seen: set[Seat] = set()
+    for sid, seat in matching.items():
+        held = instance.group_of(sid)
+        if seat in seen:
+            raise ValueError(f"seat {seat} assigned twice")
+        seen.add(seat)
+        if seat.type == GENERAL_TYPE:
+            if seat.rank != instance.max_rank:
+                raise ValueError("general seats live at the largest rank")
+            cap = instance.capacity
+        else:
+            if seat.type not in held:
+                raise ValueError(f"student {sid!r} lacks type {seat.type!r}")
+            if not 1 <= seat.rank <= instance.max_rank:
+                raise ValueError("seat rank out of range")
+            cap = instance.quotas.get((seat.type, seat.rank), 0)
+        if not 1 <= seat.index <= cap:
+            raise ValueError(
+                f"seat index {seat.index} outside quota for {seat.type}^{seat.rank}"
+            )
 
 
 def assert_valid_witness(

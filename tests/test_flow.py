@@ -16,6 +16,7 @@ from factories import (
 from reference_search import (
     assert_same_cold_optimum,
     assert_same_network,
+    check_matching,
     matching_to_flow,
     signature_cost,
 )
@@ -36,7 +37,6 @@ from reserve_match.flow import (
 from reserve_match.model import (
     GENERAL_TYPE,
     Seat,
-    check_matching,
     group_counts,
     matching_signature,
     restrict_instance,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from factories import make_instance, two_group_school
+from reference_search import check_matching
 
 from reserve_match.model import (
     GENERAL_TYPE,
@@ -15,7 +16,6 @@ from reserve_match.model import (
     Seat,
     StudentRecord,
     build_groups,
-    check_matching,
     group_counts,
     group_label,
     matching_signature,

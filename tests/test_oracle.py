@@ -11,9 +11,9 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import oracle_choice, oracle_max_min_ratio
+from reference_search import check_matching, oracle_choice, oracle_max_min_ratio
 
-from reserve_match.model import check_matching, matching_signature
+from reserve_match.model import matching_signature
 from reserve_match.oracle import (
     ENV_BUDGET,
     OracleBudget,

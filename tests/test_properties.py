@@ -12,6 +12,7 @@ from reference_search import (
     assert_same_choice,
     assert_same_network,
     assert_valid_witness,
+    check_matching,
     full_candidate_crucial_vector,
     literal_envy_witness,
     lower_bounded_validity,
@@ -39,7 +40,6 @@ from reserve_match.gda import MultiInstance, School, induced_instance, run_gda
 from reserve_match.model import (
     Instance,
     StudentRecord,
-    check_matching,
     group_counts,
     matching_signature,
     min_count_ratio,

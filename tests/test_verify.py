@@ -16,7 +16,11 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import literal_envy_witness, oracle_count_validity
+from reference_search import (
+    count_checks,
+    literal_envy_witness,
+    oracle_count_validity,
+)
 
 from reserve_match.flow import (
     build_network,
@@ -167,3 +171,16 @@ def test_structural_witness_matches_literal_scan_at_scale():
             assert report.envy_witness == literal
             witnesses += literal is not None
     assert witnesses >= 8
+
+
+def test_verify_of_a_solver_output_checks_at_most_once_per_group(monkeypatch):
+    # a swap out of a balanced selection that keeps the worst-off ratio at
+    # alpha is rare, so testing balance before validity leaves almost every
+    # group pair without a validity check
+    instance = generate_instance(20000, 6, 2, 7)
+    selected = solve(instance).selected
+    checks = count_checks(monkeypatch)
+    report = verify_balanced_and_jef(instance, selected)
+    assert report.mode == MODE_STRUCTURAL
+    assert report.all_hold()
+    assert len(checks) <= len(instance.group_keys()) + 1
