@@ -45,11 +45,6 @@ from .model import (
     matching_signature,
     parse_group_label,
 )
-from .oracle import (
-    OracleBudget,
-    OracleBudgetExceeded,
-    enumerate_maximal_diversity_matchings,
-)
 from .verify import AxiomReport, verify_balanced_and_jef
 
 __version__ = "0.1.0"
@@ -67,8 +62,6 @@ __all__ = [
     "MalformedInstanceError",
     "MultiInstance",
     "MultiMatching",
-    "OracleBudget",
-    "OracleBudgetExceeded",
     "School",
     "Seat",
     "SeatMatching",
@@ -80,7 +73,6 @@ __all__ = [
     "choice_flow",
     "compute_certificate",
     "crucial_vector",
-    "enumerate_maximal_diversity_matchings",
     "flow_to_matching",
     "generate_instance",
     "group_label",

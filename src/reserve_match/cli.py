@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
-from . import files, flow, gda, oracle
+from . import files, flow, gda
 from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
@@ -65,12 +65,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         flags = selection_flags(instance, selected)
     except KeyError as err:  # its message lists the unknown ids
         raise files.InstanceFormatError(f"result file names {err.args[0]}") from None
-    try:
-        budget = oracle.budget_from_env()
-    except ValueError as err:
-        raise files.InstanceFormatError(str(err)) from err
-    report = verify_flags(instance, flags, budget)
-    print(f"mode: {report.mode}")
+    report = verify_flags(instance, flags)
     lines = [
         ("non-wastefulness", report.non_wasteful),
         ("maximal diversity", report.maximal_diversity),

@@ -1,19 +1,21 @@
 """Axiom verifier for selection outputs.
 
 Checks a selected set against the four axioms: non-wastefulness, maximal
-diversity, balanced representation and justified envy-freeness. There is one
-checker with two sources for what it needs, the maximum balanced ratio alpha
-and the validity test (can a maximal-diversity matching realize these
-per-group counts?). Small instances take both from the enumeration oracle;
-larger ones fall back to the flow engine, and the report says which ran.
+diversity, balanced representation and justified envy-freeness. The flow
+engine supplies what the checks need, on one network: the maximum balanced
+ratio alpha (flow.crucial_vector) and the validity test, whether some
+maximal-diversity matching has exactly a given per-group count vector
+(flow.check_validity_flow). The tests compare these verdicts with an
+exhaustive enumeration of small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from . import flow, oracle
+from . import flow
 from .model import (
     GroupKey,
     Instance,
@@ -23,24 +25,16 @@ from .model import (
     selection_flags,
 )
 
-MODE_ORACLE = "oracle"
-MODE_STRUCTURAL = "structural"
-
-# True when some maximal-diversity matching has exactly these group counts.
-Validity = Callable[[dict[GroupKey, int]], bool]
-
 
 @dataclass(frozen=True)
 class AxiomReport:
     """Per-axiom verdicts for one selected set.
 
-    mode records how the verdicts were obtained: "oracle" means exhaustive
-    enumeration, "structural" means flow-based checks on instances too large
-    for the oracle budget. envy_witness carries one offending pair
-    (unselected, selected) when justified envy exists.
+    alpha is the maximum balanced ratio the balance verdict compares with.
+    envy_witness carries one offending pair (unselected, selected) when
+    justified envy exists.
     """
 
-    mode: str
     non_wasteful: bool
     maximal_diversity: bool
     balanced: bool
@@ -57,42 +51,13 @@ class AxiomReport:
         )
 
 
-def _oracle_source(
-    instance: Instance, budget: Optional[oracle.OracleBudget]
-) -> tuple[str, Ratio, Validity]:
-    alpha, mset, _balanced_vectors = oracle.balanced_count_vectors(instance, budget)
-
-    def valid(counts: dict[GroupKey, int]) -> bool:
-        return tuple(counts[key] for key in mset.group_keys) in mset.count_vectors
-
-    return MODE_ORACLE, alpha, valid
-
-
-def _flow_source(instance: Instance) -> tuple[str, Ratio, Validity]:
-    network = flow.build_network(instance)
-    alpha, _delta_star = flow.crucial_vector(instance, network=network)
-
-    def valid(counts: dict[GroupKey, int]) -> bool:
-        return flow.check_validity_flow(instance, counts, network=network) is not None
-
-    return MODE_STRUCTURAL, alpha, valid
-
-
-def verify_balanced_and_jef(
-    instance: Instance,
-    selected: Iterable[str],
-    oracle_budget: Optional[oracle.OracleBudget] = None,
-) -> AxiomReport:
+def verify_balanced_and_jef(instance: Instance, selected: Iterable[str]) -> AxiomReport:
     """Verdicts for all four axioms on an arbitrary selected set; unknown
     ids raise KeyError."""
-    return verify_flags(instance, selection_flags(instance, selected), oracle_budget)
+    return verify_flags(instance, selection_flags(instance, selected))
 
 
-def verify_flags(
-    instance: Instance,
-    flags: bytearray,
-    oracle_budget: Optional[oracle.OracleBudget] = None,
-) -> AxiomReport:
+def verify_flags(instance: Instance, flags: bytearray) -> AxiomReport:
     """verify_balanced_and_jef on the selection's flags per file row (see
     model.selection_flags).
 
@@ -102,10 +67,12 @@ def verify_flags(
     counts and catch priority inversions inside a group.
     """
     counts = flagged_group_counts(instance, flags)
-    try:
-        mode, alpha, valid = _oracle_source(instance, oracle_budget)
-    except oracle.OracleBudgetExceeded:
-        mode, alpha, valid = _flow_source(instance)
+    network = flow.build_network(instance)
+    alpha, _delta_star = flow.crucial_vector(instance, network=network)
+
+    def valid(counts: dict[GroupKey, int]) -> bool:
+        return flow.check_validity_flow(instance, counts, network=network) is not None
+
     full = min(len(instance.columns), instance.capacity)
     non_wasteful = sum(counts.values()) == full
     maximal = non_wasteful and valid(counts)
@@ -115,7 +82,6 @@ def verify_flags(
         _envy_witness(instance, flags, counts, alpha, valid) if non_wasteful else None
     )
     return AxiomReport(
-        mode=mode,
         non_wasteful=non_wasteful,
         maximal_diversity=maximal,
         balanced=maximal and min_count_ratio(instance, counts) == alpha,
@@ -130,7 +96,7 @@ def _envy_witness(
     flags: bytearray,
     counts: dict[GroupKey, int],
     alpha: Ratio,
-    valid: Validity,
+    valid: Callable[[dict[GroupKey, int]], bool],
 ) -> Optional[tuple[str, str]]:
     """The first justified-envy pair of the definition's scan, or None.
 
@@ -139,25 +105,46 @@ def _envy_witness(
     against the bottom selected member of the other is the easiest pair to
     qualify. Among qualifying pairs the highest-priority envier wins, then
     its lowest-priority target.
+
+    Balance is tested first, as it is the cheap test and rules out most
+    pairs. A swap changes the ratios of its two groups only, so the swapped
+    minimum is the smaller of their new ratios and the smallest ratio of
+    the other groups. The two smallest ratios overall suffice: when both
+    belong to the swapped groups, the losing group's new ratio is below
+    every other group's.
     """
     keys = instance.group_keys()
     positions = instance.member_positions()
     rows = instance.priority_rows()
+    have = [counts[key] for key in keys]
+    sizes = [len(pos) for pos in positions]
+    ratios = [Fraction(c, n) for c, n in zip(have, sizes)]
+    gained = [Fraction(c + 1, n) for c, n in zip(have, sizes)]
+    lowest = sorted(range(len(keys)), key=ratios.__getitem__)[:2]
     # priority positions: each group's top unselected and bottom selected member
     tops = [next((p for p in pos if not flags[rows[p]]), None) for pos in positions]
     candidates: list[tuple[int, int]] = []
-    for out_key, pos_out in zip(keys, positions):
+    for g_out, pos_out in enumerate(positions):
         bottom = next((p for p in reversed(pos_out) if flags[rows[p]]), None)
         if bottom is None:
             continue
-        for in_key, top in zip(keys, tops):
+        lost = Fraction(have[g_out] - 1, sizes[g_out])
+        for g_in, top in enumerate(tops):
             if top is None or top >= bottom:
                 continue
+            if g_in == g_out:
+                worst = ratios[lowest[0]]
+            else:
+                worst = min(gained[g_in], lost)
+                rest = next((g for g in lowest if g != g_in and g != g_out), None)
+                if rest is not None and ratios[rest] < worst:
+                    worst = ratios[rest]
+            if worst != alpha:
+                continue
             swapped = dict(counts)
-            swapped[in_key] += 1
-            swapped[out_key] -= 1
-            # balance first: it is the cheap test, and rules out most pairs
-            if min_count_ratio(instance, swapped) == alpha and valid(swapped):
+            swapped[keys[g_in]] += 1
+            swapped[keys[g_out]] -= 1
+            if valid(swapped):
                 candidates.append((top, bottom))
     if not candidates:
         return None

@@ -1,22 +1,22 @@
-"""Brute-force ground truth for small instances.
+"""Brute-force ground truth for small instances, the tests' reference.
 
 Enumerates every achievable seat allocation by dynamic programming over
 groups (students of a group are interchangeable, so allocations are counted
 at the group level and witnesses rebuilt from priority prefixes). From the
 full enumeration it derives the best signature, the set of rank-maximal
 count vectors and the max-min selection ratio. Deliberately independent of
-the flow engine, so tests use it as the reference (tests/reference_search.py
-builds the literal greedy choice on it).
+the flow engine: tests compare the engine's choices, ratios, validity
+verdicts and `verify` reports with it (reference_search builds the literal
+greedy choice and the four axiom verdicts on it).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .model import (
+from reserve_match.model import (
     GENERAL_TYPE,
     GroupKey,
     Instance,
@@ -26,8 +26,6 @@ from .model import (
     SeatMatching,
     Signature,
 )
-
-ENV_BUDGET = "RESERVE_MATCH_ORACLE_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -41,24 +39,9 @@ class OracleBudgetExceeded(RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
 
-def budget_from_env() -> OracleBudget:
-    """Default budget, overridable via RESERVE_MATCH_ORACLE_BUDGET=s,v,n."""
-    raw = os.environ.get(ENV_BUDGET)
-    if not raw:
-        return OracleBudget()
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3 or not all(p.isdecimal() for p in parts):
-        raise ValueError(
-            f"{ENV_BUDGET} must be 'students,seats,nodes' as three "
-            f"non-negative integers, got {raw!r}"
-        )
-    students, seats, nodes = (int(p) for p in parts)
-    return OracleBudget(students, seats, nodes)
-
-
 def _resolve_budget(instance: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
     if budget is None:
-        budget = budget_from_env()
+        budget = OracleBudget()
     if len(instance.columns) > budget.max_students:
         raise OracleBudgetExceeded(
             f"{len(instance.columns)} students exceed oracle budget "

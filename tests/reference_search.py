@@ -26,7 +26,8 @@ forward) steps, rebuilt for each network, walked with forward and backward
 arithmetic. The search on the solver's edges must find the same flows and
 cuts. Last, it holds the literal justified-envy scan over every
 (unselected, selected) pair, the reference for the verifier's one extreme
-pair per group pair.
+pair per group pair, and the four axiom verdicts by enumeration
+(`oracle_report`), the reference for the whole verifier.
 
 It holds the multi-school rounds as `gda` ran them before it kept
 one instance per school: every round rebuilds each pool from the raw
@@ -64,6 +65,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
+
+from oracle import MaximalDiversitySet, OracleBudget, balanced_count_vectors
 
 from reserve_match.files import (
     INSTANCE_SCHEMA,
@@ -119,11 +122,7 @@ from reserve_match.model import (
     group_label,
     matching_signature,
 )
-from reserve_match.oracle import (
-    MaximalDiversitySet,
-    OracleBudget,
-    balanced_count_vectors,
-)
+from reserve_match.verify import AxiomReport
 
 
 @dataclass(frozen=True)
@@ -466,6 +465,34 @@ def literal_envy_witness(
             if envies(s, s_prime):
                 return s, s_prime
     return None
+
+
+def oracle_report(
+    instance: Instance,
+    selected: Collection[str],
+    budget: Optional[OracleBudget] = None,
+) -> AxiomReport:
+    """The four axiom verdicts by enumeration, the reference for `verify`.
+
+    A selection is non-wasteful at size min(|S|, q), maximally diverse when
+    its counts are a rank-maximal count vector, balanced when that vector
+    also attains alpha, and envy-free when the literal scan finds no pair.
+    """
+    alpha, mset, balanced_vectors = balanced_count_vectors(instance, budget)
+    valid = oracle_count_validity(mset)
+    counts = group_counts(instance, selected)
+    maximal = valid(counts)
+    witness = literal_envy_witness(instance, selected, alpha, valid)
+    full = min(len(instance.columns), instance.capacity)
+    return AxiomReport(
+        non_wasteful=len(set(selected)) == full,
+        maximal_diversity=maximal,
+        balanced=maximal
+        and tuple(counts[key] for key in mset.group_keys) in balanced_vectors,
+        justified_envy_free=witness is None,
+        alpha=alpha,
+        envy_witness=witness,
+    )
 
 
 def check_matching(instance: Instance, matching: SeatMatching) -> None:

@@ -20,6 +20,7 @@ from reference_search import (
     matching_to_flow,
     oracle_choice,
     oracle_max_min_ratio,
+    oracle_report,
     oracle_targets_valid,
     signature_cost,
 )
@@ -37,7 +38,7 @@ from reserve_match.flow import (
     min_cost_max_flow,
 )
 from reserve_match.gda import substitutability_probe
-from reserve_match.oracle import (
+from oracle import (
     OracleBudget,
     enumerate_maximal_diversity_matchings,
 )
@@ -100,8 +101,9 @@ def test_criterion_4_backends_match_brute_force_on_random_instances():
         instance = random_school(rng)
         expected = oracle_choice(instance, BUDGET)
         assert choice_flow(instance).selected == expected
-        report = verify_balanced_and_jef(instance, expected, BUDGET)
+        report = verify_balanced_and_jef(instance, expected)
         assert report.all_hold()
+        assert report == oracle_report(instance, expected, BUDGET)
     assert time.perf_counter() - started < 300
 
 

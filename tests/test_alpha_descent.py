@@ -32,7 +32,7 @@ from reserve_match.flow import (
 )
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, InternalInvariantError
-from reserve_match.oracle import OracleBudget, balanced_count_vectors
+from oracle import OracleBudget, balanced_count_vectors
 
 BUDGET = OracleBudget(max_students=12, max_seats=80, max_enumerations=10**7)
 

@@ -13,15 +13,14 @@ from factories import (
 )
 from reference_search import check_matching, oracle_choice, oracle_max_min_ratio
 
-from reserve_match.model import matching_signature
-from reserve_match.oracle import (
-    ENV_BUDGET,
+from oracle import (
     OracleBudget,
     OracleBudgetExceeded,
     balanced_count_vectors,
-    budget_from_env,
     enumerate_maximal_diversity_matchings,
 )
+
+from reserve_match.model import matching_signature
 
 
 def test_enumeration_two_groups():
@@ -112,21 +111,3 @@ def test_budget_seat_and_node_limits():
             instance, OracleBudget(max_students=12, max_seats=18, max_enumerations=1)
         )
 
-
-def test_budget_from_env(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
-    assert budget_from_env() == OracleBudget()
-    monkeypatch.setenv(ENV_BUDGET, "4, 9, 100")
-    assert budget_from_env() == OracleBudget(4, 9, 100)
-    for raw in ("4,9", "4,9,x", "4,-9,100", "4,9,²"):
-        monkeypatch.setenv(ENV_BUDGET, raw)
-        with pytest.raises(ValueError, match="students,seats,nodes"):
-            budget_from_env()
-
-
-def test_env_budget_applies_to_default_calls(monkeypatch):
-    monkeypatch.setenv(ENV_BUDGET, "1,18,1000000")
-    with pytest.raises(OracleBudgetExceeded, match="students"):
-        oracle_choice(two_group_school())
-    monkeypatch.delenv(ENV_BUDGET)
-    assert oracle_choice(two_group_school()) == frozenset({"s2", "s4"})

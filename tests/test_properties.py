@@ -7,6 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import (
+    OracleBudget,
+    balanced_count_vectors,
+    enumerate_maximal_diversity_matchings,
+)
 from reference_search import (
     assert_flow_witness,
     assert_same_choice,
@@ -45,11 +50,6 @@ from reserve_match.model import (
     min_count_ratio,
     restrict_instance,
 )
-from reserve_match.oracle import (
-    OracleBudget,
-    balanced_count_vectors,
-    enumerate_maximal_diversity_matchings,
-)
 from reserve_match.verify import verify_balanced_and_jef
 
 PROPERTY_SETTINGS = settings(
@@ -60,9 +60,6 @@ PROPERTY_SETTINGS = settings(
 
 # generous limits so random quota draws never push the oracle off a cliff
 BUDGET = OracleBudget(max_students=12, max_seats=80, max_enumerations=10**7)
-
-# forces the verifier's structural mode
-STRUCTURAL_BUDGET = OracleBudget(max_students=0, max_seats=0, max_enumerations=0)
 
 
 @st.composite
@@ -189,7 +186,7 @@ def test_choice_satisfies_all_axioms(instance):
     result = choice_flow(instance)
     # non-wastefulness is checked here, and the same-group priority prefix
     # by justified envy-freeness on same-group swaps
-    report = verify_balanced_and_jef(instance, result.selected, BUDGET)
+    report = verify_balanced_and_jef(instance, result.selected)
     assert report.all_hold()
     assert result.per_group_counts == group_counts(instance, result.selected)
     assert min_count_ratio(instance, result.per_group_counts) == result.alpha
@@ -207,9 +204,8 @@ def test_envy_witness_matches_literal_scan(instance, data):
     literal = literal_envy_witness(
         instance, selected, alpha, oracle_count_validity(mset)
     )
-    for budget in (BUDGET, STRUCTURAL_BUDGET):
-        report = verify_balanced_and_jef(instance, selected, budget)
-        assert report.envy_witness == literal
+    report = verify_balanced_and_jef(instance, selected)
+    assert report.envy_witness == literal
 
 
 @PROPERTY_SETTINGS

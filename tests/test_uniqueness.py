@@ -2,8 +2,8 @@
 
 Exactly one selection satisfies all four axioms, so every one-for-one swap
 of a `solve` output must fail `verify`. The enumeration oracle stops at 12
-students; here the structural verifier decides, at 10^3 to 10^4 students
-with both quota styles and on a hard-regime school. Swaps: for every
+students; here `verify` alone decides, at 10^3 to 10^4 students with both
+quota styles and on a hard-regime school. Swaps: for every
 ordered pair of groups (a group with itself included), the top unselected
 member of one for the bottom selected member of the other, plus random
 pairs. Three types keep G <= 8 groups, since each swap's `verify` makes
@@ -19,10 +19,8 @@ from factories import hard_regime_school
 
 from reserve_match.flow import solve
 from reserve_match.generator import generate_instance
-from reserve_match.oracle import OracleBudget
-from reserve_match.verify import MODE_STRUCTURAL, verify_balanced_and_jef
+from reserve_match.verify import verify_balanced_and_jef
 
-STRUCTURAL = OracleBudget(max_students=0, max_seats=0, max_enumerations=0)
 RANDOM_SWAPS = 20
 
 SCHOOLS = {
@@ -38,8 +36,7 @@ SCHOOLS = {
 def test_every_swap_of_the_solve_output_fails_verify(name):
     instance = SCHOOLS[name]()
     chosen = solve(instance).selected
-    report = verify_balanced_and_jef(instance, chosen, STRUCTURAL)
-    assert report.mode == MODE_STRUCTURAL and report.all_hold()
+    assert verify_balanced_and_jef(instance, chosen).all_hold()
 
     swaps = set()
     groups = instance.groups()
@@ -58,5 +55,5 @@ def test_every_swap_of_the_solve_output_fails_verify(name):
 
     for s_in, s_out in sorted(swaps):
         swapped = (chosen - {s_out}) | {s_in}
-        report = verify_balanced_and_jef(instance, swapped, STRUCTURAL)
+        report = verify_balanced_and_jef(instance, swapped)
         assert not report.all_hold(), (s_in, s_out)

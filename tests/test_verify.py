@@ -1,8 +1,11 @@
-"""Unit tests for the axiom verifier: one checker whose alpha and validity
-test come from the oracle (oracle mode) or the flow engine (structural mode).
+"""Unit tests for the axiom verifier, whose alpha and validity test come
+from the flow engine.
 
-Envy witnesses are also compared with the literal scan over every
-(unselected, lower-priority selected) pair in `reference_search`.
+On small schools every report is compared with the four verdicts by
+enumeration (`reference_search.oracle_report`, built on the oracle in
+`oracle.py`). Above the oracle's budget, envy witnesses are compared with
+the literal scan over every (unselected, lower-priority selected) pair, and
+guards bound the work `verify` does on a solver's output.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
-from reference_search import (
-    count_checks,
-    literal_envy_witness,
-    oracle_count_validity,
-)
+from oracle import OracleBudget
+from reference_search import count_checks, literal_envy_witness, oracle_report
+
+from reserve_match import verify
 
 from reserve_match.flow import (
     build_network,
@@ -29,15 +31,7 @@ from reserve_match.flow import (
     solve,
 )
 from reserve_match.generator import generate_instance
-from reserve_match.oracle import OracleBudget, balanced_count_vectors
-from reserve_match.verify import (
-    MODE_ORACLE,
-    MODE_STRUCTURAL,
-    verify_balanced_and_jef,
-)
-
-# forces the structural fallback without touching the instance
-TINY_BUDGET = OracleBudget(max_students=0, max_seats=0, max_enumerations=0)
+from reserve_match.verify import verify_balanced_and_jef
 
 # random quotas can exceed the default seat budget; this keeps the oracle on
 WIDE_BUDGET = OracleBudget(max_students=12, max_seats=64, max_enumerations=10**7)
@@ -45,7 +39,6 @@ WIDE_BUDGET = OracleBudget(max_students=12, max_seats=64, max_enumerations=10**7
 
 def test_good_selection_passes_all_axioms():
     report = verify_balanced_and_jef(two_group_school(), {"s2", "s4"})
-    assert report.mode == MODE_ORACLE
     assert report.all_hold()
     assert report.alpha == Fraction(1, 2)
     assert report.envy_witness is None
@@ -78,7 +71,7 @@ def test_wasteful_selection_fails_cleanly():
     assert report.justified_envy_free
 
 
-def test_structural_mode_matches_oracle_mode():
+def test_verify_matches_oracle_on_fixtures():
     fixtures = [
         (two_group_school(), {"s2", "s4"}),
         (two_group_school(), {"s1", "s2"}),
@@ -88,47 +81,19 @@ def test_structural_mode_matches_oracle_mode():
         (two_type_column_school(), {"s11", "s12", "s13", "s21"}),
     ]
     for instance, selected in fixtures:
-        by_oracle = verify_balanced_and_jef(instance, selected)
-        structural = verify_balanced_and_jef(instance, selected, TINY_BUDGET)
-        assert by_oracle.mode == MODE_ORACLE
-        assert structural.mode == MODE_STRUCTURAL
-        assert (
-            by_oracle.non_wasteful,
-            by_oracle.maximal_diversity,
-            by_oracle.balanced,
-            by_oracle.justified_envy_free,
-            by_oracle.alpha,
-            by_oracle.envy_witness,
-        ) == (
-            structural.non_wasteful,
-            structural.maximal_diversity,
-            structural.balanced,
-            structural.justified_envy_free,
-            structural.alpha,
-            structural.envy_witness,
-        )
+        report = verify_balanced_and_jef(instance, selected)
+        assert report == oracle_report(instance, selected), selected
 
 
-def test_modes_agree_on_random_selections():
+def test_verify_matches_oracle_on_random_selections():
     rng = random.Random(4021)
     for _ in range(60):
         instance = random_school(rng, max_students=7)
         students = [s.id for s in instance.students]
         rng.shuffle(students)
         selected = set(students[: rng.randint(0, len(students))])
-        by_oracle = verify_balanced_and_jef(instance, selected, WIDE_BUDGET)
-        structural = verify_balanced_and_jef(instance, selected, TINY_BUDGET)
-        assert by_oracle.mode == MODE_ORACLE
-        assert structural.mode == MODE_STRUCTURAL
-        assert by_oracle.alpha == structural.alpha
-        assert by_oracle.all_hold() == structural.all_hold()
-        assert by_oracle.envy_witness == structural.envy_witness
-        alpha, mset, _ = balanced_count_vectors(instance, WIDE_BUDGET)
-        literal = literal_envy_witness(
-            instance, selected, alpha, oracle_count_validity(mset)
-        )
-        assert by_oracle.envy_witness == literal
-        assert structural.envy_witness == literal
+        report = verify_balanced_and_jef(instance, selected)
+        assert report == oracle_report(instance, selected, WIDE_BUDGET)
 
 
 def test_solver_outputs_always_verify():
@@ -141,13 +106,17 @@ def test_solver_outputs_always_verify():
 
 def test_structural_witness_matches_literal_scan_at_scale():
     # solver selections with one or two members swapped for outsiders keep
-    # the size, so the flow check is an exact-count test and witnesses occur
+    # the size, so the flow check is an exact-count test and witnesses occur;
+    # five types make up to 32 groups, many tied at the smallest ratio, so a
+    # swap's worst-off ratio often comes from a group outside the swap
     rng = random.Random(6151)
     schools = [
         generate_instance(100, 2, 2, 611),
         generate_instance(400, 3, 2, 612, "minmax"),
         hard_regime_school(300, 613),
         hard_regime_school(1000, 614, 98),
+        generate_instance(300, 5, 2, 711),
+        generate_instance(600, 5, 3, 712, "minmax"),
     ]
     witnesses = 0
     for instance in schools:
@@ -164,8 +133,7 @@ def test_structural_witness_matches_literal_scan_at_scale():
             k = rng.randint(1, 2)
             selected = set(chosen) - set(rng.sample(chosen, k))
             selected |= set(rng.sample(others, k))
-            report = verify_balanced_and_jef(instance, selected, TINY_BUDGET)
-            assert report.mode == MODE_STRUCTURAL
+            report = verify_balanced_and_jef(instance, selected)
             assert report.alpha == alpha
             literal = literal_envy_witness(instance, selected, alpha, valid)
             assert report.envy_witness == literal
@@ -181,6 +149,26 @@ def test_verify_of_a_solver_output_checks_at_most_once_per_group(monkeypatch):
     selected = solve(instance).selected
     checks = count_checks(monkeypatch)
     report = verify_balanced_and_jef(instance, selected)
-    assert report.mode == MODE_STRUCTURAL
     assert report.all_hold()
     assert len(checks) <= len(instance.group_keys()) + 1
+
+
+def test_verify_of_a_solver_output_takes_the_minimum_ratio_at_most_twice(
+    monkeypatch,
+):
+    # each swap's balance follows from the two swapped groups' new ratios
+    # and the smallest ratio of the others, so no swap takes the O(G)
+    # minimum over every group
+    instance = generate_instance(20000, 7, 2, 7)
+    assert len(instance.group_keys()) == 128
+    selected = solve(instance).selected
+    calls: list[None] = []
+    original = verify.min_count_ratio
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "min_count_ratio", counted)
+    assert verify_balanced_and_jef(instance, selected).all_hold()
+    assert len(calls) <= 2
