@@ -187,15 +187,21 @@ def test_verify_names_every_unknown_student_once(instance_file, tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("budget", [None, "0,0,0"])
 def test_no_command_builds_student_records(
-    instance_file, tmp_path, capsys, monkeypatch
+    instance_file, tmp_path, capsys, monkeypatch, budget
 ):
     # every engine path reads the student columns; the StudentRecord view is
-    # only for callers that pass or ask for records
+    # only for callers that pass or ask for records. The former oracle budget
+    # variable, if still set in a user's environment, changes nothing.
     def refused(self):
         raise AssertionError("StudentColumns.records was built")
 
     monkeypatch.setattr(StudentColumns, "records", property(refused))
+    if budget is None:
+        monkeypatch.delenv("RESERVE_MATCH_ORACLE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RESERVE_MATCH_ORACLE_BUDGET", budget)
     targets = write_json(tmp_path, "targets.json", {"none": 1, "t1": 1})
     multi = write_json(tmp_path, "multi.json", MULTI)
     for argv in (
@@ -209,7 +215,9 @@ def test_no_command_builds_student_records(
     for selected, code in ((["s2", "s4"], 0), (["s1", "s2"], 1)):
         result = write_json(tmp_path, "result.json", {"selected": selected})
         assert main(["verify", instance_file, result]) == code
-    assert "justified envy: s4 over s1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mode:" not in out
+    assert "justified envy: s4 over s1" in out
 
 
 def test_verify_of_a_small_school_with_many_groups_is_fast(tmp_path, capsys):
