@@ -30,7 +30,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     result = flow.choice_flow(instance)
     payload = files.choice_result_payload(instance, result)
-    files.write_text(files.dump_json(payload), args.out)
+    files.write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -38,7 +38,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     result = sequential_baseline(instance)
     payload = files.baseline_result_payload(instance, result)
-    files.write_text(files.dump_json(payload), args.out)
+    files.write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -86,7 +86,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         args.students, args.types, args.ranks, args.seed, args.quota_style
     )
     payload = files.instance_to_payload(instance)
-    files.write_text(files.dump_json(payload), args.out)
+    files.write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -96,7 +96,7 @@ def cmd_gda(args: argparse.Namespace) -> int:
         return _run_probe(multi, args.probe)
     result = gda.run_gda(multi)
     payload = files.gda_result_payload(result)
-    files.write_text(files.dump_json(payload), args.out)
+    files.write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -137,7 +137,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise files.InstanceFormatError("--repeats must be at least 1")
     rows = run_bench(sizes, args.types, args.ranks, args.seed, args.repeats)
-    files.write_text(files.dump_json(bench_payload(rows)), args.out)
+    files.write_json(bench_payload(rows), args.out)
     return EXIT_OK
 
 

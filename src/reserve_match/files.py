@@ -2,7 +2,12 @@
 
 All documents are schema-validated and unknown keys are rejected. Output is
 byte-deterministic: sorted keys, two-space indent, trailing newline, ratios
-as exact "p/q" strings.
+as exact "p/q" strings. ``dump_json`` gives those bytes as one string and is
+the reference form. The commands write their documents with ``write_json``
+instead, which writes the same bytes part by part (a member, an item or a
+run of 512 array items at a time), so no copy of the whole text is held:
+a 200,000-student ``gen`` file or a ``gda`` round trace is never in memory
+as text at once.
 
 The JSON Schema dicts below are the published spec of each document. They
 are checked by validators compiled from those dicts in one pass over the
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, repeat
@@ -582,7 +588,11 @@ def baseline_result_payload(
 
 
 def gda_result_payload(result: MultiMatching) -> dict[str, Any]:
-    """ResultFile payload for a multi-school run, with the round trace."""
+    """ResultFile payload for a multi-school run, with the round trace.
+
+    The trace's per-school id tuples are passed through as they are: JSON
+    writes a tuple as an array, so copying them into lists changes no byte.
+    """
     return {
         "backend": "gda",
         "matched": {
@@ -595,10 +605,10 @@ def gda_result_payload(result: MultiMatching) -> dict[str, Any]:
         "rounds": [
             {
                 "round": rt.number,
-                "proposals": {cid: list(ids) for cid, ids in rt.proposals.items()},
-                "pools": {cid: list(ids) for cid, ids in rt.pools.items()},
-                "selected": {cid: list(ids) for cid, ids in rt.selected.items()},
-                "rejected": {cid: list(ids) for cid, ids in rt.rejected.items()},
+                "proposals": rt.proposals,
+                "pools": rt.pools,
+                "selected": rt.selected,
+                "rejected": rt.rejected,
             }
             for rt in result.rounds
         ],
@@ -609,13 +619,14 @@ def dump_json(payload: Any) -> str:
     """Canonical byte form: sorted keys, two-space indent, trailing newline.
 
     The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
-    plus the newline. Any indent makes the standard library fall back to
-    its pure-Python encoder, which makes several calls per item. This writer
-    works on whole arrays instead (see _texts): a list of strings is one C
-    call per string, and a list of objects with the same string keys (the
-    students array) is written column by column, each key encoded once, so
-    it costs a few C calls per object. Every other scalar goes to the C
-    encoder.
+    plus the newline. It is the reference for ``write_json``, which writes
+    these bytes part by part without building the whole text. Any indent
+    makes the standard library fall back to its pure-Python encoder, which
+    makes several calls per item. This writer works on whole arrays
+    instead (see _texts): a list of strings is one C call per string, and a
+    list of objects with the same string keys (the students array) is
+    written column by column, each key encoded once, so it costs a few C
+    calls per object. Every other scalar goes to the C encoder.
     """
     return _text(payload, "\n") + "\n"
 
@@ -707,3 +718,79 @@ def write_text(text: str, out: Optional[str]) -> None:
             handle.write(text)
     except OSError as err:
         raise InstanceFormatError(f"cannot write {out!r}: {err}") from err
+
+
+# a flat array is written this many items at a time; one _texts call per
+# item would be several times slower on a students array
+_CHUNK = 512
+_CONTAINERS = (dict, list, tuple)
+
+
+def write_json(payload: Any, out: Optional[str]) -> None:
+    """Write dump_json(payload) to out, or to stdout when out is None.
+
+    The bytes are dump_json's, written part by part (see _parts), so the
+    whole text is never built. Errors opening or writing out are
+    InstanceFormatErrors, as in write_text.
+    """
+    parts = chain(_parts(payload, "\n"), ("\n",))
+    if out is None:
+        sys.stdout.writelines(parts)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+    except OSError as err:
+        raise InstanceFormatError(f"cannot write {out!r}: {err}") from err
+
+
+def _holds_containers(value: Any) -> bool:
+    """Whether value is an object with an object or array member, or an
+    array whose first item is an object or array."""
+    if isinstance(value, dict):
+        return any(map(isinstance, value.values(), repeat(_CONTAINERS)))
+    return isinstance(value, (list, tuple)) and bool(value) and (
+        isinstance(value[0], _CONTAINERS)
+    )
+
+
+def _deep(value: Any) -> bool:
+    """Whether value is an object holding containers of containers."""
+    return isinstance(value, dict) and any(map(_holds_containers, value.values()))
+
+
+def _parts(value: Any, newline: str) -> Iterator[str]:
+    """_text(value, newline) as a run of parts that join to it.
+
+    A deep object (a gda result, one round of its trace, an instance) is
+    written member by member, and an array whose first item is a deep
+    object (the rounds) item by item. Any other array longer than _CHUNK,
+    such as an instance's students and priority, is written _CHUNK items
+    at a time through _texts. Everything else is one _text part. The choice only
+    sets the size of the parts: each part is the text _text gives.
+    """
+    inner = newline + "  "
+    if _deep(value):
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            yield sep + _json_key(key) + ": "
+            yield from _parts(item, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)) and value and _deep(value[0]):
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _parts(item, inner)
+            sep = "," + inner
+        yield newline + "]"
+    elif isinstance(value, (list, tuple)) and len(value) > _CHUNK:
+        sep = "[" + inner
+        comma = "," + inner
+        for start in range(0, len(value), _CHUNK):
+            yield sep
+            yield comma.join(_texts(value[start : start + _CHUNK], inner))
+            sep = comma
+        yield newline + "]"
+    else:
+        yield _text(value, newline)

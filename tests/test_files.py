@@ -4,21 +4,25 @@ from __future__ import annotations
 
 import copy
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from factories import two_group_school
+from factories import seeded_market, two_group_school
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import record_instance_from_payload, record_multi_from_payload
 
-from reserve_match import cli
+from reserve_match import cli, files
 from reserve_match.baseline import sequential_baseline
 from reserve_match.files import (
     INSTANCE_SCHEMA,
@@ -32,6 +36,7 @@ from reserve_match.files import (
     choice_result_payload,
     dump_json,
     fraction_str,
+    gda_result_payload,
     instance_from_payload,
     instance_to_payload,
     load_instance,
@@ -39,9 +44,11 @@ from reserve_match.files import (
     load_selected,
     load_targets,
     multi_from_payload,
+    write_json,
     write_text,
 )
 from reserve_match.flow import choice_flow
+from reserve_match.gda import run_gda
 from reserve_match.generator import generate_instance
 from reserve_match.model import StudentRecord
 
@@ -255,13 +262,34 @@ _JSON_VALUES = st.recursive(
 )
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writes")
+
+
+def assert_write_json_writes(value, expected: str, directory: Path) -> None:
+    """write_json writes expected's bytes to a file and to stdout, with
+    flat arrays cut at the real part size and at sizes small enough to cut
+    every array of the drawn values."""
+    path = directory / "out.json"
+    for chunk in (files._CHUNK, 1, 2):
+        with mock.patch.object(files, "_CHUNK", chunk):
+            write_json(value, str(path))
+            with redirect_stdout(io.StringIO()) as console:
+                write_json(value, None)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert console.getvalue() == expected
+
+
 @settings(max_examples=500, deadline=None)
 @given(_JSON_VALUES)
-def test_dump_json_matches_the_standard_indented_encoder(value):
-    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+def test_dump_json_matches_the_standard_indented_encoder(out_dir, value):
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert dump_json(value) == expected
+    assert_write_json_writes(value, expected, out_dir)
 
 
-def test_dump_json_matches_the_standard_encoder_on_edge_values():
+def test_dump_json_matches_the_standard_encoder_on_edge_values(out_dir):
     values = [
         [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]],
         ("x", ("y", [])), ["é", "\x00\"\\", "😀"], [1, "a", None, True, 2.5],
@@ -270,7 +298,9 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values():
         {True: 1}, {None: 0}, "", 0, False,
     ]
     for value in values:
-        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert dump_json(value) == expected
+        assert_write_json_writes(value, expected, out_dir)
     shared = ["t1", "t2"]
     values = [
         # one list object at two depths, and shared by rows
@@ -282,15 +312,32 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values():
         [{1: "x", 2: "y"}, {1: "z", 2: "w"}],
         [{"k": [{"id": "a"}, {"id": "b"}]}, {"k": []}],
         [{"%s": "%d", "%%": ["%"]}] * 2,
+        # tuples where arrays go, as a gda round trace holds them
+        {"pools": {"c1": ("a", "b"), "c2": ()}, "round": 1},
+        [{"pools": {"c1": ("a",)}, "selected": {"c1": ()}}] * 2,
+        (("x",), {"k": ((), ("y", "z"))}),
+        # arrays around and past the part size, of strings, rows and mixed
+        # items, alone and inside objects written member by member
+        [f"s{i}" for i in range(files._CHUNK)],
+        tuple(f"s{i}" for i in range(files._CHUNK + 1)),
+        {"students": [{"id": f"s{i}", "types": shared} for i in range(1100)],
+         "quotas": [{"type": "t1", "rank": 1, "quota": 2}]},
+        {"mixed": [i if i % 3 else [i, {"i": i}] for i in range(2 * files._CHUNK)]},
+        [{"round": i, "pools": {"c": tuple(map(str, range(i)))}} for i in range(3)],
     ]
     for value in values:
-        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-    with pytest.raises(TypeError, match="keys must be str"):
-        dump_json({(1, 2): 3})
-    with pytest.raises(TypeError, match="keys must be str"):
-        dump_json([{(1, 2): 3}, {(1, 2): 4}])
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        dump_json([object()])
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert dump_json(value) == expected
+        assert_write_json_writes(value, expected, out_dir)
+    for write in (dump_json, lambda value: write_json(value, str(out_dir / "bad"))):
+        with pytest.raises(TypeError, match="keys must be str"):
+            write({(1, 2): 3})
+        with pytest.raises(TypeError, match="keys must be str"):
+            write({(1, 2): [3]})
+        with pytest.raises(TypeError, match="keys must be str"):
+            write([{(1, 2): 3}, {(1, 2): 4}])
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write([object()])
 
 
 def test_write_text_to_file_and_stdout(tmp_path, capsys):
@@ -299,6 +346,44 @@ def test_write_text_to_file_and_stdout(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "payload\n"
     write_text("to-console\n", None)
     assert capsys.readouterr().out == "to-console\n"
+    write_json({"a": [1]}, str(out))
+    assert out.read_text(encoding="utf-8") == dump_json({"a": [1]})
+    write_json({"a": [1]}, None)
+    assert capsys.readouterr().out == dump_json({"a": [1]})
+    # a path that cannot be opened, and (where the system has one) a device
+    # that refuses the bytes once they are flushed
+    unwritable = [str(tmp_path / "missing" / "out.json"), str(tmp_path)]
+    if os.path.exists("/dev/full"):
+        unwritable.append("/dev/full")
+    for path in unwritable:
+        with pytest.raises(InstanceFormatError, match="cannot write"):
+            write_text("payload\n", path)
+        with pytest.raises(InstanceFormatError, match="cannot write"):
+            write_json({"selected": ["s1"] * 2000}, path)
+
+
+def _gda_payload() -> dict:
+    return gda_result_payload(run_gda(seeded_market(2000, 1)))
+
+
+def _generated_payload() -> dict:
+    return instance_to_payload(generate_instance(20000, 3, 2, 7))
+
+
+@pytest.mark.parametrize("build", [_gda_payload, _generated_payload])
+def test_write_json_never_holds_the_whole_text(tmp_path, build):
+    payload = build()
+    expected = dump_json(payload).encode("utf-8")
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        write_json(payload, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == expected
+    # building the text first holds it at least twice (text, then bytes)
+    assert peak <= len(expected) // 4
 
 
 def test_single_fault_messages_keep_the_jsonschema_templates():
