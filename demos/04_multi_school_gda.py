@@ -57,12 +57,17 @@ def main() -> None:
     print("school keeps the balanced choice from everyone it has seen.")
     print()
     result = run_gda(multi)
+    # the trace keeps each round's proposals and rejections; a school's held
+    # set is its last one plus its proposers, minus its rejections
+    held: dict[str, set[str]] = {}
     for rt in result.rounds:
         print(f"Round {rt.number}:")
         for cid in sorted(rt.proposals):
+            held[cid] = held.get(cid, set()) | set(rt.proposals[cid])
+            held[cid] -= set(rt.rejected[cid])
             if rt.proposals[cid]:
                 print(f"  {cid} receives {', '.join(rt.proposals[cid])},"
-                      f" holds {', '.join(rt.selected[cid]) or 'nobody'}"
+                      f" holds {', '.join(sorted(held[cid])) or 'nobody'}"
                       + (f", rejects {', '.join(rt.rejected[cid])}"
                          if rt.rejected[cid] else ""))
     print()

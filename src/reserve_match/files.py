@@ -4,10 +4,16 @@ All documents are schema-validated and unknown keys are rejected. Output is
 byte-deterministic: sorted keys, two-space indent, trailing newline, ratios
 as exact "p/q" strings. ``dump_json`` gives those bytes as one string and is
 the reference form. The commands write their documents with ``write_json``
-instead, which writes the same bytes part by part (a member, an item or a
-run of 512 array items at a time), so no copy of the whole text is held:
-a 200,000-student ``gen`` file or a ``gda`` round trace is never in memory
-as text at once.
+instead, which writes the same bytes part by part (a member, an item, or a
+run of 128 strings or 512 other array items at a time), so no copy of the
+whole text is held: a 200,000-student ``gen`` file, its ``solve`` result
+or a ``gda`` round trace is never in memory as text at once.
+
+A ``gda`` result holds the matches, the unmatched students and one entry
+per round: the round's proposers and rejected students per school and the
+size of each choosing school's pool. The pools and held sets are not
+written; they follow from the proposals and rejections (see
+gda.RoundTrace).
 
 The JSON Schema dicts below are the published spec of each document. They
 are checked by validators compiled from those dicts in one pass over the
@@ -590,8 +596,10 @@ def baseline_result_payload(
 def gda_result_payload(result: MultiMatching) -> dict[str, Any]:
     """ResultFile payload for a multi-school run, with the round trace.
 
-    The trace's per-school id tuples are passed through as they are: JSON
-    writes a tuple as an array, so copying them into lists changes no byte.
+    Each round gives its proposals, pool sizes and rejections (see
+    gda.RoundTrace). The trace's per-school id tuples are passed through as
+    they are: JSON writes a tuple as an array, so copying them into lists
+    changes no byte.
     """
     return {
         "backend": "gda",
@@ -607,7 +615,6 @@ def gda_result_payload(result: MultiMatching) -> dict[str, Any]:
                 "round": rt.number,
                 "proposals": rt.proposals,
                 "pools": rt.pools,
-                "selected": rt.selected,
                 "rejected": rt.rejected,
             }
             for rt in result.rounds
@@ -723,6 +730,9 @@ def write_text(text: str, out: Optional[str]) -> None:
 # a flat array is written this many items at a time; one _texts call per
 # item would be several times slower on a students array
 _CHUNK = 512
+# strings cost one C call each at any run length, so an array of strings
+# (ids) goes in shorter runs, which keeps the writer's parts small
+_STRINGS = 128
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -755,19 +765,33 @@ def _holds_containers(value: Any) -> bool:
 
 
 def _deep(value: Any) -> bool:
-    """Whether value is an object holding containers of containers."""
-    return isinstance(value, dict) and any(map(_holds_containers, value.values()))
+    """Whether value is an object to write member by member: one holding
+    containers of containers, or one whose array members hold more than
+    _CHUNK items in all."""
+    if not isinstance(value, dict):
+        return False
+    members = value.values()
+    return any(map(_holds_containers, members)) or sum(
+        len(item) for item in members if isinstance(item, (list, tuple))
+    ) > _CHUNK
+
+
+def _run(values: Sequence[Any]) -> int:
+    """How many items of a long flat array one part holds."""
+    return _STRINGS if isinstance(values[0], str) else _CHUNK
 
 
 def _parts(value: Any, newline: str) -> Iterator[str]:
     """_text(value, newline) as a run of parts that join to it.
 
-    A deep object (a gda result, one round of its trace, an instance) is
-    written member by member, and an array whose first item is a deep
-    object (the rounds) item by item. Any other array longer than _CHUNK,
-    such as an instance's students and priority, is written _CHUNK items
-    at a time through _texts. Everything else is one _text part. The choice only
-    sets the size of the parts: each part is the text _text gives.
+    A deep object (a gda result, one round of its trace, a round's
+    proposals at scale, an instance, a large solve result) is written
+    member by member, and an array whose first item is a deep object (the
+    rounds) item by item. Any other long array, such as an instance's
+    students and priority, is written a run of items at a time through
+    _texts: _STRINGS strings or _CHUNK other items. Everything else is one
+    _text part. The choice only sets the size of the parts: each part is
+    the text _text gives.
     """
     inner = newline + "  "
     if _deep(value):
@@ -784,12 +808,13 @@ def _parts(value: Any, newline: str) -> Iterator[str]:
             yield from _parts(item, inner)
             sep = "," + inner
         yield newline + "]"
-    elif isinstance(value, (list, tuple)) and len(value) > _CHUNK:
+    elif isinstance(value, (list, tuple)) and value and len(value) > _run(value):
         sep = "[" + inner
         comma = "," + inner
-        for start in range(0, len(value), _CHUNK):
+        step = _run(value)
+        for start in range(0, len(value), step):
             yield sep
-            yield comma.join(_texts(value[start : start + _CHUNK], inner))
+            yield comma.join(_texts(value[start : start + step], inner))
             sep = comma
         yield newline + "]"
     else:

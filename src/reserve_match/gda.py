@@ -142,21 +142,25 @@ def induced_instance(
 class RoundTrace:
     """What happened in one proposal round.
 
-    proposals lists the new proposers per school, pools the full applicant
-    set each proposing school evaluated, selected the held students after
-    the round (all schools), rejected the students turned away this round.
+    proposals lists the new proposers per school, sorted; pools gives the
+    size of the applicant pool each proposing school chose from; rejected
+    lists the students each of those schools turned away this round, in its
+    priority order. The pools and held sets themselves are not copied:
+    a school's pool in round r is its held set after round r - 1 plus its
+    round-r proposers, and its held set after round r is that pool minus
+    its round-r rejections, every held set starting empty.
     """
 
     number: int
     proposals: dict[str, tuple[str, ...]]
-    pools: dict[str, tuple[str, ...]]
-    selected: dict[str, tuple[str, ...]]
+    pools: dict[str, int]
     rejected: dict[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class MultiMatching:
-    """Final assignment plus the per-round audit trace."""
+    """Final assignment, each school's held students, and the round trace
+    from which every round's pools and held sets can be replayed."""
 
     assignment: dict[str, Optional[str]]
     per_school: dict[str, frozenset[str]]
@@ -164,9 +168,13 @@ class MultiMatching:
 
 
 def run_gda(multi: MultiInstance) -> MultiMatching:
-    """Generalized deferred acceptance with the balanced choice function."""
+    """Generalized deferred acceptance with the balanced choice function.
+
+    Each round is traced by its proposals, pool sizes and rejections (see
+    RoundTrace); the held sets live only in the run, and the final ones
+    are per_school.
+    """
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
-    selected: dict[str, tuple[str, ...]] = {cid: () for cid in held}
     # each school's held students as ascending positions of its priority
     ranks: dict[str, list[int]] = {cid: [] for cid in held}
     # a student's refusals are a prefix of their list, so the count says where
@@ -188,7 +196,7 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             break
         if len(rounds) >= limit:
             raise InternalInvariantError("proposal rounds exceeded |S| * |C|")
-        pools: dict[str, tuple[str, ...]] = {}
+        pools: dict[str, int] = {}
         rejected: dict[str, tuple[str, ...]] = {}
         for cid in order:
             if cid not in proposals:
@@ -202,12 +210,11 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             chosen, starts[cid] = choice.selected, choice.witness
             kept = list(map(chosen.__contains__, sub.priority))
             ranks[cid] = list(compress(pool, kept))
-            pools[cid] = sub.priority
+            pools[cid] = len(pool)
             rejected[cid] = tuple(compress(sub.priority, map(not_, kept)))
             for sid in rejected[cid]:
                 refusals[sid] += 1
             held[cid] = chosen
-            selected[cid] = tuple(sorted(chosen))
         rounds.append(
             RoundTrace(
                 number=len(rounds) + 1,
@@ -215,7 +222,6 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
                     cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
                 },
                 pools=pools,
-                selected=dict(selected),
                 rejected=rejected,
             )
         )

@@ -211,3 +211,28 @@ def seeded_market(num_students: int, seed: int) -> MultiInstance:
                 ranked.append(pick)
         preferences[sid] = ranked
     return MultiInstance(base.students, types, schools, preferences)
+
+
+def market_payload(multi: MultiInstance) -> dict:
+    """A MultiInstance as a multi-school file payload."""
+    keys = multi.columns.group_keys
+    return {
+        "types": sorted(multi.types),
+        "students": [
+            {"id": sid, "types": list(keys[g])}
+            for sid, g in zip(multi.columns.ids, multi.columns.group_index)
+        ],
+        "schools": [
+            {
+                "id": c.id,
+                "capacity": c.capacity,
+                "quotas": [
+                    {"type": t, "rank": rank, "quota": count}
+                    for (t, rank), count in sorted(c.quotas.items())
+                ],
+                "priority": list(c.priority),
+            }
+            for c in multi.schools
+        ],
+        "preferences": {sid: list(p) for sid, p in multi.preferences.items()},
+    }

@@ -36,9 +36,11 @@ refusing schools. Beside them sits the pool loop `gda` ran before it
 carried held students as priority positions (`id_set_gda`): each pool is
 the union of the held and the proposing id sets, cut from the school's
 instance by id, and the rejected students are found by scanning the pool
-for ids outside the choice. Beside the two-stage bisection sits the
-window search `flow` ran before it kept the alpha window in integers
-(`fraction_last_ratio`), one Fraction per window point.
+for ids outside the choice. Both keep each round's pools and held sets
+as reference data, and `replay_rounds` rebuilds the same sets from a
+round trace's proposals and rejections alone. Beside the two-stage
+bisection sits the window search `flow` ran before it kept the alpha
+window in integers (`fraction_last_ratio`), one Fraction per window point.
 
 It holds the reserve network as `flow` built it for each cut before every
 cut shared its instance's standing network: one frozen `Arc` per arc and
@@ -904,8 +906,39 @@ def rebuilt_induced_instance(
     )
 
 
-def rescanning_gda(multi: MultiInstance) -> MultiMatching:
-    """Deferred acceptance that rescans every student each round."""
+@dataclass(frozen=True)
+class RoundSets:
+    """One round's pools (choosing schools) and held sets after it."""
+
+    pools: dict[str, frozenset[str]]
+    held: dict[str, frozenset[str]]
+
+
+def replay_rounds(rounds: Sequence[RoundTrace]) -> list[RoundSets]:
+    """Every round's pools and held sets, rebuilt from its proposals and
+    rejections alone. The held sets cover each school that has chosen so
+    far; the others hold nobody."""
+    held: dict[str, frozenset[str]] = {}
+    replayed = []
+    for rt in rounds:
+        pools = {
+            cid: held.get(cid, frozenset()) | set(proposers)
+            for cid, proposers in rt.proposals.items()
+        }
+        for cid, pool in pools.items():
+            held[cid] = pool - set(rt.rejected[cid])
+        replayed.append(RoundSets(pools=pools, held=dict(held)))
+    return replayed
+
+
+def rescanning_gda(
+    multi: MultiInstance, sets: Optional[list[RoundSets]] = None
+) -> MultiMatching:
+    """Deferred acceptance that rescans every student each round.
+
+    Each round's pools and every school's held set after it are appended
+    to sets when it is given, as reference data for replay_rounds.
+    """
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
     refused: dict[str, set[str]] = {s.id: set() for s in multi.students}
     order = [sid for sid in sorted(held)]
@@ -927,7 +960,7 @@ def rescanning_gda(multi: MultiInstance) -> MultiMatching:
             break
         if len(rounds) >= limit:
             raise InternalInvariantError("proposal rounds exceeded |S| * |C|")
-        pools: dict[str, tuple[str, ...]] = {}
+        pools: dict[str, frozenset[str]] = {}
         rejected: dict[str, tuple[str, ...]] = {}
         for cid in order:
             if cid not in proposals:
@@ -935,21 +968,20 @@ def rescanning_gda(multi: MultiInstance) -> MultiMatching:
             pool = held[cid] | set(proposals[cid])
             sub = rebuilt_induced_instance(multi, cid, pool)
             chosen = choice_flow(sub).selected
-            pools[cid] = sub.priority
+            pools[cid] = pool
             rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
             for sid in rejected[cid]:
                 refused[sid].add(cid)
             held[cid] = chosen
+        if sets is not None:
+            sets.append(RoundSets(pools=pools, held=dict(held)))
         rounds.append(
             RoundTrace(
                 number=len(rounds) + 1,
                 proposals={
                     cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
                 },
-                pools=pools,
-                selected={
-                    cid: tuple(sorted(held[cid])) for cid in order
-                },
+                pools={cid: len(pool) for cid, pool in pools.items()},
                 rejected=rejected,
             )
         )
@@ -962,11 +994,16 @@ def rescanning_gda(multi: MultiInstance) -> MultiMatching:
     )
 
 
-def id_set_gda(multi: MultiInstance) -> MultiMatching:
+def id_set_gda(
+    multi: MultiInstance, sets: Optional[list[RoundSets]] = None
+) -> MultiMatching:
     """Deferred acceptance whose pools are id sets, cut from each school's
-    instance by id every round."""
+    instance by id every round.
+
+    Each round's pools and every school's held set after it are appended
+    to sets when it is given, as reference data for replay_rounds.
+    """
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
-    selected: dict[str, tuple[str, ...]] = {cid: () for cid in held}
     # a student's refusals are a prefix of their list, so the count says where
     # they propose next; only last round's rejected students propose again
     refusals = dict.fromkeys(multi.student_ids, 0)
@@ -986,7 +1023,7 @@ def id_set_gda(multi: MultiInstance) -> MultiMatching:
             break
         if len(rounds) >= limit:
             raise InternalInvariantError("proposal rounds exceeded |S| * |C|")
-        pools: dict[str, tuple[str, ...]] = {}
+        pools: dict[str, frozenset[str]] = {}
         rejected: dict[str, tuple[str, ...]] = {}
         for cid in order:
             if cid not in proposals:
@@ -995,20 +1032,20 @@ def id_set_gda(multi: MultiInstance) -> MultiMatching:
             sub = induced_instance(multi, cid, pool)
             choice = flow.choice_flow(sub, start=starts[cid])
             chosen, starts[cid] = choice.selected, choice.witness
-            pools[cid] = sub.priority
+            pools[cid] = pool
             rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
             for sid in rejected[cid]:
                 refusals[sid] += 1
             held[cid] = chosen
-            selected[cid] = tuple(sorted(chosen))
+        if sets is not None:
+            sets.append(RoundSets(pools=pools, held=dict(held)))
         rounds.append(
             RoundTrace(
                 number=len(rounds) + 1,
                 proposals={
                     cid: tuple(sorted(proposals[cid])) for cid in sorted(proposals)
                 },
-                pools=pools,
-                selected=dict(selected),
+                pools={cid: len(pool) for cid, pool in pools.items()},
                 rejected=rejected,
             )
         )

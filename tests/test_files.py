@@ -272,8 +272,8 @@ def assert_write_json_writes(value, expected: str, directory: Path) -> None:
     flat arrays cut at the real part size and at sizes small enough to cut
     every array of the drawn values."""
     path = directory / "out.json"
-    for chunk in (files._CHUNK, 1, 2):
-        with mock.patch.object(files, "_CHUNK", chunk):
+    for chunk, strings in ((files._CHUNK, files._STRINGS), (1, 1), (2, 2)):
+        with mock.patch.multiple(files, _CHUNK=chunk, _STRINGS=strings):
             write_json(value, str(path))
             with redirect_stdout(io.StringIO()) as console:
                 write_json(value, None)
@@ -315,11 +315,19 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values(out_dir):
         # tuples where arrays go, as a gda round trace holds them
         {"pools": {"c1": ("a", "b"), "c2": ()}, "round": 1},
         [{"pools": {"c1": ("a",)}, "selected": {"c1": ()}}] * 2,
+        [{"pools": {"c1": 1}, "proposals": {"c1": ("a",)}, "rejected": {}}] * 2,
         (("x",), {"k": ((), ("y", "z"))}),
         # arrays around and past the part size, of strings, rows and mixed
         # items, alone and inside objects written member by member
         [f"s{i}" for i in range(files._CHUNK)],
         tuple(f"s{i}" for i in range(files._CHUNK + 1)),
+        [f"s{i}" for i in range(files._STRINGS)],
+        tuple(f"s{i}" for i in range(files._STRINGS + 1)),
+        # flat members that hold more than the part size in all, as a
+        # solve result's selected array or a round's proposals do
+        {"alpha": "1/2", "selected": [f"s{i}" for i in range(files._CHUNK + 1)]},
+        {f"c{j}": tuple(f"s{i}" for i in range(j * 100)) for j in range(4)},
+        {"a": [1] * files._CHUNK, "b": ["x"], "c": {}},
         {"students": [{"id": f"s{i}", "types": shared} for i in range(1100)],
          "quotas": [{"type": "t1", "rank": 1, "quota": 2}]},
         {"mixed": [i if i % 3 else [i, {"i": i}] for i in range(2 * files._CHUNK)]},
@@ -363,14 +371,23 @@ def test_write_text_to_file_and_stdout(tmp_path, capsys):
 
 
 def _gda_payload() -> dict:
-    return gda_result_payload(run_gda(seeded_market(2000, 1)))
+    return gda_result_payload(run_gda(seeded_market(20000, 1)))
 
 
 def _generated_payload() -> dict:
     return instance_to_payload(generate_instance(20000, 3, 2, 7))
 
 
-@pytest.mark.parametrize("build", [_gda_payload, _generated_payload])
+def _solve_payload() -> dict:
+    instance = generate_instance(20000, 3, 2, 7)
+    return choice_result_payload(instance, choice_flow(instance))
+
+
+# the gda trace is taken at 20,000 students, where round 1's proposals list
+# every student: at 2,000 it is about 214 KB, and the writer's own buffers
+# (about 35 KB) would be a large share of it; a solve result is one object
+# whose only large member is the selected array
+@pytest.mark.parametrize("build", [_gda_payload, _generated_payload, _solve_payload])
 def test_write_json_never_holds_the_whole_text(tmp_path, build):
     payload = build()
     expected = dump_json(payload).encode("utf-8")
@@ -384,6 +401,9 @@ def test_write_json_never_holds_the_whole_text(tmp_path, build):
     assert out.read_bytes() == expected
     # building the text first holds it at least twice (text, then bytes)
     assert peak <= len(expected) // 4
+    if build is _gda_payload:
+        # the trace gives pool sizes and no held sets
+        assert len(expected) < 3_000_000
 
 
 def test_single_fault_messages_keep_the_jsonschema_templates():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 from factories import seeded_market, two_type_column_school
-from reference_search import rescanning_gda
+from hypothesis import given
+from reference_search import RoundSets, id_set_gda, replay_rounds, rescanning_gda
+from test_properties import PROPERTY_SETTINGS, markets
 
 from reserve_match import cli, files, flow
 from reserve_match.files import dump_json, instance_to_payload
@@ -172,22 +175,27 @@ def test_run_gda_two_school_market():
 
     assert [rt.number for rt in result.rounds] == [1, 2, 3]
     first, second, third = result.rounds
+    replayed = replay_rounds(result.rounds)
     assert first.proposals == {"X": ("a", "b", "c"), "Y": ("d", "e")}
-    assert first.pools == {"X": ("a", "b", "c"), "Y": ("d", "e")}
-    assert first.selected == {"X": ("a",), "Y": ("d", "e")}
+    assert first.pools == {"X": 3, "Y": 2}
+    assert replayed[0].pools == {"X": {"a", "b", "c"}, "Y": {"d", "e"}}
+    assert replayed[0].held == {"X": {"a"}, "Y": {"d", "e"}}
     assert first.rejected == {"X": ("b", "c"), "Y": ()}
 
     # c falls back to Y and bumps e off the held list
     assert second.proposals == {"Y": ("c",)}
-    assert second.pools == {"Y": ("d", "e", "c")}
-    assert second.selected == {"X": ("a",), "Y": ("c", "d")}
+    assert second.pools == {"Y": 3}
+    assert replayed[1].pools == {"Y": {"d", "e", "c"}}
+    assert replayed[1].held == {"X": {"a"}, "Y": {"c", "d"}}
     assert second.rejected == {"Y": ("e",)}
 
     # e falls back to X and is refused; b's list is already exhausted
     assert third.proposals == {"X": ("e",)}
-    assert third.pools == {"X": ("a", "e")}
-    assert third.selected == {"X": ("a",), "Y": ("c", "d")}
+    assert third.pools == {"X": 2}
+    assert replayed[2].pools == {"X": {"a", "e"}}
+    assert replayed[2].held == {"X": {"a"}, "Y": {"c", "d"}}
     assert third.rejected == {"X": ("e",)}
+    assert replayed[2].held == result.per_school
 
 
 def test_run_gda_without_preferences_matches_nobody():
@@ -234,6 +242,43 @@ def test_run_gda_matches_rescanning_reference(num_students):
     result = run_gda(multi)
     assert len(result.rounds) > 2
     assert result == rescanning_gda(multi)
+
+
+def assert_replays_match_references(multi: MultiInstance) -> None:
+    """Both reference loops give run_gda's result, the trace's replay gives
+    each reference's pools and held sets, each replayed pool has the size
+    the trace records, and the last held sets are per_school."""
+    result = run_gda(multi)
+    replayed = replay_rounds(result.rounds)
+    for reference in (rescanning_gda, id_set_gda):
+        sets: list[RoundSets] = []
+        assert reference(multi, sets) == result
+        assert len(replayed) == len(sets) == len(result.rounds)
+        for rt, mine, theirs in zip(result.rounds, replayed, sets):
+            assert mine.pools == theirs.pools
+            assert {cid: len(pool) for cid, pool in mine.pools.items()} == rt.pools
+            # a school that has not chosen yet holds nobody
+            assert mine.held == {
+                cid: held for cid, held in theirs.held.items() if cid in mine.held
+            }
+            assert not any(
+                held for cid, held in theirs.held.items() if cid not in mine.held
+            )
+    final = replayed[-1].held if replayed else {}
+    assert {cid: final.get(cid, frozenset()) for cid in result.per_school} == (
+        result.per_school
+    )
+
+
+@pytest.mark.parametrize("size, seed", list(product([200, 600, 2000], [1, 2, 7])))
+def test_replayed_rounds_match_the_reference_sets(size, seed):
+    assert_replays_match_references(seeded_market(size, seed))
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_replayed_rounds_match_the_reference_sets_on_drawn_markets(multi):
+    assert_replays_match_references(multi)
 
 
 def test_kept_instances_are_restricted_without_indexes(monkeypatch):

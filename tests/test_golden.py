@@ -23,9 +23,14 @@ JSON writer; the second case has more than nine types, so its files list
 "t10" before "t2".
 
 Each market case writes `factories.seeded_market` as a multi-school file and
-compares the sha256 of `gda --out` (matches, unmatched students and the full
-round trace) and of `gda --probe` stdout with digests recorded before pools
-were ordered by rank arrays and networks built on per-school seat layouts.
+compares the sha256 of `gda --out` (matches, unmatched students and the
+round trace) and of `gda --probe` stdout with recorded digests. The probe
+digests were recorded before pools were ordered by rank arrays and networks
+built on per-school seat layouts. The `gda --out` digests were re-recorded
+when the trace stopped copying every pool and held set: each round now
+gives its proposals, pool sizes and rejections, and the matches, the
+unmatched students and every round's proposals and rejections kept their
+bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import hard_regime_school, market_payload, seeded_market
 
 from reserve_match import files, model
 from reserve_match.cli import main
@@ -191,49 +196,24 @@ def test_gen_output_bytes_match_golden_digest(args, tmp_path):
     assert _sha256(out) == GEN[args]
 
 
-def _market_payload(multi) -> dict:
-    """A MultiInstance as a multi-school file payload."""
-    keys = multi.columns.group_keys
-    return {
-        "types": sorted(multi.types),
-        "students": [
-            {"id": sid, "types": list(keys[g])}
-            for sid, g in zip(multi.columns.ids, multi.columns.group_index)
-        ],
-        "schools": [
-            {
-                "id": c.id,
-                "capacity": c.capacity,
-                "quotas": [
-                    {"type": t, "rank": rank, "quota": count}
-                    for (t, rank), count in sorted(c.quotas.items())
-                ],
-                "priority": list(c.priority),
-            }
-            for c in multi.schools
-        ],
-        "preferences": {sid: list(p) for sid, p in multi.preferences.items()},
-    }
-
-
 # (students, seed) -> (sha256 of `gda --out`, of `gda --probe` stdout); the
 # probe asks the first school about two students a third and two thirds
 # down its priority list, and finds no violation in any of these markets
 MARKETS = {
     (200, 1): (
-        "86b8a93dd7a54dec464439f90de3a687ce98409eedefb9b6fc5ee608bddcea63",
+        "60c11e12464932a07d2540131f90918125cca99015e55f60d22b4b6fd4fd5406",
         "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
     ),
     (200, 2): (
-        "73e2d5fcd6374abc2841073ba1a5e2738ddfe5ffde20acfba0adec9001846266",
+        "3edf008cacd5d753b28fc3ed8336aaa9548cc6feb59d9f269a5b1010b26dd6ea",
         "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
     ),
     (2000, 1): (
-        "20df53a8e899470cd112b6975ee45d030fddc869ca075094a892352d5ee46640",
+        "891da3bc8235dfc17d07cd86d26c7c8bc1a1bcb819cc87ebed54835ea661c7d9",
         "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
     ),
     (2000, 2): (
-        "1f331ba5e40c8eb3f25f261967b9422e8259be373a22da6e3d4b880af2bbb761",
+        "2525eb05cf5c7529dd45f9fc691a7e6fd9bae6cd7c54512d2aeba4d9162f0ad8",
         "baf45be02e79be7387d1330456e289dec675774a7e23c71df364b16504a21c90",
     ),
 }
@@ -245,7 +225,7 @@ def test_gda_output_bytes_match_golden_digest(size, seed, tmp_path, capsys):
     multi = seeded_market(size, seed)
     source = tmp_path / "multi.json"
     out = tmp_path / "result.json"
-    files.write_text(files.dump_json(_market_payload(multi)), str(source))
+    files.write_text(files.dump_json(market_payload(multi)), str(source))
     assert main(["gda", str(source), "--out", str(out)]) == 0
     assert _sha256(out) == gda_digest
     school = multi.schools[0]

@@ -1,4 +1,5 @@
-"""Metamorphic relations of `solve` and `verify`, checked without an oracle.
+"""Metamorphic relations of `solve`, `verify` and `gda`, checked without an
+oracle.
 
 Two changes to an instance file that must not change the answer:
 
@@ -10,10 +11,17 @@ Two changes to an instance file that must not change the answer:
   so `solve` selects the same students, and `verify` gives the same
   verdicts and envy witness on any selection.
 
-Neither relation needs a reference answer, so both run at sizes far above
-the enumeration oracle's, up to 3,000 students with 2 to 4 types and both
-quota styles (Chen et al., "Metamorphic testing: a review", ACM Computing
-Surveys 51(1), 2018).
+One change to a multi-school file that must not change the answer:
+
+- shuffling the `schools` and `students` arrays and the key order of
+  `preferences`: the file lists the same market, so `gda --out` writes the
+  same bytes and `gda --probe` prints the same lines.
+
+No relation needs a reference answer, so they run at sizes far above the
+enumeration oracle's: the single-school ones up to 3,000 students with 2 to
+4 types and both quota styles, the market one on `factories.seeded_market`
+up to 2,000 students (Chen et al., "Metamorphic testing: a review", ACM
+Computing Surveys 51(1), 2018).
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 
-from hypothesis import given, settings
+from factories import market_payload, seeded_market
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reserve_match.cli import main
@@ -143,3 +153,44 @@ def test_reversed_type_names_keep_verify_verdicts(tmp_path_factory, payload, rng
     before = run(["verify", write(folder, "original", payload), result])
     renamed = reversed_type_names(payload)
     assert run(["verify", write(folder, "renamed", renamed), result]) == before
+
+
+def shuffled_market(payload: dict, rng) -> dict:
+    """The market payload with its schools and students arrays and its
+    preferences' keys in another order."""
+    out = dict(payload)
+    for field in ("schools", "students"):
+        out[field] = rng.sample(payload[field], len(payload[field]))
+    keys = rng.sample(list(payload["preferences"]), len(payload["preferences"]))
+    out["preferences"] = {sid: payload["preferences"][sid] for sid in keys}
+    return out
+
+
+def gda_and_probe(folder, name: str, payload: dict, probe: str) -> tuple[bytes, tuple]:
+    """`gda --out` bytes and the `gda --probe` exit code and stdout."""
+    market = write(folder, name, payload)
+    result = folder / f"{name}-result.json"
+    assert run(["gda", market, "--out", str(result)]) == (0, "")
+    return result.read_bytes(), run(["gda", market, "--probe", probe])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(25, 2000),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+@example(2000, 1, random.Random(1))
+@example(2000, 2, random.Random(2))
+@example(2000, 3, random.Random(3))
+def test_shuffled_market_keeps_gda_outputs(tmp_path_factory, size, seed, rng):
+    folder = tmp_path_factory.mktemp("market")
+    multi = seeded_market(size, seed)
+    payload = market_payload(multi)
+    # the first school, about two students a third and two thirds down its list
+    school = multi.schools[0]
+    order = school.priority
+    probe = f"{school.id}:{order[len(order) // 3]}:{order[2 * len(order) // 3]}"
+    assert gda_and_probe(folder, "shuffled", shuffled_market(payload, rng), probe) == (
+        gda_and_probe(folder, "original", payload, probe)
+    )
