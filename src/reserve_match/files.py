@@ -732,7 +732,7 @@ def write_text(text: str, out: Optional[str]) -> None:
 _CHUNK = 512
 # strings cost one C call each at any run length, so an array of strings
 # (ids) goes in shorter runs, which keeps the writer's parts small
-_STRINGS = 128
+_STRING_RUN = 128
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -778,7 +778,7 @@ def _deep(value: Any) -> bool:
 
 def _run(values: Sequence[Any]) -> int:
     """How many items of a long flat array one part holds."""
-    return _STRINGS if isinstance(values[0], str) else _CHUNK
+    return _STRING_RUN if isinstance(values[0], str) else _CHUNK
 
 
 def _parts(value: Any, newline: str) -> Iterator[str]:
@@ -789,7 +789,7 @@ def _parts(value: Any, newline: str) -> Iterator[str]:
     member by member, and an array whose first item is a deep object (the
     rounds) item by item. Any other long array, such as an instance's
     students and priority, is written a run of items at a time through
-    _texts: _STRINGS strings or _CHUNK other items. Everything else is one
+    _texts: _STRING_RUN strings or _CHUNK other items. Everything else is one
     _text part. The choice only sets the size of the parts: each part is
     the text _text gives.
     """

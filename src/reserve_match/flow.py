@@ -24,7 +24,9 @@ its final Johnson potentials, which certify it, is kept as the network's
 from a min-cost flow of another network on the same standing layout, with
 its potentials, when those certify it on the new capacities (every
 residual arc at reduced cost >= 0); deferred acceptance starts each
-school's solve from its last choice's witness this way. A validity check
+school's solve from its last choice's witness this way. A certified start
+that already carries min(|S|, q) units is f* itself, with no solver
+built. A validity check
 (is there a maximal-diversity flow giving every group at least its target?)
 is then a small max-flow on the residual edges of f* whose reduced cost is
 0, because those reroutes of f* are exactly the flows with f*'s value and
@@ -40,7 +42,10 @@ of Dinkelbach's parametric method (Management Science 13(7), 1967): from
 the largest point whose targets fit in F*, each failed check moves straight
 to the largest point its cut allows. The alpha search (over ratios) took one
 or two checks on every instance measured, the greedy walk (over prefixes) 5
-on the benchmark's hard-regime school.
+on the benchmark's hard-regime school. A choice that computes its own
+targets makes the two searches' first checks as one: the walk's first
+check from the alpha search's first point. When it holds, alpha is that
+point and the choice is made (see choice_flow).
 """
 
 from __future__ import annotations
@@ -397,10 +402,16 @@ def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
 
     The solve starts from network.start when _certified accepts it, and
     from zero otherwise; either way the potentials prove the result optimal.
+    A certified start that already carries min(|S|, q) units, all any flow
+    can carry, is the result itself, and no solver is built.
     """
     start = network.start
     if start is not None and not _certified(network, start):
         start = None
+    if start is not None and start.arc_flows[network.q_sink_arc] == min(
+        len(network.instance.priority), network.instance.capacity
+    ):
+        return start
     solver = _MinCostFlow(network.standing.residual, network.capacities, start)
     solver.run(SOURCE, SINK)
     flows = solver.arc_flows()
@@ -605,23 +616,29 @@ def _descend(
     point: _Point,
     targets_at: Callable[[_Point], dict[GroupKey, int]],
     below: Callable[[_Cut], _Point],
+    cut: Optional[_Cut] = None,
 ) -> tuple[_Point, dict[GroupKey, int], OptimalFlow]:
     """The largest valid point at or under `point`, its targets and the
     witness flow of its check, for targets that grow with the point. After
     a failed check it moves to below(cut), the largest point the check's
     cut allows: every valid point obeys the cut and the point just checked
-    does not, so the first check that holds is at the answer."""
+    does not, so the first check that holds is at the answer. `cut`, when
+    given, is the cut of a failed check of `point` made earlier on the
+    network, and the descent moves on from it without checking `point`
+    again."""
     while True:
-        targets = targets_at(point)
-        witness = check_validity_flow(net.instance, targets, network=net)
-        if witness is not None:
-            return point, targets, witness
-        lower = below(net.cut)
+        if cut is None:
+            targets = targets_at(point)
+            witness = check_validity_flow(net.instance, targets, network=net)
+            if witness is not None:
+                return point, targets, witness
+            cut = net.cut
+        lower = below(cut)
         if lower >= point:
             raise InternalInvariantError(
                 f"cut bound {lower} is not below the checked point {point}"
             )
-        point = lower
+        point, cut = lower, None
 
 
 def _last_ratio(sizes: list[int], bound: int) -> Fraction:
@@ -690,11 +707,15 @@ def crucial_vector(
     return alpha, targets
 
 
-def _crucial_search(
-    instance: Instance, net: FlowNetwork
-) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
-    """crucial_vector's alpha and targets, plus the witness flow of the check
-    that held: a maximal-diversity flow meeting exactly those targets."""
+def _ratio_search(
+    instance: Instance, bound: int
+) -> tuple[
+    Fraction, Callable[[Fraction], dict[GroupKey, int]], Callable[[_Cut], Fraction]
+]:
+    """Where the alpha search starts and how it moves (see _descend): the
+    largest candidate ratio whose targets sum to at most `bound` (F*), the
+    targets at a ratio, and the largest ratio whose targets over a cut's
+    groups fit its bound."""
     sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
@@ -704,9 +725,119 @@ def _crucial_search(
     def below(cut: _Cut) -> Fraction:
         return _last_ratio([sizes[key] for key in cut.groups], cut.bound)
 
+    return _last_ratio(list(sizes.values()), bound), targets_at, below
+
+
+def _crucial_search(
+    instance: Instance, net: FlowNetwork
+) -> tuple[Ratio, dict[GroupKey, int], OptimalFlow]:
+    """crucial_vector's alpha and targets, plus the witness flow of the check
+    that held: a maximal-diversity flow meeting exactly those targets."""
     best = net.optimum or compute_certificate(net)
-    beta = _last_ratio(list(sizes.values()), best.value)
-    return _descend(net, beta, targets_at, below)
+    return _descend(net, *_ratio_search(instance, best.value))
+
+
+class _Walk:
+    """The greedy walk of choice_flow, round by round, from its targets.
+
+    A group's live candidates are its members past its count, while the
+    group is live. A round admits the longest valid prefix of all live
+    candidates in priority order, found by _descend: `point` is the
+    longest prefix that fits in the room left under F* (0 once the walk is
+    over), targets_at(p) the counts with the round's first p candidates
+    admitted, and below(cut) the longest prefix whose counts over the cut's
+    groups fit its bound.
+    """
+
+    def __init__(
+        self, instance: Instance, targets: dict[GroupKey, int], bound: int
+    ) -> None:
+        self.size = len(instance.priority)
+        self.targets = targets
+        self.counts = dict(targets)
+        self.room = bound - sum(targets.values())
+        # priority positions of each live group's candidates (its members
+        # past the target); a round admits a prefix of the live candidates,
+        # so each list's admitted ones come first and precede every live
+        # one still out
+        self.at = {
+            key: members[targets[key] :]
+            for key, members in zip(
+                instance.group_keys(), instance.member_positions() if self.room else ()
+            )
+        }
+        self.point = self._round()
+
+    def _round(self) -> int:
+        """Set up a round at the current counts; returns its point."""
+        counts, targets = self.counts, self.targets
+        self.first = {key: counts[key] - targets[key] for key in self.at}
+        self.taken = sum(self.first.values())
+        self.left = sum(map(len, self.at.values())) - self.taken
+        return min(self.room, self.left)
+
+    def targets_at(self, p: int) -> dict[GroupKey, int]:
+        """The counts with the round's first p live candidates admitted."""
+        # the smallest position x with p live candidates before it; each
+        # list's admitted candidates precede every live one still out, so
+        # once the lists count `taken` in all, each counts its own
+        lists, want = self.at.values(), p + self.taken
+        lo, hi = 0, self.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sum(bisect_left(pos, mid) for pos in lists) >= want:
+                hi = mid
+            else:
+                lo = mid + 1
+        grown = dict(self.counts)
+        first = self.first
+        for key, pos in self.at.items():
+            grown[key] += bisect_left(pos, lo) - first[key]
+        return grown
+
+    def below(self, cut: _Cut) -> int:
+        """The longest prefix whose counts over the cut's groups fit."""
+
+        def fits(p: int) -> bool:
+            grown = self.targets_at(p)
+            return sum(grown[key] for key in cut.groups) <= cut.bound
+
+        return _bisect_last(0, self.left + 1, fits)
+
+    def advance(
+        self, good: int, counts: dict[GroupKey, int], cut: Optional[_Cut]
+    ) -> None:
+        """Admit the round's first `good` candidates, which gives `counts`.
+
+        A round that admits its whole point ends the walk. Otherwise `cut`,
+        the round's last failed check's, has its groups at its bound with
+        the next candidate theirs: counts only grow, so none of them is
+        admitted again, and they are dropped.
+        """
+        self.counts = counts
+        self.room -= good
+        if good == self.point:
+            self.point = 0
+            return
+        for key in cut.groups:
+            self.at.pop(key, None)
+        self.point = self._round()
+
+    def run(
+        self, net: FlowNetwork, witness: OptimalFlow, cut: Optional[_Cut] = None
+    ) -> OptimalFlow:
+        """Walk the rounds left; returns the witness of the last check that
+        held, `witness` when no round is left. `cut` is that of a failed
+        check of the current round's point, made earlier on net."""
+        while self.point:
+            good, counts, witness = _descend(
+                net, self.point, self.targets_at, self.below, cut
+            )
+            # net.cut is the descent's last failed cut: a check of its own,
+            # or `cut` when none failed, as no check failed since `cut`'s
+            self.advance(good, counts, net.cut)
+            cut = None
+        return witness
 
 
 def choice_flow(
@@ -730,14 +861,26 @@ def choice_flow(
     That walk is computed without one check per student. Validity is
     downward closed in the bounds, so a round admits the longest valid
     prefix of the live candidates in priority order, found as alpha is (see
-    _descend): check the longest prefix that fits in F*, and after a failed
-    check move to the longest whose counts over the cut's groups fit its
-    bound. The prefix that holds leaves those groups at the bound with the
-    next candidate theirs; counts only grow, so they are dead and dropped.
-    Each round drops a group, and the walk makes no checks once the targets
-    fill F*; on 3,000 hard-regime students a call made 4 checks in all. The
-    signature is read from the witness flow of the last check that held,
-    which meets exactly the final counts, so no check is repeated.
+    _descend and _Walk): check the longest prefix that fits in F*, and
+    after a failed check move to the longest whose counts over the cut's
+    groups fit its bound. The prefix that holds leaves those groups at the
+    bound with the next candidate theirs; counts only grow, so they are
+    dead and dropped. Each round drops a group, and the walk makes no
+    checks once the targets fill F*; on 3,000 hard-regime students a call
+    made 4 checks in all. The signature is read from the witness flow of
+    the last check that held, which meets exactly the final counts, so no
+    check is repeated.
+
+    When the call computes its own crucial vector, the alpha search and the
+    walk share their first check. Let beta be the largest candidate ratio
+    whose targets fit in F*, where the alpha search starts. The first check
+    is the walk's first from beta's targets: those targets plus the
+    longest prefix of live candidates that fits. When it holds, beta's
+    targets, which it meets, are valid too, so alpha is beta and the walk's
+    first round admits that whole prefix, which ends the walk: one check
+    for the whole choice. When it fails, the alpha search runs from beta,
+    and if alpha is beta the walk's first round moves on from the failed
+    check's cut instead of checking that prefix again.
 
     The result's `witness` is that flow, with the potentials of the optimum
     it was rerouted from (see check_validity_flow). Passed as `start` to a
@@ -752,8 +895,23 @@ def choice_flow(
     best = compute_certificate(net)
     keys = instance.group_keys()
     positions = instance.member_positions()
+    cut: Optional[_Cut] = None  # a failed check's cut at the walk's point
     if delta_star is None:
-        alpha, targets, witness = _crucial_search(instance, net)
+        beta, ratio_targets, ratio_below = _ratio_search(instance, best.value)
+        walk = _Walk(instance, ratio_targets(beta), best.value)
+        shared = None
+        if walk.point:
+            counts = walk.targets_at(walk.point)
+            shared = check_validity_flow(instance, counts, network=net)
+            if shared is None:
+                cut = net.cut
+        if shared is not None:
+            alpha, witness = beta, shared
+            walk.advance(walk.point, counts, None)
+        else:
+            alpha, targets, witness = _descend(net, beta, ratio_targets, ratio_below)
+            if alpha != beta:
+                walk, cut = _Walk(instance, targets, best.value), None
     else:
         # unknown keys stay in, so the validity check rejects them
         targets = dict.fromkeys(keys, 0)
@@ -761,60 +919,11 @@ def choice_flow(
         witness = check_validity_flow(instance, targets, network=net)
         if witness is None:
             raise ValueError("delta_star is not a valid target vector")
+        walk = _Walk(instance, targets, best.value)
     if alpha is None:
-        alpha = min_count_ratio(instance, targets)
-
-    counts = dict(targets)
-    room = best.value - sum(counts.values())
-    # priority positions of each live group's candidates (its members past
-    # the target); a round admits a prefix of the live candidates, so each
-    # list's admitted ones come first and precede every live one still out
-    at = {
-        key: members[targets[key] :]
-        for key, members in zip(keys, positions if room else ())
-    }
-    while room:
-        first = {key: counts[key] - targets[key] for key in at}
-        taken = sum(first.values())
-        left = sum(map(len, at.values())) - taken
-        if not left:
-            break
-
-        def targets_at(p: int) -> dict[GroupKey, int]:
-            """The counts with the first p live candidates admitted."""
-            # the smallest position x with p live candidates before it; each
-            # list's admitted candidates precede every live one still out, so
-            # once the lists count `taken` in all, each counts its own
-            lo, hi = 0, len(instance.priority)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sum(bisect_left(pos, mid) for pos in at.values()) - taken >= p:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            grown = dict(counts)  # the round's counts until _descend returns
-            for key, pos in at.items():
-                grown[key] += bisect_left(pos, lo) - first[key]
-            return grown
-
-        def below(cut: _Cut) -> int:
-            """The longest prefix whose counts over the cut's groups fit."""
-
-            def fits(p: int) -> bool:
-                grown = targets_at(p)
-                return sum(grown[key] for key in cut.groups) <= cut.bound
-
-            return _bisect_last(0, left + 1, fits)
-
-        point = min(room, left)
-        good, counts, witness = _descend(net, point, targets_at, below)
-        room -= good
-        if good == point:
-            break
-        # the last cut's groups are at its bound and the next candidate is
-        # theirs: counts only grow, so none of them is admitted again
-        for key in net.cut.groups:
-            at.pop(key, None)
+        alpha = min_count_ratio(instance, walk.targets)
+    witness = walk.run(net, witness, cut)
+    counts = walk.counts
 
     # each group's selected students are its first counts[key] members
     priority = instance.priority
@@ -833,7 +942,7 @@ def choice_flow(
         per_group_counts=counts,
         signature=flow_signature(net, witness),
         alpha=alpha,
-        targets=targets,
+        targets=walk.targets,
         witness=witness,
     )
 

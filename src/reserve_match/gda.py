@@ -23,9 +23,16 @@ Every pool of a school is solved on the school's one standing network (see
 flow.FlowNetwork), so a school's choice hands the next one its witness: a
 flow that carries exactly the held students, who all stay in the next
 pool, with the potentials of the optimum it came from. The next solve
-starts there when those potentials certify it and augments only for the
-new proposers; otherwise it starts from zero. The state lives only inside
-one run_gda call, and the choices are the same either way.
+starts there when those potentials certify it, and then it is the next
+optimum as it is: a school that has chosen holds q students, all any flow
+of its larger next pool can carry. Otherwise the solve starts from zero.
+The state lives only inside one run_gda call, and the choices are the same
+either way.
+
+A pool no larger than its school's capacity needs no choice: the balanced
+choice is non-wasteful, so it takes the whole pool, and run_gda does so
+without a solve. Such pools come before the school's first choice (after
+a choice it holds q students), so that choice starts from zero.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .model import (
     MalformedInstanceError,
     StudentColumns,
     StudentRecord,
+    priority_ranks,
     restrict_instance,
     restrict_to_ranks,
 )
@@ -172,7 +180,8 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
 
     Each round is traced by its proposals, pool sizes and rejections (see
     RoundTrace); the held sets live only in the run, and the final ones
-    are per_school.
+    are per_school. A pool that fits its school's capacity is held whole,
+    with no choice made and no one rejected.
     """
     held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
     # each school's held students as ascending positions of its priority
@@ -205,12 +214,19 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             # only the new proposers are mapped to positions; the held ones
             # carry theirs from the last choice
             pool = sorted(chain(ranks[cid], school.ranks_of(proposals[cid])))
+            pools[cid] = len(pool)
+            if len(pool) <= school.capacity:
+                # the choice is non-wasteful, so a pool that fits is taken
+                # whole, with no witness made for the next choice to start from
+                ranks[cid] = pool
+                rejected[cid] = ()
+                held[cid] = held[cid].union(proposals[cid])
+                continue
             sub = restrict_to_ranks(school, pool)
             choice = flow.choice_flow(sub, start=starts[cid])
             chosen, starts[cid] = choice.selected, choice.witness
             kept = list(map(chosen.__contains__, sub.priority))
             ranks[cid] = list(compress(pool, kept))
-            pools[cid] = len(pool)
             rejected[cid] = tuple(compress(sub.priority, map(not_, kept)))
             for sid in rejected[cid]:
                 refusals[sid] += 1
@@ -248,12 +264,25 @@ class SubstitutabilityViolation:
 def substitutability_probe(
     instance: Instance, base: Iterable[str], s1: str, s2: str
 ) -> Optional[SubstitutabilityViolation]:
-    """Test the monotone-rejection property on one (base, s1, s2) triple."""
+    """Test the monotone-rejection property on one (base, s1, s2) triple.
+
+    The large pool is mapped to priority positions once, and the small one
+    is it without s1's. The small choice's selection lies in the large
+    pool, so its witness may start the large choice's solve (see
+    flow.choice_flow); the choices are the same either way.
+    """
     pool = set(base)
     if s1 in pool or s2 in pool or s1 == s2:
         raise ValueError("s1 and s2 must be distinct students outside the base set")
-    small = flow.choice_flow(restrict_instance(instance, pool | {s2})).selected
-    large = flow.choice_flow(restrict_instance(instance, pool | {s1, s2})).selected
+    ranks = priority_ranks(instance, pool | {s1, s2})
+    dropped = next(instance.ranks_of((s1,)))
+    without = flow.choice_flow(
+        restrict_to_ranks(instance, [p for p in ranks if p != dropped])
+    )
+    small = without.selected
+    large = flow.choice_flow(
+        restrict_to_ranks(instance, ranks), start=without.witness
+    ).selected
     if s2 not in small and s2 in large:
         return SubstitutabilityViolation(
             s1=s1, s2=s2, without_s1=small, with_s1=large

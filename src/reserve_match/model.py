@@ -366,19 +366,24 @@ def build_groups(instance: Instance) -> list[Group]:
 
 
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
-    """The same instance with the student set cut down to keep.
+    """The same instance with the student set cut down to keep, built from
+    the students' priority positions (see priority_ranks and
+    restrict_to_ranks)."""
+    return restrict_to_ranks(instance, priority_ranks(instance, keep))
+
+
+def priority_ranks(instance: Instance, ids: Iterable[str]) -> list[int]:
+    """The ascending priority positions of a set of ids.
 
     The ids are checked against the instance's id index, so an unknown one
-    raises KeyError, and mapped to their priority positions through the
-    rank array; the cut is then built from those positions (see
-    restrict_to_ranks).
+    raises KeyError, and mapped to their positions through the rank array.
     """
     index = instance.columns.index
-    chosen = set(keep)
+    chosen = set(ids)
     unknown = chosen.difference(index)
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    return restrict_to_ranks(instance, sorted(instance.ranks_of(chosen)))
+    return sorted(instance.ranks_of(chosen))
 
 
 def restrict_to_ranks(instance: Instance, ranks: list[int]) -> Instance:

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from factories import seeded_market, two_group_school
+from factories import market_payload, seeded_market, two_group_school
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import record_instance_from_payload, record_multi_from_payload
@@ -272,8 +272,8 @@ def assert_write_json_writes(value, expected: str, directory: Path) -> None:
     flat arrays cut at the real part size and at sizes small enough to cut
     every array of the drawn values."""
     path = directory / "out.json"
-    for chunk, strings in ((files._CHUNK, files._STRINGS), (1, 1), (2, 2)):
-        with mock.patch.multiple(files, _CHUNK=chunk, _STRINGS=strings):
+    for chunk, strings in ((files._CHUNK, files._STRING_RUN), (1, 1), (2, 2)):
+        with mock.patch.multiple(files, _CHUNK=chunk, _STRING_RUN=strings):
             write_json(value, str(path))
             with redirect_stdout(io.StringIO()) as console:
                 write_json(value, None)
@@ -321,8 +321,8 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values(out_dir):
         # items, alone and inside objects written member by member
         [f"s{i}" for i in range(files._CHUNK)],
         tuple(f"s{i}" for i in range(files._CHUNK + 1)),
-        [f"s{i}" for i in range(files._STRINGS)],
-        tuple(f"s{i}" for i in range(files._STRINGS + 1)),
+        [f"s{i}" for i in range(files._STRING_RUN)],
+        tuple(f"s{i}" for i in range(files._STRING_RUN + 1)),
         # flat members that hold more than the part size in all, as a
         # solve result's selected array or a round's proposals do
         {"alpha": "1/2", "selected": [f"s{i}" for i in range(files._CHUNK + 1)]},
@@ -497,6 +497,31 @@ def test_compile_rejects_keywords_it_does_not_check():
         _compile({"minimum": 0, "type": "integer"})
     with pytest.raises(ValueError, match="unsupported"):
         _compile({"type": "number"})
+
+
+def test_preferences_of_a_market_are_checked_in_one_scan(monkeypatch):
+    payload = market_payload(seeded_market(2000, 1))
+    preferences = payload["preferences"]
+    check = _compile(MULTI_SCHEMA["properties"]["preferences"])
+    scans = []
+    scan = files._all_strings
+
+    def counted(values):
+        scans.append(None)
+        return scan(values)
+
+    monkeypatch.setattr(files, "_all_strings", counted)
+    assert check(preferences) is None
+    # one scan over every list, not one per student
+    assert len(scans) == 1
+    sid = sorted(preferences)[7]
+    preferences[sid] = preferences[sid][:1] + [3]
+    with pytest.raises(InstanceFormatError) as err:
+        _validated(payload, MULTI_SCHEMA, "multi-school file")
+    assert str(err.value) == (
+        f"bad multi-school file: 3 is not of type 'string' "
+        f"(at preferences/{sid}/1)"
+    )
 
 
 def test_cli_import_does_not_load_jsonschema():

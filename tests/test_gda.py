@@ -330,15 +330,14 @@ class _WatchedPriority(tuple):
 def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     monkeypatch,
 ):
-    multi = seeded_market(200, seed=1)
-    for instance in multi.instances.values():
-        instance.priority = _WatchedPriority(instance.priority)
     built = []
     residuals = []
     solved_on = []
+    choices = []
     original = flow._StandingNetwork.__init__
     original_residual = flow._Residual.__init__
     original_solver = flow._MinCostFlow.__init__
+    choose = flow.choice_flow
 
     def counted(self, instance):
         built.append(instance.fixed)
@@ -352,28 +351,61 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
         solved_on.append(residual)
         original_solver(self, residual, *args)
 
+    def recorded(instance, *args, **kwargs):
+        choices.append((instance, kwargs.get("start")))
+        return choose(instance, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "choice_flow", recorded)
     monkeypatch.setattr(flow._StandingNetwork, "__init__", counted)
     monkeypatch.setattr(flow._Residual, "__init__", counted_residual)
     monkeypatch.setattr(flow._MinCostFlow, "__init__", watched_solver)
-    result = run_gda(multi)
-    pools = {
-        cid: sum(cid in rt.pools for rt in result.rounds) for cid in multi.instances
-    }
-    assert max(pools.values()) > 2
-    for cid, instance in multi.instances.items():
-        # the rank array that orders every pool of the school is built from
-        # the rows kept by validation, not from a walk of the priority list
-        assert instance.priority.walks == 0
-        assert sum(fixed is instance.fixed for fixed in built) == (
-            1 if pools[cid] else 0
-        )
-    assert len(built) == sum(1 for n in pools.values() if n)
-    # one network and one set of solver arrays per school, which every
-    # solve of the school's pools reads
-    schools = [fixed.network.residual for fixed in built]
-    assert residuals == schools
-    assert len(solved_on) == sum(pools.values())
-    assert all(any(r is mine for mine in schools) for r in solved_on)
+    # in the second market one school's pools all fit its seats
+    for seed in (1, 9):
+        multi = seeded_market(200, seed)
+        for instance in multi.instances.values():
+            instance.priority = _WatchedPriority(instance.priority)
+        for log in (built, residuals, solved_on, choices):
+            log.clear()
+        result = run_gda(multi)
+        pools = {
+            cid: sum(cid in rt.pools for rt in result.rounds)
+            for cid in multi.instances
+        }
+        assert max(pools.values()) > 2
+        chose = {
+            cid: sum(cut.fixed is instance.fixed for cut, _start in choices)
+            for cid, instance in multi.instances.items()
+        }
+        # a pool that fits is taken whole, with no choice
+        assert chose == {
+            cid: sum(
+                rt.pools.get(cid, 0) > multi.instances[cid].capacity
+                for rt in result.rounds
+            )
+            for cid in multi.instances
+        }
+        assert any(pools[cid] and not chose[cid] for cid in pools) == (seed == 9)
+        for cid, instance in multi.instances.items():
+            # the rank array that orders every pool of the school is built
+            # from the rows kept by validation, not from a walk of the
+            # priority list
+            assert instance.priority.walks == 0
+            assert sum(fixed is instance.fixed for fixed in built) == (
+                1 if chose[cid] else 0
+            )
+        assert len(built) == sum(1 for n in chose.values() if n)
+        # one network and one set of solver arrays per school, which every
+        # solve of the school's pools reads
+        schools = [fixed.network.residual for fixed in built]
+        assert residuals == schools
+        assert all(any(r is mine for mine in schools) for r in solved_on)
+        # a certified start already carries a full pool's min(|S|, q)
+        # units, so only cold and uncertified starts build a solver
+        fresh = [
+            start is None or not flow._certified(flow.build_network(cut), start)
+            for cut, start in choices
+        ]
+        assert len(solved_on) == sum(fresh) < len(choices)
 
 
 def _market_file(tmp_path, multi: MultiInstance) -> str:

@@ -114,7 +114,7 @@ def test_hard_regime_checks_search_like_the_reference(size, seed, reserved):
 
 def test_market_pools_search_like_the_reference():
     with _recording() as (checks, choices):
-        run_gda(seeded_market(200, 1))
+        run_gda(seeded_market(200, 10))
     # warm-started pools: their optima come from the last choice's witness,
     # so a group's source arc need not be admissible there
     warm = [net for net, _targets, _witness in checks if net.start is not None]

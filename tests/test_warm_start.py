@@ -126,11 +126,25 @@ def test_a_start_with_a_negative_reduced_cost_is_refused(monkeypatch):
         potentials=tuple(pot),
     )
     assert not flow._certified(net, nudged)
+    cold = _cold(root, cut.priority)
+    optima = []
+    solve = flow.min_cost_max_flow
+
+    def recorded(network):
+        optima.append(solve(network))
+        return optima[-1]
+
+    monkeypatch.setattr(flow, "min_cost_max_flow", recorded)
     starts = _starts_of_solves(monkeypatch)
-    assert_same_choice(choice_flow(cut, start=start), _cold(root, cut.priority))
-    assert_same_choice(choice_flow(cut, start=nudged), _cold(root, cut.priority))
-    assert starts[0] is start
-    assert starts[1] is None
+    assert_same_choice(choice_flow(cut, start=start), cold)
+    # the certified start carries the pool's min(|S|, q) units already, so
+    # it is f* itself and no solver is built
+    assert start.value == min(len(cut.priority), cut.capacity)
+    assert optima[0] is start
+    assert starts == []
+    assert_same_choice(choice_flow(cut, start=nudged), cold)
+    assert optima[1] is not nudged
+    assert starts == [None]
 
 
 def test_a_start_over_a_shrunk_group_is_refused(monkeypatch):
@@ -161,9 +175,10 @@ def test_warm_starts_keep_checks_and_cut_dijkstra_passes(monkeypatch):
     monkeypatch.setattr(flow._MinCostFlow, "_augment", counted_augment)
     checks = count_checks(monkeypatch)
     run_gda(seeded_market(600, 2))
-    # solves from zero made 2,453 passes here
-    assert len(checks) == 358
-    assert passes[0] == 243
+    # solves from zero made 2,453 passes here; each choice makes one check,
+    # and a certified start, which already fills its pool, makes none
+    assert len(checks) == 226
+    assert passes[0] == 174
 
 
 def _assert_witness_is_the_fresh_check(
