@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or VALID / all axioms PASS), 1 negative verdict
 (NO-INSTANCE, a FAIL line, or a reported violation), 2 malformed input
-(an InstanceFormatError from the file loaders, the --out writer or the
-explicit argument checks here), 3 internal failure (a failed invariant,
-or any other ValueError or KeyError raised inside the solver).
+(an InstanceFormatError from the file loaders, the writer of --out or
+stdout, or the explicit argument checks here), 3 internal failure (a
+failed invariant, or any other ValueError or KeyError raised inside the
+solver).
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -741,11 +742,22 @@ def write_json(payload: Any, out: Optional[str]) -> None:
 
     The bytes are dump_json's, written part by part (see _parts), so the
     whole text is never built. Errors opening or writing out are
-    InstanceFormatErrors, as in write_text.
+    InstanceFormatErrors, as in write_text, and so are errors writing to
+    stdout, such as a reader that closed its end of the pipe. Nothing more
+    can reach stdout then, so it is pointed at the null device: the
+    interpreter's flush at exit drops what is left in its buffer instead
+    of failing again.
     """
     parts = chain(_parts(payload, "\n"), ("\n",))
     if out is None:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except OSError as err:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise InstanceFormatError(f"cannot write to stdout: {err}") from err
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:

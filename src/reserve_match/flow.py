@@ -20,13 +20,12 @@ positions in the priority.
 
 Each network is solved once: the unconstrained min-cost max-flow f* with
 its final Johnson potentials, which certify it, is kept as the network's
-`optimum` and nowhere else (see compute_certificate). The solve may start
-from a min-cost flow of another network on the same standing layout, with
-its potentials, when those certify it on the new capacities (every
-residual arc at reduced cost >= 0); deferred acceptance starts each
-school's solve from its last choice's witness this way. A certified start
-that already carries min(|S|, q) units is f* itself, with no solver
-built. A validity check
+`optimum` and nowhere else (see compute_certificate). A solve starts from
+zero, or is not needed: a min-cost flow of another network on the same
+standing layout, with its potentials, is f* itself when it already carries
+min(|S|, q) units and those potentials certify it on the new capacities
+(every residual arc at reduced cost >= 0). Deferred acceptance hands each
+school's choice its last choice's witness this way. A validity check
 (is there a maximal-diversity flow giving every group at least its target?)
 is then a small max-flow on the residual edges of f* whose reduced cost is
 0, because those reroutes of f* are exactly the flows with f*'s value and
@@ -40,12 +39,13 @@ flow any maximal-diversity flow can give them, which the targets exceed.
 Both searches descend on those cuts in one loop (_descend), in the manner
 of Dinkelbach's parametric method (Management Science 13(7), 1967): from
 the largest point whose targets fit in F*, each failed check moves straight
-to the largest point its cut allows. The alpha search (over ratios) took one
-or two checks on every instance measured, the greedy walk (over prefixes) 5
-on the benchmark's hard-regime school. A choice that computes its own
-targets makes the two searches' first checks as one: the walk's first
-check from the alpha search's first point. When it holds, alpha is that
-point and the choice is made (see choice_flow).
+to the largest point its cut allows, and a point known valid ends the
+descent without a check. The alpha search (over ratios) took one or two
+checks on every instance measured, the greedy walk (over prefixes) 5 on
+the benchmark's hard-regime school. A choice that computes its own targets
+starts with the walk, from the alpha search's first point: alpha is that
+point unless a cut of the walk's first round breaks its targets, and then
+the alpha search goes on from that cut (see choice_flow).
 """
 
 from __future__ import annotations
@@ -234,9 +234,9 @@ class FlowNetwork:
     `optimum` is the unconstrained min-cost max-flow f* with its
     potentials, solved on first use (see compute_certificate) and held
     nowhere else, so every validity check on one network reroutes a single
-    min-cost flow solve; that solve starts from `start` when it is
-    certified (see min_cost_max_flow). `cut` is the _Cut of the last check
-    on the network that failed.
+    min-cost flow solve; `start`, when it is full and certified, is that
+    optimum with no solve (see min_cost_max_flow). `cut` is the _Cut of
+    the last check on the network that failed.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -277,26 +277,19 @@ class _MinCostFlow:
     The residual structure comes prebuilt (see _Residual); the flow on arc
     e is the residual capacity of edge 2e + 1. A solve starts from zero flow
     and zero potentials, which is sound because all original costs are
-    non-negative, or from a given flow and potentials under which every
-    residual arc has reduced cost >= 0 (see _certified). After each
+    non-negative. After each
     Dijkstra pass the potential update is capped at the target distance,
     which keeps reduced costs non-negative for every arc that still has
     residual capacity, including across phases with different endpoints.
     """
 
-    def __init__(
-        self,
-        residual: _Residual,
-        capacities: list[int],
-        start: Optional[OptimalFlow] = None,
-    ) -> None:
+    def __init__(self, residual: _Residual, capacities: list[int]) -> None:
         self.n = residual.n
         self.to = residual.to
         self.cost = residual.cost
         self.adjacent = residual.adjacent
-        flows = start.arc_flows if start is not None else (0,) * len(capacities)
-        self.cap = _residual_capacities(capacities, flows)
-        self.potential = list(start.potentials) if start is not None else [0] * self.n
+        self.cap = _residual_capacities(capacities, (0,) * len(capacities))
+        self.potential = [0] * self.n
 
     def arc_flows(self) -> tuple[int, ...]:
         """Flow on each arc of the lists the solver was built from."""
@@ -377,8 +370,7 @@ def _certified(network: FlowNetwork, start: OptimalFlow) -> bool:
     flow lies within this network's capacity, flow is conserved, and every
     residual arc has reduced cost cost + potentials[tail] -
     potentials[head] >= 0 (Ahuja, Magnanti and Orlin, Network Flows, 1993,
-    ch. 9). Successive shortest paths then go on from it to a min-cost
-    max-flow. One pass over the arcs decides it.
+    ch. 9). One pass over the arcs decides it.
     """
     flows, pot = start.arc_flows, start.potentials
     if len(flows) != len(network.tails) or len(pot) != network.node_count:
@@ -398,21 +390,19 @@ def _certified(network: FlowNetwork, start: OptimalFlow) -> bool:
 
 def min_cost_max_flow(network: FlowNetwork) -> OptimalFlow:
     """Integral min-cost max-flow from source to sink, with the final
-    potentials of the successive-shortest-path solve.
+    potentials of the successive-shortest-path solve, which prove it
+    optimal.
 
-    The solve starts from network.start when _certified accepts it, and
-    from zero otherwise; either way the potentials prove the result optimal.
-    A certified start that already carries min(|S|, q) units, all any flow
-    can carry, is the result itself, and no solver is built.
+    network.start is the result itself, and no solver is built, when it
+    already carries min(|S|, q) units, all any flow can carry, and
+    _certified accepts it; the value is compared first, as it is the
+    cheaper test. Otherwise the solve starts from zero.
     """
     start = network.start
-    if start is not None and not _certified(network, start):
-        start = None
-    if start is not None and start.arc_flows[network.q_sink_arc] == min(
-        len(network.instance.priority), network.instance.capacity
-    ):
+    full = min(len(network.instance.priority), network.instance.capacity)
+    if start is not None and start.value == full and _certified(network, start):
         return start
-    solver = _MinCostFlow(network.standing.residual, network.capacities, start)
+    solver = _MinCostFlow(network.standing.residual, network.capacities)
     solver.run(SOURCE, SINK)
     flows = solver.arc_flows()
     return OptimalFlow(
@@ -616,29 +606,31 @@ def _descend(
     point: _Point,
     targets_at: Callable[[_Point], dict[GroupKey, int]],
     below: Callable[[_Cut], _Point],
-    cut: Optional[_Cut] = None,
-) -> tuple[_Point, dict[GroupKey, int], OptimalFlow]:
+    floor: Optional[OptimalFlow] = None,
+) -> Optional[tuple[_Point, dict[GroupKey, int], OptimalFlow]]:
     """The largest valid point at or under `point`, its targets and the
     witness flow of its check, for targets that grow with the point. After
     a failed check it moves to below(cut), the largest point the check's
     cut allows: every valid point obeys the cut and the point just checked
-    does not, so the first check that holds is at the answer. `cut`, when
-    given, is the cut of a failed check of `point` made earlier on the
-    network, and the descent moves on from it without checking `point`
-    again."""
-    while True:
-        if cut is None:
-            targets = targets_at(point)
-            witness = check_validity_flow(net.instance, targets, network=net)
-            if witness is not None:
-                return point, targets, witness
-            cut = net.cut
-        lower = below(cut)
+    does not, so the first check that holds is at the answer. `floor`, when
+    given, is the witness of point 0, which is then known valid: the descent
+    returns it there without a check. A cut that even point 0 breaks
+    (below(cut) < 0) ends the descent with None, the cut left on the
+    network."""
+    while point or floor is None:
+        targets = targets_at(point)
+        witness = check_validity_flow(net.instance, targets, network=net)
+        if witness is not None:
+            return point, targets, witness
+        lower = below(net.cut)
+        if lower < 0:
+            return None
         if lower >= point:
             raise InternalInvariantError(
                 f"cut bound {lower} is not below the checked point {point}"
             )
-        point, cut = lower, None
+        point = lower
+    return point, targets_at(point), floor
 
 
 def _last_ratio(sizes: list[int], bound: int) -> Fraction:
@@ -743,10 +735,12 @@ class _Walk:
     A group's live candidates are its members past its count, while the
     group is live. A round admits the longest valid prefix of all live
     candidates in priority order, found by _descend: `point` is the
-    longest prefix that fits in the room left under F* (0 once the walk is
-    over), targets_at(p) the counts with the round's first p candidates
-    admitted, and below(cut) the longest prefix whose counts over the cut's
-    groups fit its bound.
+    longest prefix that fits in the room left under F*, targets_at(p) the
+    counts with the round's first p candidates admitted, and below(cut) the
+    longest prefix whose counts over the cut's groups fit its bound, -1 when
+    even the round's starting counts do not.
+    Every round after the first starts from the counts of a check that
+    held, so only the first round's starting counts can break a cut.
     """
 
     def __init__(
@@ -796,48 +790,40 @@ class _Walk:
         return grown
 
     def below(self, cut: _Cut) -> int:
-        """The longest prefix whose counts over the cut's groups fit."""
+        """The longest prefix whose counts over the cut's groups fit, or -1
+        when the round's starting counts break the cut."""
 
         def fits(p: int) -> bool:
             grown = self.targets_at(p)
             return sum(grown[key] for key in cut.groups) <= cut.bound
 
-        return _bisect_last(0, self.left + 1, fits)
-
-    def advance(
-        self, good: int, counts: dict[GroupKey, int], cut: Optional[_Cut]
-    ) -> None:
-        """Admit the round's first `good` candidates, which gives `counts`.
-
-        A round that admits its whole point ends the walk. Otherwise `cut`,
-        the round's last failed check's, has its groups at its bound with
-        the next candidate theirs: counts only grow, so none of them is
-        admitted again, and they are dropped.
-        """
-        self.counts = counts
-        self.room -= good
-        if good == self.point:
-            self.point = 0
-            return
-        for key in cut.groups:
-            self.at.pop(key, None)
-        self.point = self._round()
+        return _bisect_last(-1, self.left + 1, fits)
 
     def run(
-        self, net: FlowNetwork, witness: OptimalFlow, cut: Optional[_Cut] = None
-    ) -> OptimalFlow:
+        self, net: FlowNetwork, witness: Optional[OptimalFlow]
+    ) -> Optional[OptimalFlow]:
         """Walk the rounds left; returns the witness of the last check that
-        held, `witness` when no round is left. `cut` is that of a failed
-        check of the current round's point, made earlier on net."""
-        while self.point:
-            good, counts, witness = _descend(
-                net, self.point, self.targets_at, self.below, cut
-            )
-            # net.cut is the descent's last failed cut: a check of its own,
-            # or `cut` when none failed, as no check failed since `cut`'s
-            self.advance(good, counts, net.cut)
-            cut = None
-        return witness
+        held, `witness` when no round is left.
+
+        `witness` is that of the current counts, or None when they are not
+        known valid: the first round then checks them if its descent gets
+        to them, and the walk returns None when a cut breaks them. A round
+        that admits its whole point ends the walk. Otherwise the round's
+        last failed check's cut has its groups at its bound with the next
+        candidate theirs: counts only grow, so none of them is admitted
+        again, and they are dropped.
+        """
+        while True:
+            found = _descend(net, self.point, self.targets_at, self.below, witness)
+            if found is None:
+                return None
+            good, self.counts, witness = found
+            self.room -= good
+            if good == self.point:
+                return witness
+            for key in net.cut.groups:
+                self.at.pop(key, None)
+            self.point = self._round()
 
 
 def choice_flow(
@@ -867,51 +853,47 @@ def choice_flow(
     bound with the next candidate theirs; counts only grow, so they are
     dead and dropped. Each round drops a group, and the walk makes no
     checks once the targets fill F*; on 3,000 hard-regime students a call
-    made 4 checks in all. The signature is read from the witness flow of
-    the last check that held, which meets exactly the final counts, so no
-    check is repeated.
+    made 4 checks in all. A round whose descent gets back to its starting
+    counts, known valid, takes their witness without a check. The
+    signature is read from the witness flow of the last check that held,
+    which meets exactly the final counts, so no check is repeated.
 
-    When the call computes its own crucial vector, the alpha search and the
-    walk share their first check. Let beta be the largest candidate ratio
-    whose targets fit in F*, where the alpha search starts. The first check
-    is the walk's first from beta's targets: those targets plus the
-    longest prefix of live candidates that fits. When it holds, beta's
-    targets, which it meets, are valid too, so alpha is beta and the walk's
-    first round admits that whole prefix, which ends the walk: one check
-    for the whole choice. When it fails, the alpha search runs from beta,
-    and if alpha is beta the walk's first round moves on from the failed
-    check's cut instead of checking that prefix again.
+    When the call computes its own crucial vector, the walk starts where
+    the alpha search would: at beta, the largest candidate ratio whose
+    targets fit in F*. Its first round checks beta's targets plus the
+    longest prefix of live candidates that fits, and then shorter prefixes,
+    down to beta's targets themselves, which are not yet known valid. Once
+    a check holds, beta's targets, which it meets, are valid too, so alpha
+    is beta and the walk goes on as from any targets: when the first check
+    holds, the choice takes that one check. When a cut of the round breaks
+    beta's targets themselves, alpha is below beta: the alpha search
+    descends over ratios from that cut, and a fresh walk starts from
+    alpha's targets.
 
     The result's `witness` is that flow, with the potentials of the optimum
     it was rerouted from (see check_validity_flow). Passed as `start` to a
     choice over a restriction of the same instance that keeps every
-    selected student, it may spare that choice's min-cost flow solve most
-    of its work: the solve starts from it when the potentials certify it
-    there (see min_cost_max_flow), and from zero otherwise. The result is
-    the same either way.
+    selected student, it is that choice's optimum, with no min-cost flow
+    solve, when it already carries min(|S|, q) units and the potentials
+    certify it there (see min_cost_max_flow); otherwise the solve starts
+    from zero. The result is the same either way.
     """
     net = build_network(instance)
     net.start = start
     best = compute_certificate(net)
     keys = instance.group_keys()
     positions = instance.member_positions()
-    cut: Optional[_Cut] = None  # a failed check's cut at the walk's point
     if delta_star is None:
         beta, ratio_targets, ratio_below = _ratio_search(instance, best.value)
         walk = _Walk(instance, ratio_targets(beta), best.value)
-        shared = None
-        if walk.point:
-            counts = walk.targets_at(walk.point)
-            shared = check_validity_flow(instance, counts, network=net)
-            if shared is None:
-                cut = net.cut
-        if shared is not None:
-            alpha, witness = beta, shared
-            walk.advance(walk.point, counts, None)
-        else:
-            alpha, targets, witness = _descend(net, beta, ratio_targets, ratio_below)
-            if alpha != beta:
-                walk, cut = _Walk(instance, targets, best.value), None
+        alpha, witness = beta, walk.run(net, None)
+        if witness is None:
+            # beta's targets break the cut of the walk's last check
+            alpha, targets, witness = _descend(
+                net, ratio_below(net.cut), ratio_targets, ratio_below
+            )
+            walk = _Walk(instance, targets, best.value)
+            witness = walk.run(net, witness)
     else:
         # unknown keys stay in, so the validity check rejects them
         targets = dict.fromkeys(keys, 0)
@@ -920,9 +902,9 @@ def choice_flow(
         if witness is None:
             raise ValueError("delta_star is not a valid target vector")
         walk = _Walk(instance, targets, best.value)
-    if alpha is None:
-        alpha = min_count_ratio(instance, walk.targets)
-    witness = walk.run(net, witness, cut)
+        witness = walk.run(net, witness)
+        if alpha is None:
+            alpha = min_count_ratio(instance, targets)
     counts = walk.counts
 
     # each group's selected students are its first counts[key] members

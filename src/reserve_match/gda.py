@@ -22,10 +22,10 @@ read off the pool with one compress each.
 Every pool of a school is solved on the school's one standing network (see
 flow.FlowNetwork), so a school's choice hands the next one its witness: a
 flow that carries exactly the held students, who all stay in the next
-pool, with the potentials of the optimum it came from. The next solve
-starts there when those potentials certify it, and then it is the next
-optimum as it is: a school that has chosen holds q students, all any flow
-of its larger next pool can carry. Otherwise the solve starts from zero.
+pool, with the potentials of the optimum it came from. It is the next
+optimum as it is, with no solve, when those potentials certify it: a
+school that has chosen holds q students, all any flow of its larger next
+pool can carry. Otherwise the solve starts from zero.
 The state lives only inside one run_gda call, and the choices are the same
 either way.
 
@@ -193,7 +193,7 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     rounds: list[RoundTrace] = []
     limit = len(multi.columns) * len(multi.schools) + 1
     movers = list(multi.columns.ids)
-    # each school's last witness, the start of its next choice's solve
+    # each school's last witness, the start handed to its next choice
     starts: dict[str, Optional[flow.OptimalFlow]] = dict.fromkeys(order)
     while True:
         proposals: dict[str, list[str]] = {}
@@ -268,8 +268,9 @@ def substitutability_probe(
 
     The large pool is mapped to priority positions once, and the small one
     is it without s1's. The small choice's selection lies in the large
-    pool, so its witness may start the large choice's solve (see
-    flow.choice_flow); the choices are the same either way.
+    pool, so its witness, when it is full and certified there, is the
+    large choice's optimum with no solve (see flow.choice_flow); the
+    choices are the same either way.
     """
     pool = set(base)
     if s1 in pool or s2 in pool or s1 == s2:

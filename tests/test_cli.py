@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +291,23 @@ def test_unwritable_out_is_input_error(instance_file, tmp_path, capsys):
     ):
         assert main(argv + ["--out", out]) == 2
         assert f"error: cannot write {out!r}" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_one_input_error_line():
+    # the output is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader goes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-m", "reserve_match", "gen", "--students", "20000"]
+    with subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        status = proc.wait(timeout=60)
+    assert status == 2
+    assert err.startswith("error: cannot write to stdout: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("error", [ValueError("bad arc"), KeyError("s9")])

@@ -1,14 +1,16 @@
-"""The alpha search and the greedy walk share their first check.
+"""The alpha search takes over from the greedy walk's first round.
 
-choice_flow(instance) makes its first check at the largest candidate ratio
-beta whose targets fit in F*, plus the longest prefix of live candidates
-that fits: when it holds, alpha is beta and the walk is over. These tests
-check that this gives, field by field and witness flow included, the choice
-that the crucial vector and alpha passed in give (the path that checks the
-targets first), on drawn instances, the golden corpus, hard-regime schools
-whose first check fails, and every pool deferred acceptance chooses from.
-They also check that deferred acceptance takes a pool that fits its
-school's seats whole, without a choice.
+choice_flow(instance) starts the walk from the targets of beta, the largest
+candidate ratio whose targets fit in F*. When the walk ends, alpha is beta;
+when one of its cuts breaks beta's targets, the alpha search descends over
+ratios from that cut and a fresh walk starts from alpha's targets. These
+tests check that this gives, field by field and witness flow included, the
+choice that the crucial vector and alpha passed in give (the path that
+checks the targets first), on drawn instances, the golden corpus,
+hard-regime schools whose first check fails, and every pool deferred
+acceptance chooses from. They check that no call checks again counts that
+it already found valid, and that deferred acceptance takes a pool that fits
+its school's seats whole, without a choice.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ def _assert_same_as_two_checks(
 
 
 def _first_check(instance: Instance) -> str:
-    """Which way choice_flow(instance) starts: with no shared check (beta's
-    targets fill F* or no candidate is live), or with one that holds or
-    fails, and then whether alpha is beta."""
+    """Which way choice_flow(instance) starts: with a first walk round from
+    beta's targets that has no prefix to admit (they fill F* or no
+    candidate is live), or with one whose first check holds or fails, and
+    then whether alpha is beta."""
     net = build_network(instance)
     best = compute_certificate(net)
     beta, targets_at, _below = _ratio_search(instance, best.value)
@@ -96,8 +99,9 @@ def test_shared_first_check_matches_two_checks_on_the_corpus(name):
     _assert_same_as_two_checks(CORPUS[name][0]())
 
 
-@pytest.mark.parametrize("size, seed", [(600, 2), (2000, 7)])
-def test_shared_first_check_matches_two_checks_on_market_pools(size, seed):
+def _market_pools(size: int, seed: int) -> list[tuple[Instance, Optional[OptimalFlow]]]:
+    """(pool, start) of every choice deferred acceptance makes on a seeded
+    market."""
     pools = []
     choose = flow.choice_flow
 
@@ -109,8 +113,47 @@ def test_shared_first_check_matches_two_checks_on_market_pools(size, seed):
         patch.setattr(flow, "choice_flow", recorded)
         run_gda(seeded_market(size, seed))
     assert len(pools) > 200
-    for cut, start in pools:
+    return pools
+
+
+@pytest.mark.parametrize("size, seed", [(600, 2), (2000, 7)])
+def test_shared_first_check_matches_two_checks_on_market_pools(size, seed):
+    for cut, start in _market_pools(size, seed):
         _assert_same_as_two_checks(cut, start)
+
+
+def _assert_no_valid_counts_repeated(checks: list[tuple[dict, bool]]) -> None:
+    """No check repeats counts that an earlier one found valid."""
+    valid: list[dict] = []
+    for targets, verdict in checks:
+        assert targets not in valid
+        if verdict:
+            valid.append(targets)
+
+
+def _assert_no_valid_counts_checked_again(
+    instance: Instance, start: Optional[OptimalFlow] = None
+) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        checks = _checked(patch)
+        choice_flow(instance, start=start)
+    _assert_no_valid_counts_repeated(checks)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_no_valid_counts_are_checked_again_on_drawn_instances(instance):
+    _assert_no_valid_counts_checked_again(instance)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_valid_counts_are_checked_again_on_the_corpus(name):
+    _assert_no_valid_counts_checked_again(CORPUS[name][0]())
+
+
+def test_no_valid_counts_are_checked_again_on_market_pools():
+    for cut, start in _market_pools(600, 2):
+        _assert_no_valid_counts_checked_again(cut, start)
 
 
 def test_a_first_check_that_holds_is_the_only_check(monkeypatch):
@@ -143,6 +186,7 @@ def test_a_failed_or_skipped_first_check_falls_back(
     result = choice_flow(instance)
     assert not checks[0][1]
     shared = list(checks)
+    _assert_no_valid_counts_repeated(shared)
     checks.clear()
     assert_same_choice(result, _two_checks(instance, None))
     if branch == "fails, alpha is beta":

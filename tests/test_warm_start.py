@@ -1,9 +1,11 @@
 """Warm starts of deferred acceptance's choices.
 
-Each school's next min-cost flow solve starts from the witness of its last
-choice, with that optimum's potentials, when those certify it on the new
-pool's network; otherwise it starts from zero. Either way every choice
-must equal the choice a solve from zero makes on a fresh cut of the pool.
+Each school's next choice is handed the witness of its last one, with that
+optimum's potentials. The witness is the new pool's optimum as it is when
+it already carries min(|S|, q) units and those potentials certify it on the
+new pool's network; otherwise the solve starts from zero. Either way every
+choice must equal the choice a solve from zero makes on a fresh cut of the
+pool.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from reserve_match.flow import (
     choice_flow,
 )
 from reserve_match.gda import MultiInstance, run_gda
+from reserve_match.generator import generate_instance
 from reserve_match.model import ChoiceResult, Instance, restrict_instance
 
 
@@ -89,17 +92,18 @@ def test_golden_market_takes_both_starts(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
-def _starts_of_solves(monkeypatch) -> list:
-    """The start every solver is built with, recorded while patched."""
-    starts = []
+def _solver_builds(monkeypatch) -> list[None]:
+    """One entry per solver built while patched; a solver always starts
+    from zero."""
+    builds: list[None] = []
     original = flow._MinCostFlow.__init__
 
-    def recorded(self, residual, capacities, start=None):
-        starts.append(start)
-        original(self, residual, capacities, start)
+    def recorded(self, residual, capacities):
+        builds.append(None)
+        original(self, residual, capacities)
 
     monkeypatch.setattr(flow._MinCostFlow, "__init__", recorded)
-    return starts
+    return builds
 
 
 def _certified_case() -> tuple[Instance, Instance, OptimalFlow]:
@@ -135,16 +139,16 @@ def test_a_start_with_a_negative_reduced_cost_is_refused(monkeypatch):
         return optima[-1]
 
     monkeypatch.setattr(flow, "min_cost_max_flow", recorded)
-    starts = _starts_of_solves(monkeypatch)
+    builds = _solver_builds(monkeypatch)
     assert_same_choice(choice_flow(cut, start=start), cold)
     # the certified start carries the pool's min(|S|, q) units already, so
     # it is f* itself and no solver is built
     assert start.value == min(len(cut.priority), cut.capacity)
     assert optima[0] is start
-    assert starts == []
+    assert builds == []
     assert_same_choice(choice_flow(cut, start=nudged), cold)
     assert optima[1] is not nudged
-    assert starts == [None]
+    assert len(builds) == 1
 
 
 def test_a_start_over_a_shrunk_group_is_refused(monkeypatch):
@@ -157,11 +161,29 @@ def test_a_start_over_a_shrunk_group_is_refused(monkeypatch):
     dropped = sorted(last.selected)[0]
     smaller = restrict_instance(root, last.selected - {dropped})
     assert not flow._certified(build_network(smaller), last.witness)
-    starts = _starts_of_solves(monkeypatch)
-    assert_same_choice(
-        choice_flow(smaller, start=last.witness), _cold(root, smaller.priority)
-    )
-    assert starts[0] is None
+    cold = _cold(root, smaller.priority)
+    builds = _solver_builds(monkeypatch)
+    assert_same_choice(choice_flow(smaller, start=last.witness), cold)
+    assert len(builds) == 1
+
+
+def test_a_certified_start_that_is_not_full_is_solved_from_zero(monkeypatch):
+    # two nested pools, both within q: the small pool's witness is a
+    # min-cost flow of the large pool too, one unit short of its maximum
+    root = generate_instance(40, 2, 2, 0)
+    first = list(root.priority)
+    small = restrict_instance(root, first[:4])
+    large = restrict_instance(root, first[:5])
+    assert len(large.priority) <= large.capacity
+    start = choice_flow(small).witness
+    assert flow._certified(build_network(large), start)
+    assert start.value == len(small.priority) < len(large.priority)
+    cold = choice_flow(large)
+    builds = _solver_builds(monkeypatch)
+    warm = choice_flow(large, start=start)
+    assert len(builds) == 1
+    assert_same_choice(warm, cold)
+    assert warm.witness == cold.witness
 
 
 def test_warm_starts_keep_checks_and_cut_dijkstra_passes(monkeypatch):
