@@ -48,14 +48,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     targets = files.load_targets(args.targets, instance)
     witness = flow.check_validity_flow(instance, targets)
     if witness is None:
-        print("NO-INSTANCE")
+        _say(["NO-INSTANCE"])
         return EXIT_NEGATIVE
     matching = flow.flow_to_matching(instance, witness)
-    print("VALID")
-    print(f"signature: {list(matching_signature(instance, matching))}")
     counts = files.choice_counts_by_label(instance, matching)
-    for label in sorted(counts):
-        print(f"  {label}: {counts[label]}")
+    _say(
+        [
+            "VALID",
+            f"signature: {list(matching_signature(instance, matching))}",
+            *(f"  {label}: {counts[label]}" for label in sorted(counts)),
+        ]
+    )
     return EXIT_OK
 
 
@@ -73,11 +76,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("balanced representation", report.balanced),
         ("justified envy-freeness", report.justified_envy_free),
     ]
-    for label, verdict in lines:
-        print(f"{label}: {'PASS' if verdict else 'FAIL'}")
+    text = [f"{label}: {'PASS' if verdict else 'FAIL'}" for label, verdict in lines]
     if report.envy_witness is not None:
         envious, envied = report.envy_witness
-        print(f"justified envy: {envious} over {envied}")
+        text.append(f"justified envy: {envious} over {envied}")
+    _say(text)
     return EXIT_OK if report.all_hold() else EXIT_NEGATIVE
 
 
@@ -122,14 +125,24 @@ def _run_probe(multi: gda.MultiInstance, spec: str) -> int:
         multi.instances[school_id], everyone - {s1, s2}, s1, s2
     )
     if violation is None:
-        print("no substitutability violation")
+        _say(["no substitutability violation"])
         return EXIT_OK
-    print(f"substitutability violation at school {school_id}:")
-    print(f"  without {s1}: {s2} rejected "
-          f"(selected: {sorted(violation.without_s1)})")
-    print(f"  with {s1}: {s2} selected "
-          f"(selected: {sorted(violation.with_s1)})")
+    _say(
+        [
+            f"substitutability violation at school {school_id}:",
+            f"  without {s1}: {s2} rejected "
+            f"(selected: {sorted(violation.without_s1)})",
+            f"  with {s1}: {s2} selected (selected: {sorted(violation.with_s1)})",
+        ]
+    )
     return EXIT_NEGATIVE
+
+
+def _say(lines: list[str]) -> None:
+    """Write a text command's lines to stdout; a stdout that cannot take
+    them is an input error, as for the JSON commands (see
+    files.write_stdout)."""
+    files.write_stdout(line + "\n" for line in lines)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

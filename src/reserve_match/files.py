@@ -22,23 +22,30 @@ payload, with the verdicts, messages and error paths of
 Integer fields accept integral floats such as ``2.0``, as that draft does,
 and are read as ints.
 
-Loading makes no object per student: the ``students`` array goes straight
-into ``StudentColumns`` (ids in file order, one group index per student, one
-dict lookup per student to intern its ``types`` list). The loaders scan that
-array once: the scan checks each item's shape, takes the id and types
-columns, interns the types lists and checks the type names on the few
-interned group keys instead of on every student; the schema check covers
-the rest of the document. Any array the scan does not pass goes to the full
-check, which names the same error as before. The instance's ``students``
-view of ``StudentRecord``s is a boundary view for record-taking callers,
-built only if one asks; no loader, solver or writer reads it.
+Loading keeps no dict or list per student beyond one slice of the file.
+``load_instance`` and ``load_multi`` walk the top-level object with the C
+JSON scanner and decode its other members whole, but decode the
+``students`` array about 64 KiB of text (``_SLICE`` characters) at a time:
+each slice is cut just after a ``}`` and decoded as an array of its own,
+and its items go straight into ``StudentColumns`` (ids in file order, one
+group index per student, one dict lookup per student to intern its
+``types`` list into a slot table shared by the slices) before the next
+slice is decoded. The scan checks each item's shape, takes the ids,
+interns the types lists and checks the type names on the few interned
+group keys instead of on every student; the schema check covers the rest
+of the document. Any text the walk does not fully take (a repeated
+``students`` key, a fault in an item, bad JSON, a BOM) is decoded whole by
+``json.loads`` and checked by the full check, which names the same error
+as before. The instance's ``students`` view of ``StudentRecord``s is a
+boundary view for record-taking callers, built only if one asks; no
+loader, solver or writer reads it.
 
 Every ``load_*`` decodes and builds its document with the cyclic garbage
 collector paused, and puts back the caller's collector state when it
 returns or raises. The pause loses nothing: a JSON tree holds no cycle and
 the loaders make no back-reference, so a collection during a load could
 free nothing the load made, and reference counting frees the temporaries
-as before. Without it, CPython 3.11 starts 57 collections while loading a
+as before. Without it, CPython 3.11 starts 48 collections while loading a
 20,000-student file, each walking containers that all survive. Python 3.13
 starts its young collections less often, so it gains less there.
 """
@@ -47,14 +54,26 @@ from __future__ import annotations
 
 import gc
 import json
+import json.decoder
 import os
 import sys
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from .baseline import BaselineResult
 from .gda import MultiInstance, MultiMatching, School
@@ -340,16 +359,28 @@ def _validated(payload: Any, schema: Mapping[str, Any], what: str) -> Any:
     return payload
 
 
-def _read_json(path: str, what: str) -> Any:
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except OSError as err:
         raise InstanceFormatError(f"cannot read {what} {path!r}: {err}") from err
-    except ValueError as err:  # bad JSON, bad UTF-8 or an over-long integer
+    except ValueError as err:  # bad UTF-8
+        raise InstanceFormatError(f"{what} {path!r} is not JSON: {err}") from err
+
+
+def _parsed(text: str, path: str, what: str) -> Any:
+    """The whole document's JSON value, as json.load gives it."""
+    try:
+        return json.loads(text)
+    except ValueError as err:  # bad JSON or an over-long integer
         raise InstanceFormatError(f"{what} {path!r} is not JSON: {err}") from err
     except RecursionError as err:
         raise InstanceFormatError(f"{what} {path!r} nests too deeply") from err
+
+
+def _read_json(path: str, what: str) -> Any:
+    return _parsed(_read_text(path, what), path, what)
 
 
 def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
@@ -364,33 +395,44 @@ def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
     return quotas
 
 
-def _scanned_students(payload: Any) -> Optional[StudentColumns]:
-    """The columns of payload's students array, read in one scan; None if
-    the array may break the schema.
+def _scanned_students(slices: Iterable[Any]) -> Optional[StudentColumns]:
+    """The columns of a students array given as consecutive slices of its
+    items (one slice: the whole array), read in one scan; None if the array
+    may break the schema.
 
-    The scan checks each item's shape, takes the id and types columns once,
-    interns the types lists and checks the type names on the interned group
-    keys alone: every type name equals a name on its student's group key,
-    and no JSON value but a string equals a string.
+    The scan checks each item's shape, takes the ids, interns each types
+    list into one slot table for all slices and checks the type names on
+    the interned group keys alone: every type name equals a name on its
+    student's group key, and no JSON value but a string equals a string.
+    No slice is held once the next one is asked for.
     """
-    raw = payload.get("students") if isinstance(payload, dict) else None
-    # an item of two keys holding both fields has no other key
-    if not (
-        isinstance(raw, list)
-        and all(map(isinstance, raw, repeat(dict)))
-        and all(map(eq, map(len, raw), repeat(2)))
-    ):
-        return None
+    ids: list[str] = []
+    column = array("I")
+    slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
+    for raw in slices:
+        # an item of two keys holding both fields has no other key
+        if not (
+            isinstance(raw, list)
+            and all(map(isinstance, raw, repeat(dict)))
+            and all(map(eq, map(len, raw), repeat(2)))
+        ):
+            return None
+        try:
+            names = list(map(itemgetter("id"), raw))
+            types = list(map(itemgetter("types"), raw))
+        except KeyError:
+            return None
+        if not (_all_strings(names) and all(map(isinstance, types, repeat(list)))):
+            return None
+        try:
+            column.extend(map(slots.__getitem__, map(tuple, types)))
+        except TypeError:  # an unhashable type name
+            return None
+        ids += names
+        del raw, types
     try:
-        ids = list(map(itemgetter("id"), raw))
-        types = list(map(itemgetter("types"), raw))
-    except KeyError:
-        return None
-    if not (_all_strings(ids) and all(map(isinstance, types, repeat(list)))):
-        return None
-    try:
-        columns = StudentColumns.intern(ids, map(tuple, types))
-    except TypeError:  # a type name that is unhashable or does not sort
+        columns = StudentColumns.from_slots(ids, column, slots)
+    except TypeError:  # type names that do not sort
         return None
     if not _all_strings(chain.from_iterable(columns.group_keys)):
         return None
@@ -398,22 +440,136 @@ def _scanned_students(payload: Any) -> Optional[StudentColumns]:
 
 
 def _checked_students(
-    payload: Any, schema: Mapping[str, Any], what: str
+    payload: Any,
+    schema: Mapping[str, Any],
+    what: str,
+    columns: Optional[StudentColumns] = None,
 ) -> StudentColumns:
     """Schema-check payload and return its students' columns, walking the
-    students array once; the errors are those of _validated."""
-    columns = _scanned_students(payload)
+    students array once; the errors are those of _validated. columns, when
+    given, are those of a students array that was read apart (see
+    _sliced), and payload holds the document's other members."""
     if columns is None:
-        _validated(payload, schema, what)
-        raise InternalInvariantError("the students scan refused a valid array")
+        raw = payload.get("students") if isinstance(payload, dict) else None
+        columns = _scanned_students([raw])
+        if columns is None:
+            _validated(payload, schema, what)
+            raise InternalInvariantError("the students scan refused a valid array")
     # a valid students array adds no error, so the rest keeps its verdict
     _validated({**payload, "students": []}, schema, what)
     return columns
 
 
-def instance_from_payload(payload: Any) -> Instance:
-    """InstanceFile JSON value to a validated Instance."""
-    columns = _checked_students(payload, INSTANCE_SCHEMA, "instance file")
+# The students array is decoded this many characters of text at a time.
+_SLICE = 65536
+# A slice is decoded at most this many times, each cut before the last,
+# before the load gives the whole text to json.loads.
+_CUTS = 4
+_SPACE = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
+
+
+def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
+    """The members of the top-level object but its students array, and the
+    columns of that array, read from the text with the array decoded a
+    slice at a time (see _slices); None for any text that is not such an
+    object with one students member whose items the scan takes.
+
+    The object is walked as json.loads walks it, its other members decoded
+    whole by the same C scanner; a repeated key keeps its last value.
+    """
+    members: dict[str, Any] = {}
+    columns = None
+    try:
+        i = _SPACE(text).end()
+        if text[i : i + 1] != "{":
+            return None
+        i = _SPACE(text, i + 1).end()
+        while text[i : i + 1] == '"':
+            key, i = _scan(text, i)
+            i = _SPACE(text, i).end()
+            if text[i : i + 1] != ":":
+                return None
+            i = _SPACE(text, i + 1).end()
+            if key != "students":
+                members[key], i = _scan(text, i)
+            elif columns is None:
+                end: list[int] = []
+                columns = _scanned_students(_slices(text, i, end))
+                if columns is None:
+                    return None
+                i = end[0]
+            else:
+                return None
+            i = _SPACE(text, i).end()
+            if text[i : i + 1] == "}":
+                break
+            if text[i : i + 1] != ",":
+                return None
+            i = _SPACE(text, i + 1).end()
+        else:
+            return None
+    except (ValueError, StopIteration, RecursionError):
+        return None
+    if columns is None or _SPACE(text, i + 1).end() != len(text):
+        return None
+    return members, columns
+
+
+def _slices(text: str, i: int, end: list[int]) -> Iterator[list[Any]]:
+    """The items of the JSON array at text[i], as lists decoded from about
+    _SLICE characters of text each; appends the index past the array to
+    end once it has yielded them all.
+
+    Any text that is not such an array, or that _slice cannot cut, raises
+    ValueError.
+    """
+    if text[i : i + 1] != "[":
+        raise ValueError("not an array")
+    i = _SPACE(text, i + 1).end()
+    if text[i : i + 1] != "]":
+        while True:
+            items, cut = _slice(text, i)
+            yield items
+            del items
+            i = _SPACE(text, cut).end()
+            if text[i : i + 1] != ",":
+                break
+            i = _SPACE(text, i + 1).end()
+        if text[i : i + 1] != "]":
+            raise ValueError("the array does not close")
+    end.append(i + 1)
+
+
+def _slice(text: str, i: int) -> tuple[list[Any], int]:
+    """The items of an array from its item at text[i] up to a cut about
+    _SLICE characters on, and the cut.
+
+    The cut is made just after a '}' and the slice decoded as
+    '[' + slice + ']'. A cut inside a string leaves that string open, and a
+    cut past the array's end leaves the array's ']' inside the slice, so
+    neither decodes: a slice that decodes holds whole items. One that does
+    not is cut again before the last '}' that could have closed an item
+    before the point where decoding stopped, up to _CUTS cuts in all.
+    """
+    cut = text.rfind("}", i, i + _SLICE) + 1 or text.find("}", i + _SLICE) + 1
+    for _ in range(_CUTS):
+        if not cut:
+            break
+        try:
+            return json.loads("[" + text[i:cut] + "]"), cut
+        except json.JSONDecodeError as err:
+            cut = text.rfind("}", i, min(cut - 1, i + err.pos - 1)) + 1
+    raise ValueError("no cut of the slice decodes")
+
+
+def instance_from_payload(
+    payload: Any, columns: Optional[StudentColumns] = None
+) -> Instance:
+    """InstanceFile JSON value to a validated Instance. columns, when given,
+    are those of the file's students array, read apart (see _sliced), and
+    payload holds its other members."""
+    columns = _checked_students(payload, INSTANCE_SCHEMA, "instance file", columns)
     try:
         return Instance(
             students=columns,
@@ -445,9 +601,12 @@ def instance_to_payload(instance: Instance) -> dict[str, Any]:
     }
 
 
-def multi_from_payload(payload: Any) -> MultiInstance:
-    """Multi-school JSON value to a validated MultiInstance."""
-    columns = _checked_students(payload, MULTI_SCHEMA, "multi-school file")
+def multi_from_payload(
+    payload: Any, columns: Optional[StudentColumns] = None
+) -> MultiInstance:
+    """Multi-school JSON value to a validated MultiInstance; columns as for
+    instance_from_payload."""
+    columns = _checked_students(payload, MULTI_SCHEMA, "multi-school file", columns)
     try:
         return MultiInstance(
             students=columns,
@@ -481,14 +640,23 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _loaded(path: str, what: str) -> tuple[Any, Optional[StudentColumns]]:
+    """A file's members but its students and their columns, read with the
+    students array in slices (see _sliced); for any text that does not read
+    so, the whole document decoded by json.loads and None, so that the
+    checks give every error and message of a whole-document load."""
+    text = _read_text(path, what)
+    return _sliced(text) or (_parsed(text, path, what), None)
+
+
 def load_instance(path: str) -> Instance:
     with _collector_paused():
-        return instance_from_payload(_read_json(path, "instance file"))
+        return instance_from_payload(*_loaded(path, "instance file"))
 
 
 def load_multi(path: str) -> MultiInstance:
     with _collector_paused():
-        return multi_from_payload(_read_json(path, "multi-school file"))
+        return multi_from_payload(*_loaded(path, "multi-school file"))
 
 
 def load_targets(path: str, instance: Instance) -> dict[GroupKey, int]:
@@ -719,7 +887,7 @@ def _rows(values: Sequence[Any], newline: str) -> Optional[list[str]]:
 
 def write_text(text: str, out: Optional[str]) -> None:
     if out is None:
-        print(text, end="")
+        write_stdout([text])
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -743,27 +911,33 @@ def write_json(payload: Any, out: Optional[str]) -> None:
     The bytes are dump_json's, written part by part (see _parts), so the
     whole text is never built. Errors opening or writing out are
     InstanceFormatErrors, as in write_text, and so are errors writing to
-    stdout, such as a reader that closed its end of the pipe. Nothing more
-    can reach stdout then, so it is pointed at the null device: the
-    interpreter's flush at exit drops what is left in its buffer instead
-    of failing again.
+    stdout (see write_stdout).
     """
     parts = chain(_parts(payload, "\n"), ("\n",))
     if out is None:
-        try:
-            sys.stdout.writelines(parts)
-            sys.stdout.flush()
-        except OSError as err:
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-            raise InstanceFormatError(f"cannot write to stdout: {err}") from err
+        write_stdout(parts)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(parts)
     except OSError as err:
         raise InstanceFormatError(f"cannot write {out!r}: {err}") from err
+
+
+def write_stdout(parts: Iterable[str]) -> None:
+    """Write parts to stdout and flush it. An error writing, such as a
+    reader that closed its end of the pipe, is an InstanceFormatError.
+    Nothing more can reach stdout then, so it is pointed at the null
+    device: the interpreter's flush at exit drops what is left in its
+    buffer instead of failing again."""
+    try:
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()
+    except OSError as err:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise InstanceFormatError(f"cannot write to stdout: {err}") from err
 
 
 def _holds_containers(value: Any) -> bool:

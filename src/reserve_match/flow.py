@@ -800,7 +800,10 @@ class _Walk:
         return _bisect_last(-1, self.left + 1, fits)
 
     def run(
-        self, net: FlowNetwork, witness: Optional[OptimalFlow]
+        self,
+        net: FlowNetwork,
+        witness: Optional[OptimalFlow],
+        cut: Optional[_Cut] = None,
     ) -> Optional[OptimalFlow]:
         """Walk the rounds left; returns the witness of the last check that
         held, `witness` when no round is left.
@@ -809,20 +812,25 @@ class _Walk:
         known valid: the first round then checks them if its descent gets
         to them, and the walk returns None when a cut breaks them. A round
         that admits its whole point ends the walk. Otherwise the round's
-        last failed check's cut has its groups at its bound with the next
-        candidate theirs: counts only grow, so none of them is admitted
-        again, and they are dropped.
+        last cut that lowered its point has its groups at its bound with
+        the next candidate theirs: counts only grow, so none of them is
+        admitted again, and they are dropped. `cut`, when given, is one an
+        earlier check left that every valid count obeys: the first round's
+        descent starts no higher than below(cut), as if a check of its
+        point had left that cut.
         """
         while True:
-            found = _descend(net, self.point, self.targets_at, self.below, witness)
+            start = self.point if cut is None else min(self.point, self.below(cut))
+            found = _descend(net, start, self.targets_at, self.below, witness)
             if found is None:
                 return None
             good, self.counts, witness = found
             self.room -= good
             if good == self.point:
                 return witness
-            for key in net.cut.groups:
+            for key in (net.cut if good < start else cut).groups:
                 self.at.pop(key, None)
+            cut = None
             self.point = self._round()
 
 
@@ -868,7 +876,8 @@ def choice_flow(
     holds, the choice takes that one check. When a cut of the round breaks
     beta's targets themselves, alpha is below beta: the alpha search
     descends over ratios from that cut, and a fresh walk starts from
-    alpha's targets.
+    alpha's targets, its first round no higher than that cut allows, so
+    beta's targets are not checked again.
 
     The result's `witness` is that flow, with the potentials of the optimum
     it was rerouted from (see check_validity_flow). Passed as `start` to a
@@ -888,12 +897,14 @@ def choice_flow(
         walk = _Walk(instance, ratio_targets(beta), best.value)
         alpha, witness = beta, walk.run(net, None)
         if witness is None:
-            # beta's targets break the cut of the walk's last check
+            # beta's targets break the cut of the walk's last check, so the
+            # fresh walk starts under that cut, not at beta's targets again
+            cut = net.cut
             alpha, targets, witness = _descend(
-                net, ratio_below(net.cut), ratio_targets, ratio_below
+                net, ratio_below(cut), ratio_targets, ratio_below
             )
             walk = _Walk(instance, targets, best.value)
-            witness = walk.run(net, witness)
+            witness = walk.run(net, witness, cut)
     else:
         # unknown keys stay in, so the validity check rejects them
         targets = dict.fromkeys(keys, 0)

@@ -85,6 +85,15 @@ class StudentColumns:
         """
         slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
         column = array("I", map(slots.__getitem__, types))
+        return cls.from_slots(ids, column, slots)
+
+    @classmethod
+    def from_slots(
+        cls, ids: Sequence[str], column: array, slots: Iterable[Hashable]
+    ) -> StudentColumns:
+        """Columns from a slot column: student i holds the type names of
+        slots[column[i]], slots being the distinct collections in order of
+        first use (a loader fills them a slice of the file at a time)."""
         canonical = [tuple(sorted(set(slot))) for slot in slots]
         keys = sorted(set(canonical))
         where = {key: g for g, key in enumerate(keys)}

@@ -310,7 +310,38 @@ def test_closed_stdout_is_one_input_error_line():
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("error", [ValueError("bad arc"), KeyError("s9")])
+@pytest.mark.parametrize("command", ["verify", "gda --probe", "validate"])
+def test_text_commands_on_a_closed_stdout_are_one_input_error_line(
+    tmp_path, command
+):
+    instance = write_json(tmp_path, "instance.json", INSTANCE)
+    result = str(tmp_path / "result.json")
+    assert main(["solve", instance, "--out", result]) == 0
+    argv = {
+        "verify": ["verify", instance, result],
+        "gda --probe": ["gda", write_json(tmp_path, "multi.json", MULTI),
+                        "--probe", "X:a:b"],
+        "validate": ["validate", instance, "--targets",
+                     write_json(tmp_path, "targets.json", {"t1": 1, "none": 1})],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # a pipe with no reader: the command's first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reserve_match", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write to stdout: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("error",[ValueError("bad arc"), KeyError("s9")])
 def test_solver_value_and_key_errors_are_internal(
     instance_file, tmp_path, capsys, monkeypatch, error
 ):

@@ -48,7 +48,7 @@ from reserve_match.files import (
     write_text,
 )
 from reserve_match.flow import choice_flow
-from reserve_match.gda import run_gda
+from reserve_match.gda import MultiInstance, run_gda
 from reserve_match.generator import generate_instance
 from reserve_match.model import StudentRecord
 
@@ -1006,3 +1006,168 @@ def test_loaders_agree_with_jsonschema(what, mutations, data):
         assert error == expected
     else:
         assert error == _outcome(reference, payload)[1]
+
+
+# The file loaders decode the students array in slices (files._sliced) and
+# give any text they do not fully take to json.loads. Differential test: a
+# loaded file against the payload loader on json.loads of the same text,
+# for texts written with drawn whitespace, escapes, member order and ids
+# holding the characters a cut or a decoder could trip on, with the slice
+# size patched down to a few items.
+
+# pieces of ids: characters that JSON writes as they are or escapes, and
+# the six characters of a \u escape, which JSON writes with its backslash
+ID_PIECES = st.sampled_from(list('}],"\\{[:x \u00e9\u4e2d\U0001f600\t') + ["\\u0041"])
+
+
+def _renamed(value, names):
+    """value with every string that names a key of names replaced."""
+    if isinstance(value, str):
+        return names.get(value, value)
+    if isinstance(value, list):
+        return [_renamed(item, names) for item in value]
+    if isinstance(value, dict):
+        return {names.get(k, k): _renamed(v, names) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def _documents(draw):
+    """(what, text, clean, item): a document's text, whether the slices
+    must take it (one students member, no id holding a '}', no fault) and
+    the length of its longest students item's text."""
+    what = draw(st.sampled_from(sorted(LOADERS)))
+    payload = draw(
+        _instance_payloads() if what == "instance file" else _multi_payloads()
+    )
+    count = len(payload["students"])
+    ids = draw(
+        st.lists(st.lists(ID_PIECES, max_size=4).map("".join),
+                 min_size=count, max_size=count, unique=True)
+    )
+    payload = _renamed(payload, {f"s{i}": sid for i, sid in enumerate(ids)})
+    members = list(payload.items())
+    clean = not any("}" in sid for sid in ids)
+    if payload["students"] and draw(st.booleans()):
+        # a third key in one item, holding a '}'
+        payload["students"][-1]["zz"] = "}"
+        clean = False
+    if draw(st.booleans()):
+        members.append(("zz", {"x": "}", "y": [{}]}))
+    if draw(st.booleans()):
+        # a second students member; json.loads keeps the last one
+        other = draw(_student_list())[1]
+        members.insert(draw(st.integers(0, len(members))), ("students", other))
+        clean = False
+    members = draw(st.permutations(members))
+    options = {
+        "indent": draw(st.sampled_from([None, 0, 2, "\t", " \r "])),
+        "separators": draw(
+            st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")])
+        ),
+        "ensure_ascii": draw(st.booleans()),
+    }
+    space = st.sampled_from(["", " ", "\n", "\r\n\t "])
+    comma = draw(space) + "," + draw(space)
+    text = (
+        draw(space) + "{" + draw(space)
+        + comma.join(
+            json.dumps(key) + draw(space) + ":" + draw(space)
+            + json.dumps(value, **options)
+            for key, value in members
+        )
+        + draw(space) + "}" + draw(space)
+    )
+    item = max((len(json.dumps(s, **options)) for s in payload["students"]), default=1)
+    return what, text, clean, item
+
+
+def _same_loaded(got, want):
+    if isinstance(want, MultiInstance):
+        assert (got.types, got.schools, got.preferences) == (
+            want.types, want.schools, want.preferences
+        )
+    else:
+        assert (got.capacity, got.priority, got.types, got.quotas) == (
+            want.capacity, want.priority, want.types, want.quotas
+        )
+    assert got.columns.ids == want.columns.ids
+    assert got.columns.group_index == want.columns.group_index
+    assert got.columns.group_keys == want.columns.group_keys
+
+
+@settings(max_examples=400, deadline=None)
+@given(document=_documents(), slice_items=st.sampled_from([1, 2, 3, None]))
+def test_sliced_loaders_match_json_loads(tmp_path_factory, document, slice_items):
+    what, text, clean, item = document
+    load, from_payload, _reference, _command = LOADERS[what]
+    path = str(tmp_path_factory.mktemp("sliced") / "input.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    # at most slice_items items' worth of text per slice
+    size = files._SLICE if slice_items is None else slice_items * item
+    with mock.patch.object(files, "_SLICE", size):
+        if clean:
+            assert files._sliced(text) is not None
+        got, error = _outcome(load, path)
+    want, expected = _outcome(from_payload, json.loads(text))
+    assert error == expected
+    if want is not None:
+        _same_loaded(got, want)
+
+
+def _taken_in_slices(monkeypatch, load, path, size):
+    """Load path in slices of size characters, failing if the whole text
+    goes to json.loads."""
+
+    def refused(text, path, what):
+        raise AssertionError("the students array was not read in slices")
+
+    monkeypatch.setattr(files, "_parsed", refused)
+    with mock.patch.object(files, "_SLICE", size):
+        return load(path)
+
+
+@pytest.mark.parametrize("size", [files._SLICE, 4096])
+def test_gen_output_and_a_market_file_are_read_in_slices(tmp_path, monkeypatch, size):
+    single = str(tmp_path / "gen.json")
+    assert cli.main(["gen", "--students", "3000", "--types", "3", "--out", single]) == 0
+    market = seeded_market(2000, 1)
+    multi = str(tmp_path / "market.json")
+    write_json(market_payload(market), multi)
+    expected = instance_from_payload(json.loads(Path(single).read_text("utf-8")))
+    _same_loaded(_taken_in_slices(monkeypatch, load_instance, single, size), expected)
+    _same_loaded(_taken_in_slices(monkeypatch, load_multi, multi, size), market)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("﻿{}", "Unexpected UTF-8 BOM"),
+        ('{"capacity": 1' + "0" * 5000 + "}", "Exceeds the limit"),
+        ('{"students": ' + "[" * 100000 + "]" * 100000 + "}", "nests too deeply"),
+        ('{"students": [{"id": "a}", "types": []}, ]}', "Expecting value"),
+        ('{"students": [{"id": "a", "types": []}}', "Expecting ',' delimiter"),
+        ('{"students": []} {}', "Extra data"),
+    ],
+)
+def test_texts_the_slices_refuse_keep_the_json_messages(tmp_path, text, message):
+    assert files._sliced(text) is None
+    with pytest.raises(InstanceFormatError, match=message):
+        load_instance(_write(tmp_path, text))
+
+
+def test_load_instance_holds_at_most_five_times_the_file(tmp_path):
+    instance = generate_instance(20000, 3, 2, 7)
+    path = _write(tmp_path, dump_json(instance_to_payload(instance)))
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        loaded = load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.columns.ids == instance.columns.ids
+    # the text, the ids and the priority strings; a whole-text json.loads
+    # also holds a dict and a list per student, over 7 times the file
+    assert peak <= 5 * size
