@@ -22,32 +22,37 @@ payload, with the verdicts, messages and error paths of
 Integer fields accept integral floats such as ``2.0``, as that draft does,
 and are read as ints.
 
-Loading keeps no dict or list per student beyond one slice of the file.
-``load_instance`` and ``load_multi`` walk the top-level object with the C
-JSON scanner and decode its other members whole, but decode the
-``students`` array about 64 KiB of text (``_SLICE`` characters) at a time:
-each slice is cut just after a ``}`` and decoded as an array of its own,
-and its items go straight into ``StudentColumns`` (ids in file order, one
-group index per student, one dict lookup per student to intern its
-``types`` list into a slot table shared by the slices) before the next
-slice is decoded. The scan checks each item's shape, takes the ids,
-interns the types lists and checks the type names on the few interned
-group keys instead of on every student; the schema check covers the rest
-of the document. Any text the walk does not fully take (a repeated
-``students`` key, a fault in an item, bad JSON, a BOM) is decoded whole by
-``json.loads`` and checked by the full check, which names the same error
-as before. The instance's ``students`` view of ``StudentRecord``s is a
-boundary view for record-taking callers, built only if one asks; no
-loader, solver or writer reads it.
+Loading makes no dict or list per student. ``load_instance`` and
+``load_multi`` walk the top-level object with the C JSON scanner and decode
+its other members whole, but read the ``students`` array as tokens. One
+compiled pattern splits about 64 KiB of its text (``_SLICE`` characters) at
+a time on the items' ``"id"`` members, in C, which gives the ids. Between
+two ids lies the rest of one item, the comma and the start of the next:
+each distinct such text is matched once against the full pattern of that
+gap, which gives the text of an item's ``types`` array, and each distinct
+array text is decoded once into a slot of ``StudentColumns`` (ids in file
+order, one group index per student). Items may put ``types`` before or
+after ``id``, all in one order. The tokens must cover the array's text
+exactly, so they read the items ``json.loads`` would read; the schema check
+covers the rest of the document. Any text they do not cover (a repeated
+``students`` key, a third key in an item, mixed key orders, bad JSON, a
+BOM) is decoded whole by ``json.loads`` and checked by the full check,
+which names the same error as before. The instance's ``students`` view of
+``StudentRecord``s is a boundary view for record-taking callers, built
+only if one asks; no loader, solver or writer reads it.
 
 Every ``load_*`` decodes and builds its document with the cyclic garbage
 collector paused, and puts back the caller's collector state when it
 returns or raises. The pause loses nothing: a JSON tree holds no cycle and
 the loaders make no back-reference, so a collection during a load could
 free nothing the load made, and reference counting frees the temporaries
-as before. Without it, CPython 3.11 starts 48 collections while loading a
-20,000-student file, each walking containers that all survive. Python 3.13
-starts its young collections less often, so it gains less there.
+as before. Without it, CPython 3.11 starts 57 collections while decoding
+a 20,000-student file whole (the fallback), and 6 while loading a
+2,000-student multi-school file (its preferences hold a list per
+student), each walking containers that all survive. The split students
+array makes no container per student, so loading a ``gen`` file starts
+none. Python 3.13 starts its young collections less often, so it gains
+less there.
 """
 
 from __future__ import annotations
@@ -56,12 +61,13 @@ import gc
 import json
 import json.decoder
 import os
+import re
 import sys
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 from typing import (
@@ -395,44 +401,34 @@ def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
     return quotas
 
 
-def _scanned_students(slices: Iterable[Any]) -> Optional[StudentColumns]:
-    """The columns of a students array given as consecutive slices of its
-    items (one slice: the whole array), read in one scan; None if the array
-    may break the schema.
+def _scanned_students(raw: Any) -> Optional[StudentColumns]:
+    """The columns of a students array given as a JSON value, read in one
+    scan; None if the array may break the schema.
 
     The scan checks each item's shape, takes the ids, interns each types
-    list into one slot table for all slices and checks the type names on
-    the interned group keys alone: every type name equals a name on its
-    student's group key, and no JSON value but a string equals a string.
-    No slice is held once the next one is asked for.
+    list into a slot table and checks the type names on the interned group
+    keys alone: every type name equals a name on its student's group key,
+    and no JSON value but a string equals a string.
     """
-    ids: list[str] = []
-    column = array("I")
-    slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
-    for raw in slices:
-        # an item of two keys holding both fields has no other key
-        if not (
-            isinstance(raw, list)
-            and all(map(isinstance, raw, repeat(dict)))
-            and all(map(eq, map(len, raw), repeat(2)))
-        ):
-            return None
-        try:
-            names = list(map(itemgetter("id"), raw))
-            types = list(map(itemgetter("types"), raw))
-        except KeyError:
-            return None
-        if not (_all_strings(names) and all(map(isinstance, types, repeat(list)))):
-            return None
-        try:
-            column.extend(map(slots.__getitem__, map(tuple, types)))
-        except TypeError:  # an unhashable type name
-            return None
-        ids += names
-        del raw, types
+    # an item of two keys holding both fields has no other key
+    if not (
+        isinstance(raw, list)
+        and all(map(isinstance, raw, repeat(dict)))
+        and all(map(eq, map(len, raw), repeat(2)))
+    ):
+        return None
     try:
+        ids = list(map(itemgetter("id"), raw))
+        types = list(map(itemgetter("types"), raw))
+    except KeyError:
+        return None
+    if not (_all_strings(ids) and all(map(isinstance, types, repeat(list)))):
+        return None
+    slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
+    try:
+        column = array("I", map(slots.__getitem__, map(tuple, types)))
         columns = StudentColumns.from_slots(ids, column, slots)
-    except TypeError:  # type names that do not sort
+    except TypeError:  # an unhashable or unsortable type name
         return None
     if not _all_strings(chain.from_iterable(columns.group_keys)):
         return None
@@ -451,7 +447,7 @@ def _checked_students(
     _sliced), and payload holds the document's other members."""
     if columns is None:
         raw = payload.get("students") if isinstance(payload, dict) else None
-        columns = _scanned_students([raw])
+        columns = _scanned_students(raw)
         if columns is None:
             _validated(payload, schema, what)
             raise InternalInvariantError("the students scan refused a valid array")
@@ -460,20 +456,67 @@ def _checked_students(
     return columns
 
 
-# The students array is decoded this many characters of text at a time.
+# The students array is split this many characters of text at a time.
 _SLICE = 65536
-# A slice is decoded at most this many times, each cut before the last,
-# before the load gives the whole text to json.loads.
-_CUTS = 4
 _SPACE = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once
+
+# JSON text: whitespace, a string's content, and an array of strings
+_WS = r"[ \t\n\r]*"
+_CHARS = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
+_NAMES = rf'\[{_WS}(?:"{_CHARS}"(?:{_WS},{_WS}"{_CHARS}")*{_WS})?\]'
+_TYPES = rf'"types"{_WS}:{_WS}({_NAMES})'
+# An item's id member, its string's content captured. Splitting the
+# students array on it leaves between two ids the rest of one item, the
+# comma and the start of the next: the texts an order's gap matches.
+_ID = re.compile(rf'"id"{_WS}:{_WS}"({_CHARS})"')
+
+
+# For each key order of the items: the pattern from '[' to the first id
+# member, the gap from one id member to the next, and the pattern from the
+# last id member through ']'. An item's types array is group 1 of the first
+# (the first item's), of a gap (the next item's) or of the last (the last
+# item's), as the order puts it.
+_ORDERS = [
+    tuple(map(re.compile, patterns))
+    for patterns in (
+        (  # {"id": ..., "types": [...]}
+            rf'\[{_WS}\{{{_WS}(?="id")',
+            rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS},{_WS}\{{{_WS}",
+            rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS}\]",
+        ),
+        (  # {"types": [...], "id": ...}
+            rf"\[{_WS}\{{{_WS}{_TYPES}{_WS},{_WS}",
+            rf"{_WS}\}}{_WS},{_WS}\{{{_WS}{_TYPES}{_WS},{_WS}",
+            rf"{_WS}\}}{_WS}\]",
+        ),
+    )
+]
+_EMPTY = re.compile(rf"\[{_WS}\]")
+
+
+class _Gaps(dict):
+    """Gap text -> slot of the types array it holds, each distinct text
+    matched once; -1, not kept, for a text the gap pattern does not match."""
+
+    def __init__(self, gap: re.Pattern[str], slots: dict[str, int]) -> None:
+        super().__init__()
+        self.gap = gap
+        self.slots = slots
+
+    def __missing__(self, text: str) -> int:
+        match = self.gap.fullmatch(text)
+        if match is None:
+            return -1
+        self[text] = slot = self.slots[match[1]]
+        return slot
 
 
 def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
     """The members of the top-level object but its students array, and the
-    columns of that array, read from the text with the array decoded a
-    slice at a time (see _slices); None for any text that is not such an
-    object with one students member whose items the scan takes.
+    columns of that array, read from the text with the array split on its
+    id members (see _split_students); None for any text that is not such an
+    object with one students member whose items the tokens cover exactly.
 
     The object is walked as json.loads walks it, its other members decoded
     whole by the same C scanner; a repeated key keeps its last value.
@@ -494,11 +537,7 @@ def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
             if key != "students":
                 members[key], i = _scan(text, i)
             elif columns is None:
-                end: list[int] = []
-                columns = _scanned_students(_slices(text, i, end))
-                if columns is None:
-                    return None
-                i = end[0]
+                columns, i = _split_students(text, i)
             else:
                 return None
             i = _SPACE(text, i).end()
@@ -516,51 +555,75 @@ def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
     return members, columns
 
 
-def _slices(text: str, i: int, end: list[int]) -> Iterator[list[Any]]:
-    """The items of the JSON array at text[i], as lists decoded from about
-    _SLICE characters of text each; appends the index past the array to
-    end once it has yielded them all.
+def _split_students(text: str, i: int) -> tuple[StudentColumns, int]:
+    """The columns of the students array at text[i] and the index past it.
 
-    Any text that is not such an array, or that _slice cannot cut, raises
-    ValueError.
+    The array's text is split on its id members (_ID) a window of about
+    _SLICE characters at a time, in C. Between two ids lies a gap, which
+    must match the order's gap pattern whole; each distinct gap is matched
+    once and gives its types array's text, a slot key, and each slot is
+    decoded once. A window is cut at the start of its last id member, as
+    the gap after it may run past the window; one that holds no whole gap
+    is doubled until it does. The array ends at the first text after an id
+    that is no gap but starts with the order's last text. The tokens so
+    cover the array exactly, and json.loads would read the same items. Any
+    other text raises ValueError.
     """
-    if text[i : i + 1] != "[":
-        raise ValueError("not an array")
-    i = _SPACE(text, i + 1).end()
-    if text[i : i + 1] != "]":
-        while True:
-            items, cut = _slice(text, i)
-            yield items
-            del items
-            i = _SPACE(text, cut).end()
-            if text[i : i + 1] != ",":
-                break
-            i = _SPACE(text, i + 1).end()
-        if text[i : i + 1] != "]":
-            raise ValueError("the array does not close")
-    end.append(i + 1)
-
-
-def _slice(text: str, i: int) -> tuple[list[Any], int]:
-    """The items of an array from its item at text[i] up to a cut about
-    _SLICE characters on, and the cut.
-
-    The cut is made just after a '}' and the slice decoded as
-    '[' + slice + ']'. A cut inside a string leaves that string open, and a
-    cut past the array's end leaves the array's ']' inside the slice, so
-    neither decodes: a slice that decodes holds whole items. One that does
-    not is cut again before the last '}' that could have closed an item
-    before the point where decoding stopped, up to _CUTS cuts in all.
-    """
-    cut = text.rfind("}", i, i + _SLICE) + 1 or text.find("}", i + _SLICE) + 1
-    for _ in range(_CUTS):
-        if not cut:
+    empty = _EMPTY.match(text, i)
+    if empty is not None:
+        return StudentColumns.from_slots([], array("I"), []), empty.end()
+    for opening, gap, closing in _ORDERS:
+        head = opening.match(text, i)
+        if head is not None:
             break
-        try:
-            return json.loads("[" + text[i:cut] + "]"), cut
-        except json.JSONDecodeError as err:
-            cut = text.rfind("}", i, min(cut - 1, i + err.pos - 1)) + 1
-    raise ValueError("no cut of the slice decodes")
+    else:
+        raise ValueError("not an array of two-key items")
+    slots: defaultdict[str, int] = defaultdict(count().__next__)
+    gaps = _Gaps(gap, slots)
+    ids: list[str] = []
+    column = array("I")
+    if opening.groups:
+        column.append(slots[head[1]])
+    i = head.end()
+    size = _SLICE
+    while True:
+        window = text[i : i + size]
+        final = i + size >= len(text)
+        parts = _ID.split(window)
+        if parts[0]:  # no whole id member at the window's start
+            if final or _ID.match(text, i) is None:
+                raise ValueError("not an id member")
+            size *= 2
+            continue
+        # the gaps followed by an id member in this window are whole
+        found = list(map(gaps.__getitem__, parts[2:-1:2]))
+        whole = found.index(-1) if -1 in found else len(found)
+        last = closing.match(parts[2 * whole + 2])
+        if last is None and (whole < len(found) or final):
+            raise ValueError("an item the tokens do not cover")
+        if last is None and not whole:
+            size *= 2
+            continue
+        taken = whole + (last is not None)
+        names = parts[1 : 2 * taken : 2]
+        if "\\" in window:
+            names = [json.loads(f'"{n}"') if "\\" in n else n for n in names]
+        ids += names
+        column.extend(found[:whole])
+        if last is not None:
+            if closing.groups:
+                column.append(slots[last[1]])
+            start = next(islice(_ID.finditer(window), whole, None)).end()
+            end = i + start + last.end()
+            break
+        # the next window starts at the last id member
+        content = len(window) - len(parts[-1]) - 1 - len(parts[-2])
+        i += window.rindex('"id"', 0, content)
+        size = _SLICE
+    names = list(map(json.loads, slots))
+    if not _all_strings(chain.from_iterable(names)):
+        raise ValueError("a type name that is not a string")
+    return StudentColumns.from_slots(ids, column, names), end
 
 
 def instance_from_payload(

@@ -1008,16 +1008,23 @@ def test_loaders_agree_with_jsonschema(what, mutations, data):
         assert error == _outcome(reference, payload)[1]
 
 
-# The file loaders decode the students array in slices (files._sliced) and
-# give any text they do not fully take to json.loads. Differential test: a
-# loaded file against the payload loader on json.loads of the same text,
-# for texts written with drawn whitespace, escapes, member order and ids
-# holding the characters a cut or a decoder could trip on, with the slice
-# size patched down to a few items.
+# The file loaders split the students array on its id members
+# (files._sliced) and give any text they do not fully take to json.loads.
+# Differential test: a loaded file against the payload loader on json.loads
+# of the same text, for texts written with drawn whitespace, escapes,
+# member order, item key order, and ids and type names holding the
+# characters a tokenizer or a decoder could trip on, with the window size
+# patched down to a few items.
 
-# pieces of ids: characters that JSON writes as they are or escapes, and
-# the six characters of a \u escape, which JSON writes with its backslash
-ID_PIECES = st.sampled_from(list('}],"\\{[:x \u00e9\u4e2d\U0001f600\t') + ["\\u0041"])
+# pieces of ids: characters that JSON writes as they are or escapes, the
+# six characters of a \u escape, which JSON writes with its backslash, and
+# the start of an id member, which JSON writes with escaped quotes
+ID_PIECES = st.sampled_from(
+    list('}],"\\{[:x \u00e9\u4e2d\U0001f600\t') + ["\\u0041", '"id": "']
+)
+# pieces of type names: the characters that end or escape a string, an
+# array or a member, and the start of a types member
+TYPE_PIECES = st.sampled_from(list(']"\\:[,{}t ') + ['"types": ['])
 
 
 def _renamed(value, names):
@@ -1033,9 +1040,9 @@ def _renamed(value, names):
 
 @st.composite
 def _documents(draw):
-    """(what, text, clean, item): a document's text, whether the slices
-    must take it (one students member, no id holding a '}', no fault) and
-    the length of its longest students item's text."""
+    """(what, text, clean, item): a document's text, whether the tokens
+    must take it (one students member, all items with their keys in one
+    order, no fault) and the length of its longest students item's text."""
     what = draw(st.sampled_from(sorted(LOADERS)))
     payload = draw(
         _instance_payloads() if what == "instance file" else _multi_payloads()
@@ -1046,11 +1053,24 @@ def _documents(draw):
                  min_size=count, max_size=count, unique=True)
     )
     payload = _renamed(payload, {f"s{i}": sid for i, sid in enumerate(ids)})
+    names = draw(
+        st.lists(st.lists(TYPE_PIECES, min_size=1, max_size=3).map("".join),
+                 min_size=len(TYPE_NAMES), max_size=len(TYPE_NAMES), unique=True)
+    )
+    payload = _renamed(payload, dict(zip(TYPE_NAMES, names)))
+    # the items' key order: one for all items, or alternating
+    order = draw(st.sampled_from(["id first", "types first", "mixed"]))
+    clean = order != "mixed" or count < 2
+    for k, item in enumerate(payload["students"]):
+        if order == "types first" or (order == "mixed" and k % 2):
+            payload["students"][k] = {"types": item["types"], "id": item["id"]}
     members = list(payload.items())
-    clean = not any("}" in sid for sid in ids)
     if payload["students"] and draw(st.booleans()):
-        # a third key in one item, holding a '}'
-        payload["students"][-1]["zz"] = "}"
+        # a third key anywhere in the first or the last item, holding a '}'
+        k = draw(st.sampled_from([0, count - 1]))
+        entries = list(payload["students"][k].items())
+        entries.insert(draw(st.integers(0, 2)), ("zz", "}"))
+        payload["students"][k] = dict(entries)
         clean = False
     if draw(st.booleans()):
         members.append(("zz", {"x": "}", "y": [{}]}))
@@ -1149,6 +1169,22 @@ def test_gen_output_and_a_market_file_are_read_in_slices(tmp_path, monkeypatch, 
         ('{"students": [{"id": "a}", "types": []}, ]}', "Expecting value"),
         ('{"students": [{"id": "a", "types": []}}', "Expecting ',' delimiter"),
         ('{"students": []} {}', "Extra data"),
+        # two items with no comma between them
+        ('{"students": [{"id": "a", "types": []}{"id": "b", "types": []}]}',
+         "Expecting ',' delimiter"),
+        ('{"students": [{"id": "a\x01", "types": []}]}', "Invalid control character"),
+        ('{"students": [{"id": "a\\x", "types": []}]}', "Invalid \\\\escape"),
+        # valid JSON that breaks the schema: the schema check's message
+        ('{"capacity": 1, "types": ["t1"], "quotas": [], "priority": ["a"], '
+         '"students": [{"id": "a", "types": [["t1"]]}]}',
+         "\\['t1'\\] is not of type 'string' \\(at students/0/types/0\\)"),
+        # a third key at the start of an item and at the end of the last one
+        ('{"capacity": 1, "types": [], "quotas": [], "priority": ["a", "b"], '
+         '"students": [{"id": "a", "types": []}, {"zz": "}", "id": "b", "types": []}]}',
+         "\\('zz' was unexpected\\) \\(at students/1\\)"),
+        ('{"capacity": 1, "types": [], "quotas": [], "priority": ["a"], '
+         '"students": [{"types": [], "id": "a", "zz": "}"}]}',
+         "\\('zz' was unexpected\\) \\(at students/0\\)"),
     ],
 )
 def test_texts_the_slices_refuse_keep_the_json_messages(tmp_path, text, message):

@@ -1,15 +1,19 @@
-"""Pinned work counts of the choice path.
+"""Pinned work counts of the choice path and of the file loaders.
 
 Validity checks, solver builds and Dijkstra passes on a fixed set of
 inputs: the golden corpus's hard-regime school, three hard-regime schools
 whose first check fails, and the benchmark's solve-hard and gda-market
-inputs at seed 1. A change that lowers a count updates its pin; one that
-raises a count says why. Deferred acceptance's counts on
-`seeded_market(600, 2)` are pinned in test_warm_start.py.
+inputs at seed 1. The loaders' count is the full matches of the texts
+between two ids of the students array (files._Gaps), made once per
+distinct text, on a generated file and the gda-market file. A change that
+lowers a count updates its pin; one that raises a count says why.
+Deferred acceptance's counts on `seeded_market(600, 2)` are pinned in
+test_warm_start.py.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
@@ -18,10 +22,18 @@ import pytest
 from factories import hard_regime_school
 from test_golden import CORPUS
 
-from reserve_match import flow
-from reserve_match.files import instance_from_payload, multi_from_payload
+from reserve_match import files, flow
+from reserve_match.files import (
+    dump_json,
+    instance_from_payload,
+    instance_to_payload,
+    load_instance,
+    load_multi,
+    multi_from_payload,
+)
 from reserve_match.flow import choice_flow
 from reserve_match.gda import run_gda
+from reserve_match.generator import generate_instance
 from reserve_match.model import Instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,3 +101,44 @@ def test_work_of_the_gda_market_workload(monkeypatch):
     counts = _counted(monkeypatch)
     run_gda(multi)
     assert counts == {"checks": 292, "builds": 20, "passes": 181}
+
+
+def _load_work(monkeypatch: Any, load: Callable, path: Path) -> tuple[int, list]:
+    """The full matches of between-ids texts made while loading path, and
+    the values json.loads decoded meanwhile."""
+    matches = 0
+    decoded: list = []
+    missing = files._Gaps.__missing__
+    loads = json.loads
+
+    def matching(self: Any, text: str) -> int:
+        nonlocal matches
+        matches += 1
+        return missing(self, text)
+
+    def recording(text: str, *args: Any, **kwargs: Any) -> Any:
+        decoded.append(loads(text, *args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(files._Gaps, "__missing__", matching)
+    monkeypatch.setattr(json, "loads", recording)
+    load(str(path))
+    return matches, decoded
+
+
+@pytest.mark.parametrize("name", ["generate_instance(20000, 3, 2, 7)", "gda_market"])
+def test_between_ids_matches_of_a_load(monkeypatch, tmp_path, name):
+    if name == "gda_market":
+        payload, load = _workload(monkeypatch, name), load_multi
+    else:
+        payload = instance_to_payload(generate_instance(20000, 3, 2, 7))
+        load = load_instance
+    path = tmp_path / "input.json"
+    path.write_text(dump_json(payload), encoding="utf-8")
+    matches, decoded = _load_work(monkeypatch, load, path)
+    # one match per distinct text: the 8 types arrays of 3 types, each
+    # decoded once, and no json.loads of a slice or of the whole text
+    assert matches == 8
+    assert len(decoded) == 8
+    assert all(isinstance(value, list) and all(isinstance(t, str) for t in value)
+               for value in decoded)
