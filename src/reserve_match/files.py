@@ -705,9 +705,10 @@ def _collector_paused() -> Iterator[None]:
 
 def _loaded(path: str, what: str) -> tuple[Any, Optional[StudentColumns]]:
     """A file's members but its students and their columns, read with the
-    students array in slices (see _sliced); for any text that does not read
-    so, the whole document decoded by json.loads and None, so that the
-    checks give every error and message of a whole-document load."""
+    students array split on its id members (see _sliced); for any text
+    that does not read so, the whole document decoded by json.loads and
+    None, so that the checks give every error and message of a
+    whole-document load."""
     text = _read_text(path, what)
     return _sliced(text) or (_parsed(text, path, what), None)
 

@@ -1137,11 +1137,11 @@ def test_sliced_loaders_match_json_loads(tmp_path_factory, document, slice_items
 
 
 def _taken_in_slices(monkeypatch, load, path, size):
-    """Load path in slices of size characters, failing if the whole text
+    """Load path in windows of size characters, failing if the whole text
     goes to json.loads."""
 
     def refused(text, path, what):
-        raise AssertionError("the students array was not read in slices")
+        raise AssertionError("the students array was not split")
 
     monkeypatch.setattr(files, "_parsed", refused)
     with mock.patch.object(files, "_SLICE", size):
