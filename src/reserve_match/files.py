@@ -22,22 +22,25 @@ payload, with the verdicts, messages and error paths of
 Integer fields accept integral floats such as ``2.0``, as that draft does,
 and are read as ints.
 
-Loading makes no dict or list per student. ``load_instance`` and
-``load_multi`` walk the top-level object with the C JSON scanner and decode
-its other members whole, but read the ``students`` array as tokens. One
-compiled pattern splits about 64 KiB of its text (``_SLICE`` characters) at
-a time on the items' ``"id"`` members, in C, which gives the ids. Between
-two ids lies the rest of one item, the comma and the start of the next:
-each distinct such text is matched once against the full pattern of that
-gap, which gives the text of an item's ``types`` array, and each distinct
-array text is decoded once into a slot of ``StudentColumns`` (ids in file
-order, one group index per student). Items may put ``types`` before or
-after ``id``, all in one order. The tokens must cover the array's text
-exactly, so they read the items ``json.loads`` would read; the schema check
-covers the rest of the document. Any text they do not cover (a repeated
-``students`` key, a third key in an item, mixed key orders, bad JSON, a
-BOM) is decoded whole by ``json.loads`` and checked by the full check,
-which names the same error as before. The instance's ``students`` view of
+Loading a file written by ``dump_json`` or ``write_json`` makes no dict
+or list per student. ``load_instance`` and ``load_multi`` walk the
+top-level object with the C JSON scanner and decode its other members
+whole, but read the ``students`` array as tokens. One compiled pattern
+splits about 64 KiB of its text (``_SLICE`` characters) at a time on the
+items' ``"id"`` members, in C, which gives the ids. Between two ids lies
+the rest of one item, the comma and the start of the next: each distinct
+such text is matched once against the full pattern of that gap, which
+gives the text of an item's ``types`` array, and each distinct array text
+is decoded once into a slot of ``StudentColumns`` (ids in file order, one
+group index per student). The tokens read only items with ``id`` first,
+as the writers put it, and must cover the array's text exactly, so they
+read the items ``json.loads`` would read; the schema check covers the rest
+of the document. Any other text (an empty array, ``types`` before ``id``,
+a repeated ``students`` key, a third key in an item, bad JSON, a BOM) is
+decoded whole by ``json.loads``, like a document given to
+``instance_from_payload`` or ``multi_from_payload`` as a JSON value: the
+full check gives any error as above, and its students are interned into
+columns in one pass. The instance's ``students`` view of
 ``StudentRecord``s is a boundary view for record-taking callers, built
 only if one asks; no loader, solver or writer reads it.
 
@@ -73,7 +76,6 @@ from operator import eq, itemgetter
 from typing import (
     Any,
     Callable,
-    Hashable,
     Iterable,
     Iterator,
     Mapping,
@@ -401,56 +403,24 @@ def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
     return quotas
 
 
-def _scanned_students(raw: Any) -> Optional[StudentColumns]:
-    """The columns of a students array given as a JSON value, read in one
-    scan; None if the array may break the schema.
-
-    The scan checks each item's shape, takes the ids, interns each types
-    list into a slot table and checks the type names on the interned group
-    keys alone: every type name equals a name on its student's group key,
-    and no JSON value but a string equals a string.
-    """
-    # an item of two keys holding both fields has no other key
-    if not (
-        isinstance(raw, list)
-        and all(map(isinstance, raw, repeat(dict)))
-        and all(map(eq, map(len, raw), repeat(2)))
-    ):
-        return None
-    try:
-        ids = list(map(itemgetter("id"), raw))
-        types = list(map(itemgetter("types"), raw))
-    except KeyError:
-        return None
-    if not (_all_strings(ids) and all(map(isinstance, types, repeat(list)))):
-        return None
-    slots: defaultdict[Hashable, int] = defaultdict(count().__next__)
-    try:
-        column = array("I", map(slots.__getitem__, map(tuple, types)))
-        columns = StudentColumns.from_slots(ids, column, slots)
-    except TypeError:  # an unhashable or unsortable type name
-        return None
-    if not _all_strings(chain.from_iterable(columns.group_keys)):
-        return None
-    return columns
-
-
 def _checked_students(
     payload: Any,
     schema: Mapping[str, Any],
     what: str,
     columns: Optional[StudentColumns] = None,
 ) -> StudentColumns:
-    """Schema-check payload and return its students' columns, walking the
-    students array once; the errors are those of _validated. columns, when
-    given, are those of a students array that was read apart (see
-    _sliced), and payload holds the document's other members."""
+    """Schema-check payload and return its students' columns; the errors
+    are those of _validated. columns, when given, are those of a students
+    array that was read apart (see _sliced), and payload holds the
+    document's other members. Otherwise payload is a whole document, such
+    as the whole-text fallback gives: it is checked whole, and its
+    students are interned (see StudentColumns.intern)."""
     if columns is None:
-        raw = payload.get("students") if isinstance(payload, dict) else None
-        columns = _scanned_students(raw)
-        if columns is None:
-            _validated(payload, schema, what)
-            raise InternalInvariantError("the students scan refused a valid array")
+        students = _validated(payload, schema, what)["students"]
+        return StudentColumns.intern(
+            list(map(itemgetter("id"), students)),
+            map(tuple, map(itemgetter("types"), students)),
+        )
     # a valid students array adds no error, so the rest keeps its verdict
     _validated({**payload, "students": []}, schema, what)
     return columns
@@ -468,44 +438,27 @@ _NAMES = rf'\[{_WS}(?:"{_CHARS}"(?:{_WS},{_WS}"{_CHARS}")*{_WS})?\]'
 _TYPES = rf'"types"{_WS}:{_WS}({_NAMES})'
 # An item's id member, its string's content captured. Splitting the
 # students array on it leaves between two ids the rest of one item, the
-# comma and the start of the next: the texts an order's gap matches.
+# comma and the start of the next: a gap. The tokens read only id-first
+# items ({"id": ..., "types": [...]}, as dump_json writes them): _OPENING
+# runs from '[' to the first id member, _GAP from one id member to the next
+# and _CLOSING from the last one through ']'. Group 1 of a gap is the types
+# array of the item before it, and group 1 of _CLOSING the last item's.
 _ID = re.compile(rf'"id"{_WS}:{_WS}"({_CHARS})"')
-
-
-# For each key order of the items: the pattern from '[' to the first id
-# member, the gap from one id member to the next, and the pattern from the
-# last id member through ']'. An item's types array is group 1 of the first
-# (the first item's), of a gap (the next item's) or of the last (the last
-# item's), as the order puts it.
-_ORDERS = [
-    tuple(map(re.compile, patterns))
-    for patterns in (
-        (  # {"id": ..., "types": [...]}
-            rf'\[{_WS}\{{{_WS}(?="id")',
-            rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS},{_WS}\{{{_WS}",
-            rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS}\]",
-        ),
-        (  # {"types": [...], "id": ...}
-            rf"\[{_WS}\{{{_WS}{_TYPES}{_WS},{_WS}",
-            rf"{_WS}\}}{_WS},{_WS}\{{{_WS}{_TYPES}{_WS},{_WS}",
-            rf"{_WS}\}}{_WS}\]",
-        ),
-    )
-]
-_EMPTY = re.compile(rf"\[{_WS}\]")
+_OPENING = re.compile(rf'\[{_WS}\{{{_WS}(?="id")')
+_GAP = re.compile(rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS},{_WS}\{{{_WS}")
+_CLOSING = re.compile(rf"{_WS},{_WS}{_TYPES}{_WS}\}}{_WS}\]")
 
 
 class _Gaps(dict):
     """Gap text -> slot of the types array it holds, each distinct text
-    matched once; -1, not kept, for a text the gap pattern does not match."""
+    matched once; -1, not kept, for a text _GAP does not match."""
 
-    def __init__(self, gap: re.Pattern[str], slots: dict[str, int]) -> None:
+    def __init__(self, slots: dict[str, int]) -> None:
         super().__init__()
-        self.gap = gap
         self.slots = slots
 
     def __missing__(self, text: str) -> int:
-        match = self.gap.fullmatch(text)
+        match = _GAP.fullmatch(text)
         if match is None:
             return -1
         self[text] = slot = self.slots[match[1]]
@@ -516,7 +469,9 @@ def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
     """The members of the top-level object but its students array, and the
     columns of that array, read from the text with the array split on its
     id members (see _split_students); None for any text that is not such an
-    object with one students member whose items the tokens cover exactly.
+    object with one students member of id-first items that the tokens
+    cover exactly. An empty array, types-first items and mixed key orders
+    give None too: they go to the whole-text path.
 
     The object is walked as json.loads walks it, its other members decoded
     whole by the same C scanner; a repeated key keeps its last value.
@@ -558,32 +513,25 @@ def _sliced(text: str) -> Optional[tuple[dict[str, Any], StudentColumns]]:
 def _split_students(text: str, i: int) -> tuple[StudentColumns, int]:
     """The columns of the students array at text[i] and the index past it.
 
-    The array's text is split on its id members (_ID) a window of about
-    _SLICE characters at a time, in C. Between two ids lies a gap, which
-    must match the order's gap pattern whole; each distinct gap is matched
-    once and gives its types array's text, a slot key, and each slot is
-    decoded once. A window is cut at the start of its last id member, as
-    the gap after it may run past the window; one that holds no whole gap
-    is doubled until it does. The array ends at the first text after an id
-    that is no gap but starts with the order's last text. The tokens so
-    cover the array exactly, and json.loads would read the same items. Any
-    other text raises ValueError.
+    The array must open with an id-first item (_OPENING). Its text is split
+    on its id members (_ID) a window of about _SLICE characters at a time,
+    in C. Between two ids lies a gap, which must match _GAP whole; each
+    distinct gap is matched once and gives its types array's text, a slot
+    key, and each slot is decoded once. A window is cut at the start of its
+    last id member, as the gap after it may run past the window; one that
+    holds no whole gap is doubled until it does. The array ends at the
+    first text after an id that is no gap but starts with _CLOSING. The
+    tokens so cover the array exactly, and json.loads would read the same
+    items. Any other text, an empty array or a types-first item included,
+    raises ValueError.
     """
-    empty = _EMPTY.match(text, i)
-    if empty is not None:
-        return StudentColumns.from_slots([], array("I"), []), empty.end()
-    for opening, gap, closing in _ORDERS:
-        head = opening.match(text, i)
-        if head is not None:
-            break
-    else:
-        raise ValueError("not an array of two-key items")
+    head = _OPENING.match(text, i)
+    if head is None:
+        raise ValueError("not an array of id-first items")
     slots: defaultdict[str, int] = defaultdict(count().__next__)
-    gaps = _Gaps(gap, slots)
+    gaps = _Gaps(slots)
     ids: list[str] = []
     column = array("I")
-    if opening.groups:
-        column.append(slots[head[1]])
     i = head.end()
     size = _SLICE
     while True:
@@ -598,7 +546,7 @@ def _split_students(text: str, i: int) -> tuple[StudentColumns, int]:
         # the gaps followed by an id member in this window are whole
         found = list(map(gaps.__getitem__, parts[2:-1:2]))
         whole = found.index(-1) if -1 in found else len(found)
-        last = closing.match(parts[2 * whole + 2])
+        last = _CLOSING.match(parts[2 * whole + 2])
         if last is None and (whole < len(found) or final):
             raise ValueError("an item the tokens do not cover")
         if last is None and not whole:
@@ -611,8 +559,7 @@ def _split_students(text: str, i: int) -> tuple[StudentColumns, int]:
         ids += names
         column.extend(found[:whole])
         if last is not None:
-            if closing.groups:
-                column.append(slots[last[1]])
+            column.append(slots[last[1]])
             start = next(islice(_ID.finditer(window), whole, None)).end()
             end = i + start + last.end()
             break
@@ -631,7 +578,8 @@ def instance_from_payload(
 ) -> Instance:
     """InstanceFile JSON value to a validated Instance. columns, when given,
     are those of the file's students array, read apart (see _sliced), and
-    payload holds its other members."""
+    payload holds its other members; otherwise payload is the whole
+    document, checked whole (see _checked_students)."""
     columns = _checked_students(payload, INSTANCE_SCHEMA, "instance file", columns)
     try:
         return Instance(

@@ -93,7 +93,8 @@ class StudentColumns:
     ) -> StudentColumns:
         """Columns from a slot column: student i holds the type names of
         slots[column[i]], slots being the distinct collections in order of
-        first use (a loader fills them a slice of the file at a time)."""
+        first use (intern fills them from collections; the file loader from
+        the distinct types arrays between two ids, decoded once each)."""
         canonical = [tuple(sorted(set(slot))) for slot in slots]
         keys = sorted(set(canonical))
         where = {key: g for g, key in enumerate(keys)}

@@ -1009,12 +1009,13 @@ def test_loaders_agree_with_jsonschema(what, mutations, data):
 
 
 # The file loaders split the students array on its id members
-# (files._sliced) and give any text they do not fully take to json.loads.
-# Differential test: a loaded file against the payload loader on json.loads
-# of the same text, for texts written with drawn whitespace, escapes,
-# member order, item key order, and ids and type names holding the
-# characters a tokenizer or a decoder could trip on, with the window size
-# patched down to a few items.
+# (files._sliced) and give any text they do not fully take to json.loads:
+# an empty array and items with types first among them, as the tokens read
+# only id-first items. Differential test: a loaded file against the payload
+# loader on json.loads of the same text, for texts written with drawn
+# whitespace, escapes, member order, item key order, and ids and type names
+# holding the characters a tokenizer or a decoder could trip on, with the
+# window size patched down to a few items.
 
 # pieces of ids: characters that JSON writes as they are or escapes, the
 # six characters of a \u escape, which JSON writes with its backslash, and
@@ -1041,8 +1042,9 @@ def _renamed(value, names):
 @st.composite
 def _documents(draw):
     """(what, text, clean, item): a document's text, whether the tokens
-    must take it (one students member, all items with their keys in one
-    order, no fault) and the length of its longest students item's text."""
+    take it (one students member of at least one item, all with id first,
+    no fault; they refuse any other text) and the length of its longest
+    students item's text."""
     what = draw(st.sampled_from(sorted(LOADERS)))
     payload = draw(
         _instance_payloads() if what == "instance file" else _multi_payloads()
@@ -1058,9 +1060,9 @@ def _documents(draw):
                  min_size=len(TYPE_NAMES), max_size=len(TYPE_NAMES), unique=True)
     )
     payload = _renamed(payload, dict(zip(TYPE_NAMES, names)))
-    # the items' key order: one for all items, or alternating
+    # the items' key order: one for all items, or alternating from id first
     order = draw(st.sampled_from(["id first", "types first", "mixed"]))
-    clean = order != "mixed" or count < 2
+    clean = count > 0 and (order == "id first" or (order == "mixed" and count < 2))
     for k, item in enumerate(payload["students"]):
         if order == "types first" or (order == "mixed" and k % 2):
             payload["students"][k] = {"types": item["types"], "id": item["id"]}
@@ -1127,8 +1129,8 @@ def test_sliced_loaders_match_json_loads(tmp_path_factory, document, slice_items
     # at most slice_items items' worth of text per slice
     size = files._SLICE if slice_items is None else slice_items * item
     with mock.patch.object(files, "_SLICE", size):
-        if clean:
-            assert files._sliced(text) is not None
+        # an empty array or a types-first item goes to the whole text too
+        assert (files._sliced(text) is not None) is clean
         got, error = _outcome(load, path)
     want, expected = _outcome(from_payload, json.loads(text))
     assert error == expected

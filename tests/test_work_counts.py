@@ -5,8 +5,10 @@ inputs: the golden corpus's hard-regime school, three hard-regime schools
 whose first check fails, and the benchmark's solve-hard and gda-market
 inputs at seed 1. The loaders' count is the full matches of the texts
 between two ids of the students array (files._Gaps), made once per
-distinct text, on a generated file and the gda-market file. A change that
-lowers a count updates its pin; one that raises a count says why.
+distinct text, on a generated file and on all three benchmark inputs at
+seed 1: each takes the token reader, never the whole-text json.loads. A
+change that lowers a count updates its pin; one that raises a count says
+why.
 Deferred acceptance's counts on `seeded_market(600, 2)` are pinned in
 test_warm_start.py.
 """
@@ -126,13 +128,16 @@ def _load_work(monkeypatch: Any, load: Callable, path: Path) -> tuple[int, list]
     return matches, decoded
 
 
-@pytest.mark.parametrize("name", ["generate_instance(20000, 3, 2, 7)", "gda_market"])
+@pytest.mark.parametrize(
+    "name",
+    ["generate_instance(20000, 3, 2, 7)", "solve_hard", "solve_wide", "gda_market"],
+)
 def test_between_ids_matches_of_a_load(monkeypatch, tmp_path, name):
-    if name == "gda_market":
-        payload, load = _workload(monkeypatch, name), load_multi
-    else:
+    if name.startswith("generate_instance"):
         payload = instance_to_payload(generate_instance(20000, 3, 2, 7))
-        load = load_instance
+    else:
+        payload = _workload(monkeypatch, name)
+    load = load_multi if name == "gda_market" else load_instance
     path = tmp_path / "input.json"
     path.write_text(dump_json(payload), encoding="utf-8")
     matches, decoded = _load_work(monkeypatch, load, path)
