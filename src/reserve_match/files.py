@@ -15,9 +15,9 @@ size of each choosing school's pool. The pools and held sets are not
 written; they follow from the proposals and rejections (see
 gda.RoundTrace).
 
-The JSON Schema dicts below are the published spec of each document. They
-are checked by validators compiled from those dicts in one pass over the
-payload, with the verdicts, messages and error paths of
+The JSON Schema dicts below are the published spec of each document. A
+document is checked by one recursive walk over its dict and the payload
+together, with the verdicts, messages and error paths of
 ``jsonschema.validate`` under Draft 2020-12 (the tests compare the two).
 Integer fields accept integral floats such as ``2.0``, as that draft does,
 and are read as ints.
@@ -75,7 +75,6 @@ from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 from typing import (
     Any,
-    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -190,12 +189,11 @@ SELECTED_SCHEMA = {
 }
 
 
-# A compiled check returns None for a valid value, else the (path, message)
-# of the error jsonschema.validate reports: the shallowest one, the one whose
-# path sorts last among equally deep ones (its best_match), and the first in
+# The walk returns None for a valid value, else the (path, message) of the
+# error jsonschema.validate reports: the shallowest one, the one whose path
+# sorts last among equally deep ones (its best_match), and the first in
 # schema keyword order among those at one path.
 _Error = tuple[tuple[Any, ...], str]
-_Check = Callable[[Any], Optional[_Error]]
 
 _TYPE_KEYWORDS = {
     "array": {"type", "items"},
@@ -203,16 +201,13 @@ _TYPE_KEYWORDS = {
     "object": {"type", "additionalProperties", "required", "properties"},
     "string": {"type"},
 }
+_CLASSES = {"array": list, "object": dict, "string": str}
 
 
 def _is_integer(value: Any) -> bool:
     if isinstance(value, int):
         return not isinstance(value, bool)
     return isinstance(value, float) and value.is_integer()
-
-
-def _type_error(value: Any, name: str) -> _Error:
-    return (), f"{value!r} is not of type {name!r}"
 
 
 def _deeper(best: Optional[_Error], key: Any, error: _Error) -> _Error:
@@ -223,12 +218,13 @@ def _deeper(best: Optional[_Error], key: Any, error: _Error) -> _Error:
     return best
 
 
-def _compile(schema: Mapping[str, Any]) -> _Check:
-    """Check for the JSON Schema subset these documents use.
+def _supported(schema: dict[str, Any]) -> None:
+    """Raise ValueError unless schema is in the JSON Schema subset _error
+    checks, so the spec cannot grow a keyword that goes unchecked.
 
     Every (sub)schema names its type first; the other keywords allowed are
-    those of _TYPE_KEYWORDS. Anything else raises, so the spec cannot grow a
-    keyword that goes unchecked.
+    those of _TYPE_KEYWORDS, and a closed object (additionalProperties
+    false) lists required after it, the order _error tests them in.
     """
     if next(iter(schema), None) != "type" or schema["type"] not in _TYPE_KEYWORDS:
         raise ValueError(f"unsupported schema {schema!r}")
@@ -236,28 +232,21 @@ def _compile(schema: Mapping[str, Any]) -> _Check:
     unknown = schema.keys() - _TYPE_KEYWORDS[kind]
     if unknown:
         raise ValueError(f"unsupported keywords {sorted(unknown)} for {kind}")
-    if kind == "string":
-        return _check_string
-    if kind == "integer":
-        return _compile_integer(schema.get("minimum"))
-    if kind == "array":
-        return _compile_array(schema.get("items"))
-    return _compile_object(schema)
+    keywords = list(schema)
+    items, extra = schema.get("items"), schema.get("additionalProperties")
+    if (
+        extra is False
+        and "required" in keywords
+        and keywords.index("required") < keywords.index("additionalProperties")
+    ):
+        raise ValueError("unsupported keyword order: required before a closed object")
+    for sub in (items, extra, *schema.get("properties", {}).values()):
+        if isinstance(sub, dict):
+            _supported(sub)
 
 
-def _check_string(value: Any) -> Optional[_Error]:
-    return None if isinstance(value, str) else _type_error(value, "string")
-
-
-def _compile_integer(minimum: Optional[int]) -> _Check:
-    def check(value: Any) -> Optional[_Error]:
-        if not _is_integer(value):
-            return _type_error(value, "integer")
-        if minimum is not None and value < minimum:
-            return (), f"{value!r} is less than the minimum of {minimum!r}"
-        return None
-
-    return check
+for _published in (INSTANCE_SCHEMA, MULTI_SCHEMA, TARGETS_SCHEMA, SELECTED_SCHEMA):
+    _supported(_published)
 
 
 _STRING = {"type": "string"}
@@ -274,92 +263,65 @@ def _all_strings(values: Iterable[Any]) -> bool:
     return True
 
 
-def _compile_array(items: Optional[Mapping[str, Any]]) -> _Check:
-    item_check = _compile(items) if items is not None else None
-    # an array of strings passes in one C loop
-    quick = items == _STRING
-
-    def check(value: Any) -> Optional[_Error]:
-        if not isinstance(value, list):
-            return _type_error(value, "array")
-        if quick and _all_strings(value):
+def _error(value: Any, schema: dict[str, Any]) -> Optional[_Error]:
+    """The error of value against schema, one of the published schemas or
+    a subschema of one (see _supported), or None if it is valid. An array
+    of strings, and an object of string arrays (preferences), pass in one C
+    loop over all of their items."""
+    kind = schema["type"]
+    if not (
+        _is_integer(value) if kind == "integer" else isinstance(value, _CLASSES[kind])
+    ):
+        return (), f"{value!r} is not of type {kind!r}"
+    if kind == "string":
+        return None
+    if kind == "integer":
+        minimum = schema.get("minimum")
+        if minimum is not None and value < minimum:
+            return (), f"{value!r} is less than the minimum of {minimum!r}"
+        return None
+    best = None
+    if kind == "array":
+        items = schema.get("items")
+        if items is None or (items == _STRING and _all_strings(value)):
             return None
-        best = None
-        if item_check is not None:
-            for index, item in enumerate(value):
-                error = item_check(item)
-                if error is not None:
-                    best = _deeper(best, index, error)
+        for index, item in enumerate(value):
+            error = _error(item, items)
+            if error is not None:
+                best = _deeper(best, index, error)
         return best
-
-    return check
-
-
-def _compile_object(schema: Mapping[str, Any]) -> _Check:
-    properties = {
-        key: _compile(sub) for key, sub in schema.get("properties", {}).items()
-    }
-    known = frozenset(properties)
+    properties = schema.get("properties", {})
     extra = schema.get("additionalProperties", True)
-    extra_check = _compile(extra) if isinstance(extra, Mapping) else None
-    required = tuple(schema.get("required", ()))
-    needed = frozenset(required)
-    # a map of string arrays (preferences): one scan over all of their items
-    quick = not properties and extra == _STRINGS
-
-    def closed(value: dict) -> Optional[str]:
-        if value.keys() <= known:
-            return None
-        extras = sorted((key for key in value if key not in known), key=str)
+    if extra is False and not value.keys() <= properties.keys():
+        extras = sorted((key for key in value if key not in properties), key=str)
         listed = ", ".join(repr(key) for key in extras)
         verb = "was" if len(extras) == 1 else "were"
-        return f"Additional properties are not allowed ({listed} {verb} unexpected)"
-
-    def present(value: dict) -> Optional[str]:
-        if value.keys() >= needed:
+        return (), f"Additional properties are not allowed ({listed} {verb} unexpected)"
+    for key in schema.get("required", ()):
+        if key not in value:
+            return (), f"{key!r} is a required property"
+    if not properties and extra == _STRINGS:
+        arrays = list(value.values())
+        if all(map(isinstance, arrays, repeat(list))) and _all_strings(
+            chain.from_iterable(arrays)
+        ):
             return None
-        missing = next(key for key in required if key not in value)
-        return f"{missing!r} is a required property"
-
-    rules = []  # own-level checks, in schema keyword order
-    for keyword in schema:
-        if keyword == "additionalProperties" and extra is False:
-            rules.append(closed)
-        elif keyword == "required":
-            rules.append(present)
-
-    def check(value: Any) -> Optional[_Error]:
-        if not isinstance(value, dict):
-            return _type_error(value, "object")
-        for rule in rules:
-            message = rule(value)
-            if message is not None:
-                return (), message
-        if quick:
-            arrays = list(value.values())
-            if all(map(isinstance, arrays, repeat(list))) and _all_strings(
-                chain.from_iterable(arrays)
-            ):
-                return None
-        best = None
-        for key, sub in properties.items():
-            if key in value:
-                error = sub(value[key])
+    for key, sub in properties.items():
+        if key in value:
+            error = _error(value[key], sub)
+            if error is not None:
+                best = _deeper(best, key, error)
+    if isinstance(extra, dict):
+        for key, item in value.items():
+            if key not in properties:
+                error = _error(item, extra)
                 if error is not None:
                     best = _deeper(best, key, error)
-        if extra_check is not None:
-            for key, item in value.items():
-                if key not in known:
-                    error = extra_check(item)
-                    if error is not None:
-                        best = _deeper(best, key, error)
-        return best
-
-    return check
+    return best
 
 
-def _validated(payload: Any, schema: Mapping[str, Any], what: str) -> Any:
-    error = _compile(schema)(payload)
+def _validated(payload: Any, schema: dict[str, Any], what: str) -> Any:
+    error = _error(payload, schema)
     if error is not None:
         path, message = error
         where = "/".join(str(p) for p in path) or "document root"
@@ -405,7 +367,7 @@ def _quotas_from_payload(raw: list[dict]) -> dict[tuple[str, int], int]:
 
 def _checked_students(
     payload: Any,
-    schema: Mapping[str, Any],
+    schema: dict[str, Any],
     what: str,
     columns: Optional[StudentColumns] = None,
 ) -> StudentColumns:
@@ -898,12 +860,18 @@ def _rows(values: Sequence[Any], newline: str) -> Optional[list[str]]:
 
 
 def write_text(text: str, out: Optional[str]) -> None:
+    _write([text], out)
+
+
+def _write(parts: Iterable[str], out: Optional[str]) -> None:
+    """Write parts to the file out, or to stdout when out is None (see
+    write_stdout). Errors opening or writing out are InstanceFormatErrors."""
     if out is None:
-        write_stdout([text])
+        write_stdout(parts)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as err:
         raise InstanceFormatError(f"cannot write {out!r}: {err}") from err
 
@@ -925,15 +893,7 @@ def write_json(payload: Any, out: Optional[str]) -> None:
     InstanceFormatErrors, as in write_text, and so are errors writing to
     stdout (see write_stdout).
     """
-    parts = chain(_parts(payload, "\n"), ("\n",))
-    if out is None:
-        write_stdout(parts)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(parts)
-    except OSError as err:
-        raise InstanceFormatError(f"cannot write {out!r}: {err}") from err
+    _write(chain(_parts(payload, "\n"), ("\n",)), out)
 
 
 def write_stdout(parts: Iterable[str]) -> None:

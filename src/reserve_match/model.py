@@ -366,11 +366,8 @@ def build_groups(instance: Instance) -> list[Group]:
     groups come out in the sorted order of the group-key table.
     """
     priority = instance.priority
-    # tuple() of a list, not of a map: a tuple grown from an iterator is freed
-    # into the free list of its final size but taken from another, so the
-    # interpreter's small-tuple free lists would fill up over many pools
     return [
-        Group(key=key, members=tuple(list(map(priority.__getitem__, positions))))
+        Group(key=key, members=tuple(map(priority.__getitem__, positions)))
         for key, positions in zip(instance._keys, instance.member_positions())
     ]
 

@@ -30,7 +30,8 @@ from reserve_match.files import (
     SELECTED_SCHEMA,
     TARGETS_SCHEMA,
     InstanceFormatError,
-    _compile,
+    _error,
+    _supported,
     _validated,
     baseline_result_payload,
     choice_result_payload,
@@ -492,17 +493,36 @@ def test_integral_floats_are_read_as_ints(tmp_path):
 
 def test_compile_rejects_keywords_it_does_not_check():
     with pytest.raises(ValueError, match="unsupported"):
-        _compile({"type": "string", "maxLength": 3})
+        _supported({"type": "string", "maxLength": 3})
     with pytest.raises(ValueError, match="unsupported"):
-        _compile({"minimum": 0, "type": "integer"})
+        _supported({"minimum": 0, "type": "integer"})
     with pytest.raises(ValueError, match="unsupported"):
-        _compile({"type": "number"})
+        _supported({"type": "number"})
+
+
+def test_published_schemas_hold_only_what_the_walk_checks():
+    for schema in (INSTANCE_SCHEMA, MULTI_SCHEMA, TARGETS_SCHEMA, SELECTED_SCHEMA):
+        _supported(schema)
+    refused = [
+        {"type": "array", "items": {"type": "string", "maxLength": 3}},
+        {"type": "object", "properties": {"n": {"minimum": 0, "type": "integer"}}},
+        {"type": "object", "additionalProperties": {"type": "number"}},
+        # the walk tests a closed object before its required keys
+        {"type": "object", "required": ["n"], "additionalProperties": False},
+        {
+            "type": "array",
+            "items": {"type": "object", "required": [], "additionalProperties": False},
+        },
+    ]
+    for schema in refused:
+        with pytest.raises(ValueError, match="unsupported"):
+            _supported(schema)
 
 
 def test_preferences_of_a_market_are_checked_in_one_scan(monkeypatch):
     payload = market_payload(seeded_market(2000, 1))
     preferences = payload["preferences"]
-    check = _compile(MULTI_SCHEMA["properties"]["preferences"])
+    schema = MULTI_SCHEMA["properties"]["preferences"]
     scans = []
     scan = files._all_strings
 
@@ -511,7 +531,7 @@ def test_preferences_of_a_market_are_checked_in_one_scan(monkeypatch):
         return scan(values)
 
     monkeypatch.setattr(files, "_all_strings", counted)
-    assert check(preferences) is None
+    assert _error(preferences, schema) is None
     # one scan over every list, not one per student
     assert len(scans) == 1
     sid = sorted(preferences)[7]
@@ -531,7 +551,7 @@ def test_cli_import_does_not_load_jsonschema():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-# Differential fuzz test: the compiled validators against jsonschema, the
+# Differential fuzz test: the schema walk against jsonschema, the
 # reference implementation of the schemas, on mutated valid payloads.
 
 def ranked_multi_payload() -> dict:

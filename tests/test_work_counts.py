@@ -2,13 +2,15 @@
 
 Validity checks, solver builds and Dijkstra passes on a fixed set of
 inputs: the golden corpus's hard-regime school, three hard-regime schools
-whose first check fails, and the benchmark's solve-hard and gda-market
-inputs at seed 1. The loaders' count is the full matches of the texts
-between two ids of the students array (files._Gaps), made once per
-distinct text, on a generated file and on all three benchmark inputs at
-seed 1: each takes the token reader, never the whole-text json.loads. A
-change that lowers a count updates its pin; one that raises a count says
-why.
+whose first check fails, `generate_instance(20000, k, 2, 7)` for k = 6, 8
+and 10 (with `verify` for k = 6 and 8), and the benchmark's solve-hard and
+gda-market inputs at seed 1. The loaders' counts are the full matches of
+the texts between two ids of the students array (files._Gaps), made once
+per distinct text, and the calls of the schema walk (files._error), on a
+generated file and on all three benchmark inputs at seed 1: each takes
+the token reader, never the whole-text json.loads, and sends no student
+through the walk. A change that lowers a count updates its pin; one that
+raises a count says why.
 Deferred acceptance's counts on `seeded_market(600, 2)` are pinned in
 test_warm_start.py.
 """
@@ -37,6 +39,7 @@ from reserve_match.flow import choice_flow
 from reserve_match.gda import run_gda
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance
+from reserve_match.verify import verify_balanced_and_jef
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -98,6 +101,23 @@ def test_checks_of_the_solve_hard_workload(monkeypatch):
     assert counts["checks"] == 4
 
 
+@pytest.mark.parametrize(
+    "k, passes, verified",
+    [(6, 38, True), (8, 143, True), (10, 534, False)],
+)
+def test_work_at_many_groups(monkeypatch, k, passes, verified):
+    """choice_flow and verify on generate_instance(20000, k, 2, 7), G = 2^k
+    groups; verify at k = 10 is left out, as it alone takes seconds."""
+    instance = generate_instance(20000, k, 2, 7)
+    counts = _counted(monkeypatch)
+    result = choice_flow(instance)
+    assert counts == {"checks": 1, "builds": 1, "passes": passes}
+    if verified:
+        counts.clear()
+        verify_balanced_and_jef(instance, result.selected)
+        assert counts == {"checks": 2, "builds": 1, "passes": passes}
+
+
 def test_work_of_the_gda_market_workload(monkeypatch):
     multi = multi_from_payload(_workload(monkeypatch, "gda_market"))
     counts = _counted(monkeypatch)
@@ -105,13 +125,22 @@ def test_work_of_the_gda_market_workload(monkeypatch):
     assert counts == {"checks": 292, "builds": 20, "passes": 181}
 
 
-def _load_work(monkeypatch: Any, load: Callable, path: Path) -> tuple[int, list]:
-    """The full matches of between-ids texts made while loading path, and
-    the values json.loads decoded meanwhile."""
-    matches = 0
+def _load_work(
+    monkeypatch: Any, load: Callable, path: Path
+) -> tuple[int, list, int]:
+    """The full matches of between-ids texts made while loading path, the
+    values json.loads decoded meanwhile, and the calls of the schema walk,
+    its recursive calls included."""
+    matches = walks = 0
     decoded: list = []
     missing = files._Gaps.__missing__
     loads = json.loads
+    walk = files._error
+
+    def walking(value: Any, schema: dict) -> Any:
+        nonlocal walks
+        walks += 1
+        return walk(value, schema)
 
     def matching(self: Any, text: str) -> int:
         nonlocal matches
@@ -124,14 +153,24 @@ def _load_work(monkeypatch: Any, load: Callable, path: Path) -> tuple[int, list]
 
     monkeypatch.setattr(files._Gaps, "__missing__", matching)
     monkeypatch.setattr(json, "loads", recording)
+    monkeypatch.setattr(files, "_error", walking)
     load(str(path))
-    return matches, decoded
+    return matches, decoded, walks
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["generate_instance(20000, 3, 2, 7)", "solve_hard", "solve_wide", "gda_market"],
-)
+# The schema walk's calls per load. It sees the students array empty, so
+# they do not grow with the students: an instance makes 18 (the top level,
+# its 5 members and 3 quota entries of 4 calls each), the market 20
+# schools of 17 calls each and 5 for the top level.
+WALKS = {
+    "generate_instance(20000, 3, 2, 7)": 18,
+    "solve_hard": 18,
+    "solve_wide": 18,
+    "gda_market": 345,
+}
+
+
+@pytest.mark.parametrize("name", list(WALKS))
 def test_between_ids_matches_of_a_load(monkeypatch, tmp_path, name):
     if name.startswith("generate_instance"):
         payload = instance_to_payload(generate_instance(20000, 3, 2, 7))
@@ -140,10 +179,11 @@ def test_between_ids_matches_of_a_load(monkeypatch, tmp_path, name):
     load = load_multi if name == "gda_market" else load_instance
     path = tmp_path / "input.json"
     path.write_text(dump_json(payload), encoding="utf-8")
-    matches, decoded = _load_work(monkeypatch, load, path)
+    matches, decoded, walked = _load_work(monkeypatch, load, path)
     # one match per distinct text: the 8 types arrays of 3 types, each
     # decoded once, and no json.loads of a slice or of the whole text
     assert matches == 8
     assert len(decoded) == 8
     assert all(isinstance(value, list) and all(isinstance(t, str) for t in value)
                for value in decoded)
+    assert walked == WALKS[name]
