@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gda.set_defaults(func=cmd_gda)
 
     p_bench = sub.add_parser(
-        "bench", help="time the flow certificate solve across sizes"
+        "bench", help="time the certificate (F* and s*) across sizes"
     )
     p_bench.add_argument(
         "--students", default="10000,100000", help="comma-separated sizes"

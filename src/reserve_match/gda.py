@@ -19,11 +19,14 @@ positions; the pool is cut from the school's instance by position (see
 model.restrict_to_ranks). The next held positions and the rejected ids are
 read off the pool with one compress each.
 
-Every pool of a school is solved on the school's one standing network (see
-flow.FlowNetwork), so a school's choice hands the next one its witness: a
-flow that carries exactly the held students, who all stay in the next
-pool, with the potentials of the optimum it came from. It is the next
-optimum as it is, with no solve, when those potentials certify it: a
+Every pool of a school is checked on the engine the school's engine rule
+picks (see flow.engine). On its type lattice a choice builds no network,
+solves nothing and leaves no witness, so there is nothing to start from.
+On the flow side every pool is solved on the school's one standing network
+(see flow.FlowNetwork), so a school's choice hands the next one its
+witness: a flow that carries exactly the held students, who all stay in
+the next pool, with the potentials of the optimum it came from. It is the
+next optimum as it is, with no solve, when those potentials certify it: a
 school that has chosen holds q students, all any flow of its larger next
 pool can carry. Otherwise the solve starts from zero.
 The state lives only inside one run_gda call, and the choices are the same
@@ -268,9 +271,9 @@ def substitutability_probe(
 
     The large pool is mapped to priority positions once, and the small one
     is it without s1's. The small choice's selection lies in the large
-    pool, so its witness, when it is full and certified there, is the
-    large choice's optimum with no solve (see flow.choice_flow); the
-    choices are the same either way.
+    pool, so on the flow side its witness, when it is full and certified
+    there, is the large choice's optimum with no solve (see
+    flow.choice_flow); the choices are the same either way.
     """
     pool = set(base)
     if s1 in pool or s2 in pool or s1 == s2:

@@ -8,6 +8,7 @@ which is what most of the algorithms in this package exploit.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -100,7 +101,7 @@ class StudentColumns:
         where = {key: g for g, key in enumerate(keys)}
         remap = [where[key] for key in canonical]
         if remap != list(range(len(remap))):
-            column = array("I", map(remap.__getitem__, column))
+            column = _remapped(column, remap)
         return cls(ids, column, keys)
 
     @classmethod
@@ -145,6 +146,24 @@ class StudentColumns:
         )
 
 
+def _remapped(column: array, remap: list[int]) -> array:
+    """The column with each value v replaced by remap[v].
+
+    With at most 256 slots every value and its image fit in one byte, the
+    lowest of each item: those bytes are picked out, translated and put
+    back in a zeroed copy, all by slicing and bytes.translate, with no
+    Python call per student.
+    """
+    if len(remap) > 256:
+        return array(column.typecode, map(remap.__getitem__, column))
+    size = column.itemsize
+    low = 0 if sys.byteorder == "little" else size - 1
+    table = bytes(remap) + bytes(256 - len(remap))
+    wide = bytearray(len(column) * size)
+    wide[low::size] = column.tobytes()[low::size].translate(table)
+    return array(column.typecode, wide)
+
+
 class FixedPart:
     """What an instance and every restriction of it share.
 
@@ -152,14 +171,17 @@ class FixedPart:
     subset of its groups, so whatever is laid out here over all of the
     instance's group keys is computed once per instance, not once per
     pool. model keeps the key table here; flow keeps the instance's
-    standing network in `network` (model does not import flow).
+    standing network in `network` and its type lattice in `lattice`
+    (False when the engine rule leaves the instance on the network; model
+    does not import flow).
     """
 
-    __slots__ = ("group_keys", "network")
+    __slots__ = ("group_keys", "network", "lattice")
 
     def __init__(self, group_keys: tuple[GroupKey, ...]) -> None:
         self.group_keys = group_keys
         self.network: Any = None
+        self.lattice: Any = None
 
 
 @dataclass(frozen=True)
@@ -519,6 +541,7 @@ class ChoiceResult:
     witness, when the flow engine made the choice, is a flow that carries
     the selection, with potentials that prove it optimal (a
     flow.OptimalFlow); it can start the next choice of the same instance.
+    It is None when the type lattice made the choice.
     """
 
     selected: frozenset[str]

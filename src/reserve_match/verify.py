@@ -1,12 +1,12 @@
 """Axiom verifier for selection outputs.
 
 Checks a selected set against the four axioms: non-wastefulness, maximal
-diversity, balanced representation and justified envy-freeness. The flow
-engine supplies what the checks need, on one network: the maximum balanced
-ratio alpha (flow.crucial_vector) and the validity test, whether some
-maximal-diversity matching has exactly a given per-group count vector
-(flow.check_validity_flow). The tests compare these verdicts with an
-exhaustive enumeration of small instances.
+diversity, balanced representation and justified envy-freeness. The engine
+that the engine rule picks (flow.engine: the type lattice, or else the flow
+network) supplies what the checks need: the maximum balanced ratio alpha
+(flow.crucial_vector) and the validity test, whether some maximal-diversity
+matching has exactly a given per-group count vector. The tests compare
+these verdicts with an exhaustive enumeration of small instances.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def verify_flags(instance: Instance, flags: bytearray) -> AxiomReport:
     counts and catch priority inversions inside a group.
     """
     counts = flagged_group_counts(instance, flags)
-    network = flow.build_network(instance)
-    alpha, _delta_star = flow.crucial_vector(instance, network=network)
+    checks = flow.engine(instance)
+    alpha, _delta_star = flow.crucial_vector(instance, network=checks)
 
     def valid(counts: dict[GroupKey, int]) -> bool:
-        return flow.check_validity_flow(instance, counts, network=network) is not None
+        return checks.check(counts) is not None
 
     full = min(len(instance.columns), instance.capacity)
     non_wasteful = sum(counts.values()) == full

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from reserve_match import Instance, StudentRecord
+import pytest
+
+from reserve_match import Instance, StudentRecord, flow
 from reserve_match.gda import MultiInstance, School
 from reserve_match.generator import generate_instance
 
@@ -178,6 +180,48 @@ def hard_regime_school(
         for i, t in enumerate(types)
     }
     return Instance(base.students, capacity, base.priority, types, quotas)
+
+
+def sparse_type_school(
+    num_students: int, num_types: int, num_groups: int, seed: int
+) -> Instance:
+    """Many types in few groups: num_groups distinct random type
+    combinations of num_types types (each type held with probability 1/2),
+    every one of them held by at least one student, q = half the students
+    and a random rank-1 quota per type.
+
+    With 12 or more types in about 20 groups the type lattice has more sets
+    than flow.LATTICE_SETS_PER_ARC per arc of the network, so the engine
+    rule leaves the school on the flow network.
+    """
+    rng = random.Random(seed)
+    types = [f"t{i:02d}" for i in range(1, num_types + 1)]
+    keys: set[tuple[str, ...]] = set()
+    while len(keys) < num_groups:
+        keys.add(tuple(t for t in types if rng.random() < 0.5))
+    ordered = sorted(keys)
+    students = [
+        (f"s{i:05d}", list(ordered[i] if i < num_groups else rng.choice(ordered)))
+        for i in range(num_students)
+    ]
+    priority = [sid for sid, _held in students]
+    rng.shuffle(priority)
+    capacity = num_students // 2
+    quotas = {
+        (t, 1): rng.randint(1, max(1, 2 * capacity // num_types)) for t in types
+    }
+    return make_instance(students, capacity, priority, types, quotas)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def on_the_flow_network():
+    """Send every instance of the module to the min-cost flow engine, for
+    tests of that engine's internals: with a bound of 0 sets per arc the
+    engine rule picks the type lattice for no instance. Imported into a
+    test module, it applies to all of that module's tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
+        yield
 
 
 def seeded_market(num_students: int, seed: int) -> MultiInstance:

@@ -8,13 +8,16 @@ after the targets are seeded. Count guards make sure the searches stay
 within logarithmic bounds on validity checks, that the walk makes a handful
 in the hard regime, that the alpha search makes at most two on the golden
 corpus, and that a GDA run stays within its check budget. A cut that does
-not fall is an internal error in the walk as in the alpha search.
+not fall is an internal error in the walk as in the alpha search. The
+count guards count the flow network's checks, so every instance here is
+sent to the flow engine (see `factories.on_the_flow_network`); the type
+lattice's searches are pinned in test_lattice.py and test_work_counts.py.
 """
 
 from __future__ import annotations
 
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import hard_regime_school, on_the_flow_network, seeded_market
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import (

@@ -1,0 +1,271 @@
+"""The type lattice against the min-cost flow engine.
+
+`flow._TypeLattice` decides validity from the type sets alone: F* and s* by
+Edmonds' greedy, and a target vector is valid when every type set T has
+sum {l_u : K_u inside T} <= rhs(T). These tests hold it to the flow engine,
+the reference, on hypothesis `instances()`, the golden corpus, hard-regime
+schools and `generate_instance` up to k = 10 types:
+
+- its verdict equals `check_validity_flow(...) is not None` on random and
+  boundary targets: the crucial targets, and those plus one in one group,
+  for a few groups, and vectors grown one unit at a time while the lattice
+  accepts them, and those plus one in one group;
+- each cut of a failed check is broken by the targets checked and bounds
+  the group counts of every valid flow witness;
+- F* and s* equal `compute_certificate`'s value and `flow_signature` of f*;
+- `choice_flow` and `run_gda` give the same results on both sides of the
+  engine rule, on instances the rule sends either way.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import chain
+
+import pytest
+from factories import (
+    hard_regime_school,
+    random_school,
+    seeded_market,
+    sparse_type_school,
+)
+from hypothesis import given
+from test_golden import CORPUS
+from test_properties import PROPERTY_SETTINGS, instances, instances_with_targets
+
+from reserve_match import flow
+from reserve_match.flow import (
+    build_network,
+    check_validity_flow,
+    choice_flow,
+    compute_certificate,
+    crucial_vector,
+    flow_group_counts,
+    flow_signature,
+)
+from reserve_match.gda import run_gda
+from reserve_match.generator import generate_instance
+from reserve_match.model import Instance, TargetVector
+
+SCHOOLS = {
+    **{name: make for name, (make, _solve, _baseline) in CORPUS.items()},
+    "hard-100-8-85": lambda: hard_regime_school(100, 8, 85),
+    "hard-60-2-90": lambda: hard_regime_school(60, 2, 90),
+    "hard-600-3": lambda: hard_regime_school(600, 3),
+    "gen-2000-k6": lambda: generate_instance(2000, 6, 2, 7),
+    "gen-3000-k8-minmax": lambda: generate_instance(3000, 8, 3, 7, "minmax"),
+    "gen-2000-k10": lambda: generate_instance(2000, 10, 2, 7),
+}
+
+
+def _lattice(instance: Instance) -> flow._TypeLattice:
+    """The instance's lattice checks, whatever side of the rule it is on."""
+    types = sorted(set(chain.from_iterable(instance.fixed.group_keys)))
+    return flow._TypeLattice(instance, flow._LatticeLayout(instance, types))
+
+
+def _boundary_targets(
+    rng: random.Random, instance: Instance, net: flow.FlowNetwork, count: int = 8
+) -> list[dict]:
+    """The crucial targets, and those plus one in each of up to `count`
+    groups, one group at a time."""
+    _alpha, targets = crucial_vector(instance, network=net)
+    sizes = zip(instance.group_keys(), map(len, instance.member_positions()))
+    room = [key for key, size in sizes if targets[key] < size]
+    picked = rng.sample(room, min(count, len(room)))
+    return [targets] + [{**targets, key: targets[key] + 1} for key in picked]
+
+
+def _random_targets(rng: random.Random, instance: Instance, count: int) -> list[dict]:
+    """Random vectors, each group's target up to its size, scaled so that
+    some fit under F* and some do not."""
+    sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
+    vectors = []
+    for _ in range(count):
+        share = rng.random()
+        vectors.append(
+            {key: min(size, round(share * rng.random() * 2 * size))
+             for key, size in sizes.items()}
+        )
+    return vectors
+
+
+def _grown_targets(rng: random.Random, instance: Instance, plus: int = 8) -> list[dict]:
+    """Vectors on the edge of the lattice's verdicts: from zero targets, a
+    random group gains one while the lattice accepts the vector (a group it
+    refuses once stays refused, as validity is downward closed), and then
+    that vector plus one in each of up to `plus` groups."""
+    lattice = _lattice(instance)
+    sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
+    grown = dict.fromkeys(sizes, 0)
+    live = [key for key, size in sizes.items() if size]
+    while live:
+        key = rng.choice(live)
+        grown[key] += 1
+        if lattice.check(grown) is None:
+            grown[key] -= 1
+            live.remove(key)
+        elif grown[key] == sizes[key]:
+            live.remove(key)
+    room = [key for key, size in sizes.items() if grown[key] < size]
+    picked = rng.sample(room, min(plus, len(room)))
+    return [grown] + [{**grown, key: grown[key] + 1} for key in picked]
+
+
+def _assert_agrees(instance: Instance, targets: list[TargetVector]) -> None:
+    """Verdicts, cuts and the certificate of the lattice against a network."""
+    net = build_network(instance)
+    best = compute_certificate(net)
+    lattice = _lattice(instance)
+    assert lattice.value == best.value
+    assert lattice.per_rank == flow_signature(net, best)
+    witnesses = [best]
+    failed = []
+    for vector in targets:
+        witness = check_validity_flow(instance, vector, network=net)
+        verdict = lattice.check(vector)
+        assert (verdict is not None) == (witness is not None), vector
+        if witness is None:
+            cut = lattice.cut
+            assert sum(vector.get(key, 0) for key in cut.groups) > cut.bound
+            failed.append(cut)
+        else:
+            assert verdict == vector
+            witnesses.append(witness)
+    for cut in failed:
+        for witness in witnesses:
+            counts = flow_group_counts(net, witness)
+            assert sum(counts[key] for key in cut.groups) <= cut.bound
+
+
+@pytest.mark.parametrize("name", list(SCHOOLS))
+def test_lattice_verdicts_match_the_network(name):
+    instance = SCHOOLS[name]()
+    net = build_network(instance)
+    rng = random.Random(name)
+    _assert_agrees(
+        instance,
+        _boundary_targets(rng, instance, net)
+        + _random_targets(rng, instance, 12)
+        + _grown_targets(rng, instance),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(instances_with_targets())
+def test_lattice_verdicts_match_the_network_on_drawn_instances(case):
+    instance, targets = case
+    rng = random.Random(len(instance.priority))
+    _assert_agrees(
+        instance,
+        [targets, *_random_targets(rng, instance, 3)]
+        + _boundary_targets(rng, instance, build_network(instance))
+        + _grown_targets(rng, instance)
+        + _grown_targets(rng, instance),
+    )
+
+
+def test_lattice_verdicts_match_the_network_on_random_schools():
+    """Two reserved ranks below the general one: here a type set can hold
+    more rank-1 quota than s*_1 and less rank-2 quota than s*_2, so rhs
+    needs each min(s*_j, Q_j(T)); grown vectors find those sets."""
+    rng = random.Random(31)
+    for _ in range(300):
+        instance = random_school(rng, 12)
+        if instance.group_keys():
+            grown = [_grown_targets(rng, instance) for _ in range(3)]
+            _assert_agrees(instance, list(chain.from_iterable(grown)))
+
+
+def test_lattice_rejects_what_the_network_rejects():
+    instance = hard_regime_school(100, 8, 85)
+    lattice = _lattice(instance)
+    with pytest.raises(ValueError, match="unknown groups"):
+        lattice.check({("nope",): 1})
+    with pytest.raises(ValueError, match="negative target"):
+        lattice.check({instance.group_keys()[0]: -1})
+
+
+def _fields(result) -> tuple:
+    return (
+        result.selected,
+        result.per_group_counts,
+        result.signature,
+        result.alpha,
+        result.targets,
+    )
+
+
+def _on_both_sides(monkeypatch, make, natural_lattice: bool) -> None:
+    """choice_flow of a fresh instance on the side the rule picks, then on
+    the other side, field by field (the witness excepted)."""
+    instance = make()
+    assert (flow._layout(instance) is not None) == natural_lattice
+    natural = choice_flow(instance)
+    assert (natural.witness is None) == natural_lattice
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0 if natural_lattice else 2**40)
+        other = choice_flow(make())
+    assert (other.witness is None) != natural_lattice
+    assert _fields(natural) == _fields(other)
+
+
+@pytest.mark.parametrize("name", list(SCHOOLS))
+def test_choices_match_across_the_engine_rule(monkeypatch, name):
+    _on_both_sides(monkeypatch, SCHOOLS[name], natural_lattice=True)
+
+
+@pytest.mark.parametrize("types, groups", [(12, 20), (14, 30), (13, 12)])
+def test_choices_match_on_the_flow_side_of_the_rule(monkeypatch, types, groups):
+    """Many occurring types in few groups: the rule keeps these on the flow
+    network, and the lattice, forced, chooses the same."""
+    _on_both_sides(
+        monkeypatch,
+        lambda: sparse_type_school(400, types, groups, types),
+        natural_lattice=False,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_choices_match_across_the_engine_rule_on_drawn_instances(instance):
+    lattice = choice_flow(instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
+        network = choice_flow(_copy(instance))
+    assert _fields(lattice) == _fields(network)
+
+
+def _copy(instance: Instance) -> Instance:
+    """The same instance with a fresh fixed part, so the rule decides anew."""
+    return Instance(
+        instance.columns,
+        instance.capacity,
+        instance.priority,
+        instance.types,
+        instance.quotas,
+    )
+
+
+def test_gda_on_the_lattice_lays_out_each_school_once_and_builds_no_network(
+    monkeypatch,
+):
+    layouts = []
+    original = flow._LatticeLayout.__init__
+
+    def counted(self, instance, types):
+        layouts.append(instance.fixed)
+        original(self, instance, types)
+
+    def refused(self, instance):
+        raise AssertionError("a network was built on the lattice side")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow._LatticeLayout, "__init__", counted)
+        patch.setattr(flow.FlowNetwork, "__init__", refused)
+        result = run_gda(seeded_market(600, 2))
+    assert len(layouts) == len({id(fixed) for fixed in layouts}) > 1
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
+        reference = run_gda(seeded_market(600, 2))
+    assert result == reference

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from reserve_match.model import (
     Instance,
     MalformedInstanceError,
     Seat,
+    StudentColumns,
     StudentRecord,
     build_groups,
     group_counts,
@@ -25,6 +28,25 @@ from reserve_match.model import (
     selection_flags,
     selection_ratio,
 )
+
+
+@pytest.mark.parametrize("num_slots", [1, 2, 255, 256, 257, 600])
+def test_slot_columns_are_remapped_to_sorted_keys(num_slots):
+    """from_slots numbers the groups in sorted key order: below 257 slots by
+    bytes.translate, above by a lookup per student; either way group i
+    holds the types of its student's slot."""
+    rng = random.Random(num_slots)
+    slots = [(f"t{i:03d}",) for i in range(num_slots)]
+    rng.shuffle(slots)
+    slots[-1] = slots[0][::-1] + ("t999",)
+    column = array("I", (rng.randrange(num_slots) for _ in range(3000)))
+    ids = [f"s{i}" for i in range(len(column))]
+    columns = StudentColumns.from_slots(ids, column, slots)
+    assert columns.group_index.typecode == "I"
+    assert list(columns.group_keys) == sorted(columns.group_keys)
+    assert [columns.group_keys[g] for g in columns.group_index] == [
+        tuple(sorted(slots[v])) for v in column
+    ]
 
 
 def test_groups_sorted_by_key_and_descending_priority():

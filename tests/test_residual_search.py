@@ -9,6 +9,8 @@ golden corpus, on hard-regime schools, in every pool of a seeded market (warm
 started solves included) and on random instances and targets. They also check
 that every witness a validity check or a choice returns is an OptimalFlow
 whose potentials are its network's optimum's, and that those certify it.
+Every instance here is sent to the flow engine (see
+`factories.on_the_flow_network`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import hard_regime_school, on_the_flow_network, seeded_market
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_search import free_groups, steps_reroute

@@ -10,7 +10,9 @@ checks the targets first), on drawn instances, the golden corpus,
 hard-regime schools whose first check fails, and every pool deferred
 acceptance chooses from. They check that no call checks again counts that
 it already found valid, and that deferred acceptance takes a pool that fits
-its school's seats whole, without a choice.
+its school's seats whole, without a choice. They compare witness flows and
+count the network's checks, so every instance here is sent to the flow
+engine (see `factories.on_the_flow_network`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import replace
 from typing import Any, Optional
 
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import hard_regime_school, on_the_flow_network, seeded_market
 from hypothesis import given
 from reference_search import assert_same_choice
 from test_gda import assert_replays_match_references

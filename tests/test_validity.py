@@ -112,6 +112,10 @@ def test_verdicts_match_lower_bounded_reference(name):
 
 
 def test_one_min_cost_solve_per_choice_and_verify(monkeypatch, tmp_path, capsys):
+    # the flow engine's solves are counted, so the engine rule sends the
+    # school to it; on the type lattice a choice and verify make no solve
+    # (see test_work_counts.py)
+    monkeypatch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
     instance = hard_regime_school(3000, 308, 98)
     solves: list[None] = []
     run = flow._MinCostFlow.run

@@ -5,7 +5,8 @@ optimum's potentials. The witness is the new pool's optimum as it is when
 it already carries min(|S|, q) units and those potentials certify it on the
 new pool's network; otherwise the solve starts from zero. Either way every
 choice must equal the choice a solve from zero makes on a fresh cut of the
-pool.
+pool. Warm starts exist only on the flow engine, so every instance here is
+sent to it (see `factories.on_the_flow_network`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from factories import seeded_market
+from factories import on_the_flow_network, seeded_market
 from hypothesis import given
 from reference_search import (
     assert_same_choice,

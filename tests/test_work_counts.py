@@ -2,17 +2,21 @@
 
 Validity checks, solver builds and Dijkstra passes on a fixed set of
 inputs: the golden corpus's hard-regime school, three hard-regime schools
-whose first check fails, `generate_instance(20000, k, 2, 7)` for k = 6, 8
-and 10 (with `verify` for k = 6 and 8), and the benchmark's solve-hard and
-gda-market inputs at seed 1. The loaders' counts are the full matches of
-the texts between two ids of the students array (files._Gaps), made once
-per distinct text, and the calls of the schema walk (files._error), on a
-generated file and on all three benchmark inputs at seed 1: each takes
-the token reader, never the whole-text json.loads, and sends no student
-through the walk. A change that lowers a count updates its pin; one that
+whose first check fails, `generate_instance(20000, k, 2, 7)` for k = 6, 8,
+10 and 12 (with `verify` for k = 6 and 8), and the benchmark's solve-hard
+and gda-market inputs at seed 1. All of these are on the type lattice's
+side of the engine rule: their checks are lattice checks, and they build no
+solver and make no Dijkstra pass. The flow engine's counts are pinned on a
+school with many types in few groups, which the rule leaves on the flow
+network, and on the generated schools sent to the network. The loaders'
+counts are the full matches of the texts between two ids of the students
+array (files._Gaps), made once per distinct text, and the calls of the
+schema walk (files._error), on a generated file and on all three benchmark
+inputs at seed 1: each takes the token reader, never the whole-text
+json.loads, and sends no student through the walk. A change that lowers a count updates its pin; one that
 raises a count says why.
-Deferred acceptance's counts on `seeded_market(600, 2)` are pinned in
-test_warm_start.py.
+Deferred acceptance's counts on the flow engine on `seeded_market(600, 2)`
+are pinned in test_warm_start.py.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import pytest
-from factories import hard_regime_school
+from factories import hard_regime_school, sparse_type_school
 from test_golden import CORPUS
 
 from reserve_match import files, flow
@@ -45,8 +49,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _counted(monkeypatch: Any) -> Counter:
-    """Count validity checks, solver builds and Dijkstra passes from now
-    on."""
+    """Count lattice checks, flow checks, solver builds and Dijkstra passes
+    from now on, as "lattice", "checks", "builds" and "passes"."""
     counts: Counter = Counter()
 
     def counting(name: str, original: Callable) -> Callable:
@@ -58,6 +62,9 @@ def _counted(monkeypatch: Any) -> Counter:
 
     monkeypatch.setattr(
         flow, "check_validity_flow", counting("checks", flow.check_validity_flow)
+    )
+    monkeypatch.setattr(
+        flow._TypeLattice, "check", counting("lattice", flow._TypeLattice.check)
     )
     for attr, name in (("__init__", "builds"), ("_augment", "passes")):
         original = getattr(flow._MinCostFlow, attr)
@@ -90,15 +97,32 @@ def test_checks_of_one_choice(monkeypatch, make: Callable[[], Instance], checks)
     instance = make()
     counts = _counted(monkeypatch)
     choice_flow(instance)
-    assert counts["checks"] == checks
-    assert counts["builds"] == 1
+    assert counts == {"lattice": checks}
 
 
 def test_checks_of_the_solve_hard_workload(monkeypatch):
     instance = instance_from_payload(_workload(monkeypatch, "solve_hard"))
     counts = _counted(monkeypatch)
     choice_flow(instance)
-    assert counts["checks"] == 4
+    assert counts == {"lattice": 4}
+
+
+@pytest.mark.parametrize(
+    "k, checks, verify_checks",
+    [(6, 1, 2), (8, 1, 2), (10, 1, None), (12, 1, None)],
+)
+def test_lattice_work_at_many_groups(monkeypatch, k, checks, verify_checks):
+    """choice_flow and verify on generate_instance(20000, k, 2, 7), G = 2^k
+    groups (4,056 at k = 12); verify at k = 10 and 12 is left out, as its
+    pair scan alone takes seconds."""
+    instance = generate_instance(20000, k, 2, 7)
+    counts = _counted(monkeypatch)
+    result = choice_flow(instance)
+    assert counts == {"lattice": checks}
+    if verify_checks is not None:
+        counts.clear()
+        verify_balanced_and_jef(instance, result.selected)
+        assert counts == {"lattice": verify_checks}
 
 
 @pytest.mark.parametrize(
@@ -106,8 +130,9 @@ def test_checks_of_the_solve_hard_workload(monkeypatch):
     [(6, 38, True), (8, 143, True), (10, 534, False)],
 )
 def test_work_at_many_groups(monkeypatch, k, passes, verified):
-    """choice_flow and verify on generate_instance(20000, k, 2, 7), G = 2^k
-    groups; verify at k = 10 is left out, as it alone takes seconds."""
+    """The same choices and verify sent to the flow network, which each solve
+    it once; verify at k = 10 is left out, as it alone takes seconds."""
+    monkeypatch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
     instance = generate_instance(20000, k, 2, 7)
     counts = _counted(monkeypatch)
     result = choice_flow(instance)
@@ -118,11 +143,24 @@ def test_work_at_many_groups(monkeypatch, k, passes, verified):
         assert counts == {"checks": 2, "builds": 1, "passes": passes}
 
 
+def test_flow_work_on_a_school_of_many_types_in_few_groups(monkeypatch):
+    """12 types in 20 groups: 4,096 type sets for 205 network arcs, so the
+    engine rule keeps the school on the flow network, and its choice and
+    verify each solve the network once."""
+    instance = sparse_type_school(2000, 12, 20, 3)
+    counts = _counted(monkeypatch)
+    result = choice_flow(instance)
+    assert counts == {"checks": 1, "builds": 1, "passes": 22}
+    counts.clear()
+    verify_balanced_and_jef(instance, result.selected)
+    assert counts == {"checks": 2, "builds": 1, "passes": 22}
+
+
 def test_work_of_the_gda_market_workload(monkeypatch):
     multi = multi_from_payload(_workload(monkeypatch, "gda_market"))
     counts = _counted(monkeypatch)
     run_gda(multi)
-    assert counts == {"checks": 292, "builds": 20, "passes": 181}
+    assert counts == {"lattice": 292}
 
 
 def _load_work(
