@@ -7,17 +7,7 @@ module.
 """
 
 from .baseline import BaselineResult, sequential_baseline
-from .flow import (
-    FlowNetwork,
-    build_network,
-    check_validity_flow,
-    choice_flow,
-    compute_certificate,
-    crucial_vector,
-    flow_to_matching,
-    min_cost_max_flow,
-    solve,
-)
+from .flow import check_validity_flow, choice_flow, crucial_vector, solve
 from .gda import (
     MultiInstance,
     MultiMatching,
@@ -36,13 +26,10 @@ from .model import (
     Instance,
     InternalInvariantError,
     MalformedInstanceError,
-    Seat,
-    SeatMatching,
     Signature,
     StudentColumns,
     StudentRecord,
     group_label,
-    matching_signature,
     parse_group_label,
 )
 from .verify import AxiomReport, verify_balanced_and_jef
@@ -53,7 +40,6 @@ __all__ = [
     "AxiomReport",
     "BaselineResult",
     "ChoiceResult",
-    "FlowNetwork",
     "GENERAL_TYPE",
     "Group",
     "GroupKey",
@@ -63,22 +49,15 @@ __all__ = [
     "MultiInstance",
     "MultiMatching",
     "School",
-    "Seat",
-    "SeatMatching",
     "Signature",
     "StudentColumns",
     "StudentRecord",
-    "build_network",
     "check_validity_flow",
     "choice_flow",
-    "compute_certificate",
     "crucial_vector",
-    "flow_to_matching",
     "generate_instance",
     "group_label",
     "induced_instance",
-    "matching_signature",
-    "min_cost_max_flow",
     "parse_group_label",
     "restrict_instance",
     "run_gda",

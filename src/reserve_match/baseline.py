@@ -1,6 +1,6 @@
 """Rank-maximal priority-greedy baseline for comparison against the solver.
 
-The baseline is the flow engine's walk from zero targets: among the
+The baseline is the choice function's walk from zero targets: among the
 rank-maximal selections it admits students in priority order, each one
 whenever some maximal-diversity matching still fits its group's count. It
 meets non-wastefulness, maximal diversity and justified envy-freeness, but

@@ -1,12 +1,10 @@
 """Certificate scaling benchmark.
 
 Times the certificate the solve path uses, F* and the per-rank signature s*
-(flow.optimum; group statistics are precomputed, decomposition into
-per-student seats is excluded), across student counts: on an instance on the
-type lattice's side of the engine rule, the lattice's greedy over its type
-sets; on the flow side, the network build plus its min-cost max-flow. Both
-depend on groups, types and ranks only, so with those held fixed the time
-should stay roughly flat as the number of students grows.
+(flow.build_network and flow.compute_certificate; group statistics are
+precomputed), across student counts: the type lattice's greedy over its
+type sets. It depends on groups, types and ranks only, so with those held
+fixed the time should stay roughly flat as the number of students grows.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ def bench_instance(instance: Instance, repeats: int = 3) -> float:
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
-        flow.optimum(instance)
+        flow.compute_certificate(flow.build_network(instance))
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed

@@ -18,7 +18,7 @@ from . import files, flow, gda
 from .baseline import sequential_baseline
 from .bench import bench_payload, run_bench
 from .generator import QUOTA_STYLES, generate_instance
-from .model import MAX_RANKS, matching_signature, selection_flags
+from .model import MAX_RANKS, MAX_RESERVED_TYPES, group_label, selection_flags
 from .verify import verify_flags
 
 EXIT_OK = 0
@@ -46,17 +46,17 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance)
     targets = files.load_targets(args.targets, instance)
-    witness = flow.check_validity_flow(instance, targets)
-    if witness is None:
+    checks = flow.build_network(instance)
+    counts = flow.check_validity_flow(instance, targets, network=checks)
+    if counts is None:
         _say(["NO-INSTANCE"])
         return EXIT_NEGATIVE
-    matching = flow.flow_to_matching(instance, witness)
-    counts = files.choice_counts_by_label(instance, matching)
+    labels = {group_label(key): count for key, count in counts.items()}
     _say(
         [
             "VALID",
-            f"signature: {list(matching_signature(instance, matching))}",
-            *(f"  {label}: {counts[label]}" for label in sorted(counts)),
+            f"signature: {list(checks.per_rank)}",
+            *(f"  {label}: {labels[label]}" for label in sorted(labels)),
         ]
     )
     return EXIT_OK
@@ -161,6 +161,10 @@ def _check_gen_sizes(students: list[int], types: int, ranks: int) -> None:
         raise files.InstanceFormatError("--students must be non-negative")
     if types < 1:
         raise files.InstanceFormatError("--types must be at least 1")
+    if types > MAX_RESERVED_TYPES:
+        raise files.InstanceFormatError(
+            f"--types must be at most {MAX_RESERVED_TYPES}"
+        )
     if ranks < 1:
         raise files.InstanceFormatError("--ranks must be at least 1")
     if ranks > MAX_RANKS:

@@ -92,7 +92,6 @@ from .model import (
     MalformedInstanceError,
     Ratio,
     StudentColumns,
-    group_counts,
     group_label,
     parse_group_label,
 )
@@ -661,14 +660,6 @@ def load_selected(path: str) -> list[str]:
     if len(set(selected)) != len(selected):
         raise InstanceFormatError("result file repeats a student id")
     return selected
-
-
-def choice_counts_by_label(
-    instance: Instance, matching: Mapping[str, Any]
-) -> dict[str, int]:
-    """Per-group counts of a matching's students, keyed by group label."""
-    counts = group_counts(instance, matching.keys())
-    return {group_label(key): value for key, value in counts.items()}
 
 
 def fraction_str(value: Ratio) -> str:

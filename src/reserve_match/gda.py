@@ -19,23 +19,14 @@ positions; the pool is cut from the school's instance by position (see
 model.restrict_to_ranks). The next held positions and the rejected ids are
 read off the pool with one compress each.
 
-Every pool of a school is checked on the engine the school's engine rule
-picks (see flow.engine). On its type lattice a choice builds no network,
-solves nothing and leaves no witness, so there is nothing to start from.
-On the flow side every pool is solved on the school's one standing network
-(see flow.FlowNetwork), so a school's choice hands the next one its
-witness: a flow that carries exactly the held students, who all stay in
-the next pool, with the potentials of the optimum it came from. It is the
-next optimum as it is, with no solve, when those potentials certify it: a
-school that has chosen holds q students, all any flow of its larger next
-pool can carry. Otherwise the solve starts from zero.
-The state lives only inside one run_gda call, and the choices are the same
-either way.
+Every pool of a school is checked on the school's type lattice, laid out
+once and shared by all its pools (see flow.build_network). Nothing else is
+carried from one choice to the next, and the state of a run lives only
+inside one run_gda call.
 
 A pool no larger than its school's capacity needs no choice: the balanced
 choice is non-wasteful, so it takes the whole pool, and run_gda does so
-without a solve. Such pools come before the school's first choice (after
-a choice it holds q students), so that choice starts from zero.
+without a check.
 """
 
 from __future__ import annotations
@@ -196,8 +187,6 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     rounds: list[RoundTrace] = []
     limit = len(multi.columns) * len(multi.schools) + 1
     movers = list(multi.columns.ids)
-    # each school's last witness, the start handed to its next choice
-    starts: dict[str, Optional[flow.OptimalFlow]] = dict.fromkeys(order)
     while True:
         proposals: dict[str, list[str]] = {}
         for sid in movers:
@@ -220,14 +209,13 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             pools[cid] = len(pool)
             if len(pool) <= school.capacity:
                 # the choice is non-wasteful, so a pool that fits is taken
-                # whole, with no witness made for the next choice to start from
+                # whole
                 ranks[cid] = pool
                 rejected[cid] = ()
                 held[cid] = held[cid].union(proposals[cid])
                 continue
             sub = restrict_to_ranks(school, pool)
-            choice = flow.choice_flow(sub, start=starts[cid])
-            chosen, starts[cid] = choice.selected, choice.witness
+            chosen = flow.choice_flow(sub).selected
             kept = list(map(chosen.__contains__, sub.priority))
             ranks[cid] = list(compress(pool, kept))
             rejected[cid] = tuple(compress(sub.priority, map(not_, kept)))
@@ -270,23 +258,18 @@ def substitutability_probe(
     """Test the monotone-rejection property on one (base, s1, s2) triple.
 
     The large pool is mapped to priority positions once, and the small one
-    is it without s1's. The small choice's selection lies in the large
-    pool, so on the flow side its witness, when it is full and certified
-    there, is the large choice's optimum with no solve (see
-    flow.choice_flow); the choices are the same either way.
+    is it without s1's; both are cut from the instance by position (see
+    model.restrict_to_ranks) and share its type lattice.
     """
     pool = set(base)
     if s1 in pool or s2 in pool or s1 == s2:
         raise ValueError("s1 and s2 must be distinct students outside the base set")
     ranks = priority_ranks(instance, pool | {s1, s2})
     dropped = next(instance.ranks_of((s1,)))
-    without = flow.choice_flow(
+    small = flow.choice_flow(
         restrict_to_ranks(instance, [p for p in ranks if p != dropped])
-    )
-    small = without.selected
-    large = flow.choice_flow(
-        restrict_to_ranks(instance, ranks), start=without.witness
     ).selected
+    large = flow.choice_flow(restrict_to_ranks(instance, ranks)).selected
     if s2 not in small and s2 in large:
         return SubstitutabilityViolation(
             s1=s1, s2=s2, without_s1=small, with_s1=large

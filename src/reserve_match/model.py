@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import attrgetter
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -22,9 +22,15 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 # receives q seats at the largest rank; instance files must never mention it.
 GENERAL_TYPE = "t0"
 
-# Quota ranks must stay below this. Seat costs are (q+1)^(r-1) and the flow
-# network has (T+1)*r seat classes, so larger ranks make a solve crawl.
+# Quota ranks must stay below this. The type lattice keeps two rows of
+# quotas per rank, so larger ranks make a check crawl.
 MAX_RANKS = 100
+
+# At most this many reserved types may occur in an instance's group keys.
+# Every check sums over the 2^k' sets of those types (see flow._TypeLattice):
+# at 16 types a choice over 20 groups takes about 0.07 s, and each type
+# more about doubles its time and memory.
+MAX_RESERVED_TYPES = 16
 
 # Group keys are canonical sorted tuples of type names.
 GroupKey = tuple[str, ...]
@@ -170,17 +176,14 @@ class FixedPart:
     A restriction keeps the instance's capacity, types and quotas and a
     subset of its groups, so whatever is laid out here over all of the
     instance's group keys is computed once per instance, not once per
-    pool. model keeps the key table here; flow keeps the instance's
-    standing network in `network` and its type lattice in `lattice`
-    (False when the engine rule leaves the instance on the network; model
-    does not import flow).
+    pool. model keeps the key table here; flow keeps the instance's type
+    lattice in `lattice` (model does not import flow).
     """
 
-    __slots__ = ("group_keys", "network", "lattice")
+    __slots__ = ("group_keys", "lattice")
 
     def __init__(self, group_keys: tuple[GroupKey, ...]) -> None:
         self.group_keys = group_keys
-        self.network: Any = None
         self.lattice: Any = None
 
 
@@ -276,6 +279,12 @@ class Instance:
             raise MalformedInstanceError(
                 f"student {columns.ids[row]!r} references unknown types "
                 f"{sorted(extra)}"
+            )
+        reserved = set(chain.from_iterable(columns.group_keys))
+        if len(reserved) > MAX_RESERVED_TYPES:
+            raise MalformedInstanceError(
+                f"students hold {len(reserved)} reserved types, more than "
+                f"{MAX_RESERVED_TYPES}"
             )
         for (t, rank), count in self.quotas.items():
             if t not in self.types:
@@ -483,35 +492,6 @@ def flagged_group_counts(
     return {key: tally[g] for g, key in enumerate(columns.group_keys)}
 
 
-def group_counts(instance: Instance, selected: Iterable[str]) -> dict[GroupKey, int]:
-    """Count selected students per group; unknown ids raise KeyError."""
-    return flagged_group_counts(instance, selection_flags(instance, selected))
-
-
-@dataclass(frozen=True, order=True)
-class Seat:
-    """One reserved seat: a (type, rank) class plus a 1-based copy index.
-
-    General seats use type GENERAL_TYPE at the instance's largest rank.
-    """
-
-    type: str
-    rank: int
-    index: int
-
-
-# A matching assigns each matched student at most one seat and vice versa.
-SeatMatching = dict[str, Seat]
-
-
-def matching_signature(instance: Instance, matching: SeatMatching) -> Signature:
-    """Per-rank matched-seat counts, the object compared lexicographically."""
-    sig = [0] * instance.max_rank
-    for seat in matching.values():
-        sig[seat.rank - 1] += 1
-    return tuple(sig)
-
-
 def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     """Fraction of a group's students that were selected."""
     if group_size < 1:
@@ -536,20 +516,15 @@ def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio
 
 @dataclass(frozen=True)
 class ChoiceResult:
-    """Output of the balanced choice function plus audit data.
-
-    witness, when the flow engine made the choice, is a flow that carries
-    the selection, with potentials that prove it optimal (a
-    flow.OptimalFlow); it can start the next choice of the same instance.
-    It is None when the type lattice made the choice.
-    """
+    """Output of the balanced choice function plus audit data: the
+    selection's per-group counts, its signature s*, alpha and the targets
+    the walk started from."""
 
     selected: frozenset[str]
     per_group_counts: dict[GroupKey, int] = field(compare=False)
     signature: Signature = field(compare=False)
     alpha: Ratio = field(compare=False)
     targets: dict[GroupKey, int] = field(compare=False)
-    witness: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if sum(self.per_group_counts.values()) != len(self.selected):

@@ -1,12 +1,12 @@
 """Axiom verifier for selection outputs.
 
 Checks a selected set against the four axioms: non-wastefulness, maximal
-diversity, balanced representation and justified envy-freeness. The engine
-that the engine rule picks (flow.engine: the type lattice, or else the flow
-network) supplies what the checks need: the maximum balanced ratio alpha
-(flow.crucial_vector) and the validity test, whether some maximal-diversity
-matching has exactly a given per-group count vector. The tests compare
-these verdicts with an exhaustive enumeration of small instances.
+diversity, balanced representation and justified envy-freeness. The
+instance's type lattice (flow.build_network) supplies what the checks
+need: the maximum balanced ratio alpha (flow.crucial_vector) and the
+validity test, whether some maximal-diversity matching has exactly a given
+per-group count vector. The tests compare these verdicts with an
+exhaustive enumeration of small instances.
 """
 
 from __future__ import annotations
@@ -67,11 +67,9 @@ def verify_flags(instance: Instance, flags: bytearray) -> AxiomReport:
     counts and catch priority inversions inside a group.
     """
     counts = flagged_group_counts(instance, flags)
-    checks = flow.engine(instance)
+    checks = flow.build_network(instance)
     alpha, _delta_star = flow.crucial_vector(instance, network=checks)
-
-    def valid(counts: dict[GroupKey, int]) -> bool:
-        return checks.check(counts) is not None
+    valid = checks.check
 
     full = min(len(instance.columns), instance.capacity)
     non_wasteful = sum(counts.values()) == full

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from reserve_match import Instance, StudentRecord, flow
+from reserve_match import Instance, StudentRecord
 from reserve_match.gda import MultiInstance, School
 from reserve_match.generator import generate_instance
 
@@ -190,9 +188,9 @@ def sparse_type_school(
     every one of them held by at least one student, q = half the students
     and a random rank-1 quota per type.
 
-    With 12 or more types in about 20 groups the type lattice has more sets
-    than flow.LATTICE_SETS_PER_ARC per arc of the network, so the engine
-    rule leaves the school on the flow network.
+    With 12 or more types in about 20 groups the type lattice has hundreds
+    of sets per arc of the reserve network, the lattice's costliest shape;
+    at 16 types it meets model.MAX_RESERVED_TYPES.
     """
     rng = random.Random(seed)
     types = [f"t{i:02d}" for i in range(1, num_types + 1)]
@@ -211,17 +209,6 @@ def sparse_type_school(
         (t, 1): rng.randint(1, max(1, 2 * capacity // num_types)) for t in types
     }
     return make_instance(students, capacity, priority, types, quotas)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def on_the_flow_network():
-    """Send every instance of the module to the min-cost flow engine, for
-    tests of that engine's internals: with a bound of 0 sets per arc the
-    engine rule picks the type lattice for no instance. Imported into a
-    test module, it applies to all of that module's tests."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
-        yield
 
 
 def seeded_market(num_students: int, seed: int) -> MultiInstance:

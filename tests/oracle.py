@@ -5,16 +5,18 @@ groups (students of a group are interchangeable, so allocations are counted
 at the group level and witnesses rebuilt from priority prefixes). From the
 full enumeration it derives the best signature, the set of rank-maximal
 count vectors and the max-min selection ratio. Deliberately independent of
-the flow engine: tests compare the engine's choices, ratios, validity
-verdicts and `verify` reports with it (reference_search builds the literal
-greedy choice and the four axiom verdicts on it).
+the solver: tests compare its choices, ratios, validity verdicts and
+`verify` reports with it (reference_search builds the literal greedy choice
+and the four axiom verdicts on it). The seat model the enumeration builds
+(Seat, SeatMatching, matching_signature, group_counts) lives here too: the
+package decides everything on group counts and never seats a student.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from reserve_match.model import (
     GENERAL_TYPE,
@@ -22,10 +24,39 @@ from reserve_match.model import (
     Instance,
     InternalInvariantError,
     Ratio,
-    Seat,
-    SeatMatching,
     Signature,
+    flagged_group_counts,
+    selection_flags,
 )
+
+
+@dataclass(frozen=True, order=True)
+class Seat:
+    """One reserved seat: a (type, rank) class plus a 1-based copy index.
+
+    General seats use type GENERAL_TYPE at the instance's largest rank.
+    """
+
+    type: str
+    rank: int
+    index: int
+
+
+# A matching assigns each matched student at most one seat and vice versa.
+SeatMatching = dict[str, Seat]
+
+
+def matching_signature(instance: Instance, matching: SeatMatching) -> Signature:
+    """Per-rank matched-seat counts, the object compared lexicographically."""
+    sig = [0] * instance.max_rank
+    for seat in matching.values():
+        sig[seat.rank - 1] += 1
+    return tuple(sig)
+
+
+def group_counts(instance: Instance, selected: Iterable[str]) -> dict[GroupKey, int]:
+    """Count selected students per group; unknown ids raise KeyError."""
+    return flagged_group_counts(instance, selection_flags(instance, selected))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reference searches for differential tests of the flow backend.
+"""Reference searches for differential tests of the solver.
 
 These are the straightforward algorithms `flow` used before its searches were
 batched: the alpha search materializes every candidate ratio k/|S_u| and
@@ -42,13 +42,16 @@ round trace's proposals and rejections alone. Beside the two-stage
 bisection sits the window search `flow` ran before it kept the alpha
 window in integers (`fraction_last_ratio`), one Fraction per window point.
 
-It holds the reserve network as `flow` built it for each cut before every
-cut shared its instance's standing network: one frozen `Arc` per arc and
-a node per group of the cut alone, with every node, capacity and rank cost
-computed from scratch for each network, solved from zero on a residual
-graph of its own. The standing network must hold the same arcs for the
-cut's groups, and a solve from zero must give the same optimum and
-potentials on them.
+It holds the reserve network as it was built for each cut before the
+network was laid out over its root's group keys (`flow_reference`): one
+frozen `Arc` per arc and a node per group of the cut alone, with every
+node, capacity and rank cost computed from scratch for each network,
+solved from zero on a residual graph of its own. The reference network
+must hold the same arcs for the cut's groups, and a solve from zero must
+give the same optimum and potentials on them. The searches above check
+their candidates on that reference network (`flow_reference`), and
+`count_checks` counts the checks of the package's searches on either
+engine.
 
 Finally it holds the loaders as they were before instances became
 columnar: one StudentRecord and frozenset per student, validation by
@@ -68,7 +71,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
-from oracle import MaximalDiversitySet, OracleBudget, balanced_count_vectors
+from oracle import (
+    MaximalDiversitySet,
+    OracleBudget,
+    Seat,
+    SeatMatching,
+    balanced_count_vectors,
+    group_counts,
+    matching_signature,
+)
 
 from reserve_match.files import (
     INSTANCE_SCHEMA,
@@ -78,19 +89,16 @@ from reserve_match.files import (
     _validated,
 )
 
-from reserve_match import flow
-from reserve_match.flow import (
+import flow_reference
+from flow_reference import (
     SINK,
     SOURCE,
     FlowNetwork,
+    MinCostFlow,
     OptimalFlow,
-    _Cut,
-    _bisect_last,
-    _MinCostFlow,
-    _Residual,
+    Residual,
     build_network,
     check_validity_flow,
-    choice_flow,
     compute_certificate,
     flow_group_counts,
     flow_signature,
@@ -98,6 +106,8 @@ from reserve_match.flow import (
     min_cost_max_flow,
     rank_cost,
 )
+from reserve_match import flow
+from reserve_match.flow import _bisect_last, _Cut, choice_flow
 from reserve_match.gda import (
     MultiInstance,
     MultiMatching,
@@ -115,14 +125,10 @@ from reserve_match.model import (
     InternalInvariantError,
     MalformedInstanceError,
     Ratio,
-    Seat,
-    SeatMatching,
     Signature,
     StudentRecord,
     TargetVector,
-    group_counts,
     group_label,
-    matching_signature,
 )
 from reserve_match.verify import AxiomReport
 
@@ -256,15 +262,17 @@ def oracle_max_min_ratio(
 
 
 def count_checks(monkeypatch: Any) -> list[None]:
-    """Record one entry per call of flow.check_validity_flow from now on."""
+    """Record one entry per check the package's searches make from now on,
+    on the type lattice or on a reference network put in its place."""
     calls: list[None] = []
-    original = flow.check_validity_flow
+    for engine in (flow._TypeLattice, flow_reference.FlowNetwork):
+        original = engine.check
 
-    def counted(*args: Any, **kwargs: Any) -> Optional[OptimalFlow]:
-        calls.append(None)
-        return original(*args, **kwargs)
+        def counted(self: Any, targets: TargetVector, original=original) -> bool:
+            calls.append(None)
+            return original(self, targets)
 
-    monkeypatch.setattr(flow, "check_validity_flow", counted)
+        monkeypatch.setattr(engine, "check", counted)
     return calls
 
 
@@ -319,7 +327,6 @@ def sequential_choice(
         signature=flow_signature(net, witness),
         alpha=alpha,
         targets=targets,
-        witness=witness,
     )
 
 
@@ -584,13 +591,13 @@ def lower_bounded_flow(
             required += excess[v]
         elif excess[v] < 0:
             extra.append((v, aux_sink, -excess[v]))
-    residual = _Residual(
+    residual = Residual(
         n + 2,
         tails + [u for u, _v, _cap in extra],
         heads + [v for _u, v, _cap in extra],
         costs + [0] * len(extra),
     )
-    solver = _MinCostFlow(
+    solver = MinCostFlow(
         residual,
         [cap - low for cap, low in zip(caps, lower)] + [cap for *_ends, cap in extra],
     )
@@ -859,8 +866,8 @@ def assert_same_network(network: FlowNetwork, instance: Instance) -> None:
 def reference_optimum(ref: ArcNetwork) -> tuple[tuple[int, ...], list[int]]:
     """Arc flows and potentials of a solve from zero on the reference's own
     arcs and residual graph."""
-    solver = _MinCostFlow(
-        _Residual(
+    solver = MinCostFlow(
+        Residual(
             ref.node_count,
             [a.tail for a in ref.arcs],
             [a.head for a in ref.arcs],
@@ -876,7 +883,6 @@ def assert_same_cold_optimum(network: FlowNetwork, instance: Instance) -> None:
     """A solve from zero on the network gives the reference's optimum on
     every group, group->type and rank arc, and its potentials on every
     node of the reference."""
-    assert network.start is None
     best = min_cost_max_flow(network)
     ref = ArcNetwork(instance)
     flows, potentials = reference_optimum(ref)
@@ -1011,8 +1017,6 @@ def id_set_gda(
     rounds: list[RoundTrace] = []
     limit = len(multi.columns) * len(multi.schools) + 1
     movers = list(multi.columns.ids)
-    # each school's last witness, the start of its next choice's solve
-    starts: dict[str, Optional[flow.OptimalFlow]] = dict.fromkeys(order)
     while True:
         proposals: dict[str, list[str]] = {}
         for sid in movers:
@@ -1030,8 +1034,7 @@ def id_set_gda(
                 continue
             pool = held[cid] | set(proposals[cid])
             sub = induced_instance(multi, cid, pool)
-            choice = flow.choice_flow(sub, start=starts[cid])
-            chosen, starts[cid] = choice.selected, choice.witness
+            chosen = flow.choice_flow(sub).selected
             pools[cid] = pool
             rejected[cid] = tuple(sid for sid in sub.priority if sid not in chosen)
             for sid in rejected[cid]:

@@ -25,18 +25,18 @@ from reference_search import (
     signature_cost,
 )
 
-from reserve_match.baseline import sequential_baseline
-from reserve_match.bench import bench_payload, run_bench
-from reserve_match.flow import (
+import flow_reference
+from flow_reference import (
     build_network,
-    check_validity_flow,
-    choice_flow,
     compute_certificate,
-    crucial_vector,
     flow_signature,
     flow_to_matching,
     min_cost_max_flow,
 )
+from reserve_match import flow
+from reserve_match.baseline import sequential_baseline
+from reserve_match.bench import bench_payload, run_bench
+from reserve_match.flow import check_validity_flow, choice_flow, crucial_vector
 from reserve_match.gda import substitutability_probe
 from oracle import (
     OracleBudget,
@@ -116,6 +116,8 @@ def test_criterion_5_flow_optimum_matches_every_enumerated_witness():
         best = min_cost_max_flow(net)
         mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
         assert flow_signature(net, best) == mset.signature
+        checks = flow.build_network(instance)
+        assert flow.compute_certificate(checks) == (cert.value, mset.signature)
         for witness in mset.witnesses.values():
             lifted = matching_to_flow(instance, witness, network=net)
             assert (lifted.value, lifted.cost) == (cert.value, cert.cost)
@@ -146,11 +148,14 @@ def test_criterion_7_validity_checks_agree_and_witnesses_meet_targets():
         targets = random_targets(rng, instance)
         net = build_network(instance)
         cert = compute_certificate(net)
-        by_flow = check_validity_flow(instance, targets, network=net)
+        by_flow = flow_reference.check_validity_flow(instance, targets, network=net)
+        counts = check_validity_flow(instance, targets)
         mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
         assert (by_flow is not None) == oracle_targets_valid(mset, targets)
+        assert (counts is not None) == (by_flow is not None)
         if by_flow is None:
             continue
+        assert tuple(counts[key] for key in mset.group_keys) in mset.count_vectors
         witness = flow_to_matching(instance, by_flow, network=net)
         assert_valid_witness(instance, witness, targets, mset.signature)
         lifted = matching_to_flow(instance, witness, network=net)

@@ -1,10 +1,11 @@
 """The alpha search's descent on cuts, against the bisection it replaced.
 
-`flow._crucial_search` checks the largest candidate ratio whose targets fit
+`flow.crucial_vector` checks the largest candidate ratio whose targets fit
 in F* and, after each failed check, moves to the largest candidate the
-check's cut allows. These tests pin its alpha, targets and witness to the
-two-stage bisection in `reference_search` on seeded and drawn instances and
-test every cut against the oracle's enumeration of maximal-diversity count
+check's cut allows. These tests pin its alpha and targets, on the type
+lattice and on the reference network, to the two-stage bisection in
+`reference_search` on seeded and drawn instances, and test every cut of
+either engine against the oracle's enumeration of maximal-diversity count
 vectors. The check budgets are guarded in `test_batched_search`.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from factories import hard_regime_school, make_instance, random_school
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from flow_reference import build_network
 from reference_search import (
     bisection_crucial_vector,
     fraction_last_ratio,
@@ -24,12 +26,7 @@ from reference_search import (
 )
 
 from reserve_match import flow
-from reserve_match.flow import (
-    build_network,
-    compute_certificate,
-    crucial_vector,
-    flow_group_counts,
-)
+from reserve_match.flow import crucial_vector
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, InternalInvariantError
 from oracle import OracleBudget, balanced_count_vectors
@@ -86,10 +83,9 @@ def nonfree_reached_school() -> Instance:
 
 def assert_same_search(instance: Instance) -> None:
     net = build_network(instance)
-    alpha, targets, witness = flow._crucial_search(instance, net)
-    ref_alpha, ref_targets, ref_witness = bisection_crucial_vector(instance, net)
-    assert (alpha, targets) == (ref_alpha, ref_targets)
-    assert flow_group_counts(net, witness) == flow_group_counts(net, ref_witness)
+    ref_alpha, ref_targets, _witness = bisection_crucial_vector(instance, net)
+    assert crucial_vector(instance, network=net) == (ref_alpha, ref_targets)
+    assert crucial_vector(instance) == (ref_alpha, ref_targets)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))
@@ -133,24 +129,24 @@ def test_integer_window_matches_fraction_window(case):
     assert got == fraction_last_ratio(sizes, bound)
 
 
-def _traced_search(monkeypatch, instance: Instance):
-    """(alpha, [(checked beta, its cut, the next beta)] per failed check)."""
-    net = build_network(instance)
+def _traced_search(monkeypatch, instance: Instance, net):
+    """(alpha, [(checked beta, its cut, the next beta)] per failed check)
+    of the search on `net`, the type lattice or the reference network."""
     betas: list[Fraction] = []
     cuts: list = []
-    last_ratio, check = flow._last_ratio, flow.check_validity_flow
+    last_ratio, check = flow._last_ratio, type(net).check
 
     def recorded_ratio(sizes, bound):
         betas.append(last_ratio(sizes, bound))
         return betas[-1]
 
-    def recorded_check(*args, **kwargs):
-        found = check(*args, **kwargs)
-        cuts.append(net.cut if found is None else None)
-        return found
+    def recorded_check(self, targets):
+        holds = check(self, targets)
+        cuts.append(None if holds else self.cut)
+        return holds
 
     monkeypatch.setattr(flow, "_last_ratio", recorded_ratio)
-    monkeypatch.setattr(flow, "check_validity_flow", recorded_check)
+    monkeypatch.setattr(type(net), "check", recorded_check)
     alpha, _targets = crucial_vector(instance, network=net)
     monkeypatch.undo()
     # the first ratio starts the descent, each later one follows a failure
@@ -163,9 +159,16 @@ def _traced_search(monkeypatch, instance: Instance):
 
 
 def assert_sound_cuts(monkeypatch, instance: Instance) -> int:
-    """Check every cut of the search against the oracle; returns the number
-    of failed checks."""
-    alpha, failed = _traced_search(monkeypatch, instance)
+    """Check every cut of the search on the type lattice and on the
+    reference network against the oracle; returns the number of failed
+    checks on the reference network."""
+    for net in (flow.build_network(instance), build_network(instance)):
+        failures = _assert_sound_cuts(monkeypatch, instance, net)
+    return failures
+
+
+def _assert_sound_cuts(monkeypatch, instance: Instance, net) -> int:
+    alpha, failed = _traced_search(monkeypatch, instance, net)
     oracle_alpha, mset, _best = balanced_count_vectors(instance, BUDGET)
     assert alpha == oracle_alpha
     index = {key: i for i, key in enumerate(mset.group_keys)}
@@ -198,7 +201,7 @@ def test_cut_keeps_only_free_groups(monkeypatch):
     net = build_network(instance)
     free = free_groups(net)
     assert free == {(): True, ("t1",): False}
-    alpha, failed = _traced_search(monkeypatch, instance)
+    alpha, failed = _traced_search(monkeypatch, instance, net)
     assert alpha == Fraction(1, 4)
     assert [(beta, cut.groups, cut.bound, below) for beta, cut, below in failed] == [
         (Fraction(1, 2), ((),), 1, Fraction(1, 4))
@@ -208,17 +211,16 @@ def test_cut_keeps_only_free_groups(monkeypatch):
 
 def test_a_cut_that_allows_the_checked_ratio_is_an_internal_error(monkeypatch):
     instance = generate_instance(200, 2, 2, 413)
-    net = build_network(instance)
-    cert = compute_certificate(net)
+    net = flow.build_network(instance)
     calls: list[None] = []
 
-    def rejecting(_instance, _targets, *, network):
+    def rejecting(self, _targets):
         calls.append(None)
         assert len(calls) < 3, "the descent went on past a cut that did not fall"
-        network.cut = flow._Cut(tuple(network.group_arcs), cert.value)
-        return None
+        self.cut = flow._Cut(tuple(self.sizes), self.value)
+        return False
 
-    monkeypatch.setattr(flow, "check_validity_flow", rejecting)
+    monkeypatch.setattr(flow._TypeLattice, "check", rejecting)
     with pytest.raises(InternalInvariantError, match="not below the checked point"):
         crucial_vector(instance, network=net)
     assert len(calls) == 1

@@ -14,19 +14,15 @@ from factories import (
     random_school,
     two_group_school,
 )
+from flow_reference import check_validity_flow, flow_to_matching
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import group_counts
 from reference_search import check_matching
 
 from reserve_match.baseline import sequential_baseline
-from reserve_match.flow import (
-    check_validity_flow,
-    crucial_vector,
-    flow_to_matching,
-    solve,
-)
+from reserve_match.flow import crucial_vector, solve
 from reserve_match.generator import generate_instance
-from reserve_match.model import group_counts
 from reserve_match.verify import verify_balanced_and_jef
 
 

@@ -1,23 +1,23 @@
-"""The greedy walk and the alpha search of the flow backend, which both
-descend on the cuts of failed validity checks.
+"""The greedy walk and the alpha search, which both descend on the cuts of
+failed validity checks.
 
 Differential tests pin `choice_flow` and `crucial_vector` to the sequential
-reference searches in `reference_search` on seeded and drawn instances from
-1 to 10^4 students, including the hard regime where most seats are filled
+reference searches in `reference_search`, which check every candidate on
+the reference min-cost flow network, on seeded and drawn instances from 1
+to 10^4 students, including the hard regime where most seats are filled
 after the targets are seeded. Count guards make sure the searches stay
 within logarithmic bounds on validity checks, that the walk makes a handful
 in the hard regime, that the alpha search makes at most two on the golden
 corpus, and that a GDA run stays within its check budget. A cut that does
-not fall is an internal error in the walk as in the alpha search. The
-count guards count the flow network's checks, so every instance here is
-sent to the flow engine (see `factories.on_the_flow_network`); the type
-lattice's searches are pinned in test_lattice.py and test_work_counts.py.
+not fall is an internal error in the walk as in the alpha search. The exact
+counts are pinned in test_work_counts.py.
 """
 
 from __future__ import annotations
 
+import flow_reference
 import pytest
-from factories import hard_regime_school, on_the_flow_network, seeded_market
+from factories import hard_regime_school, seeded_market
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import (
@@ -30,12 +30,7 @@ from test_alpha_descent import DRAWN, generated
 from test_golden import CORPUS
 
 from reserve_match import flow, gda
-from reserve_match.flow import (
-    build_network,
-    choice_flow,
-    crucial_vector,
-    flow_group_counts,
-)
+from reserve_match.flow import build_network, choice_flow, crucial_vector
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, InternalInvariantError
 
@@ -59,10 +54,7 @@ def _ceil_log2(x: int) -> int:
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_batched_searches_match_sequential_reference(name):
     instance = SEEDED[name]()
-    net = build_network(instance)
-    assert crucial_vector(instance, network=net) == full_candidate_crucial_vector(
-        instance, network=net
-    )
+    assert crucial_vector(instance) == full_candidate_crucial_vector(instance)
     assert_same_choice(choice_flow(instance), sequential_choice(instance))
 
 
@@ -94,10 +86,12 @@ def test_walk_matches_sequential_reference_on_drawn_schools(instance, from_zero)
     fast = choice_flow(instance, targets)
     slow = sequential_choice(instance, targets)
     assert_same_choice(fast, slow)
-    net = build_network(instance)
-    assert flow_group_counts(net, fast.witness) == flow_group_counts(
-        net, slow.witness
+    # the counts the walk ends on carry a maximal-diversity flow exactly
+    net = flow_reference.build_network(instance)
+    witness = flow_reference.check_validity_flow(
+        instance, fast.per_group_counts, network=net
     )
+    assert flow_reference.flow_group_counts(net, witness) == fast.per_group_counts
 
 
 @pytest.mark.parametrize("from_zero", [False, True])
@@ -136,17 +130,17 @@ def test_a_walk_cut_that_allows_the_checked_prefix_is_an_internal_error(
     instance = hard_regime_school(300, 211, 98)
     alpha, targets = crucial_vector(instance)
     calls: list[None] = []
-    check = flow.check_validity_flow
+    check = flow._TypeLattice.check
 
-    def rejecting(checked, asked, *, network):
+    def rejecting(self, asked):
         calls.append(None)
         if len(calls) == 1:  # the check of the crucial vector
-            return check(checked, asked, network=network)
+            return check(self, asked)
         assert len(calls) < 4, "the walk went on past a cut that did not fall"
-        network.cut = flow._Cut(tuple(network.group_arcs), network.optimum.value)
-        return None
+        self.cut = flow._Cut(tuple(self.sizes), self.value)
+        return False
 
-    monkeypatch.setattr(flow, "check_validity_flow", rejecting)
+    monkeypatch.setattr(flow._TypeLattice, "check", rejecting)
     with pytest.raises(InternalInvariantError, match="not below the checked point"):
         choice_flow(instance, targets, alpha=alpha)
     assert len(calls) == 2
@@ -158,7 +152,7 @@ def test_greedy_makes_no_checks_when_targets_fill_q(monkeypatch):
     assert sum(targets.values()) == instance.capacity
     calls = count_checks(monkeypatch)
     choice_flow(instance, targets, alpha=alpha)
-    assert len(calls) == 1  # the target check, whose witness is reused
+    assert len(calls) == 1  # the target check; the walk has no room
 
 
 @pytest.mark.parametrize("name", ["hard-1000-reserved-98", "gen-10000-r2"])

@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import flow_reference
 import pytest
+from factories import hard_regime_school, sparse_type_school
+from hypothesis import given
+from test_golden import CORPUS
+from test_properties import PROPERTY_SETTINGS, instances_with_targets
 
-from reserve_match import flow
+from reserve_match import files, flow
 from reserve_match.bench import bench_instance
 from reserve_match.cli import main
 from reserve_match.generator import generate_instance
-from reserve_match.model import MAX_RANKS, StudentColumns
+from reserve_match.model import (
+    MAX_RANKS,
+    MAX_RESERVED_TYPES,
+    Instance,
+    StudentColumns,
+    group_label,
+    parse_group_label,
+)
 
 INSTANCE = {
     "capacity": 2,
@@ -141,10 +155,10 @@ FOUR_BLOCKS = {
 @pytest.mark.parametrize(
     ("want", "lines"),
     [
-        # the min-cost optimum already gives the doubly typed block 2, so it
-        # is the witness as it stands
+        # raised in key order, the untyped block takes 4 general seats and
+        # the t1 block both t1 seats, leaving the doubly typed block 2
         (1, ["none: 4", "t1: 2", "t1+t2: 2", "t2: 0"]),
-        # the smallest reroute moves one t1 seat from the t1 block to it
+        # three for the doubly typed block leave one t1 seat for the t1 block
         (3, ["none: 4", "t1: 1", "t1+t2: 3", "t2: 0"]),
     ],
 )
@@ -154,6 +168,70 @@ def test_validate_prints_the_rerouted_optimum(tmp_path, capsys, want, lines):
     assert main(["validate", instance, "--targets", targets]) == 0
     expected = ["VALID", "signature: [4, 4]"] + [f"  {line}" for line in lines]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def _validated_counts(directory: Path, instance: Instance, targets: dict):
+    """The counts `validate` prints for the targets, or None on NO-INSTANCE."""
+    source = directory / "instance.json"
+    files.write_text(files.dump_json(files.instance_to_payload(instance)), str(source))
+    labels = {group_label(key): want for key, want in targets.items()}
+    path = write_json(directory, "targets.json", labels)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["validate", str(source), "--targets", path])
+    lines = buffer.getvalue().splitlines()
+    if code == 1:
+        assert lines == ["NO-INSTANCE"]
+        return None
+    assert code == 0 and lines[0] == "VALID"
+    counts = {}
+    for line in lines[2:]:
+        label, value = line.strip().split(": ")
+        counts[parse_group_label(label)] = int(value)
+    return counts
+
+
+def _assert_canonical_witness(directory: Path, instance: Instance, targets: dict):
+    """validate's counts meet the targets, sum to F* and are the exact group
+    counts of a maximal-diversity flow on the reference network; validate
+    says NO-INSTANCE exactly when the reference refuses the targets."""
+    counts = _validated_counts(directory, instance, targets)
+    net = flow_reference.build_network(instance)
+    reference = flow_reference.check_validity_flow(instance, targets, network=net)
+    assert (counts is None) == (reference is None)
+    if counts is None:
+        return
+    assert list(counts) == sorted(instance.group_keys(), key=group_label)
+    assert all(counts[key] >= want for key, want in targets.items())
+    assert sum(counts.values()) == min(len(instance.priority), instance.capacity)
+    exact = flow_reference.check_validity_flow(instance, counts, network=net)
+    assert flow_reference.flow_group_counts(net, exact) == counts
+
+
+WITNESSED = {
+    **{name: build for name, (build, _in, _out) in CORPUS.items()},
+    "hard-600-3": lambda: hard_regime_school(600, 3),
+    "hard-1000-306-98": lambda: hard_regime_school(1000, 306, 98),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSED))
+def test_validate_prints_a_canonical_witness(tmp_path, name):
+    instance = WITNESSED[name]()
+    _alpha, crucial = flow.crucial_vector(instance)
+    _assert_canonical_witness(tmp_path, instance, crucial)
+    # the choice's counts fill F*, so they are their own witness
+    counts = flow.choice_flow(instance).per_group_counts
+    assert _validated_counts(tmp_path, instance, counts) == counts
+
+
+@PROPERTY_SETTINGS
+@given(instances_with_targets())
+def test_validate_prints_a_canonical_witness_on_drawn_instances(
+    tmp_path_factory, case
+):
+    instance, targets = case
+    _assert_canonical_witness(tmp_path_factory.mktemp("validate"), instance, targets)
 
 
 def test_validate_unknown_group_is_input_error(instance_file, tmp_path, capsys):
@@ -245,7 +323,9 @@ def test_verify_of_a_small_school_with_many_groups_is_fast(tmp_path, capsys):
         ["gen", "--students", "4", "--types", "0"],
         ["gen", "--students", "4", "--ranks", "0"],
         ["gen", "--students", "4", "--ranks", str(MAX_RANKS + 1)],
+        ["gen", "--students", "4", "--types", str(MAX_RESERVED_TYPES + 1)],
         ["bench", "--students", "10", "--types", "0"],
+        ["bench", "--students", "10", "--types", str(MAX_RESERVED_TYPES + 1)],
         ["bench", "--students", "10", "--ranks", "0"],
         ["bench", "--students", "10", "--ranks", str(MAX_RANKS + 1)],
     ],
@@ -408,6 +488,56 @@ def test_quota_rank_bound(tmp_path, capsys, rank, code):
     assert main(["solve", write_json(tmp_path, "ranked.json", payload)]) == code
     if code:
         assert f"quota ranks must be below {MAX_RANKS}" in capsys.readouterr().err
+
+
+def _typed_school(types: int) -> dict:
+    """An instance payload of 2,000 students in 20 groups over `types`
+    reserved types: factories.sparse_type_school for 16 types, and for more
+    the same school with its first students holding one more type each."""
+    payload = files.instance_to_payload(
+        sparse_type_school(2000, MAX_RESERVED_TYPES, 20, 3)
+    )
+    for i in range(types - MAX_RESERVED_TYPES):
+        extra = f"u{i:02d}"
+        payload["types"].append(extra)
+        payload["students"][i]["types"].append(extra)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "types, code", [(MAX_RESERVED_TYPES, 0), (MAX_RESERVED_TYPES + 1, 2)]
+)
+def test_reserved_type_bound(tmp_path, capsys, types, code):
+    payload = _typed_school(types)
+    held = {t for student in payload["students"] for t in student["types"]}
+    assert len(held) == types
+    instance = write_json(tmp_path, "school.json", payload)
+    multi = write_json(tmp_path, "market.json", {
+        "types": payload["types"],
+        "students": payload["students"],
+        "schools": [{"id": "c", "capacity": payload["capacity"],
+                     "quotas": payload["quotas"], "priority": payload["priority"]}],
+        "preferences": {s["id"]: ["c"] for s in payload["students"]},
+    })
+    result = str(tmp_path / "result.json")
+    targets = write_json(tmp_path, "targets.json", {})
+    if code:
+        write_json(tmp_path, "result.json", {"selected": []})
+    runs = [
+        ["solve", instance, "--out", result],
+        ["verify", instance, result],
+        ["validate", instance, "--targets", targets],
+        ["gda", multi, "--out", str(tmp_path / "gda.json")],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"more than {MAX_RESERVED_TYPES}" in err
+        else:
+            assert err == ""
 
 
 def test_gda_run(tmp_path, capsys):

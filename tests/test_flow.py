@@ -1,4 +1,6 @@
-"""Unit tests for the flow engine: network shape, solver, validity, choice."""
+"""Unit tests for the solver (validity, crucial vector, choice) and for the
+reference min-cost flow engine in flow_reference (network shape, solve,
+reroute, decomposition into seats)."""
 
 from __future__ import annotations
 
@@ -13,6 +15,17 @@ from factories import (
     two_group_school,
     two_type_column_school,
 )
+from flow_reference import (
+    build_network,
+    check_validity_flow,
+    compute_certificate,
+    flow_group_counts,
+    flow_signature,
+    flow_to_matching,
+    min_cost_max_flow,
+    rank_cost,
+)
+from oracle import Seat, group_counts, matching_signature
 from reference_search import (
     assert_same_cold_optimum,
     assert_same_network,
@@ -22,23 +35,10 @@ from reference_search import (
 )
 from test_golden import CORPUS
 
-from reserve_match.flow import (
-    build_network,
-    check_validity_flow,
-    choice_flow,
-    compute_certificate,
-    crucial_vector,
-    flow_group_counts,
-    flow_signature,
-    flow_to_matching,
-    min_cost_max_flow,
-    rank_cost,
-)
+from reserve_match import flow
+from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.model import (
     GENERAL_TYPE,
-    Seat,
-    group_counts,
-    matching_signature,
     restrict_instance,
 )
 
@@ -90,8 +90,8 @@ def test_flat_network_matches_arc_reference_on_golden_corpus(name):
     instance = CORPUS[name][0]()
     assert_same_network(build_network(instance), instance)
     assert_same_cold_optimum(build_network(instance), instance)
-    # restrictions share the instance's standing network; every third
-    # student keeps all groups, the top three usually leave some out
+    # restrictions lay the network out over the instance's group keys; every
+    # third student keeps all groups, the top three usually leave some out
     for keep in (instance.priority[::3], instance.priority[:3]):
         cut = restrict_instance(instance, keep)
         assert cut.fixed is instance.fixed
@@ -105,6 +105,9 @@ def test_certificate_small_instance():
     assert cert.value == 2
     # best signature is (1, 1): one reserved seat, one general seat
     assert cert.cost == signature_cost((1, 1), instance.capacity)
+    checks = flow.build_network(instance)
+    assert flow.compute_certificate(checks) == (2, (1, 1))
+    assert flow.min_cost_max_flow(checks) == (2, (1, 1))
 
 
 def test_min_cost_max_flow_unbounded_matches_signature():
@@ -119,19 +122,24 @@ def test_min_cost_max_flow_unbounded_matches_signature():
 def test_check_validity_flow_verdicts():
     instance = two_group_school()
     # (1, 1) is the balanced split and is valid
+    assert flow.check_validity_flow(instance, {(): 1, ("t1",): 1}) == {
+        (): 1, ("t1",): 1
+    }
     witness = check_validity_flow(instance, {(): 1, ("t1",): 1})
-    assert witness is not None
     counts = flow_group_counts(build_network(instance), witness)
     assert counts == {(): 1, ("t1",): 1}
-    # its decomposition seats each group's top students
+    # the reference's decomposition seats each group's top students
     assert set(flow_to_matching(instance, witness)) == {"s4", "s2"}
-    # both seats to one group is not maximally diverse
-    assert check_validity_flow(instance, {(): 2}) is None
-    # targets beyond the group size can never be met
-    assert check_validity_flow(instance, {(): 3}) is None
-    # targets beyond the total seat count can never be met
-    assert check_validity_flow(instance, {(): 2, ("t1",): 1}) is None
-    # the empty target vector is always valid
+    for check in (flow.check_validity_flow, check_validity_flow):
+        # both seats to one group is not maximally diverse
+        assert check(instance, {(): 2}) is None
+        # targets beyond the group size can never be met
+        assert check(instance, {(): 3}) is None
+        # targets beyond the total seat count can never be met
+        assert check(instance, {(): 2, ("t1",): 1}) is None
+    # the empty target vector is always valid; the canonical counts raise
+    # the untyped group first
+    assert flow.check_validity_flow(instance, {}) == {(): 1, ("t1",): 1}
     assert check_validity_flow(instance, {}) is not None
 
 
@@ -163,10 +171,11 @@ def test_check_validity_flow_reroutes_only_the_shortfall():
 
 def test_check_validity_flow_rejects_unknown_groups():
     instance = two_group_school()
-    with pytest.raises(ValueError, match="unknown groups"):
-        check_validity_flow(instance, {("t9",): 1})
-    with pytest.raises(ValueError, match="negative"):
-        check_validity_flow(instance, {(): -1})
+    for check in (flow.check_validity_flow, check_validity_flow):
+        with pytest.raises(ValueError, match="unknown groups"):
+            check(instance, {("t9",): 1})
+        with pytest.raises(ValueError, match="negative"):
+            check(instance, {(): -1})
 
 
 def test_crucial_vector_two_groups():

@@ -330,44 +330,27 @@ class _WatchedPriority(tuple):
 def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     monkeypatch,
 ):
-    # the flow engine's seat layouts and solvers are counted, so the engine
-    # rule sends every school to it; test_lattice.py counts the lattices
-    monkeypatch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
     built = []
-    residuals = []
-    solved_on = []
     choices = []
-    original = flow._StandingNetwork.__init__
-    original_residual = flow._Residual.__init__
-    original_solver = flow._MinCostFlow.__init__
+    original = flow._LatticeLayout.__init__
     choose = flow.choice_flow
 
-    def counted(self, instance):
+    def counted(self, instance, types):
         built.append(instance.fixed)
-        original(self, instance)
-
-    def counted_residual(self, *args):
-        residuals.append(self)
-        original_residual(self, *args)
-
-    def watched_solver(self, residual, *args):
-        solved_on.append(residual)
-        original_solver(self, residual, *args)
+        original(self, instance, types)
 
     def recorded(instance, *args, **kwargs):
-        choices.append((instance, kwargs.get("start")))
+        choices.append(instance)
         return choose(instance, *args, **kwargs)
 
     monkeypatch.setattr(flow, "choice_flow", recorded)
-    monkeypatch.setattr(flow._StandingNetwork, "__init__", counted)
-    monkeypatch.setattr(flow._Residual, "__init__", counted_residual)
-    monkeypatch.setattr(flow._MinCostFlow, "__init__", watched_solver)
+    monkeypatch.setattr(flow._LatticeLayout, "__init__", counted)
     # in the second market one school's pools all fit its seats
     for seed in (1, 9):
         multi = seeded_market(200, seed)
         for instance in multi.instances.values():
             instance.priority = _WatchedPriority(instance.priority)
-        for log in (built, residuals, solved_on, choices):
+        for log in (built, choices):
             log.clear()
         result = run_gda(multi)
         pools = {
@@ -376,7 +359,7 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
         }
         assert max(pools.values()) > 2
         chose = {
-            cid: sum(cut.fixed is instance.fixed for cut, _start in choices)
+            cid: sum(cut.fixed is instance.fixed for cut in choices)
             for cid, instance in multi.instances.items()
         }
         # a pool that fits is taken whole, with no choice
@@ -393,22 +376,13 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
             # from the rows kept by validation, not from a walk of the
             # priority list
             assert instance.priority.walks == 0
+            # one type lattice per school, which every pool's checks read
             assert sum(fixed is instance.fixed for fixed in built) == (
                 1 if chose[cid] else 0
             )
+            if chose[cid]:
+                assert instance.fixed.lattice is not None
         assert len(built) == sum(1 for n in chose.values() if n)
-        # one network and one set of solver arrays per school, which every
-        # solve of the school's pools reads
-        schools = [fixed.network.residual for fixed in built]
-        assert residuals == schools
-        assert all(any(r is mine for mine in schools) for r in solved_on)
-        # a certified start already carries a full pool's min(|S|, q)
-        # units, so only cold and uncertified starts build a solver
-        fresh = [
-            start is None or not flow._certified(flow.build_network(cut), start)
-            for cut, start in choices
-        ]
-        assert len(solved_on) == sum(fresh) < len(choices)
 
 
 def _market_file(tmp_path, multi: MultiInstance) -> str:

@@ -13,7 +13,7 @@ from reference_search import reference_generate_instance
 from reserve_match import generator
 from reserve_match.files import dump_json, instance_to_payload
 from reserve_match.generator import QUOTA_STYLES, generate_instance
-from reserve_match.model import StudentColumns
+from reserve_match.model import MAX_RESERVED_TYPES, StudentColumns
 
 
 def test_same_seed_same_instance():
@@ -110,7 +110,7 @@ def test_generation_leaves_the_records_view_unbuilt():
 def test_draws_stream_one_student_at_a_time(monkeypatch):
     """Every student's types reach the interning before the next student
     draws, so the draws are never collected into a students x types list."""
-    num_students, num_types = 300, 40
+    num_students, num_types = 300, MAX_RESERVED_TYPES
     drawn = 0
 
     class CountingRandom(random.Random):

@@ -1,20 +1,25 @@
-"""The type lattice against the min-cost flow engine.
+"""The type lattice against the reference min-cost flow engine.
 
 `flow._TypeLattice` decides validity from the type sets alone: F* and s* by
 Edmonds' greedy, and a target vector is valid when every type set T has
-sum {l_u : K_u inside T} <= rhs(T). These tests hold it to the flow engine,
-the reference, on hypothesis `instances()`, the golden corpus, hard-regime
-schools and `generate_instance` up to k = 10 types:
+sum {l_u : K_u inside T} <= rhs(T). These tests hold it to the reserve
+network of `flow_reference` on hypothesis `instances()`, the golden corpus,
+hard-regime schools, `generate_instance` up to k = 10 types and schools of
+many types in few groups:
 
-- its verdict equals `check_validity_flow(...) is not None` on random and
-  boundary targets: the crucial targets, and those plus one in one group,
-  for a few groups, and vectors grown one unit at a time while the lattice
-  accepts them, and those plus one in one group;
+- its verdict equals the reference check's on random and boundary targets:
+  the crucial targets, and those plus one in one group, for a few groups,
+  and vectors grown one unit at a time while the lattice accepts them, and
+  those plus one in one group;
 - each cut of a failed check is broken by the targets checked and bounds
   the group counts of every valid flow witness;
-- F* and s* equal `compute_certificate`'s value and `flow_signature` of f*;
-- `choice_flow` and `run_gda` give the same results on both sides of the
-  engine rule, on instances the rule sends either way.
+- the canonical counts of a valid vector (`_TypeLattice.base`) meet it and
+  are a maximal-diversity flow's exact group counts;
+- F* and s* equal the reference's `compute_certificate` value and
+  `flow_signature` of f*;
+- `choice_flow` and `run_gda` give the same results with their checks on
+  the lattice and on the reference network (`flow.build_network` set to
+  `flow_reference.build_network`).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import random
 from itertools import chain
 
+import flow_reference
 import pytest
 from factories import (
     hard_regime_school,
@@ -29,20 +35,20 @@ from factories import (
     seeded_market,
     sparse_type_school,
 )
+from flow_reference import (
+    FlowNetwork,
+    build_network,
+    check_validity_flow,
+    compute_certificate,
+    flow_group_counts,
+    flow_signature,
+)
 from hypothesis import given
 from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, instances, instances_with_targets
 
 from reserve_match import flow
-from reserve_match.flow import (
-    build_network,
-    check_validity_flow,
-    choice_flow,
-    compute_certificate,
-    crucial_vector,
-    flow_group_counts,
-    flow_signature,
-)
+from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.gda import run_gda
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, TargetVector
@@ -59,13 +65,13 @@ SCHOOLS = {
 
 
 def _lattice(instance: Instance) -> flow._TypeLattice:
-    """The instance's lattice checks, whatever side of the rule it is on."""
+    """The instance's checks on a lattice laid out afresh."""
     types = sorted(set(chain.from_iterable(instance.fixed.group_keys)))
     return flow._TypeLattice(instance, flow._LatticeLayout(instance, types))
 
 
 def _boundary_targets(
-    rng: random.Random, instance: Instance, net: flow.FlowNetwork, count: int = 8
+    rng: random.Random, instance: Instance, net: FlowNetwork, count: int = 8
 ) -> list[dict]:
     """The crucial targets, and those plus one in each of up to `count`
     groups, one group at a time."""
@@ -123,15 +129,17 @@ def _assert_agrees(instance: Instance, targets: list[TargetVector]) -> None:
     failed = []
     for vector in targets:
         witness = check_validity_flow(instance, vector, network=net)
-        verdict = lattice.check(vector)
-        assert (verdict is not None) == (witness is not None), vector
+        assert lattice.check(vector) == (witness is not None), vector
         if witness is None:
             cut = lattice.cut
             assert sum(vector.get(key, 0) for key in cut.groups) > cut.bound
             failed.append(cut)
         else:
-            assert verdict == vector
             witnesses.append(witness)
+            counts = lattice.base(vector)
+            assert all(counts[key] >= want for key, want in vector.items())
+            exact = check_validity_flow(instance, counts, network=net)
+            assert flow_group_counts(net, exact) == counts
     for cut in failed:
         for witness in witnesses:
             counts = flow_group_counts(net, witness)
@@ -196,55 +204,36 @@ def _fields(result) -> tuple:
     )
 
 
-def _on_both_sides(monkeypatch, make, natural_lattice: bool) -> None:
-    """choice_flow of a fresh instance on the side the rule picks, then on
-    the other side, field by field (the witness excepted)."""
-    instance = make()
-    assert (flow._layout(instance) is not None) == natural_lattice
-    natural = choice_flow(instance)
-    assert (natural.witness is None) == natural_lattice
-    with monkeypatch.context() as patch:
-        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0 if natural_lattice else 2**40)
-        other = choice_flow(make())
-    assert (other.witness is None) != natural_lattice
-    assert _fields(natural) == _fields(other)
+def _on_the_reference(make) -> object:
+    """choice_flow of a fresh instance with its checks on the reference
+    network."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "build_network", build_network)
+        return choice_flow(make())
+
+
+def _on_both_engines(make) -> None:
+    """choice_flow of a fresh instance on the type lattice, then on the
+    reference network, field by field."""
+    assert _fields(choice_flow(make())) == _fields(_on_the_reference(make))
 
 
 @pytest.mark.parametrize("name", list(SCHOOLS))
-def test_choices_match_across_the_engine_rule(monkeypatch, name):
-    _on_both_sides(monkeypatch, SCHOOLS[name], natural_lattice=True)
+def test_choices_match_across_the_engine_rule(name):
+    _on_both_engines(SCHOOLS[name])
 
 
 @pytest.mark.parametrize("types, groups", [(12, 20), (14, 30), (13, 12)])
-def test_choices_match_on_the_flow_side_of_the_rule(monkeypatch, types, groups):
-    """Many occurring types in few groups: the rule keeps these on the flow
-    network, and the lattice, forced, chooses the same."""
-    _on_both_sides(
-        monkeypatch,
-        lambda: sparse_type_school(400, types, groups, types),
-        natural_lattice=False,
-    )
+def test_choices_match_on_the_flow_side_of_the_rule(types, groups):
+    """Many occurring types in few groups, the lattice's costliest shape."""
+    _on_both_engines(lambda: sparse_type_school(400, types, groups, types))
 
 
 @PROPERTY_SETTINGS
 @given(instances())
 def test_choices_match_across_the_engine_rule_on_drawn_instances(instance):
     lattice = choice_flow(instance)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
-        network = choice_flow(_copy(instance))
-    assert _fields(lattice) == _fields(network)
-
-
-def _copy(instance: Instance) -> Instance:
-    """The same instance with a fresh fixed part, so the rule decides anew."""
-    return Instance(
-        instance.columns,
-        instance.capacity,
-        instance.priority,
-        instance.types,
-        instance.quotas,
-    )
+    assert _fields(lattice) == _fields(_on_the_reference(lambda: instance))
 
 
 def test_gda_on_the_lattice_lays_out_each_school_once_and_builds_no_network(
@@ -258,14 +247,14 @@ def test_gda_on_the_lattice_lays_out_each_school_once_and_builds_no_network(
         original(self, instance, types)
 
     def refused(self, instance):
-        raise AssertionError("a network was built on the lattice side")
+        raise AssertionError("a reference network was built")
 
     with monkeypatch.context() as patch:
         patch.setattr(flow._LatticeLayout, "__init__", counted)
-        patch.setattr(flow.FlowNetwork, "__init__", refused)
+        patch.setattr(flow_reference.FlowNetwork, "__init__", refused)
         result = run_gda(seeded_market(600, 2))
     assert len(layouts) == len({id(fixed) for fixed in layouts}) > 1
     with monkeypatch.context() as patch:
-        patch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
+        patch.setattr(flow, "build_network", build_network)
         reference = run_gda(seeded_market(600, 2))
     assert result == reference

@@ -9,19 +9,17 @@ from fractions import Fraction
 
 import pytest
 from factories import make_instance, two_group_school
+from oracle import Seat, group_counts, matching_signature
 from reference_search import check_matching
 
 from reserve_match.model import (
     GENERAL_TYPE,
     Instance,
     MalformedInstanceError,
-    Seat,
     StudentColumns,
     StudentRecord,
     build_groups,
-    group_counts,
     group_label,
-    matching_signature,
     min_count_ratio,
     parse_group_label,
     restrict_instance,

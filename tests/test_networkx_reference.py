@@ -1,19 +1,19 @@
-"""f* against an independent min-cost flow solver.
+"""F* and s* of the type lattice against an independent min-cost flow solver.
 
-`compute_certificate` solves the unconstrained min-cost max-flow f* of the
-reserve network with the package's own successive-shortest-path solver.
-Here networkx's `max_flow_min_cost` (network simplex) solves the same network,
-built from the Arc reference (`reference_search.ArcNetwork`), and the two
-must agree on F*, C* and the per-rank signature at 8 to 1,024 groups.
-Skipped when networkx is not installed.
+`flow._TypeLattice` gives F* and s* by Edmonds' greedy over the type sets,
+with no flow at all. Here networkx's `max_flow_min_cost` (network simplex)
+solves the reserve network, built from the Arc reference
+(`reference_search.ArcNetwork`), and the two must agree on F*, on the
+per-rank signature and on C*, the cost of s* under the rank-cost encoding,
+at 8 to 1,024 groups. Skipped when networkx is not installed.
 """
 
 from __future__ import annotations
 
 import pytest
-from reference_search import ArcNetwork
+from reference_search import ArcNetwork, signature_cost
 
-from reserve_match.flow import build_network, compute_certificate, flow_signature
+from reserve_match.flow import build_network
 from reserve_match.generator import generate_instance
 
 nx = pytest.importorskip("networkx")
@@ -32,8 +32,7 @@ nx = pytest.importorskip("networkx")
 def test_optimum_matches_networkx(students, types, ranks, seed, style, groups):
     instance = generate_instance(students, types, ranks, seed, style)
     assert len(instance.groups()) == groups
-    net = build_network(instance)
-    best = compute_certificate(net)
+    lattice = build_network(instance)
 
     ref = ArcNetwork(instance)
     graph = nx.DiGraph()
@@ -45,6 +44,7 @@ def test_optimum_matches_networkx(students, types, ranks, seed, style, groups):
     for (_t, j), a in ref.rank_arcs.items():
         signature[j - 1] += flows[ref.arcs[a].tail][ref.arcs[a].head]
 
-    assert sum(flows[ref.source].values()) == best.value
-    assert nx.cost_of_flow(graph, flows) == best.cost
-    assert tuple(signature) == flow_signature(net, best)
+    assert sum(flows[ref.source].values()) == lattice.value
+    assert tuple(signature) == lattice.per_rank
+    cost = signature_cost(lattice.per_rank, instance.capacity)
+    assert nx.cost_of_flow(graph, flows) == cost

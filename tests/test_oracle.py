@@ -18,9 +18,8 @@ from oracle import (
     OracleBudgetExceeded,
     balanced_count_vectors,
     enumerate_maximal_diversity_matchings,
+    matching_signature,
 )
-
-from reserve_match.model import matching_signature
 
 
 def test_enumeration_two_groups():

@@ -1,4 +1,5 @@
-"""Property-based tests tying the flow engine, the oracle and the verifiers."""
+"""Property-based tests tying the solver, the reference flow engine, the
+oracle and the verifiers."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from oracle import (
     OracleBudget,
     balanced_count_vectors,
     enumerate_maximal_diversity_matchings,
+    group_counts,
+    matching_signature,
 )
 from reference_search import (
     assert_flow_witness,
@@ -33,21 +36,19 @@ from reference_search import (
     signature_cost,
 )
 
-from reserve_match.flow import (
+from flow_reference import (
     build_network,
     check_validity_flow,
-    choice_flow,
     compute_certificate,
-    crucial_vector,
     flow_to_matching,
     min_cost_max_flow,
 )
+from reserve_match import flow
+from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.gda import MultiInstance, School, induced_instance, run_gda
 from reserve_match.model import (
     Instance,
     StudentRecord,
-    group_counts,
-    matching_signature,
     min_count_ratio,
     restrict_instance,
 )
@@ -283,12 +284,16 @@ def test_rank_maximal_signature_matches_oracle(instance):
 @given(instances_with_targets())
 def test_validity_backends_agree(pair):
     instance, targets = pair
+    counts = flow.check_validity_flow(instance, targets)
     by_flow = check_validity_flow(instance, targets)
     mset = enumerate_maximal_diversity_matchings(instance, BUDGET)
-    assert (by_flow is not None) == oracle_targets_valid(mset, targets)
+    assert (counts is not None) == oracle_targets_valid(mset, targets)
+    assert (by_flow is not None) == (counts is not None)
     if by_flow is None:
         return
-    # the witness is maximally diverse, not merely feasible
+    # the canonical counts are those of a maximal-diversity matching
+    assert tuple(counts[key] for key in mset.group_keys) in mset.count_vectors
+    # the reference's witness is maximally diverse, not merely feasible
     witness = flow_to_matching(instance, by_flow)
     assert_valid_witness(instance, witness, targets, mset.signature)
 
@@ -302,6 +307,7 @@ def test_validity_matches_lower_bounded_reference(pair):
     by_flow = check_validity_flow(instance, targets, network=net)
     reference = lower_bounded_validity(instance, targets)
     assert (by_flow is None) == (reference is None)
+    assert (flow.check_validity_flow(instance, targets) is None) == (reference is None)
     if by_flow is not None:
         assert_flow_witness(instance, net, cert, by_flow, targets)
 
@@ -328,7 +334,7 @@ def test_flat_network_matches_arc_reference(instance, data):
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     kept = [sid for sid, keep in zip(instance.priority, mask) if keep]
     cut = restrict_instance(instance, kept)
-    # whichever is built first lays out the standing network the other reuses
+    # both lay the network out over the instance's group keys, in either order
     pair = [(instance, build_network(instance)), (cut, build_network(cut))]
     if data.draw(st.booleans()):
         pair.reverse()

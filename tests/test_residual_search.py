@@ -1,16 +1,17 @@
-"""Validity checks on the solver's own residual graph.
+"""The reference engine's validity checks on its own residual graph.
 
-`flow._reroute` walks the standing network's residual edges (see
-`flow._Residual`) under the optimum's residual capacities. These tests check
-that it makes the same search as the reference over a separate list of
-admissible steps (`reference_search.steps_reroute`): the same arc flows, or
-the same cut, at every check the alpha search and the greedy walk make on the
-golden corpus, on hard-regime schools, in every pool of a seeded market (warm
-started solves included) and on random instances and targets. They also check
-that every witness a validity check or a choice returns is an OptimalFlow
-whose potentials are its network's optimum's, and that those certify it.
-Every instance here is sent to the flow engine (see
-`factories.on_the_flow_network`).
+`flow_reference.reroute` walks the network's residual edges (see
+`flow_reference.Residual`) under the optimum's residual capacities. These
+tests check that it makes the same search as the reference over a separate
+list of admissible steps (`reference_search.steps_reroute`): the same arc
+flows, or the same cut, at every check the alpha search and the greedy walk
+make on the golden corpus, on hard-regime schools, in every pool of a
+seeded market and on random instances and targets, with the package's
+searches running on the reference network (`flow.build_network` set to
+`flow_reference.build_network`). They also check that every witness a
+check returns is an OptimalFlow whose potentials are its network's
+optimum's and certify it, and that the counts each choice ends on have
+such a witness that carries them exactly.
 """
 
 from __future__ import annotations
@@ -18,33 +19,37 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+import flow_reference
 import pytest
-from factories import hard_regime_school, on_the_flow_network, seeded_market
+from factories import hard_regime_school, seeded_market
+from flow_reference import (
+    FlowNetwork,
+    OptimalFlow,
+    build_network,
+    check_validity_flow,
+    compute_certificate,
+    flow_group_counts,
+)
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_search import free_groups, steps_reroute
+from reference_search import steps_reroute
 from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, instances, markets
 
 from reserve_match import flow
-from reserve_match.flow import (
-    FlowNetwork,
-    OptimalFlow,
-    _Cut,
-    build_network,
-    check_validity_flow,
-)
+from reserve_match.flow import _Cut
 from reserve_match.gda import run_gda
 from reserve_match.model import TargetVector
 
 
 @contextmanager
 def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
-    """Record (network, targets, witness) of every validity check and
-    (instance, start, result) of every choice made inside the block."""
+    """Run the package's searches on the reference network inside the
+    block, and record (network, targets, witness) of every check and
+    (instance, result) of every choice made there."""
     checks: list[Any] = []
     choices: list[Any] = []
-    check, choose = flow.check_validity_flow, flow.choice_flow
+    check, choose = flow_reference.check_validity_flow, flow.choice_flow
 
     def recorded_check(instance, targets, *, network=None):
         net = network if network is not None else build_network(instance)
@@ -54,18 +59,19 @@ def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
 
     def recorded_choice(instance, *args, **kwargs):
         result = choose(instance, *args, **kwargs)
-        choices.append((instance, kwargs.get("start"), result))
+        choices.append((instance, result))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow, "check_validity_flow", recorded_check)
+        patch.setattr(flow, "build_network", build_network)
+        patch.setattr(flow_reference, "check_validity_flow", recorded_check)
         patch.setattr(flow, "choice_flow", recorded_choice)
         yield checks, choices
 
 
 def _assert_same_search(net: FlowNetwork, targets: TargetVector) -> None:
-    best = flow.compute_certificate(net)
-    found = flow._reroute(net, best, targets)
+    best = compute_certificate(net)
+    found = flow_reference.reroute(net, best, targets)
     reference = steps_reroute(net, best, targets)
     if isinstance(reference, _Cut):
         assert found == reference
@@ -79,9 +85,21 @@ def _assert_same_search(net: FlowNetwork, targets: TargetVector) -> None:
 
 
 def _assert_certified(net: FlowNetwork, witness: Any) -> None:
+    """The witness has the optimum's potentials, and they prove it a
+    min-cost flow of the network: every arc flow within its capacity, flow
+    conserved, no residual arc of negative reduced cost."""
     assert isinstance(witness, OptimalFlow)
-    assert witness.potentials == flow.compute_certificate(net).potentials
-    assert flow._certified(net, witness)
+    pot = witness.potentials
+    assert pot == compute_certificate(net).potentials
+    balance = [0] * net.node_count
+    arcs = zip(net.tails, net.heads, net.capacities, net.costs)
+    for f, (u, v, cap, cost) in zip(witness.arc_flows, arcs):
+        assert 0 <= f <= cap
+        reduced = cost + pot[u] - pot[v]
+        assert not (reduced < 0 and f < cap) and not (reduced > 0 and f > 0)
+        balance[u] -= f
+        balance[v] += f
+    assert not any(balance[flow_reference.SINK + 1 :])
 
 
 def _assert_recorded(checks: list[Any], choices: list[Any]) -> None:
@@ -89,11 +107,12 @@ def _assert_recorded(checks: list[Any], choices: list[Any]) -> None:
         _assert_same_search(net, targets)
         if witness is not None:
             _assert_certified(net, witness)
-    for instance, start, result in choices:
-        # the choice's network: a fresh one solved from the same start
+    for instance, result in choices:
+        # a fresh network's check of the counts the choice ended on
         net = build_network(instance)
-        net.start = start
-        _assert_certified(net, result.witness)
+        witness = check_validity_flow(instance, result.per_group_counts, network=net)
+        _assert_certified(net, witness)
+        assert flow_group_counts(net, witness) == result.per_group_counts
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -117,11 +136,7 @@ def test_hard_regime_checks_search_like_the_reference(size, seed, reserved):
 def test_market_pools_search_like_the_reference():
     with _recording() as (checks, choices):
         run_gda(seeded_market(200, 10))
-    # warm-started pools: their optima come from the last choice's witness,
-    # so a group's source arc need not be admissible there
-    warm = [net for net, _targets, _witness in checks if net.start is not None]
-    assert warm
-    assert any(not free for net in warm for free in free_groups(net).values())
+    assert len(choices) > len(seeded_market(200, 10).schools)
     _assert_recorded(checks, choices)
 
 

@@ -4,24 +4,22 @@ choice_flow(instance) starts the walk from the targets of beta, the largest
 candidate ratio whose targets fit in F*. When the walk ends, alpha is beta;
 when one of its cuts breaks beta's targets, the alpha search descends over
 ratios from that cut and a fresh walk starts from alpha's targets. These
-tests check that this gives, field by field and witness flow included, the
-choice that the crucial vector and alpha passed in give (the path that
-checks the targets first), on drawn instances, the golden corpus,
-hard-regime schools whose first check fails, and every pool deferred
-acceptance chooses from. They check that no call checks again counts that
-it already found valid, and that deferred acceptance takes a pool that fits
-its school's seats whole, without a choice. They compare witness flows and
-count the network's checks, so every instance here is sent to the flow
-engine (see `factories.on_the_flow_network`).
+tests check that this gives, field by field, the choice that the crucial
+vector and alpha passed in give (the path that checks the targets first),
+on drawn instances, the golden corpus, hard-regime schools whose first
+check fails, and every pool deferred acceptance chooses from. They check
+that no call checks again counts that it already found valid, and that
+deferred acceptance takes a pool that fits its school's seats whole,
+without a choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Any
 
 import pytest
-from factories import hard_regime_school, on_the_flow_network, seeded_market
+from factories import hard_regime_school, seeded_market
 from hypothesis import given
 from reference_search import assert_same_choice
 from test_gda import assert_replays_match_references
@@ -30,33 +28,25 @@ from test_properties import PROPERTY_SETTINGS, instances
 
 from reserve_match import flow
 from reserve_match.flow import (
-    OptimalFlow,
     _ratio_search,
     _Walk,
     build_network,
     choice_flow,
-    compute_certificate,
     crucial_vector,
 )
 from reserve_match.gda import MultiInstance, run_gda
 from reserve_match.model import ChoiceResult, Instance
 
 
-def _two_checks(instance: Instance, start: Optional[OptimalFlow]) -> ChoiceResult:
+def _two_checks(instance: Instance) -> ChoiceResult:
     """The choice with its crucial vector passed in, so that the targets
     are checked on their own before the walk starts."""
     alpha, targets = crucial_vector(instance)
-    return choice_flow(instance, targets, alpha=alpha, start=start)
+    return choice_flow(instance, targets, alpha=alpha)
 
 
-def _assert_same_as_two_checks(
-    instance: Instance, start: Optional[OptimalFlow] = None
-) -> None:
-    shared = choice_flow(instance, start=start)
-    two = _two_checks(instance, start)
-    assert_same_choice(shared, two)
-    assert shared.witness.arc_flows == two.witness.arc_flows
-    assert shared.witness.potentials == two.witness.potentials
+def _assert_same_as_two_checks(instance: Instance) -> None:
+    assert_same_choice(choice_flow(instance), _two_checks(instance))
 
 
 def _first_check(instance: Instance) -> str:
@@ -65,12 +55,11 @@ def _first_check(instance: Instance) -> str:
     candidate is live), or with one whose first check holds or fails, and
     then whether alpha is beta."""
     net = build_network(instance)
-    best = compute_certificate(net)
-    beta, targets_at, _below = _ratio_search(instance, best.value)
-    walk = _Walk(instance, targets_at(beta), best.value)
+    beta, targets_at, _below = _ratio_search(instance, net.value)
+    walk = _Walk(instance, targets_at(beta), net.value)
     if not walk.point:
         return "none"
-    if flow.check_validity_flow(instance, walk.targets_at(walk.point), network=net):
+    if net.check(walk.targets_at(walk.point)):
         return "holds"
     alpha, _targets = crucial_vector(instance)
     return "fails, alpha is beta" if alpha == beta else "fails, alpha below beta"
@@ -79,14 +68,14 @@ def _first_check(instance: Instance) -> str:
 def _checked(monkeypatch: Any) -> list[tuple[dict, bool]]:
     """Record (targets, verdict) of every validity check from now on."""
     checks: list[tuple[dict, bool]] = []
-    check = flow.check_validity_flow
+    check = flow._TypeLattice.check
 
-    def recorded(instance, targets, *, network=None):
-        witness = check(instance, targets, network=network)
-        checks.append((dict(targets), witness is not None))
-        return witness
+    def recorded(self, targets):
+        verdict = check(self, targets)
+        checks.append((dict(targets), verdict))
+        return verdict
 
-    monkeypatch.setattr(flow, "check_validity_flow", recorded)
+    monkeypatch.setattr(flow._TypeLattice, "check", recorded)
     return checks
 
 
@@ -101,14 +90,14 @@ def test_shared_first_check_matches_two_checks_on_the_corpus(name):
     _assert_same_as_two_checks(CORPUS[name][0]())
 
 
-def _market_pools(size: int, seed: int) -> list[tuple[Instance, Optional[OptimalFlow]]]:
-    """(pool, start) of every choice deferred acceptance makes on a seeded
+def _market_pools(size: int, seed: int) -> list[Instance]:
+    """The pool of every choice deferred acceptance makes on a seeded
     market."""
     pools = []
     choose = flow.choice_flow
 
     def recorded(instance, *args, **kwargs):
-        pools.append((instance, kwargs.get("start")))
+        pools.append(instance)
         return choose(instance, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -120,8 +109,8 @@ def _market_pools(size: int, seed: int) -> list[tuple[Instance, Optional[Optimal
 
 @pytest.mark.parametrize("size, seed", [(600, 2), (2000, 7)])
 def test_shared_first_check_matches_two_checks_on_market_pools(size, seed):
-    for cut, start in _market_pools(size, seed):
-        _assert_same_as_two_checks(cut, start)
+    for cut in _market_pools(size, seed):
+        _assert_same_as_two_checks(cut)
 
 
 def _assert_no_valid_counts_repeated(checks: list[tuple[dict, bool]]) -> None:
@@ -133,12 +122,10 @@ def _assert_no_valid_counts_repeated(checks: list[tuple[dict, bool]]) -> None:
             valid.append(targets)
 
 
-def _assert_no_valid_counts_checked_again(
-    instance: Instance, start: Optional[OptimalFlow] = None
-) -> None:
+def _assert_no_valid_counts_checked_again(instance: Instance) -> None:
     with pytest.MonkeyPatch.context() as patch:
         checks = _checked(patch)
-        choice_flow(instance, start=start)
+        choice_flow(instance)
     _assert_no_valid_counts_repeated(checks)
 
 
@@ -154,8 +141,8 @@ def test_no_valid_counts_are_checked_again_on_the_corpus(name):
 
 
 def test_no_valid_counts_are_checked_again_on_market_pools():
-    for cut, start in _market_pools(600, 2):
-        _assert_no_valid_counts_checked_again(cut, start)
+    for cut in _market_pools(600, 2):
+        _assert_no_valid_counts_checked_again(cut)
 
 
 def test_a_first_check_that_holds_is_the_only_check(monkeypatch):
@@ -166,7 +153,7 @@ def test_a_first_check_that_holds_is_the_only_check(monkeypatch):
     assert [verdict for _targets, verdict in checks] == [True]
     assert checks[0][0] == result.per_group_counts
     checks.clear()
-    assert_same_choice(_two_checks(instance, None), result)
+    assert_same_choice(_two_checks(instance), result)
     # the crucial vector's own check, then the walk's
     assert len(checks) >= 2
 
@@ -190,7 +177,7 @@ def test_a_failed_or_skipped_first_check_falls_back(
     shared = list(checks)
     _assert_no_valid_counts_repeated(shared)
     checks.clear()
-    assert_same_choice(result, _two_checks(instance, None))
+    assert_same_choice(result, _two_checks(instance))
     if branch == "fails, alpha is beta":
         # the walk moves on from the failed first check's cut without
         # checking its point again, so the call makes as many checks as the

@@ -1,13 +1,13 @@
-"""The residual-graph validity check against the lower-bounded reference.
+"""Validity checks against the lower-bounded reference.
 
-`check_validity_flow` answers every check on a network from the network's
-one min-cost optimum. These tests compare its verdicts with the full
+`check_validity_flow` decides every check on the type lattice and raises
+valid targets to canonical counts; the reference network's check reroutes
+its one min-cost optimum. These tests compare both verdicts with the full
 lower-bounded solve in `reference_search` on seeded instances of 10^2 to
-10^4 students (hard regime included), put every witness through the flow
-checks, and guard that a choice, a structural verify or `validate` makes
-one min-cost solve however many checks it makes, and a substitutability
-probe one per choice. The reference's own lower-bound transform is tested
-here too.
+10^4 students (hard regime included), put every reference witness through
+the flow checks, and check that the canonical counts meet the targets, sum
+to F* and are a maximal-diversity matching's exact counts on the reference
+network. The reference's own lower-bound transform is tested here too.
 """
 
 from __future__ import annotations
@@ -17,29 +17,24 @@ from fractions import Fraction
 
 import pytest
 from factories import hard_regime_school, make_instance, two_group_school
+from flow_reference import (
+    build_network,
+    check_validity_flow,
+    compute_certificate,
+    flow_group_counts,
+    min_cost_max_flow,
+)
 from reference_search import (
     assert_flow_witness,
-    count_checks,
     lower_bounded_flow,
     lower_bounded_validity,
     lower_bounds,
 )
 
-from reserve_match import cli, flow
-from reserve_match.files import dump_json, instance_to_payload
-from reserve_match.flow import (
-    build_network,
-    check_validity_flow,
-    choice_flow,
-    compute_certificate,
-    crucial_vector,
-    flow_group_counts,
-    min_cost_max_flow,
-)
-from reserve_match.gda import substitutability_probe
+from reserve_match import flow
+from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.generator import generate_instance
-from reserve_match.model import Instance, TargetVector, group_label
-from reserve_match.verify import verify_balanced_and_jef
+from reserve_match.model import Instance, TargetVector
 
 SEEDED = {
     "gen-100-r2": lambda: generate_instance(100, 2, 2, 301),
@@ -92,13 +87,20 @@ def test_verdicts_match_lower_bounded_reference(name):
     cert = compute_certificate(net)
     start = flow_group_counts(net, min_cost_max_flow(net))
     verdicts = set()
+    checks = flow.build_network(instance)
     for i, targets in enumerate(_probe_vectors(instance, len(name))):
         witness = check_validity_flow(instance, targets, network=net)
         reference = lower_bounded_validity(instance, targets)
+        counts = flow.check_validity_flow(instance, targets, network=checks)
         assert (witness is None) == (reference is None), (i, targets)
+        assert (counts is None) == (reference is None), (i, targets)
         verdicts.add(witness is None)
         if witness is None:
             continue
+        assert all(counts[key] >= want for key, want in targets.items())
+        assert sum(counts.values()) == cert.value
+        exact = check_validity_flow(instance, counts, network=net)
+        assert flow_group_counts(net, exact) == counts
         assert_flow_witness(instance, net, cert, witness, targets)
         # the smallest reroute of f*: a group below its target is lifted
         # exactly to it, any other group gives up at most its surplus
@@ -109,53 +111,6 @@ def test_verdicts_match_lower_bounded_reference(name):
             else:
                 assert want <= now <= start[key]
     assert verdicts == {True, False}
-
-
-def test_one_min_cost_solve_per_choice_and_verify(monkeypatch, tmp_path, capsys):
-    # the flow engine's solves are counted, so the engine rule sends the
-    # school to it; on the type lattice a choice and verify make no solve
-    # (see test_work_counts.py)
-    monkeypatch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
-    instance = hard_regime_school(3000, 308, 98)
-    solves: list[None] = []
-    run = flow._MinCostFlow.run
-
-    def counted_run(self, source, target):
-        solves.append(None)
-        return run(self, source, target)
-
-    monkeypatch.setattr(flow._MinCostFlow, "run", counted_run)
-    checks = count_checks(monkeypatch)
-    result = choice_flow(instance)
-    assert len(solves) == 1
-    assert len(checks) >= 2
-
-    solves.clear()
-    checks.clear()
-    report = verify_balanced_and_jef(instance, result.selected)
-    assert report.all_hold()
-    assert len(solves) == 1
-    assert len(checks) >= 2
-
-    # `validate` checks one target vector on one network: one solve
-    path = tmp_path / "instance.json"
-    path.write_text(dump_json(instance_to_payload(instance)), encoding="utf-8")
-    targets = tmp_path / "targets.json"
-    labels = {group_label(key): want for key, want in result.targets.items()}
-    targets.write_text(dump_json(labels), encoding="utf-8")
-    solves.clear()
-    assert cli.main(["validate", str(path), "--targets", str(targets)]) == 0
-    assert capsys.readouterr().out.startswith("VALID")
-    assert len(solves) == 1
-
-    # the probe makes two choices on two pools: the small pool's solve,
-    # whose witness already fills the q seats of the large pool, where it
-    # is f* itself
-    solves.clear()
-    priority = instance.priority
-    s1, s2 = priority[len(priority) // 3], priority[2 * len(priority) // 3]
-    substitutability_probe(instance, set(priority) - {s1, s2}, s1, s2)
-    assert len(solves) == 1
 
 
 def test_reference_lower_bounds_sit_on_source_arcs():

@@ -24,12 +24,8 @@ from reference_search import count_checks, literal_envy_witness, oracle_report
 
 from reserve_match import verify
 
-from reserve_match.flow import (
-    build_network,
-    check_validity_flow,
-    crucial_vector,
-    solve,
-)
+from flow_reference import build_network, check_validity_flow
+from reserve_match.flow import crucial_vector, solve
 from reserve_match.generator import generate_instance
 from reserve_match.verify import verify_balanced_and_jef
 
@@ -106,9 +102,10 @@ def test_solver_outputs_always_verify():
 
 def test_structural_witness_matches_literal_scan_at_scale():
     # solver selections with one or two members swapped for outsiders keep
-    # the size, so the flow check is an exact-count test and witnesses occur;
-    # five types make up to 32 groups, many tied at the smallest ratio, so a
-    # swap's worst-off ratio often comes from a group outside the swap
+    # the size, so the reference network's check is an exact-count test and
+    # witnesses occur; five types make up to 32 groups, many tied at the
+    # smallest ratio, so a swap's worst-off ratio often comes from a group
+    # outside the swap
     rng = random.Random(6151)
     schools = [
         generate_instance(100, 2, 2, 611),

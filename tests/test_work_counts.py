@@ -1,22 +1,16 @@
 """Pinned work counts of the choice path and of the file loaders.
 
-Validity checks, solver builds and Dijkstra passes on a fixed set of
-inputs: the golden corpus's hard-regime school, three hard-regime schools
-whose first check fails, `generate_instance(20000, k, 2, 7)` for k = 6, 8,
-10 and 12 (with `verify` for k = 6 and 8), and the benchmark's solve-hard
-and gda-market inputs at seed 1. All of these are on the type lattice's
-side of the engine rule: their checks are lattice checks, and they build no
-solver and make no Dijkstra pass. The flow engine's counts are pinned on a
-school with many types in few groups, which the rule leaves on the flow
-network, and on the generated schools sent to the network. The loaders'
+Lattice checks on a fixed set of inputs: the golden corpus's hard-regime
+school, three hard-regime schools whose first check fails,
+`generate_instance(20000, k, 2, 7)` for k = 6, 8, 10 and 12 (with `verify`
+for k = 6 and 8), a school of many types in few groups, and the
+benchmark's solve-hard and gda-market inputs at seed 1. The loaders'
 counts are the full matches of the texts between two ids of the students
 array (files._Gaps), made once per distinct text, and the calls of the
 schema walk (files._error), on a generated file and on all three benchmark
 inputs at seed 1: each takes the token reader, never the whole-text
 json.loads, and sends no student through the walk. A change that lowers a count updates its pin; one that
 raises a count says why.
-Deferred acceptance's counts on the flow engine on `seeded_market(600, 2)`
-are pinned in test_warm_start.py.
 """
 
 from __future__ import annotations
@@ -49,26 +43,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _counted(monkeypatch: Any) -> Counter:
-    """Count lattice checks, flow checks, solver builds and Dijkstra passes
-    from now on, as "lattice", "checks", "builds" and "passes"."""
+    """Count lattice checks from now on, as "lattice"."""
     counts: Counter = Counter()
+    check = flow._TypeLattice.check
 
-    def counting(name: str, original: Callable) -> Callable:
-        def counted(*args: Any, **kwargs: Any) -> Any:
-            counts[name] += 1
-            return original(*args, **kwargs)
+    def counted(self: Any, targets: Any) -> bool:
+        counts["lattice"] += 1
+        return check(self, targets)
 
-        return counted
-
-    monkeypatch.setattr(
-        flow, "check_validity_flow", counting("checks", flow.check_validity_flow)
-    )
-    monkeypatch.setattr(
-        flow._TypeLattice, "check", counting("lattice", flow._TypeLattice.check)
-    )
-    for attr, name in (("__init__", "builds"), ("_augment", "passes")):
-        original = getattr(flow._MinCostFlow, attr)
-        monkeypatch.setattr(flow._MinCostFlow, attr, counting(name, original))
+    monkeypatch.setattr(flow._TypeLattice, "check", counted)
     return counts
 
 
@@ -125,35 +108,16 @@ def test_lattice_work_at_many_groups(monkeypatch, k, checks, verify_checks):
         assert counts == {"lattice": verify_checks}
 
 
-@pytest.mark.parametrize(
-    "k, passes, verified",
-    [(6, 38, True), (8, 143, True), (10, 534, False)],
-)
-def test_work_at_many_groups(monkeypatch, k, passes, verified):
-    """The same choices and verify sent to the flow network, which each solve
-    it once; verify at k = 10 is left out, as it alone takes seconds."""
-    monkeypatch.setattr(flow, "LATTICE_SETS_PER_ARC", 0)
-    instance = generate_instance(20000, k, 2, 7)
-    counts = _counted(monkeypatch)
-    result = choice_flow(instance)
-    assert counts == {"checks": 1, "builds": 1, "passes": passes}
-    if verified:
-        counts.clear()
-        verify_balanced_and_jef(instance, result.selected)
-        assert counts == {"checks": 2, "builds": 1, "passes": passes}
-
-
 def test_flow_work_on_a_school_of_many_types_in_few_groups(monkeypatch):
-    """12 types in 20 groups: 4,096 type sets for 205 network arcs, so the
-    engine rule keeps the school on the flow network, and its choice and
-    verify each solve the network once."""
+    """12 types in 20 groups: 4,096 type sets, each check one pass over
+    them."""
     instance = sparse_type_school(2000, 12, 20, 3)
     counts = _counted(monkeypatch)
     result = choice_flow(instance)
-    assert counts == {"checks": 1, "builds": 1, "passes": 22}
+    assert counts == {"lattice": 1}
     counts.clear()
     verify_balanced_and_jef(instance, result.selected)
-    assert counts == {"checks": 2, "builds": 1, "passes": 22}
+    assert counts == {"lattice": 2}
 
 
 def test_work_of_the_gda_market_workload(monkeypatch):
