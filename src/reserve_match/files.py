@@ -710,9 +710,10 @@ def choice_result_payload(
 ) -> dict[str, Any]:
     """ResultFile payload for a solver run.
 
-    ``backend`` names the solver in the file. The flow engine is the only
-    one, so it defaults to "flow"; the parameter stays because existing
-    callers (the benchmark's traced run) pass it positionally.
+    ``backend`` names the solver in the file. The type lattice is the only
+    engine, and "flow" is the value the file format keeps for it, so that
+    is the default; the parameter stays because existing callers (the
+    benchmark's traced run) pass it positionally.
     """
     return _result_payload(instance, result, result.alpha, result.targets, backend)
 

@@ -31,13 +31,10 @@ A check that fails leaves its cut. Both searches descend on those cuts in
 one loop (_descend), in the manner of Dinkelbach's parametric method
 (Management Science 13(7), 1967): from the largest point whose targets fit
 in F*, each failed check moves straight to the largest point its cut
-allows, and a point known valid ends the descent without a check. The alpha
-search (over ratios) took one or two checks on every instance measured,
-the greedy walk (over prefixes) 4 on the benchmark's hard-regime school. A
-choice that computes its own targets starts with the walk, from the alpha
-search's first point: alpha is that point unless a cut of the walk's first
-round breaks its targets, and then the alpha search goes on from that cut
-(see choice_flow).
+allows, and point 0, valid in both searches, needs no check. A choice runs
+the alpha search (over ratios), which took one or two checks on every
+instance measured, and then the greedy walk (over prefixes) from alpha's
+targets, which took 3 on the benchmark's hard-regime school.
 
 The valid count vectors are the vectors under a polymatroid, and those of
 maximal-diversity matchings its bases. check_validity_flow, which
@@ -316,26 +313,23 @@ def _descend(
     point: _Point,
     targets_at: Callable[[_Point], dict[GroupKey, int]],
     below: Callable[[_Cut], _Point],
-    known: bool = False,
-) -> Optional[tuple[_Point, dict[GroupKey, int]]]:
+) -> tuple[_Point, dict[GroupKey, int]]:
     """The largest valid point at or under `point` and its targets, for
-    targets that grow with the point. It reads only verdicts and cuts
-    (net.check and net.cut). After a failed check it moves to below(cut),
-    the largest point the check's cut allows: every valid point obeys the
-    cut and the point just checked does not, so the first check that holds
-    is at the answer. When `known`, point 0 is known valid, and the descent
-    returns it without a check. A cut that even point 0 breaks (below(cut)
-    < 0) ends the descent with None, the cut left on net."""
-    while point or not known:
+    targets that grow with the point and are valid at point 0. It reads
+    only verdicts and cuts (net.check and net.cut). After a failed check it
+    moves to below(cut), the largest point the check's cut allows: every
+    valid point obeys the cut and the point just checked does not, so the
+    first check that holds is at the answer, and point 0 needs no check. A
+    cut bound outside [0, point) is an InternalInvariantError."""
+    while point:
         targets = targets_at(point)
         if net.check(targets):
             return point, targets
         lower = below(net.cut)
-        if lower < 0:
-            return None
-        if lower >= point:
+        if not 0 <= lower < point:
             raise InternalInvariantError(
-                f"cut bound {lower} is not below the checked point {point}"
+                f"cut bound {lower} is outside [0, {point}): not below the "
+                "checked point, or under the valid point 0"
             )
         point = lower
     return point, targets_at(point)
@@ -405,18 +399,6 @@ def crucial_vector(
     run) passes it.
     """
     net = network if network is not None else build_network(instance)
-    return _descend(net, *_ratio_search(instance, net.value))
-
-
-def _ratio_search(
-    instance: Instance, bound: int
-) -> tuple[
-    Fraction, Callable[[Fraction], dict[GroupKey, int]], Callable[[_Cut], Fraction]
-]:
-    """Where the alpha search starts and how it moves (see _descend): the
-    largest candidate ratio whose targets sum to at most `bound` (F*), the
-    targets at a ratio, and the largest ratio whose targets over a cut's
-    groups fit its bound."""
     sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
 
     def targets_at(beta: Fraction) -> dict[GroupKey, int]:
@@ -426,7 +408,8 @@ def _ratio_search(
     def below(cut: _Cut) -> Fraction:
         return _last_ratio([sizes[key] for key in cut.groups], cut.bound)
 
-    return _last_ratio(list(sizes.values()), bound), targets_at, below
+    start = _last_ratio(list(sizes.values()), net.value)
+    return _descend(net, start, targets_at, below)
 
 
 class _Walk:
@@ -437,10 +420,8 @@ class _Walk:
     candidates in priority order, found by _descend: `point` is the
     longest prefix that fits in the room left under F*, targets_at(p) the
     counts with the round's first p candidates admitted, and below(cut) the
-    longest prefix whose counts over the cut's groups fit its bound, -1 when
-    even the round's starting counts do not.
-    Every round after the first starts from the counts of a check that
-    held, so only the first round's starting counts can break a cut.
+    longest prefix whose counts over the cut's groups fit its bound. Every
+    round starts from valid counts, so no true cut breaks them.
     """
 
     def __init__(
@@ -499,35 +480,18 @@ class _Walk:
 
         return _bisect_last(-1, self.left + 1, fits)
 
-    def run(
-        self, net: _TypeLattice, known: bool, cut: Optional[_Cut] = None
-    ) -> bool:
-        """Walk the rounds left; returns False, with no round walked, when
-        a cut breaks the starting counts, and True otherwise.
-
-        `known` says whether the current counts are known valid: when not,
-        the first round checks them if its descent gets to them. A round
-        that admits its whole point ends the walk. Otherwise the round's
-        last cut that lowered its point has its groups at its bound with
-        the next candidate theirs: counts only grow, so none of them is
-        admitted again, and they are dropped. `cut`, when given, is one an
-        earlier check left that every valid count obeys: the first round's
-        descent starts no higher than below(cut), as if a check of its
-        point had left that cut.
-        """
+    def run(self, net: _TypeLattice) -> None:
+        """Walk the rounds left. A round that admits its whole point ends
+        the walk. Otherwise the round's last cut (net.cut) has its groups
+        at its bound with the next candidate theirs: counts only grow, so
+        none of them is admitted again, and they are dropped."""
         while True:
-            start = self.point if cut is None else min(self.point, self.below(cut))
-            found = _descend(net, start, self.targets_at, self.below, known)
-            if found is None:
-                return False
-            good, self.counts = found
-            known = True
+            good, self.counts = _descend(net, self.point, self.targets_at, self.below)
             self.room -= good
             if good == self.point:
-                return True
-            for key in (net.cut if good < start else cut).groups:
+                return
+            for key in net.cut.groups:
                 self.at.pop(key, None)
-            cut = None
             self.point = self._round()
 
 
@@ -539,66 +503,36 @@ def choice_flow(
 ) -> ChoiceResult:
     """Maximum balanced selection via batched validity checks.
 
-    delta_star must be the instance's crucial vector (recomputed when omitted;
-    validity of the supplied vector is checked, full optimality is the
-    caller's contract). Each group is seeded with its top delta students; the
-    rest are then offered in priority order, and one is admitted whenever a
-    maximal-diversity matching exists with its group's bound raised by one.
-    The checks run on the instance's type lattice (see build_network), and
-    the signature is s*.
+    delta_star must be the instance's crucial vector (computed by
+    crucial_vector when omitted; validity of the supplied vector is checked,
+    full optimality is the caller's contract). Each group is seeded with its
+    top delta students; the rest are then offered in priority order, and one
+    is admitted whenever a maximal-diversity matching exists with its
+    group's bound raised by one. The checks run on the instance's type
+    lattice (see build_network), and the signature is s*.
 
-    That walk is computed without one check per student. Validity is
-    downward closed in the bounds, so a round admits the longest valid
-    prefix of the live candidates in priority order, found as alpha is (see
-    _descend and _Walk): check the longest prefix that fits in F*, and
-    after a failed check move to the longest whose counts over the cut's
-    groups fit its bound. The prefix that holds leaves those groups at the
-    bound with the next candidate theirs; counts only grow, so they are
-    dead and dropped. Each round drops a group, and the walk makes no
-    checks once the targets fill F*; on 3,000 hard-regime students a call
-    made 4 checks in all. A round whose descent gets back to its starting
-    counts, known valid, takes them without a check.
-
-    When the call computes its own crucial vector, the walk starts where
-    the alpha search would: at beta, the largest candidate ratio whose
-    targets fit in F*. Its first round checks beta's targets plus the
-    longest prefix of live candidates that fits, and then shorter prefixes,
-    down to beta's targets themselves, which are not yet known valid. Once
-    a check holds, beta's targets, which it meets, are valid too, so alpha
-    is beta and the walk goes on as from any targets: when the first check
-    holds, the choice takes that one check. When a cut of the round breaks
-    beta's targets themselves, alpha is below beta: the alpha search
-    descends over ratios from that cut, and a fresh walk starts from
-    alpha's targets, its first round no higher than that cut allows, so
-    beta's targets are not checked again.
+    That walk makes no check per student (see _Walk). Validity is downward
+    closed in the bounds, so a round admits the longest valid prefix of the
+    live candidates in priority order, found by the descent that finds
+    alpha. The groups of the round's last cut are then at their bound with
+    the next candidate theirs; counts only grow, so they are dropped. The
+    walk makes no checks once the targets fill F*, and 3 in all on 3,000
+    hard-regime students.
     """
     net = build_network(instance)
-    bound = net.value
     keys = instance.group_keys()
-    positions = instance.member_positions()
     if delta_star is None:
-        beta, ratio_targets, ratio_below = _ratio_search(instance, bound)
-        walk = _Walk(instance, ratio_targets(beta), bound)
-        alpha = beta
-        if not walk.run(net, False):
-            # beta's targets break the cut of the walk's last check, so the
-            # fresh walk starts under that cut, not at beta's targets again
-            cut = net.cut
-            alpha, targets = _descend(
-                net, ratio_below(cut), ratio_targets, ratio_below
-            )
-            walk = _Walk(instance, targets, bound)
-            walk.run(net, True, cut)
+        alpha, targets = crucial_vector(instance, network=net)
     else:
         # unknown keys stay in, so the validity check rejects them
         targets = dict.fromkeys(keys, 0)
         targets.update((key, int(v)) for key, v in delta_star.items())
         if not net.check(targets):
             raise ValueError("delta_star is not a valid target vector")
-        walk = _Walk(instance, targets, bound)
-        walk.run(net, True)
         if alpha is None:
             alpha = min_count_ratio(instance, targets)
+    walk = _Walk(instance, targets, net.value)
+    walk.run(net)
     counts = walk.counts
 
     # each group's selected students are its first counts[key] members
@@ -606,7 +540,7 @@ def choice_flow(
     selected = frozenset(
         chain.from_iterable(
             map(priority.__getitem__, members[: counts[key]])
-            for key, members in zip(keys, positions)
+            for key, members in zip(keys, instance.member_positions())
         )
     )
     if len(selected) != min(len(instance.priority), instance.capacity):

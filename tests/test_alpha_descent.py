@@ -6,7 +6,8 @@ check's cut allows. These tests pin its alpha and targets, on the type
 lattice and on the reference network, to the two-stage bisection in
 `reference_search` on seeded and drawn instances, and test every cut of
 either engine against the oracle's enumeration of maximal-diversity count
-vectors. The check budgets are guarded in `test_batched_search`.
+vectors. The descent takes ratio 0 without a check, so a drawn test holds
+zero targets valid. The check budgets are guarded in `test_batched_search`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from reserve_match.flow import crucial_vector
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, InternalInvariantError
 from oracle import OracleBudget, balanced_count_vectors
+from test_properties import PROPERTY_SETTINGS, instances
 
 BUDGET = OracleBudget(max_students=12, max_seats=80, max_enumerations=10**7)
 
@@ -149,7 +151,11 @@ def _traced_search(monkeypatch, instance: Instance, net):
     monkeypatch.setattr(type(net), "check", recorded_check)
     alpha, _targets = crucial_vector(instance, network=net)
     monkeypatch.undo()
-    # the first ratio starts the descent, each later one follows a failure
+    # the first ratio starts the descent, each later one follows a failure;
+    # ratio 0 is valid, and the descent takes it without a check
+    if alpha == 0:
+        assert betas[-1] == 0 and len(betas) == len(cuts) + 1
+        cuts.append(None)
     assert len(betas) == len(cuts) and cuts[-1] is None
     failed = [
         (betas[i], cuts[i], betas[i + 1]) for i in range(len(cuts) - 1)
@@ -231,3 +237,10 @@ def test_a_cut_that_allows_the_checked_ratio_is_an_internal_error(monkeypatch):
 def test_cuts_are_sound_on_drawn_schools(rng):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_sound_cuts(monkeypatch, random_school(rng, max_students=12))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_zero_targets_are_valid_on_drawn_instances(instance):
+    net = flow.build_network(instance)
+    assert net.check(dict.fromkeys(instance.group_keys(), 0))

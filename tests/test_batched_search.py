@@ -9,8 +9,9 @@ after the targets are seeded. Count guards make sure the searches stay
 within logarithmic bounds on validity checks, that the walk makes a handful
 in the hard regime, that the alpha search makes at most two on the golden
 corpus, and that a GDA run stays within its check budget. A cut that does
-not fall is an internal error in the walk as in the alpha search. The exact
-counts are pinned in test_work_counts.py.
+not fall is an internal error in the walk as in the alpha search, and so is
+one that breaks the valid counts a walk starts from. The exact counts are
+pinned in test_work_counts.py.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from reference_search import (
 from test_alpha_descent import DRAWN, generated
 from test_golden import CORPUS
 
-from reserve_match import flow, gda
+from reserve_match import cli, flow, gda
+from reserve_match.files import instance_to_payload, write_json
 from reserve_match.flow import build_network, choice_flow, crucial_vector
 from reserve_match.generator import generate_instance
 from reserve_match.model import Instance, InternalInvariantError
@@ -144,6 +146,46 @@ def test_a_walk_cut_that_allows_the_checked_prefix_is_an_internal_error(
     with pytest.raises(InternalInvariantError, match="not below the checked point"):
         choice_flow(instance, targets, alpha=alpha)
     assert len(calls) == 2
+
+
+def _break_each_walks_start(monkeypatch) -> None:
+    """From now on, the first check of each walk fails with a cut that the
+    walk's starting counts, which are valid, already break."""
+    run, check = flow._Walk.run, flow._TypeLattice.check
+    starts: list[int] = []
+
+    def walk(self, net):
+        starts.append(sum(self.counts.values()))
+        return run(self, net)
+
+    def breaking(self, asked):
+        if not starts:
+            return check(self, asked)
+        self.cut = flow._Cut(tuple(self.sizes), starts.pop() - 1)
+        return False
+
+    monkeypatch.setattr(flow._Walk, "run", walk)
+    monkeypatch.setattr(flow._TypeLattice, "check", breaking)
+
+
+def test_a_cut_that_breaks_the_walks_valid_start_is_an_internal_error(
+    monkeypatch, tmp_path, capsys
+):
+    instance = hard_regime_school(300, 211, 98)
+    alpha, targets = crucial_vector(instance)
+    assert 0 < sum(targets.values()) < build_network(instance).value
+    path = tmp_path / "instance.json"
+    write_json(instance_to_payload(instance), str(path))
+    _break_each_walks_start(monkeypatch)
+    broken = r"cut bound -1 is outside \[0, "
+    with pytest.raises(InternalInvariantError, match=broken):
+        choice_flow(instance)
+    with pytest.raises(InternalInvariantError, match=broken):
+        choice_flow(instance, targets, alpha=alpha)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal invariant failure: cut bound -1 is outside")
 
 
 def test_greedy_makes_no_checks_when_targets_fill_q(monkeypatch):

@@ -1,16 +1,13 @@
-"""The alpha search takes over from the greedy walk's first round.
+"""A choice that computes its own crucial vector against one that is given it.
 
-choice_flow(instance) starts the walk from the targets of beta, the largest
-candidate ratio whose targets fit in F*. When the walk ends, alpha is beta;
-when one of its cuts breaks beta's targets, the alpha search descends over
-ratios from that cut and a fresh walk starts from alpha's targets. These
-tests check that this gives, field by field, the choice that the crucial
-vector and alpha passed in give (the path that checks the targets first),
-on drawn instances, the golden corpus, hard-regime schools whose first
-check fails, and every pool deferred acceptance chooses from. They check
-that no call checks again counts that it already found valid, and that
-deferred acceptance takes a pool that fits its school's seats whole,
-without a choice.
+choice_flow(instance) runs the alpha search and then walks from alpha's
+targets, which that search found valid; choice_flow(instance, targets,
+alpha=alpha) checks the given targets first. These tests check that both
+give the same choice, field by field, on drawn instances, the golden
+corpus and every pool deferred acceptance chooses from. They check that no
+call checks again counts that it already found valid, and that deferred
+acceptance takes a pool that fits its school's seats whole, without a
+choice.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import replace
 from typing import Any
 
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import seeded_market
 from hypothesis import given
 from reference_search import assert_same_choice
 from test_gda import assert_replays_match_references
@@ -27,13 +24,7 @@ from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, instances
 
 from reserve_match import flow
-from reserve_match.flow import (
-    _ratio_search,
-    _Walk,
-    build_network,
-    choice_flow,
-    crucial_vector,
-)
+from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.gda import MultiInstance, run_gda
 from reserve_match.model import ChoiceResult, Instance
 
@@ -47,22 +38,6 @@ def _two_checks(instance: Instance) -> ChoiceResult:
 
 def _assert_same_as_two_checks(instance: Instance) -> None:
     assert_same_choice(choice_flow(instance), _two_checks(instance))
-
-
-def _first_check(instance: Instance) -> str:
-    """Which way choice_flow(instance) starts: with a first walk round from
-    beta's targets that has no prefix to admit (they fill F* or no
-    candidate is live), or with one whose first check holds or fails, and
-    then whether alpha is beta."""
-    net = build_network(instance)
-    beta, targets_at, _below = _ratio_search(instance, net.value)
-    walk = _Walk(instance, targets_at(beta), net.value)
-    if not walk.point:
-        return "none"
-    if net.check(walk.targets_at(walk.point)):
-        return "holds"
-    alpha, _targets = crucial_vector(instance)
-    return "fails, alpha is beta" if alpha == beta else "fails, alpha below beta"
 
 
 def _checked(monkeypatch: Any) -> list[tuple[dict, bool]]:
@@ -143,51 +118,6 @@ def test_no_valid_counts_are_checked_again_on_the_corpus(name):
 def test_no_valid_counts_are_checked_again_on_market_pools():
     for cut in _market_pools(600, 2):
         _assert_no_valid_counts_checked_again(cut)
-
-
-def test_a_first_check_that_holds_is_the_only_check(monkeypatch):
-    instance = hard_regime_school(60, 2, 50)
-    assert _first_check(instance) == "holds"
-    checks = _checked(monkeypatch)
-    result = choice_flow(instance)
-    assert [verdict for _targets, verdict in checks] == [True]
-    assert checks[0][0] == result.per_group_counts
-    checks.clear()
-    assert_same_choice(_two_checks(instance), result)
-    # the crucial vector's own check, then the walk's
-    assert len(checks) >= 2
-
-
-@pytest.mark.parametrize(
-    "size, seed, reserved, branch",
-    [
-        (100, 8, 85, "fails, alpha is beta"),
-        (60, 2, 90, "fails, alpha below beta"),
-        (3000, 308, 98, "none"),
-    ],
-)
-def test_a_failed_or_skipped_first_check_falls_back(
-    monkeypatch, size, seed, reserved, branch
-):
-    instance = hard_regime_school(size, seed, reserved)
-    assert _first_check(instance) == branch
-    checks = _checked(monkeypatch)
-    result = choice_flow(instance)
-    assert not checks[0][1]
-    shared = list(checks)
-    _assert_no_valid_counts_repeated(shared)
-    checks.clear()
-    assert_same_choice(result, _two_checks(instance))
-    if branch == "fails, alpha is beta":
-        # the walk moves on from the failed first check's cut without
-        # checking its point again, so the call makes as many checks as the
-        # two-check path's choice_flow call alone
-        assert [t for t, _v in shared].count(shared[0][0]) == 1
-        checks.clear()
-        alpha, targets = crucial_vector(instance)
-        checks.clear()
-        choice_flow(instance, targets, alpha=alpha)
-        assert len(shared) == len(checks)
 
 
 def _roomy_market() -> MultiInstance:
