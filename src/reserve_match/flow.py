@@ -24,8 +24,12 @@ obeys. The sets are laid out once per root instance (_LatticeLayout, kept
 on its FixedPart) and shared by every restriction of it, such as the pools
 of a GDA school. The engine reads an instance's groups as its group keys
 and the priority positions of each group's members
-(Instance.member_positions), never as Group objects: a choice reads a
-group's selected students off its positions in the priority.
+(Instance.member_positions), never as Group objects, and never reads its
+priority. The choice runs on a pool (choose_pool): an Instance, or a
+model.Pool that holds some of an instance's students as positions of its
+priority and nothing else, which is what run_gda passes. It returns the
+per-group counts; choice_flow reads a group's selected students off its
+first positions in the instance's priority.
 
 A check that fails leaves its cut. Both searches descend on those cuts in
 one loop (_descend), in the manner of Dinkelbach's parametric method
@@ -51,13 +55,14 @@ from functools import cmp_to_key
 from itertools import chain, repeat
 from math import gcd
 from operator import add, sub
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .model import (
     ChoiceResult,
     GroupKey,
     Instance,
     InternalInvariantError,
+    Pool,
     Ratio,
     Signature,
     TargetVector,
@@ -132,7 +137,7 @@ class _LatticeLayout:
     last rank holds only the q general seats.
     """
 
-    def __init__(self, instance: Instance, types: list[str]) -> None:
+    def __init__(self, instance: Instance | Pool, types: list[str]) -> None:
         bit = {t: 1 << i for i, t in enumerate(types)}
         keys = instance.fixed.group_keys
         self.masks = {key: sum(map(bit.__getitem__, key)) for key in keys}
@@ -172,14 +177,15 @@ class _TypeLattice:
     by rhs(T).
     """
 
-    def __init__(self, instance: Instance, layout: _LatticeLayout) -> None:
+    def __init__(self, instance: Instance | Pool, layout: _LatticeLayout) -> None:
         sizes = zip(instance.group_keys(), map(len, instance.member_positions()))
         self.sizes = dict(sizes)
         self.masks = masks = layout.masks
         self.halves = layout.halves
         self.size = layout.size
         self.cut: Optional[_Cut] = None
-        n = len(instance.priority)
+        # every student is in one group
+        n = sum(self.sizes.values())
         self.value = min(n, layout.capacity)
         # inside[U]: the students whose key lies inside U, so n - inside[U]
         # hold a type outside U
@@ -256,7 +262,7 @@ class _TypeLattice:
         return counts
 
 
-def _layout(instance: Instance) -> _LatticeLayout:
+def _layout(instance: Instance | Pool) -> _LatticeLayout:
     """The root instance's type lattice, laid out once per root on its
     FixedPart."""
     fixed = instance.fixed
@@ -266,8 +272,9 @@ def _layout(instance: Instance) -> _LatticeLayout:
     return fixed.lattice
 
 
-def build_network(instance: Instance) -> _TypeLattice:
-    """The validity checks of the instance on its root's type lattice."""
+def build_network(instance: Instance | Pool) -> _TypeLattice:
+    """The validity checks of the instance or pool on its root's type
+    lattice."""
     return _TypeLattice(instance, _layout(instance))
 
 
@@ -374,7 +381,7 @@ def _last_ratio(sizes: list[int], bound: int) -> Fraction:
 
 
 def crucial_vector(
-    instance: Instance,
+    instance: Instance | Pool,
     *,
     network: Optional[_TypeLattice] = None,
     cert: object = None,
@@ -421,13 +428,14 @@ class _Walk:
     longest prefix that fits in the room left under F*, targets_at(p) the
     counts with the round's first p candidates admitted, and below(cut) the
     longest prefix whose counts over the cut's groups fit its bound. Every
-    round starts from valid counts, so no true cut breaks them.
+    round starts from valid counts, so no true cut breaks them. Only the
+    order of the positions matters, so a pool's may be those of its
+    instance's whole priority.
     """
 
     def __init__(
-        self, instance: Instance, targets: dict[GroupKey, int], bound: int
+        self, instance: Instance | Pool, targets: dict[GroupKey, int], bound: int
     ) -> None:
-        self.size = len(instance.priority)
         self.targets = targets
         self.counts = dict(targets)
         self.room = bound - sum(targets.values())
@@ -449,6 +457,8 @@ class _Walk:
         self.first = {key: counts[key] - targets[key] for key in self.at}
         self.taken = sum(self.first.values())
         self.left = sum(map(len, self.at.values())) - self.taken
+        # every live candidate lies below the last one's position + 1
+        self.end = max((pos[-1] + 1 for pos in self.at.values() if pos), default=0)
         return min(self.room, self.left)
 
     def targets_at(self, p: int) -> dict[GroupKey, int]:
@@ -457,7 +467,7 @@ class _Walk:
         # list's admitted candidates precede every live one still out, so
         # once the lists count `taken` in all, each counts its own
         lists, want = self.at.values(), p + self.taken
-        lo, hi = 0, self.size
+        lo, hi = 0, self.end
         while lo < hi:
             mid = (lo + hi) // 2
             if sum(bisect_left(pos, mid) for pos in lists) >= want:
@@ -495,21 +505,36 @@ class _Walk:
             self.point = self._round()
 
 
-def choice_flow(
-    instance: Instance,
+class PoolChoice(NamedTuple):
+    """The balanced choice of a pool as counts: each group's selected
+    students are its first counts[key] members. signature is s*, and
+    targets the crucial (or given) vector the walk started from."""
+
+    counts: dict[GroupKey, int]
+    alpha: Ratio
+    targets: dict[GroupKey, int]
+    signature: Signature
+
+
+def choose_pool(
+    pool: Instance | Pool,
     delta_star: Optional[TargetVector] = None,
     *,
     alpha: Optional[Ratio] = None,
-) -> ChoiceResult:
-    """Maximum balanced selection via batched validity checks.
+) -> PoolChoice:
+    """Maximum balanced selection via batched validity checks, as per-group
+    counts.
 
-    delta_star must be the instance's crucial vector (computed by
-    crucial_vector when omitted; validity of the supplied vector is checked,
-    full optimality is the caller's contract). Each group is seeded with its
-    top delta students; the rest are then offered in priority order, and one
-    is admitted whenever a maximal-diversity matching exists with its
-    group's bound raised by one. The checks run on the instance's type
-    lattice (see build_network), and the signature is s*.
+    The pool is read only as its group keys, its groups' ascending
+    priority positions (any positions of one priority order) and its root's
+    lattice layout and capacity; its priority is never read. delta_star must
+    be the pool's crucial vector (computed by crucial_vector when omitted;
+    validity of the supplied vector is checked, full optimality is the
+    caller's contract). Each group is seeded with its top delta students;
+    the rest are then offered in priority order, and one is admitted
+    whenever a maximal-diversity matching exists with its group's bound
+    raised by one. The checks run on the pool's type lattice (see
+    build_network), and the signature is s*.
 
     That walk makes no check per student (see _Walk). Validity is downward
     closed in the bounds, so a round admits the longest valid prefix of the
@@ -519,38 +544,49 @@ def choice_flow(
     walk makes no checks once the targets fill F*, and 3 in all on 3,000
     hard-regime students.
     """
-    net = build_network(instance)
-    keys = instance.group_keys()
+    net = build_network(pool)
     if delta_star is None:
-        alpha, targets = crucial_vector(instance, network=net)
+        alpha, targets = crucial_vector(pool, network=net)
     else:
         # unknown keys stay in, so the validity check rejects them
-        targets = dict.fromkeys(keys, 0)
+        targets = dict.fromkeys(pool.group_keys(), 0)
         targets.update((key, int(v)) for key, v in delta_star.items())
         if not net.check(targets):
             raise ValueError("delta_star is not a valid target vector")
         if alpha is None:
-            alpha = min_count_ratio(instance, targets)
-    walk = _Walk(instance, targets, net.value)
+            alpha = min_count_ratio(pool, targets)
+    walk = _Walk(pool, targets, net.value)
     walk.run(net)
     counts = walk.counts
+    size = sum(map(len, pool.member_positions()))
+    if sum(counts.values()) != min(size, pool.capacity):
+        raise InternalInvariantError("selection is wasteful")
+    return PoolChoice(counts, alpha, walk.targets, net.per_rank)
 
-    # each group's selected students are its first counts[key] members
+
+def choice_flow(
+    instance: Instance,
+    delta_star: Optional[TargetVector] = None,
+    *,
+    alpha: Optional[Ratio] = None,
+) -> ChoiceResult:
+    """The balanced choice of an instance (see choose_pool), with its
+    selected students read off each group's first counts[key] positions in
+    the priority."""
+    made = choose_pool(instance, delta_star, alpha=alpha)
     priority = instance.priority
     selected = frozenset(
         chain.from_iterable(
-            map(priority.__getitem__, members[: counts[key]])
-            for key, members in zip(keys, instance.member_positions())
+            map(priority.__getitem__, members[: made.counts[key]])
+            for key, members in zip(instance.group_keys(), instance.member_positions())
         )
     )
-    if len(selected) != min(len(instance.priority), instance.capacity):
-        raise InternalInvariantError("selection is wasteful")
     return ChoiceResult(
         selected=selected,
-        per_group_counts=counts,
-        signature=net.per_rank,
-        alpha=alpha,
-        targets=walk.targets,
+        per_group_counts=made.counts,
+        signature=made.signature,
+        alpha=made.alpha,
+        targets=made.targets,
     )
 
 

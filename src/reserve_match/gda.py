@@ -6,18 +6,23 @@ to its held students plus the new proposers. Rejections are permanent, so
 every (student, school) proposal happens at most once and the loop ends.
 
 A MultiInstance turns the shared student list into columns once and keeps
-each school's validated Instance over them; pools and probes restrict it.
-Validation keeps only each school's file rows in priority order; the rest
-of a school's indexes, its priority-order group column among them, are
-built when a pool or probe first restricts it, so `gda --probe` builds
-them for the probed school alone.
+each school's validated Instance over them. Validation keeps only each
+school's file rows in priority order; the rest of a school's indexes are
+built on first use: run_gda builds the rank array (each file row's
+priority position) of the schools that get a proposal, and `gda --probe`
+the indexes of the probed school alone.
 
-A school's held students are carried from round to round as ascending
-positions of its priority. A pool is those positions plus the new
-proposers', sorted, and only the proposers are mapped from ids to
-positions; the pool is cut from the school's instance by position (see
-model.restrict_to_ranks). The next held positions and the rejected ids are
-read off the pool with one compress each.
+A school's held students are carried from round to round as one list per
+group of ascending positions of the school's priority. Each new proposer
+is mapped once from id to file row, and from the row to their priority
+position (the school's rank array) and group (the shared group-index
+column); they join their group's list, and only the lists that grew are
+sorted again. A pool is those lists, as a model.Pool: no Instance,
+priority tuple or id set is built for it. flow.choose_pool gives each
+group's count, each list is cut back to its count, and the cut tails,
+sorted and read off the priority, are the rejections. The held id sets
+are built once, when the run ends. A round's work thus grows with the
+groups, proposers and rejections of its pools, not with their sizes.
 
 Every pool of a school is checked on the school's type lattice, laid out
 once and shared by all its pools (see flow.build_network). Nothing else is
@@ -32,8 +37,8 @@ without a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import eq, not_
+from itertools import chain
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import flow
@@ -41,6 +46,7 @@ from .model import (
     Instance,
     InternalInvariantError,
     MalformedInstanceError,
+    Pool,
     StudentColumns,
     StudentRecord,
     priority_ranks,
@@ -177,16 +183,19 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
     are per_school. A pool that fits its school's capacity is held whole,
     with no choice made and no one rejected.
     """
-    held: dict[str, frozenset[str]] = {c.id: frozenset() for c in multi.schools}
-    # each school's held students as ascending positions of its priority
-    ranks: dict[str, list[int]] = {cid: [] for cid in held}
+    columns = multi.columns
+    index, group_index, keys = columns.index, columns.group_index, columns.group_keys
+    # each school's held students: per group index (into the shared key
+    # table), the ascending priority positions of the group's held members,
+    # for the groups that hold one
+    held: dict[str, dict[int, list[int]]] = {c.id: {} for c in multi.schools}
     # a student's refusals are a prefix of their list, so the count says where
     # they propose next; only last round's rejected students propose again
     refusals = dict.fromkeys(multi.student_ids, 0)
     order = sorted(held)
     rounds: list[RoundTrace] = []
-    limit = len(multi.columns) * len(multi.schools) + 1
-    movers = list(multi.columns.ids)
+    limit = len(columns) * len(multi.schools) + 1
+    movers = list(columns.ids)
     while True:
         proposals: dict[str, list[str]] = {}
         for sid in movers:
@@ -203,25 +212,40 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
             if cid not in proposals:
                 continue
             school = multi.instances[cid]
+            lists = held[cid]
+            rank = school.row_ranks()
             # only the new proposers are mapped to positions; the held ones
             # carry theirs from the last choice
-            pool = sorted(chain(ranks[cid], school.ranks_of(proposals[cid])))
-            pools[cid] = len(pool)
-            if len(pool) <= school.capacity:
+            grown = set()
+            for row in map(index.__getitem__, proposals[cid]):
+                g = group_index[row]
+                lists.setdefault(g, []).append(rank[row])
+                grown.add(g)
+            for g in grown:
+                lists[g].sort()
+            size = pools[cid] = sum(map(len, lists.values()))
+            if size <= school.capacity:
                 # the choice is non-wasteful, so a pool that fits is taken
                 # whole
-                ranks[cid] = pool
                 rejected[cid] = ()
-                held[cid] = held[cid].union(proposals[cid])
                 continue
-            sub = restrict_to_ranks(school, pool)
-            chosen = flow.choice_flow(sub).selected
-            kept = list(map(chosen.__contains__, sub.priority))
-            ranks[cid] = list(compress(pool, kept))
-            rejected[cid] = tuple(compress(sub.priority, map(not_, kept)))
+            live = sorted(lists)
+            take = flow.choose_pool(
+                Pool(school, [keys[g] for g in live], [lists[g] for g in live])
+            ).counts
+            # each group keeps its first counts and rejects the tail
+            out: list[int] = []
+            for g in live:
+                members, kept = lists[g], take[keys[g]]
+                out += members[kept:]
+                if kept:
+                    del members[kept:]
+                else:
+                    del lists[g]
+            out.sort()
+            rejected[cid] = tuple(map(school.priority.__getitem__, out))
             for sid in rejected[cid]:
                 refusals[sid] += 1
-            held[cid] = chosen
         rounds.append(
             RoundTrace(
                 number=len(rounds) + 1,
@@ -232,13 +256,22 @@ def run_gda(multi: MultiInstance) -> MultiMatching:
                 rejected=rejected,
             )
         )
-        movers = [sid for out in rejected.values() for sid in out]
-    assignment: dict[str, Optional[str]] = dict.fromkeys(multi.columns.ids)
-    for cid, chosen in held.items():
+        movers = [sid for ids in rejected.values() for sid in ids]
+    per_school = {
+        cid: frozenset(
+            map(
+                multi.instances[cid].priority.__getitem__,
+                chain.from_iterable(lists.values()),
+            )
+        )
+        for cid, lists in held.items()
+    }
+    assignment: dict[str, Optional[str]] = dict.fromkeys(columns.ids)
+    for cid, chosen in per_school.items():
         for sid in chosen:
             assignment[sid] = cid
     return MultiMatching(
-        assignment=assignment, per_school=dict(held), rounds=tuple(rounds)
+        assignment=assignment, per_school=per_school, rounds=tuple(rounds)
     )
 
 

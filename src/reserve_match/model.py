@@ -384,6 +384,11 @@ class Instance:
         callers never write to it."""
         return self._rows
 
+    def row_ranks(self) -> array:
+        """The priority position of each file row, the inverse of
+        priority_rows(); shared, so callers never write to it."""
+        return self._rank
+
     def group_of(self, student_id: str) -> GroupKey:
         columns = self.columns
         return columns.group_keys[columns.group_index[columns.index[student_id]]]
@@ -454,6 +459,43 @@ def restrict_to_ranks(instance: Instance, ranks: list[int]) -> Instance:
     return cut
 
 
+class Pool:
+    """Some of an instance's students, held as ascending positions of its
+    priority, with no Instance, priority tuple or columns of their own.
+
+    A pool reads as an instance does where a choice reads one (see
+    flow.choose_pool): group_keys() gives the keys of the groups with a
+    member in the pool, in key order, aligned with member_positions(), each
+    such group's members as ascending positions of the instance's priority;
+    fixed, capacity, types, quotas and max_rank are the instance's. The
+    position lists are the caller's: the pool reads them and never writes
+    to them.
+    """
+
+    __slots__ = ("fixed", "capacity", "types", "quotas", "_keys", "_positions")
+
+    def __init__(
+        self,
+        instance: Instance,
+        keys: Sequence[GroupKey],
+        positions: Sequence[list[int]],
+    ) -> None:
+        self.fixed = instance.fixed
+        self.capacity = instance.capacity
+        self.types = instance.types
+        self.quotas = instance.quotas
+        self._keys = keys
+        self._positions = positions
+
+    max_rank = Instance.max_rank
+
+    def group_keys(self) -> Sequence[GroupKey]:
+        return self._keys
+
+    def member_positions(self) -> Sequence[list[int]]:
+        return self._positions
+
+
 def group_label(key: GroupKey) -> str:
     """Serialize a group key; the empty combination gets the token "none"."""
     return "+".join(key) if key else "none"
@@ -501,7 +543,9 @@ def selection_ratio(matched_in_group: int, group_size: int) -> Ratio:
     return Fraction(matched_in_group, group_size)
 
 
-def min_count_ratio(instance: Instance, counts: Mapping[GroupKey, int]) -> Ratio:
+def min_count_ratio(
+    instance: Instance | Pool, counts: Mapping[GroupKey, int]
+) -> Ratio:
     """Minimum selection ratio of per-group counts; 0/1 when there are no groups."""
     return min(
         (

@@ -1,12 +1,18 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite, and a recorder of the
+choices a block of code makes."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from itertools import chain
+from typing import Iterator
 
-from reserve_match import Instance, StudentRecord
+from reserve_match import Instance, StudentRecord, flow
+from reserve_match.flow import PoolChoice
 from reserve_match.gda import MultiInstance, School
 from reserve_match.generator import generate_instance
+from reserve_match.model import Pool, restrict_to_ranks
 
 
 def make_instance(
@@ -267,3 +273,35 @@ def market_payload(multi: MultiInstance) -> dict:
         ],
         "preferences": {sid: list(p) for sid, p in multi.preferences.items()},
     }
+
+
+@contextmanager
+def recorded_choices() -> Iterator[list[tuple[Pool, PoolChoice]]]:
+    """Record every choice made inside the block at flow.choose_pool, which
+    choice_flow and run_gda both call: a copy of its pool (a run cuts the
+    pool's lists back after the choice) and what it chose."""
+    made: list[tuple[Pool, PoolChoice]] = []
+    choose = flow.choose_pool
+
+    def recorded(pool, *args, **kwargs):
+        copy = Pool(
+            pool, tuple(pool.group_keys()), [list(p) for p in pool.member_positions()]
+        )
+        result = choose(pool, *args, **kwargs)
+        made.append((copy, result))
+        return result
+
+    flow.choose_pool = recorded
+    try:
+        yield made
+    finally:
+        flow.choose_pool = choose
+
+
+def pool_cut(multi: MultiInstance, pool: Pool) -> Instance:
+    """A market pool as an Instance: cut from its school's instance at the
+    pool's priority positions (model.restrict_to_ranks)."""
+    school = next(i for i in multi.instances.values() if i.fixed is pool.fixed)
+    return restrict_to_ranks(
+        school, sorted(chain.from_iterable(pool.member_positions()))
+    )

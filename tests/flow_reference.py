@@ -20,7 +20,8 @@ construction, so the tests can hold the lattice to it:
 A FlowNetwork has the surface flow's searches read (`value`, `per_rank`,
 `check` and `cut`), so `crucial_vector(network=...)` runs on it, and a
 test that sets `flow.build_network` to `build_network` here runs
-`choice_flow` and `verify` on it.
+`choice_flow`, `run_gda` and `verify` on it. It is built from an instance
+or from a `model.Pool`, which reads as one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from reserve_match.model import (
     GroupKey,
     Instance,
     InternalInvariantError,
+    Pool,
     Signature,
     TargetVector,
 )
@@ -127,7 +129,7 @@ class FlowNetwork:
     last check on the network that failed.
     """
 
-    def __init__(self, instance: Instance) -> None:
+    def __init__(self, instance: Instance | Pool) -> None:
         self.instance = instance
         self.max_rank = max_rank = instance.max_rank
         capacity = instance.capacity
@@ -190,7 +192,7 @@ class FlowNetwork:
         return check_validity_flow(self.instance, targets, network=self) is not None
 
 
-def build_network(instance: Instance) -> FlowNetwork:
+def build_network(instance: Instance | Pool) -> FlowNetwork:
     return FlowNetwork(instance)
 
 
@@ -306,7 +308,9 @@ def compute_certificate(network: FlowNetwork) -> OptimalFlow:
     network.optimum."""
     if network.optimum is None:
         best = min_cost_max_flow(network)
-        expected = min(len(network.instance.priority), network.instance.capacity)
+        # |S| is the sum of the group sizes: a pool has no priority tuple
+        students = sum(map(len, network.instance.member_positions()))
+        expected = min(students, network.instance.capacity)
         if best.value != expected:
             raise InternalInvariantError(
                 f"max flow {best.value} != min(|S|, q) = {expected}"

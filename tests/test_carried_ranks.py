@@ -1,11 +1,15 @@
 """Deferred acceptance over carried priority positions.
 
-`run_gda` keeps each school's held students as ascending positions of the
-school's priority, maps only the new proposers to positions, and cuts each
-pool from those positions (`model.restrict_to_ranks`). These tests pin its
-rounds to the pool loop over id sets in `reference_search`, pin the rank
-cut to the id cut and to a pool rebuilt from the raw lists, and guard the
-work of a run: no Group objects, one id lookup per proposal.
+`run_gda` keeps each school's held students as one list per group of
+ascending positions of the school's priority, maps only the new proposers
+to positions, and chooses from those lists (`flow.choose_pool` on a
+`model.Pool`), with no Instance per pool. These tests pin its rounds to
+the pool loop over id sets in `reference_search`, pin each of its choices
+to `choice_flow` of the pool cut from the school by id, and pin its
+rejections to that pool minus that choice. They pin the rank cut that the
+probe uses (`model.restrict_to_ranks`) to the id cut and to a pool rebuilt
+from the raw lists, and guard the work of a run: no Group objects, one id
+lookup per proposal.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from factories import seeded_market
+from factories import recorded_choices, seeded_market
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_search import id_set_gda, rebuilt_induced_instance
@@ -21,6 +25,7 @@ from test_properties import PROPERTY_SETTINGS, markets
 
 from reserve_match import model
 from reserve_match.gda import MultiInstance, run_gda
+from reserve_match.flow import choice_flow
 from reserve_match.model import restrict_instance, restrict_to_ranks
 
 
@@ -43,6 +48,45 @@ def test_carried_ranks_match_id_set_pools_on_seeded_markets(size, seed):
 @given(markets())
 def test_carried_ranks_match_id_set_pools_on_drawn_markets(multi):
     assert_same_rounds(multi)
+
+
+def assert_choices_match_instance_choices(multi: MultiInstance) -> None:
+    """Each choice of a run has the per-group counts of choice_flow on its
+    pool cut from the school by id, and the round's rejections at that
+    school are the pool minus that choice's selection, in priority order.
+    A pool that fits its school makes no choice and rejects no one."""
+    with recorded_choices() as made:
+        result = run_gda(multi)
+    choices = iter(made)
+    for rt in result.rounds:
+        for cid, size in rt.pools.items():
+            school = multi.instances[cid]
+            if size <= school.capacity:
+                assert rt.rejected[cid] == ()
+                continue
+            pool, choice = next(choices)
+            assert pool.fixed is school.fixed
+            ids = {school.priority[p] for members in pool.member_positions()
+                   for p in members}
+            assert len(ids) == size
+            want = choice_flow(restrict_instance(school, ids))
+            assert choice.counts == want.per_group_counts
+            assert rt.rejected[cid] == tuple(
+                sid for sid in school.priority
+                if sid in ids and sid not in want.selected
+            )
+    assert next(choices, None) is None
+
+
+@pytest.mark.parametrize("size, seed", list(product([200, 2000], [1, 2, 7])))
+def test_each_choice_matches_the_instance_choice_on_seeded_markets(size, seed):
+    assert_choices_match_instance_choices(seeded_market(size, seed))
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_each_choice_matches_the_instance_choice_on_drawn_markets(multi):
+    assert_choices_match_instance_choices(multi)
 
 
 @PROPERTY_SETTINGS

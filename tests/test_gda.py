@@ -21,7 +21,7 @@ from reserve_match.gda import (
     run_gda,
     substitutability_probe,
 )
-from reserve_match.model import Instance, MalformedInstanceError, StudentRecord
+from reserve_match.model import Instance, MalformedInstanceError, Pool, StudentRecord
 
 
 def _students():
@@ -297,24 +297,32 @@ def test_kept_instances_are_restricted_without_indexes(monkeypatch):
 def test_gda_pools_never_take_their_columns(monkeypatch):
     multi = seeded_market(200, seed=1)
     pools = []
-    choose = flow.choice_flow
+    choose = flow.choose_pool
 
-    def recorded(instance, *args, **kwargs):
-        pools.append(instance)
-        return choose(instance, *args, **kwargs)
+    def recorded(pool, *args, **kwargs):
+        # the run cuts its lists after the choice, so they are copied here
+        pools.append((pool, [list(p) for p in pool.member_positions()]))
+        return choose(pool, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "choice_flow", recorded)
+    monkeypatch.setattr(flow, "choose_pool", recorded)
     run_gda(multi)
     assert len(pools) > len(multi.schools)
-    # a choice reads a cut's priority and group positions, never its columns
-    assert not any("columns" in vars(pool) for pool in pools)
-    # taken on first use, they list the pool in file order
-    cut = pools[-1]
-    root = next(i for i in multi.instances.values() if i.fixed is cut.fixed)
-    kept = set(cut.priority)
-    assert cut.columns.ids == tuple(sid for sid in root.columns.ids if sid in kept)
-    assert all(cut.group_of(sid) == root.group_of(sid) for sid in kept)
-    assert cut.columns.group_keys == tuple(g.key for g in cut.groups())
+    # a choice reads a pool's group keys and positions, never columns or a
+    # priority: a pool has neither
+    assert all(type(pool) is Pool for pool, _positions in pools)
+    assert not any(
+        hasattr(pool, "columns") or hasattr(pool, "priority")
+        for pool, _positions in pools
+    )
+    # each group lists its members as ascending positions of the school's
+    # priority, the groups in key order
+    for pool, positions in pools:
+        root = next(i for i in multi.instances.values() if i.fixed is pool.fixed)
+        keys = list(pool.group_keys())
+        assert keys == sorted(set(keys))
+        for key, members in zip(keys, positions, strict=True):
+            assert members and members == sorted(set(members))
+            assert all(root.group_of(root.priority[p]) == key for p in members)
 
 
 class _WatchedPriority(tuple):
@@ -333,17 +341,17 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     built = []
     choices = []
     original = flow._LatticeLayout.__init__
-    choose = flow.choice_flow
+    choose = flow.choose_pool
 
     def counted(self, instance, types):
         built.append(instance.fixed)
         original(self, instance, types)
 
-    def recorded(instance, *args, **kwargs):
-        choices.append(instance)
-        return choose(instance, *args, **kwargs)
+    def recorded(pool, *args, **kwargs):
+        choices.append(pool)
+        return choose(pool, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "choice_flow", recorded)
+    monkeypatch.setattr(flow, "choose_pool", recorded)
     monkeypatch.setattr(flow._LatticeLayout, "__init__", counted)
     # in the second market one school's pools all fit its seats
     for seed in (1, 9):
@@ -415,10 +423,10 @@ def test_engine_columns_are_built_on_first_use(tmp_path, monkeypatch, capsys):
     path = _market_file(tmp_path, seeded_market(200, seed=1))
     engine = {"_ranked", "_rank"}
 
-    def built(multi):
+    def built(multi, columns=engine):
         return {
             cid for cid, instance in multi.instances.items()
-            if engine <= vars(instance).keys()
+            if columns <= vars(instance).keys()
         }
 
     def untouched(multi):
@@ -447,5 +455,8 @@ def test_engine_columns_are_built_on_first_use(tmp_path, monkeypatch, capsys):
     result = run_gda(multi)
     pooled = {cid for rt in result.rounds for cid in rt.pools}
     assert "zz" not in pooled
-    assert built(multi) == pooled
+    # a run maps its proposers through the rank array and the shared
+    # group-index column, so it never builds a priority-order group column
+    assert built(multi, {"_rank"}) == pooled
+    assert built(multi, {"_ranked"}) == set()
     assert untouched(multi) == set(multi.instances) - pooled

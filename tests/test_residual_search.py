@@ -21,7 +21,7 @@ from typing import Any, Iterator
 
 import flow_reference
 import pytest
-from factories import hard_regime_school, seeded_market
+from factories import hard_regime_school, recorded_choices, seeded_market
 from flow_reference import (
     FlowNetwork,
     OptimalFlow,
@@ -46,10 +46,9 @@ from reserve_match.model import TargetVector
 def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
     """Run the package's searches on the reference network inside the
     block, and record (network, targets, witness) of every check and
-    (instance, result) of every choice made there."""
+    (pool, choice) of every choice made there (see recorded_choices)."""
     checks: list[Any] = []
-    choices: list[Any] = []
-    check, choose = flow_reference.check_validity_flow, flow.choice_flow
+    check = flow_reference.check_validity_flow
 
     def recorded_check(instance, targets, *, network=None):
         net = network if network is not None else build_network(instance)
@@ -57,15 +56,9 @@ def _recording() -> Iterator[tuple[list[Any], list[Any]]]:
         checks.append((net, dict(targets), witness))
         return witness
 
-    def recorded_choice(instance, *args, **kwargs):
-        result = choose(instance, *args, **kwargs)
-        choices.append((instance, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, recorded_choices() as choices:
         patch.setattr(flow, "build_network", build_network)
         patch.setattr(flow_reference, "check_validity_flow", recorded_check)
-        patch.setattr(flow, "choice_flow", recorded_choice)
         yield checks, choices
 
 
@@ -107,12 +100,12 @@ def _assert_recorded(checks: list[Any], choices: list[Any]) -> None:
         _assert_same_search(net, targets)
         if witness is not None:
             _assert_certified(net, witness)
-    for instance, result in choices:
+    for pool, choice in choices:
         # a fresh network's check of the counts the choice ended on
-        net = build_network(instance)
-        witness = check_validity_flow(instance, result.per_group_counts, network=net)
+        net = build_network(pool)
+        witness = check_validity_flow(pool, choice.counts, network=net)
         _assert_certified(net, witness)
-        assert flow_group_counts(net, witness) == result.per_group_counts
+        assert flow_group_counts(net, witness) == choice.counts
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

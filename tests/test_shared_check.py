@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import Any
 
 import pytest
-from factories import seeded_market
+from factories import pool_cut, recorded_choices, seeded_market
 from hypothesis import given
 from reference_search import assert_same_choice
 from test_gda import assert_replays_match_references
@@ -67,19 +67,12 @@ def test_shared_first_check_matches_two_checks_on_the_corpus(name):
 
 def _market_pools(size: int, seed: int) -> list[Instance]:
     """The pool of every choice deferred acceptance makes on a seeded
-    market."""
-    pools = []
-    choose = flow.choice_flow
-
-    def recorded(instance, *args, **kwargs):
-        pools.append(instance)
-        return choose(instance, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow, "choice_flow", recorded)
-        run_gda(seeded_market(size, seed))
-    assert len(pools) > 200
-    return pools
+    market, cut from its school's instance."""
+    multi = seeded_market(size, seed)
+    with recorded_choices() as made:
+        run_gda(multi)
+    assert len(made) > 200
+    return [pool_cut(multi, pool) for pool, _choice in made]
 
 
 @pytest.mark.parametrize("size, seed", [(600, 2), (2000, 7)])
@@ -133,16 +126,9 @@ def _roomy_market() -> MultiInstance:
 
 def test_pools_that_fit_are_taken_whole_without_a_choice():
     multi = _roomy_market()
-    chosen_at = []
-    choose = flow.choice_flow
-
-    def recorded(instance, *args, **kwargs):
-        chosen_at.append(instance.fixed)
-        return choose(instance, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow, "choice_flow", recorded)
+    with recorded_choices() as made:
         result = run_gda(multi)
+    chosen_at = [pool.fixed for pool, _choice in made]
     roomy = {c.id for c in multi.schools if c.capacity >= len(multi.student_ids)}
     fits = [
         (cid, rt) for rt in result.rounds for cid in rt.pools

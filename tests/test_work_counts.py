@@ -4,7 +4,8 @@ Lattice checks on a fixed set of inputs: the golden corpus's hard-regime
 school, three hard-regime schools whose walk has a check that fails,
 `generate_instance(20000, k, 2, 7)` for k = 6, 8, 10 and 12 (with `verify`
 for k = 6 and 8), a school of many types in few groups, and the
-benchmark's solve-hard and gda-market inputs at seed 1. A choice's checks
+benchmark's solve-hard and gda-market inputs at seed 1 (with the
+market's pools and choices). A choice's checks
 are its alpha search's and then its walk's, from alpha's targets. The
 loaders' counts are the full matches of the texts between two ids of the
 students array (files._Gaps), made once per distinct text, and the calls
@@ -24,10 +25,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 import pytest
-from factories import hard_regime_school, sparse_type_school
+from factories import hard_regime_school, recorded_choices, sparse_type_school
 from test_golden import CORPUS
 
-from reserve_match import files, flow
+from reserve_match import files, flow, gda, model
 from reserve_match.files import (
     dump_json,
     instance_from_payload,
@@ -124,10 +125,25 @@ def test_flow_work_on_a_school_of_many_types_in_few_groups(monkeypatch):
 
 
 def test_work_of_the_gda_market_workload(monkeypatch):
+    """412 lattice checks in 292 choices, over 306 pools, of which 14 fit
+    their school and make no choice; the run cuts no pool from its school's
+    instance (model.restrict_to_ranks)."""
     multi = multi_from_payload(_workload(monkeypatch, "gda_market"))
     counts = _counted(monkeypatch)
-    run_gda(multi)
+    cut = model.restrict_to_ranks
+
+    def cutting(*args: Any) -> Any:
+        counts["cuts"] += 1
+        return cut(*args)
+
+    monkeypatch.setattr(model, "restrict_to_ranks", cutting)
+    monkeypatch.setattr(gda, "restrict_to_ranks", cutting)
+    with recorded_choices() as made:
+        result = run_gda(multi)
     assert counts == {"lattice": 412}
+    assert counts["cuts"] == 0
+    assert len(made) == 292
+    assert sum(len(rt.pools) for rt in result.rounds) == 306
 
 
 def _load_work(
