@@ -2,7 +2,7 @@
 and the choice function.
 
 Every check is decided from the types alone. Let R' be the k' reserved
-types that occur in the root instance's group keys (at most
+types that occur in the instance's group keys (at most
 model.MAX_RESERVED_TYPES), K_u inside R' group u's key, Q_j(T) the rank-j
 quota of the types in a set T of them (plus the q general seats at the last
 rank), and s* the per-rank seat counts of every maximal-diversity matching.
@@ -20,16 +20,16 @@ group arcs and [s*_j, s*_j] on the per-rank totals, whose only cuts that
 can fail are one type set and its best ranks. One subset-sum (zeta) pass
 over the 2^k' sets decides a vector, and a set that fails is a _Cut: the
 groups inside it, bounded by rhs(T), which every maximal-diversity matching
-obeys. The sets are laid out once per root instance (_LatticeLayout, kept
-on its FixedPart) and shared by every restriction of it, such as the pools
-of a GDA school. The engine reads an instance's groups as its group keys
-and the priority positions of each group's members
-(Instance.member_positions), never as Group objects, and never reads its
-priority. The choice runs on a pool (choose_pool): an Instance, or a
-model.Pool that holds some of an instance's students as positions of its
-priority and nothing else, which is what run_gda passes. It returns the
-per-group counts; choice_flow reads a group's selected students off its
-first positions in the instance's priority.
+obeys. The sets are laid out once per instance (_LatticeLayout, kept on
+its FixedPart) and shared by every model.Pool of it: some of the
+instance's students as positions of its priority and nothing else, which
+is what run_gda and substitutability_probe choose on. The engine reads a
+pool's groups as its group keys and the priority positions of each
+group's members (member_positions), never as Group objects, and never
+reads a priority. The choice runs on a pool (choose_pool), an Instance
+being the pool of all its students, and returns the per-group counts;
+choice_flow reads a group's selected students off its first positions in
+the instance's priority (_selected).
 
 A check that fails leaves its cut. Both searches descend on those cuts in
 one loop (_descend), in the manner of Dinkelbach's parametric method
@@ -125,11 +125,11 @@ def _supersets(mask: int, size: int) -> list[int]:
 
 
 class _LatticeLayout:
-    """The type lattice of a root instance, laid out once and shared by
-    every restriction of it (see FixedPart).
+    """The type lattice of an instance, laid out once and shared by every
+    Pool of it (see FixedPart).
 
     A type set T is an int below `size` = 2^k', one bit per reserved type
-    that occurs in the root's group keys, in sorted order. `masks` gives
+    that occurs in the instance's group keys, in sorted order. `masks` gives
     each group key its set K_u, and `halves[i]` are bit i's slices (see
     _halves). For each rank j below the last (the ranks with quotas),
     `seats[j - 1][T]` is Q_j(T), the rank-j quota of the types in T, and
@@ -156,8 +156,8 @@ class _LatticeLayout:
 
 
 class _TypeLattice:
-    """The validity checks of one instance (a root or a pool of it) on its
-    root's type lattice: the surface _descend, _Walk and choice_flow read.
+    """The validity checks of one instance or Pool of it on the instance's
+    type lattice: the surface _descend, _Walk and choose_pool read.
 
     `value` is F* = min(|S|, q) and `per_rank` is s*, the per-rank seat
     counts of every maximal-diversity matching. Edmonds' polymatroid
@@ -263,7 +263,7 @@ class _TypeLattice:
 
 
 def _layout(instance: Instance | Pool) -> _LatticeLayout:
-    """The root instance's type lattice, laid out once per root on its
+    """The instance's type lattice, laid out once per instance on its
     FixedPart."""
     fixed = instance.fixed
     if fixed.lattice is None:
@@ -273,7 +273,7 @@ def _layout(instance: Instance | Pool) -> _LatticeLayout:
 
 
 def build_network(instance: Instance | Pool) -> _TypeLattice:
-    """The validity checks of the instance or pool on its root's type
+    """The validity checks of the instance or pool on the instance's type
     lattice."""
     return _TypeLattice(instance, _layout(instance))
 
@@ -526,11 +526,11 @@ def choose_pool(
     counts.
 
     The pool is read only as its group keys, its groups' ascending
-    priority positions (any positions of one priority order) and its root's
-    lattice layout and capacity; its priority is never read. delta_star must
-    be the pool's crucial vector (computed by crucial_vector when omitted;
-    validity of the supplied vector is checked, full optimality is the
-    caller's contract). Each group is seeded with its top delta students;
+    priority positions (any positions of one priority order) and its
+    instance's lattice layout and capacity; no priority is read. delta_star
+    must be the pool's crucial vector (computed by crucial_vector when
+    omitted; validity of the supplied vector is checked, full optimality is
+    the caller's contract). Each group is seeded with its top delta students;
     the rest are then offered in priority order, and one is admitted
     whenever a maximal-diversity matching exists with its group's bound
     raised by one. The checks run on the pool's type lattice (see
@@ -564,6 +564,19 @@ def choose_pool(
     return PoolChoice(counts, alpha, walk.targets, net.per_rank)
 
 
+def _selected(
+    priority: tuple[str, ...], pool: Instance | Pool, counts: dict[GroupKey, int]
+) -> frozenset[str]:
+    """The ids of a pool's choice: each group's first counts[key] positions,
+    read off the priority they are positions of."""
+    return frozenset(
+        chain.from_iterable(
+            map(priority.__getitem__, members[: counts[key]])
+            for key, members in zip(pool.group_keys(), pool.member_positions())
+        )
+    )
+
+
 def choice_flow(
     instance: Instance,
     delta_star: Optional[TargetVector] = None,
@@ -574,15 +587,8 @@ def choice_flow(
     selected students read off each group's first counts[key] positions in
     the priority."""
     made = choose_pool(instance, delta_star, alpha=alpha)
-    priority = instance.priority
-    selected = frozenset(
-        chain.from_iterable(
-            map(priority.__getitem__, members[: made.counts[key]])
-            for key, members in zip(instance.group_keys(), instance.member_positions())
-        )
-    )
     return ChoiceResult(
-        selected=selected,
+        selected=_selected(instance.priority, instance, made.counts),
         per_group_counts=made.counts,
         signature=made.signature,
         alpha=made.alpha,

@@ -10,7 +10,7 @@ each school's validated Instance over them. Validation keeps only each
 school's file rows in priority order; the rest of a school's indexes are
 built on first use: run_gda builds the rank array (each file row's
 priority position) of the schools that get a proposal, and `gda --probe`
-the indexes of the probed school alone.
+that of the probed school alone.
 
 A school's held students are carried from round to round as one list per
 group of ascending positions of the school's priority. Each new proposer
@@ -24,10 +24,10 @@ sorted and read off the priority, are the rejections. The held id sets
 are built once, when the run ends. A round's work thus grows with the
 groups, proposers and rejections of its pools, not with their sizes.
 
-Every pool of a school is checked on the school's type lattice, laid out
-once and shared by all its pools (see flow.build_network). Nothing else is
-carried from one choice to the next, and the state of a run lives only
-inside one run_gda call.
+Every pool of a school, the probe's too, is checked on the school's type
+lattice, laid out once and shared by all its pools (see
+flow.build_network). Nothing else is carried from one choice to the next,
+and the state of a run lives only inside one run_gda call.
 
 A pool no larger than its school's capacity needs no choice: the balanced
 choice is non-wasteful, so it takes the whole pool, and run_gda does so
@@ -51,7 +51,6 @@ from .model import (
     StudentRecord,
     priority_ranks,
     restrict_instance,
-    restrict_to_ranks,
 )
 
 
@@ -290,21 +289,32 @@ def substitutability_probe(
 ) -> Optional[SubstitutabilityViolation]:
     """Test the monotone-rejection property on one (base, s1, s2) triple.
 
-    The large pool is mapped to priority positions once, and the small one
-    is it without s1's; both are cut from the instance by position (see
-    model.restrict_to_ranks) and share its type lattice.
+    The larger pool's ids are mapped to priority positions once and
+    bucketed by group, through the school's file rows in priority order and
+    the group-index column; the smaller pool is it without s1's position.
+    Each is chosen on as a model.Pool, as run_gda's pools are, on the
+    school's type lattice.
     """
     pool = set(base)
     if s1 in pool or s2 in pool or s1 == s2:
         raise ValueError("s1 and s2 must be distinct students outside the base set")
-    ranks = priority_ranks(instance, pool | {s1, s2})
+    rows, group_index = instance.priority_rows(), instance.columns.group_index
+    keys = instance.columns.group_keys
+    large: dict[int, list[int]] = {}
+    for p in priority_ranks(instance, pool | {s1, s2}):
+        large.setdefault(group_index[rows[p]], []).append(p)
     dropped = next(instance.ranks_of((s1,)))
-    small = flow.choice_flow(
-        restrict_to_ranks(instance, [p for p in ranks if p != dropped])
-    ).selected
-    large = flow.choice_flow(restrict_to_ranks(instance, ranks)).selected
-    if s2 not in small and s2 in large:
+    home = group_index[rows[dropped]]
+    small = {**large, home: [p for p in large[home] if p != dropped]}
+    chosen = []
+    for lists in (small, large):
+        live = [g for g in sorted(lists) if lists[g]]
+        cut = Pool(instance, [keys[g] for g in live], [lists[g] for g in live])
+        counts = flow.choose_pool(cut).counts
+        chosen.append(flow._selected(instance.priority, cut, counts))
+    without_s1, with_s1 = chosen
+    if s2 not in without_s1 and s2 in with_s1:
         return SubstitutabilityViolation(
-            s1=s1, s2=s2, without_s1=small, with_s1=large
+            s1=s1, s2=s2, without_s1=without_s1, with_s1=with_s1
         )
     return None

@@ -171,13 +171,13 @@ def _remapped(column: array, remap: list[int]) -> array:
 
 
 class FixedPart:
-    """What an instance and every restriction of it share.
+    """What an instance and every Pool of it share.
 
-    A restriction keeps the instance's capacity, types and quotas and a
-    subset of its groups, so whatever is laid out here over all of the
-    instance's group keys is computed once per instance, not once per
-    pool. model keeps the key table here; flow keeps the instance's type
-    lattice in `lattice` (model does not import flow).
+    A pool keeps the instance's capacity, types and quotas and a subset of
+    its groups, so whatever is laid out here over all of the instance's
+    group keys is computed once per instance, not once per pool. model
+    keeps the key table here; flow keeps the instance's type lattice in
+    `lattice` (model does not import flow).
     """
 
     __slots__ = ("group_keys", "lattice")
@@ -217,12 +217,10 @@ class Instance:
     the generator fills without making a record per student. The students
     view of records is a boundary view for record-taking callers.
     Validation keeps the file row of each priority position (priority_rows());
-    every other index, the group of each priority position among them, is
+    every other index, the priority positions of each group among them, is
     built on first use, not by the constructor, so an instance that is
     loaded and never solved costs one pass over its priority. fixed is
-    shared with every restriction (see FixedPart). A restriction (see
-    restrict_instance and restrict_to_ranks) starts from its priority and
-    its groups' positions, and builds its columns only on first use.
+    shared with every Pool of the instance (see FixedPart).
     """
 
     def __init__(
@@ -312,35 +310,8 @@ class Instance:
         return 1 + max(rank for (_t, rank) in self.quotas)
 
     @cached_property
-    def columns(self) -> StudentColumns:
-        """The students in columns. The constructor sets them; a cut (see
-        restrict_instance) takes them from its instance on first use."""
-        instance, ranks = self._origin
-        return instance.columns.take(sorted(map(instance._rows.__getitem__, ranks)))
-
-    @cached_property
-    def _keys(self) -> tuple[GroupKey, ...]:
-        """The sorted table of group keys; a cut keeps only its own."""
-        return self.columns.group_keys
-
-    @cached_property
-    def _rows(self) -> array:
-        """The file row of each priority position. _validate keeps it; a
-        cut (see restrict_instance) builds it on first use."""
-        return array("I", map(self.columns.index.__getitem__, self.priority))
-
-    @cached_property
-    def _ranked(self) -> array:
-        """The group index of each priority position, built on first use
-        from _rows, read through a list view of the group-index column (a
-        list hands out the ints it holds; an array makes one per read)."""
-        group_index = self.columns.group_index.tolist()
-        return array("I", map(group_index.__getitem__, self._rows))
-
-    @cached_property
     def _rank(self) -> array:
-        """The priority position of each file row, built once for every
-        restriction of this instance (see restrict_instance)."""
+        """The priority position of each file row, built on first use."""
         rank = array("I", [0]) * len(self._rows)
         for p, row in enumerate(self._rows):
             rank[row] = p
@@ -348,11 +319,13 @@ class Instance:
 
     @cached_property
     def _positions(self) -> list[list[int]]:
-        """The bucket pass: one walk of the group-index column in priority
-        order drops every priority position into its group's bucket."""
-        positions: list[list[int]] = [[] for _ in self._keys]
+        """The bucket pass: one walk of the file rows in priority order
+        drops each priority position into its group's bucket (read through a
+        list view of the group-index column: an array makes an int per read)."""
+        group_index = self.columns.group_index.tolist()
+        positions: list[list[int]] = [[] for _ in self.columns.group_keys]
         into = [bucket.append for bucket in positions]
-        for p, g in enumerate(self._ranked):
+        for p, g in enumerate(map(group_index.__getitem__, self._rows)):
             into[g](p)
         return positions
 
@@ -367,7 +340,7 @@ class Instance:
     def group_keys(self) -> tuple[GroupKey, ...]:
         """The key of each group in lexicographic order, aligned with
         groups() and member_positions()."""
-        return self._keys
+        return self.columns.group_keys
 
     def member_positions(self) -> list[list[int]]:
         """Ascending priority positions of each group's members, aligned with
@@ -404,15 +377,24 @@ def build_groups(instance: Instance) -> list[Group]:
     priority = instance.priority
     return [
         Group(key=key, members=tuple(map(priority.__getitem__, positions)))
-        for key, positions in zip(instance._keys, instance.member_positions())
+        for key, positions in zip(instance.group_keys(), instance.member_positions())
     ]
 
 
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
-    """The same instance with the student set cut down to keep, built from
-    the students' priority positions (see priority_ranks and
-    restrict_to_ranks)."""
-    return restrict_to_ranks(instance, priority_ranks(instance, keep))
+    """The instance cut down to the students in keep: their columns in file
+    order and the priority at their positions (see priority_ranks), as a
+    validated instance with its own fixed part, whose lattice covers only
+    the types they hold (no other type changes a check, cut or s*)."""
+    ranks = priority_ranks(instance, keep)
+    rows = sorted(map(instance.priority_rows().__getitem__, ranks))
+    return Instance(
+        instance.columns.take(rows),
+        instance.capacity,
+        list(map(instance.priority.__getitem__, ranks)),
+        instance.types,
+        instance.quotas,
+    )
 
 
 def priority_ranks(instance: Instance, ids: Iterable[str]) -> list[int]:
@@ -427,36 +409,6 @@ def priority_ranks(instance: Instance, ids: Iterable[str]) -> list[int]:
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
     return sorted(instance.ranks_of(chosen))
-
-
-def restrict_to_ranks(instance: Instance, ranks: list[int]) -> Instance:
-    """The same instance cut down to the students at the given ascending
-    priority positions of its priority order.
-
-    A cut is built with what a choice reads: its priority order, read off
-    the instance's priority at those positions (never a walk of the full
-    priority list), and each kept group's priority positions, bucketed in
-    one pass over the given positions. Its columns are taken only on
-    first use, and not validated again: every check of Instance._validate
-    holds for a subset of a valid instance's students. The cut shares the
-    instance's fixed part.
-    """
-    keys = instance._keys
-    buckets: list[list[int]] = [[] for _ in keys]
-    into = [bucket.append for bucket in buckets]
-    for p, g in enumerate(map(instance._ranked.__getitem__, ranks)):
-        into[g](p)
-    cut = object.__new__(Instance)
-    cut._origin = (instance, ranks)
-    # only the groups with a member in the cut
-    cut._keys = tuple(compress(keys, buckets))
-    cut._positions = list(filter(None, buckets))
-    cut.capacity = instance.capacity
-    cut.priority = tuple(list(map(instance.priority.__getitem__, ranks)))
-    cut.types = instance.types
-    cut.quotas = dict(instance.quotas)
-    cut.fixed = instance.fixed
-    return cut
 
 
 class Pool:

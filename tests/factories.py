@@ -12,7 +12,7 @@ from reserve_match import Instance, StudentRecord, flow
 from reserve_match.flow import PoolChoice
 from reserve_match.gda import MultiInstance, School
 from reserve_match.generator import generate_instance
-from reserve_match.model import Pool, restrict_to_ranks
+from reserve_match.model import Pool, restrict_instance
 
 
 def make_instance(
@@ -298,10 +298,23 @@ def recorded_choices() -> Iterator[list[tuple[Pool, PoolChoice]]]:
         flow.choose_pool = choose
 
 
+def chosen_ids(
+    school: Instance, pool: Pool, choice: PoolChoice
+) -> frozenset[str]:
+    """The ids a recorded choice on a pool of the school selects: each
+    group's first counts[key] positions, read off the school's priority."""
+    return frozenset(
+        school.priority[p]
+        for key, members in zip(pool.group_keys(), pool.member_positions())
+        for p in members[: choice.counts[key]]
+    )
+
+
 def pool_cut(multi: MultiInstance, pool: Pool) -> Instance:
-    """A market pool as an Instance: cut from its school's instance at the
-    pool's priority positions (model.restrict_to_ranks)."""
+    """A market pool as an Instance: cut from its school's instance by the
+    ids at the pool's priority positions (model.restrict_instance)."""
     school = next(i for i in multi.instances.values() if i.fixed is pool.fixed)
-    return restrict_to_ranks(
-        school, sorted(chain.from_iterable(pool.member_positions()))
+    return restrict_instance(
+        school,
+        map(school.priority.__getitem__, chain.from_iterable(pool.member_positions())),
     )

@@ -425,10 +425,11 @@ def test_text_commands_on_a_closed_stdout_are_one_input_error_line(
 def test_solver_value_and_key_errors_are_internal(
     instance_file, tmp_path, capsys, monkeypatch, error
 ):
-    def broken(instance):
+    def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(flow, "choice_flow", broken)
+    # both commands choose through choose_pool
+    monkeypatch.setattr(flow, "choose_pool", broken)
     multi = write_json(tmp_path, "multi.json", MULTI)
     for argv in (["solve", instance_file], ["gda", multi, "--probe", "X:a:b"]):
         assert main(argv) == 3

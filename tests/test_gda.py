@@ -421,7 +421,7 @@ def _market_file(tmp_path, multi: MultiInstance) -> str:
 
 def test_engine_columns_are_built_on_first_use(tmp_path, monkeypatch, capsys):
     path = _market_file(tmp_path, seeded_market(200, seed=1))
-    engine = {"_ranked", "_rank"}
+    engine = {"_rank"}
 
     def built(multi, columns=engine):
         return {
@@ -456,7 +456,7 @@ def test_engine_columns_are_built_on_first_use(tmp_path, monkeypatch, capsys):
     pooled = {cid for rt in result.rounds for cid in rt.pools}
     assert "zz" not in pooled
     # a run maps its proposers through the rank array and the shared
-    # group-index column, so it never builds a priority-order group column
+    # group-index column, so it never buckets a school's priority by group
     assert built(multi, {"_rank"}) == pooled
-    assert built(multi, {"_ranked"}) == set()
+    assert built(multi, {"_positions"}) == set()
     assert untouched(multi) == set(multi.instances) - pooled

@@ -334,7 +334,7 @@ def test_flat_network_matches_arc_reference(instance, data):
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     kept = [sid for sid, keep in zip(instance.priority, mask) if keep]
     cut = restrict_instance(instance, kept)
-    # both lay the network out over the instance's group keys, in either order
+    # each lays the network out over its own group keys; checked in either order
     pair = [(instance, build_network(instance)), (cut, build_network(cut))]
     if data.draw(st.booleans()):
         pair.reverse()

@@ -5,7 +5,7 @@ school, three hard-regime schools whose walk has a check that fails,
 `generate_instance(20000, k, 2, 7)` for k = 6, 8, 10 and 12 (with `verify`
 for k = 6 and 8), a school of many types in few groups, and the
 benchmark's solve-hard and gda-market inputs at seed 1 (with the
-market's pools and choices). A choice's checks
+market's pools and choices, and its probe). A choice's checks
 are its alpha search's and then its walk's, from alpha's targets. The
 loaders' counts are the full matches of the texts between two ids of the
 students array (files._Gaps), made once per distinct text, and the calls
@@ -124,26 +124,61 @@ def test_flow_work_on_a_school_of_many_types_in_few_groups(monkeypatch):
     assert counts == {"lattice": 2}
 
 
-def test_work_of_the_gda_market_workload(monkeypatch):
-    """412 lattice checks in 292 choices, over 306 pools, of which 14 fit
-    their school and make no choice; the run cuts no pool from its school's
-    instance (model.restrict_to_ranks)."""
-    multi = multi_from_payload(_workload(monkeypatch, "gda_market"))
-    counts = _counted(monkeypatch)
-    cut = model.restrict_to_ranks
+def _watched(monkeypatch: Any, counts: Counter) -> None:
+    """Count, from now on, the instances cut from a school
+    (model.restrict_instance) as "cuts" and every Instance built, a cut
+    included, as "instances"."""
+    cut = model.restrict_instance
+    build = Instance.__init__
 
     def cutting(*args: Any) -> Any:
         counts["cuts"] += 1
         return cut(*args)
 
-    monkeypatch.setattr(model, "restrict_to_ranks", cutting)
-    monkeypatch.setattr(gda, "restrict_to_ranks", cutting)
+    def building(self: Instance, *args: Any, **kwargs: Any) -> None:
+        counts["instances"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(model, "restrict_instance", cutting)
+    monkeypatch.setattr(gda, "restrict_instance", cutting)
+    monkeypatch.setattr(Instance, "__init__", building)
+
+
+def test_work_of_the_gda_market_workload(monkeypatch):
+    """412 lattice checks in 292 choices, over 306 pools, of which 14 fit
+    their school and make no choice; the run cuts no pool from its school's
+    instance and builds no Instance."""
+    multi = multi_from_payload(_workload(monkeypatch, "gda_market"))
+    counts = _counted(monkeypatch)
+    _watched(monkeypatch, counts)
     with recorded_choices() as made:
         result = run_gda(multi)
     assert counts == {"lattice": 412}
-    assert counts["cuts"] == 0
+    assert counts["cuts"] == counts["instances"] == 0
     assert len(made) == 292
     assert sum(len(rt.pools) for rt in result.rounds) == 306
+
+
+def test_work_of_the_gda_market_probe(monkeypatch):
+    """The benchmark's probe of the gda-market input: 2 lattice checks in 2
+    choices, the pools with and without s1, with no Instance built and no
+    school's priority bucketed by group (Instance.member_positions)."""
+    payload = _workload(monkeypatch, "gda_market")
+    import workloads
+
+    school, s1, s2 = workloads.probe_spec(payload).split(":")
+    multi = multi_from_payload(payload)
+    counts = _counted(monkeypatch)
+    _watched(monkeypatch, counts)
+    with recorded_choices() as made:
+        violation = gda.substitutability_probe(
+            multi.instances[school], multi.student_ids - {s1, s2}, s1, s2
+        )
+    assert violation is None
+    assert counts == {"lattice": 2}
+    assert counts["cuts"] == counts["instances"] == 0
+    assert len(made) == 2
+    assert not any("_positions" in vars(i) for i in multi.instances.values())
 
 
 def _load_work(
