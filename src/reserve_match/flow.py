@@ -20,13 +20,13 @@ group arcs and [s*_j, s*_j] on the per-rank totals, whose only cuts that
 can fail are one type set and its best ranks. One subset-sum (zeta) pass
 over the 2^k' sets decides a vector, and a set that fails is a _Cut: the
 groups inside it, bounded by rhs(T), which every maximal-diversity matching
-obeys. The sets are laid out once per instance (_LatticeLayout, kept on
-its FixedPart) and shared by every model.Pool of it: some of the
-instance's students as positions of its priority and nothing else, which
-is what run_gda and substitutability_probe choose on. The engine reads a
-pool's groups as its group keys and the priority positions of each
-group's members (member_positions), never as Group objects, and never
-reads a priority. The choice runs on a pool (choose_pool), an Instance
+obeys. The sets are laid out once per instance (_LatticeLayout, kept in
+its `lattice`) and shared by every model.Pool of it: some of the
+instance's students as positions of its priority, with a pointer to the
+instance, which is what run_gda and substitutability_probe choose on. The
+engine reads a pool's groups as its group keys and the priority positions
+of each group's members (member_positions), never as Group objects, and
+never reads a priority. The choice runs on a pool (choose_pool), an Instance
 being the pool of all its students, and returns the per-group counts;
 choice_flow reads a group's selected students off its first positions in
 the instance's priority (_selected).
@@ -125,8 +125,8 @@ def _supersets(mask: int, size: int) -> list[int]:
 
 
 class _LatticeLayout:
-    """The type lattice of an instance, laid out once and shared by every
-    Pool of it (see FixedPart).
+    """The type lattice of an instance, laid out once over all of its group
+    keys and kept in its `lattice`, which every Pool of it reads.
 
     A type set T is an int below `size` = 2^k', one bit per reserved type
     that occurs in the instance's group keys, in sorted order. `masks` gives
@@ -137,9 +137,9 @@ class _LatticeLayout:
     last rank holds only the q general seats.
     """
 
-    def __init__(self, instance: Instance | Pool, types: list[str]) -> None:
+    def __init__(self, instance: Instance, types: list[str]) -> None:
         bit = {t: 1 << i for i, t in enumerate(types)}
-        keys = instance.fixed.group_keys
+        keys = instance.group_keys()
         self.masks = {key: sum(map(bit.__getitem__, key)) for key in keys}
         self.capacity = instance.capacity
         self.size = 1 << len(types)
@@ -217,7 +217,8 @@ class _TypeLattice:
 
     def check(self, targets: TargetVector) -> bool:
         """Whether the targets are valid; a failed check leaves its cut in
-        `cut`. Unknown groups and negative targets raise ValueError."""
+        `cut`. A sum above F* fails at the set of every type, as rhs <= F*
+        there. Unknown groups and negative targets raise ValueError."""
         sizes = self.sizes
         if not sizes.keys() >= targets.keys():
             unknown = set(targets) - sizes.keys()
@@ -228,9 +229,6 @@ class _TypeLattice:
             if want > sizes[key]:
                 self.cut = _Cut((key,), sizes[key])
                 return False
-        if sum(targets.values()) > self.value:
-            self.cut = _Cut(tuple(sizes), self.value)
-            return False
         excess = list(map(sub, self._loads(targets), self.rhs))
         worst = max(excess)
         if worst <= 0:
@@ -262,14 +260,14 @@ class _TypeLattice:
         return counts
 
 
-def _layout(instance: Instance | Pool) -> _LatticeLayout:
-    """The instance's type lattice, laid out once per instance on its
-    FixedPart."""
-    fixed = instance.fixed
-    if fixed.lattice is None:
-        types = sorted(set(chain.from_iterable(fixed.group_keys)))
-        fixed.lattice = _LatticeLayout(instance, types)
-    return fixed.lattice
+def _layout(x: Instance | Pool) -> _LatticeLayout:
+    """The type lattice of x's instance (x itself, or a Pool's), laid out
+    once per instance in its `lattice`."""
+    instance = x.instance if isinstance(x, Pool) else x
+    if instance.lattice is None:
+        types = sorted(set(chain.from_iterable(instance.group_keys())))
+        instance.lattice = _LatticeLayout(instance, types)
+    return instance.lattice
 
 
 def build_network(instance: Instance | Pool) -> _TypeLattice:

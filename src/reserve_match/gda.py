@@ -303,7 +303,7 @@ def substitutability_probe(
     large: dict[int, list[int]] = {}
     for p in priority_ranks(instance, pool | {s1, s2}):
         large.setdefault(group_index[rows[p]], []).append(p)
-    dropped = next(instance.ranks_of((s1,)))
+    dropped = instance.row_ranks()[instance.columns.index[s1]]
     home = group_index[rows[dropped]]
     small = {**large, home: [p for p in large[home] if p != dropped]}
     chosen = []

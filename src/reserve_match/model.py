@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import attrgetter
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 # Reserved name for the implicit general type. Every student holds it and it
 # receives q seats at the largest rank; instance files must never mention it.
@@ -136,21 +136,6 @@ class StudentColumns:
             map(StudentRecord, self.ids, map(held.__getitem__, self.group_index))
         )
 
-    def take(self, rows: Sequence[int]) -> StudentColumns:
-        """The students at the given ascending file positions, with the
-        group keys renumbered to the ones they hold."""
-        group_index = self.group_index
-        column = array("I", map(group_index.__getitem__, rows))
-        present = sorted(set(column))
-        if len(present) < len(self.group_keys):
-            remap = dict(zip(present, range(len(present))))
-            column = array("I", map(remap.__getitem__, column))
-        return StudentColumns(
-            list(map(self.ids.__getitem__, rows)),
-            column,
-            [self.group_keys[g] for g in present],
-        )
-
 
 def _remapped(column: array, remap: list[int]) -> array:
     """The column with each value v replaced by remap[v].
@@ -168,23 +153,6 @@ def _remapped(column: array, remap: list[int]) -> array:
     wide = bytearray(len(column) * size)
     wide[low::size] = column.tobytes()[low::size].translate(table)
     return array(column.typecode, wide)
-
-
-class FixedPart:
-    """What an instance and every Pool of it share.
-
-    A pool keeps the instance's capacity, types and quotas and a subset of
-    its groups, so whatever is laid out here over all of the instance's
-    group keys is computed once per instance, not once per pool. model
-    keeps the key table here; flow keeps the instance's type lattice in
-    `lattice` (model does not import flow).
-    """
-
-    __slots__ = ("group_keys", "lattice")
-
-    def __init__(self, group_keys: tuple[GroupKey, ...]) -> None:
-        self.group_keys = group_keys
-        self.lattice: Any = None
 
 
 @dataclass(frozen=True)
@@ -219,8 +187,9 @@ class Instance:
     Validation keeps the file row of each priority position (priority_rows());
     every other index, the priority positions of each group among them, is
     built on first use, not by the constructor, so an instance that is
-    loaded and never solved costs one pass over its priority. fixed is
-    shared with every Pool of the instance (see FixedPart).
+    loaded and never solved costs one pass over its priority. lattice is
+    flow's type lattice over all of group_keys(), laid out on first use and
+    read by every Pool of the instance.
     """
 
     def __init__(
@@ -238,7 +207,7 @@ class Instance:
         self.priority: tuple[str, ...] = tuple(priority)
         self.types: frozenset[str] = frozenset(types)
         self.quotas: dict[tuple[str, int], int] = dict(quotas)
-        self.fixed = FixedPart(students.group_keys)
+        self.lattice: Any = None  # flow fills it (model does not import flow)
         self._validate()
 
     def _validate(self) -> None:
@@ -347,11 +316,6 @@ class Instance:
         groups(); shared, so callers slice them and never write to them."""
         return self._positions
 
-    def ranks_of(self, ids: Iterable[str]) -> Iterator[int]:
-        """The priority position of each id, read through the id index and
-        the rank array; an unknown id raises KeyError."""
-        return map(self._rank.__getitem__, map(self.columns.index.__getitem__, ids))
-
     def priority_rows(self) -> array:
         """The file row of each student in priority order; shared, so
         callers never write to it."""
@@ -384,12 +348,17 @@ def build_groups(instance: Instance) -> list[Group]:
 def restrict_instance(instance: Instance, keep: Iterable[str]) -> Instance:
     """The instance cut down to the students in keep: their columns in file
     order and the priority at their positions (see priority_ranks), as a
-    validated instance with its own fixed part, whose lattice covers only
-    the types they hold (no other type changes a check, cut or s*)."""
+    validated instance with its own key table and lattice, which cover only
+    the types they hold (no other type changes a check, cut or s*). The
+    keys are canonical already, so interning them keeps each one."""
     ranks = priority_ranks(instance, keep)
     rows = sorted(map(instance.priority_rows().__getitem__, ranks))
+    columns = instance.columns
+    ids, group_index, keys = columns.ids, columns.group_index, columns.group_keys
     return Instance(
-        instance.columns.take(rows),
+        StudentColumns.intern(
+            [ids[r] for r in rows], [keys[group_index[r]] for r in rows]
+        ),
         instance.capacity,
         list(map(instance.priority.__getitem__, ranks)),
         instance.types,
@@ -408,23 +377,23 @@ def priority_ranks(instance: Instance, ids: Iterable[str]) -> list[int]:
     unknown = chosen.difference(index)
     if unknown:
         raise KeyError(f"unknown student ids: {sorted(unknown)}")
-    return sorted(instance.ranks_of(chosen))
+    return sorted(map(instance.row_ranks().__getitem__, map(index.__getitem__, chosen)))
 
 
 class Pool:
     """Some of an instance's students, held as ascending positions of its
-    priority, with no Instance, priority tuple or columns of their own.
+    priority, with no priority tuple or columns of their own.
 
     A pool reads as an instance does where a choice reads one (see
     flow.choose_pool): group_keys() gives the keys of the groups with a
     member in the pool, in key order, aligned with member_positions(), each
     such group's members as ascending positions of the instance's priority;
-    fixed, capacity, types, quotas and max_rank are the instance's. The
-    position lists are the caller's: the pool reads them and never writes
-    to them.
+    capacity, types, quotas and max_rank are those of `instance`, whose
+    lattice every pool of it reads. The position lists are the caller's:
+    the pool reads them and never writes to them.
     """
 
-    __slots__ = ("fixed", "capacity", "types", "quotas", "_keys", "_positions")
+    __slots__ = ("instance", "capacity", "types", "quotas", "_keys", "_positions")
 
     def __init__(
         self,
@@ -432,7 +401,7 @@ class Pool:
         keys: Sequence[GroupKey],
         positions: Sequence[list[int]],
     ) -> None:
-        self.fixed = instance.fixed
+        self.instance = instance
         self.capacity = instance.capacity
         self.types = instance.types
         self.quotas = instance.quotas

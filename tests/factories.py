@@ -285,7 +285,9 @@ def recorded_choices() -> Iterator[list[tuple[Pool, PoolChoice]]]:
 
     def recorded(pool, *args, **kwargs):
         copy = Pool(
-            pool, tuple(pool.group_keys()), [list(p) for p in pool.member_positions()]
+            getattr(pool, "instance", pool),
+            tuple(pool.group_keys()),
+            [list(p) for p in pool.member_positions()],
         )
         result = choose(pool, *args, **kwargs)
         made.append((copy, result))
@@ -310,10 +312,10 @@ def chosen_ids(
     )
 
 
-def pool_cut(multi: MultiInstance, pool: Pool) -> Instance:
+def pool_cut(pool: Pool) -> Instance:
     """A market pool as an Instance: cut from its school's instance by the
     ids at the pool's priority positions (model.restrict_instance)."""
-    school = next(i for i in multi.instances.values() if i.fixed is pool.fixed)
+    school = pool.instance
     return restrict_instance(
         school,
         map(school.priority.__getitem__, chain.from_iterable(pool.member_positions())),

@@ -137,7 +137,7 @@ class FlowNetwork:
         type_node = {t: 2 + i for i, t in enumerate(all_types)}
         first_class = 2 + len(all_types)
         hub = first_class + len(all_types) * max_rank
-        keys = instance.fixed.group_keys
+        keys = getattr(instance, "instance", instance).group_keys()
         self.node_count = hub + 1 + len(keys)
         self.tails: list[int] = []
         self.heads: list[int] = []

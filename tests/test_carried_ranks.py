@@ -78,7 +78,7 @@ def assert_choices_match_instance_choices(multi: MultiInstance) -> None:
                 assert rt.rejected[cid] == ()
                 continue
             pool, choice = next(choices)
-            assert pool.fixed is school.fixed
+            assert pool.instance is school
             ids = {school.priority[p] for members in pool.member_positions()
                    for p in members}
             assert len(ids) == size

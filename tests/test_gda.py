@@ -281,11 +281,11 @@ def test_replayed_rounds_match_the_reference_sets_on_drawn_markets(multi):
     assert_replays_match_references(multi)
 
 
-def test_kept_instances_are_restricted_without_indexes(monkeypatch):
+def test_gda_and_probe_validate_nothing_and_build_no_positions(monkeypatch):
     multi = two_school_market()
 
     def revalidated(self):
-        raise AssertionError("a restricted instance was validated again")
+        raise AssertionError("gda or the probe validated an instance")
 
     monkeypatch.setattr(Instance, "_validate", revalidated)
     run_gda(multi)
@@ -317,7 +317,7 @@ def test_gda_pools_never_take_their_columns(monkeypatch):
     # each group lists its members as ascending positions of the school's
     # priority, the groups in key order
     for pool, positions in pools:
-        root = next(i for i in multi.instances.values() if i.fixed is pool.fixed)
+        root = pool.instance
         keys = list(pool.group_keys())
         assert keys == sorted(set(keys))
         for key, members in zip(keys, positions, strict=True):
@@ -344,7 +344,7 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
     choose = flow.choose_pool
 
     def counted(self, instance, types):
-        built.append(instance.fixed)
+        built.append(instance)
         original(self, instance, types)
 
     def recorded(pool, *args, **kwargs):
@@ -367,7 +367,7 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
         }
         assert max(pools.values()) > 2
         chose = {
-            cid: sum(cut.fixed is instance.fixed for cut in choices)
+            cid: sum(cut.instance is instance for cut in choices)
             for cid, instance in multi.instances.items()
         }
         # a pool that fits is taken whole, with no choice
@@ -385,11 +385,11 @@ def test_run_gda_builds_each_seat_layout_once_and_never_walks_a_priority(
             # priority list
             assert instance.priority.walks == 0
             # one type lattice per school, which every pool's checks read
-            assert sum(fixed is instance.fixed for fixed in built) == (
+            assert sum(laid is instance for laid in built) == (
                 1 if chose[cid] else 0
             )
             if chose[cid]:
-                assert instance.fixed.lattice is not None
+                assert instance.lattice is not None
         assert len(built) == sum(1 for n in chose.values() if n)
 
 

@@ -13,6 +13,10 @@ many types in few groups:
   those plus one in one group;
 - each cut of a failed check is broken by the targets checked and bounds
   the group counts of every valid flow witness;
+- a vector above F* that fits every group fails on the type sets alone,
+  with a cut it breaks;
+- a Pool reads its instance's one lattice, laid out over the instance's
+  whole key table, whenever the pool is built;
 - the canonical counts of a valid vector (`_TypeLattice.base`) meet it and
   are a maximal-diversity flow's exact group counts;
 - F* and s* equal the reference's `compute_certificate` value and
@@ -43,7 +47,8 @@ from flow_reference import (
     flow_group_counts,
     flow_signature,
 )
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from test_golden import CORPUS
 from test_properties import PROPERTY_SETTINGS, instances, instances_with_targets
 
@@ -51,7 +56,7 @@ from reserve_match import flow
 from reserve_match.flow import choice_flow, crucial_vector
 from reserve_match.gda import run_gda
 from reserve_match.generator import generate_instance
-from reserve_match.model import Instance, TargetVector
+from reserve_match.model import Instance, Pool, TargetVector, restrict_instance
 
 SCHOOLS = {
     **{name: make for name, (make, _solve, _baseline) in CORPUS.items()},
@@ -66,7 +71,7 @@ SCHOOLS = {
 
 def _lattice(instance: Instance) -> flow._TypeLattice:
     """The instance's checks on a lattice laid out afresh."""
-    types = sorted(set(chain.from_iterable(instance.fixed.group_keys)))
+    types = sorted(set(chain.from_iterable(instance.group_keys())))
     return flow._TypeLattice(instance, flow._LatticeLayout(instance, types))
 
 
@@ -194,6 +199,54 @@ def test_lattice_rejects_what_the_network_rejects():
         lattice.check({instance.group_keys()[0]: -1})
 
 
+@PROPERTY_SETTINGS
+@given(instances(), st.data())
+def test_over_full_targets_fail_with_a_cut_they_break(instance, data):
+    """rhs(T) <= sum of s* = F* for the set T of every type, so a vector
+    that sums to more than F* fails there, with no test of its sum."""
+    sizes = dict(zip(instance.group_keys(), map(len, instance.member_positions())))
+    net = flow.build_network(instance)
+    over = sum(sizes.values()) - net.value
+    assume(over > 0)
+    # every group full, less fewer units than the students above F*
+    drop = data.draw(st.integers(0, over - 1))
+    targets = {}
+    for key, size in sizes.items():
+        out = data.draw(st.integers(0, min(size, drop)))
+        targets[key] = size - out
+        drop -= out
+    assert sum(targets.values()) > net.value
+    assert not net.check(targets)
+    assert sum(targets[key] for key in net.cut.groups) > net.cut.bound
+    assert check_validity_flow(instance, targets) is None
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.data())
+def test_pools_built_before_and_after_the_layout_read_one_lattice(instance, data):
+    keys, members = instance.group_keys(), instance.member_positions()
+    kept = [[p for p in group if data.draw(st.booleans())] for group in members]
+    live = [g for g, positions in enumerate(kept) if positions]
+
+    def pool() -> Pool:
+        return Pool(instance, [keys[g] for g in live], [kept[g] for g in live])
+
+    before = pool()
+    assert instance.lattice is None
+    early = flow.build_network(before)
+    layout = instance.lattice
+    late = flow.build_network(pool())
+    assert instance.lattice is layout
+    assert list(layout.masks) == list(keys)
+    ids = [instance.priority[p] for g in live for p in kept[g]]
+    cut = flow.build_network(restrict_instance(instance, ids))
+    for _ in range(4):
+        targets = {
+            keys[g]: data.draw(st.integers(0, len(kept[g]) + 1)) for g in live
+        }
+        assert early.check(targets) == late.check(targets) == cut.check(targets)
+
+
 def _fields(result) -> tuple:
     return (
         result.selected,
@@ -243,7 +296,7 @@ def test_gda_on_the_lattice_lays_out_each_school_once_and_builds_no_network(
     original = flow._LatticeLayout.__init__
 
     def counted(self, instance, types):
-        layouts.append(instance.fixed)
+        layouts.append(instance)
         original(self, instance, types)
 
     def refused(self, instance):
@@ -253,7 +306,7 @@ def test_gda_on_the_lattice_lays_out_each_school_once_and_builds_no_network(
         patch.setattr(flow._LatticeLayout, "__init__", counted)
         patch.setattr(flow_reference.FlowNetwork, "__init__", refused)
         result = run_gda(seeded_market(600, 2))
-    assert len(layouts) == len({id(fixed) for fixed in layouts}) > 1
+    assert len(layouts) == len({id(instance) for instance in layouts}) > 1
     with monkeypatch.context() as patch:
         patch.setattr(flow, "build_network", build_network)
         reference = run_gda(seeded_market(600, 2))

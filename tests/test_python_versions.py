@@ -2,7 +2,8 @@
 
 The loaders decode with each version's C JSON scanner and the engine
 leans on each version's dicts, sorts and integer arithmetic, so the golden
-`solve`, `gen` and `gda` cases are run again under every other Python the
+`solve`, `baseline`, `validate`, `gen` and `gda` cases, and `verify` of
+each golden `solve` output, are run again under every other Python the
 machine has in its pyenv versions directory (`$PYENV_ROOT/versions`, by
 default `~/.pyenv/versions`) that the package supports, and their output
 digests are compared with the running interpreter's. The CLI needs only the
@@ -21,9 +22,11 @@ from pathlib import Path
 
 import pytest
 from factories import market_payload, seeded_market
-from test_golden import CORPUS, GEN, MARKETS
+from test_golden import CHECKS, CORPUS, GEN, MARKETS
 
 from reserve_match import files
+from reserve_match.flow import crucial_vector
+from reserve_match.model import group_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # pyproject.toml's requires-python
@@ -67,13 +70,25 @@ def _other_interpreters() -> list[str]:
 
 def _cases(tmp_path: Path) -> list[tuple[str, list[str], str | None]]:
     """(name, CLI arguments, output file or None for stdout) of every golden
-    solve, gen and gda case, with their inputs written under tmp_path."""
+    solve, baseline, validate (of the crucial vector), gen and gda case, and
+    of verify on each solve's output, with their inputs written under
+    tmp_path."""
     cases = []
     for name, (build, _input, _output) in sorted(CORPUS.items()):
-        source = tmp_path / f"{name}.json"
-        files.write_json(files.instance_to_payload(build()), str(source))
+        instance = build()
+        source = str(tmp_path / f"{name}.json")
+        files.write_json(files.instance_to_payload(instance), source)
         out = str(tmp_path / f"{name}-solve.json")
-        cases.append((f"solve {name}", ["solve", str(source), "--out", out], out))
+        cases.append((f"solve {name}", ["solve", source, "--out", out], out))
+        cases.append((f"verify {name}", ["verify", source, out], None))
+        base = str(tmp_path / f"{name}-baseline.json")
+        cases.append((f"baseline {name}", ["baseline", source, "--out", base], base))
+        targets = str(tmp_path / f"{name}-targets.json")
+        _alpha, crucial = crucial_vector(instance)
+        files.write_json({group_label(k): v for k, v in crucial.items()}, targets)
+        cases.append(
+            (f"validate {name}", ["validate", source, "--targets", targets], None)
+        )
     for index, args in enumerate(sorted(GEN)):
         out = str(tmp_path / f"gen-{index}.json")
         cases.append((f"gen {args}", ["gen", *args.split(), "--out", out], out))
@@ -107,12 +122,17 @@ def test_golden_outputs_are_the_same_under_every_other_python(tmp_path):
     spec = tmp_path / "cases.json"
     spec.write_text(json.dumps(_cases(tmp_path)), encoding="utf-8")
     ours = _digests(sys.executable, spec)
-    # the running interpreter's digests are the recorded golden ones
+    # the running interpreter's digests are the recorded golden ones (verify
+    # has none recorded, so it is only compared across interpreters)
     recorded = {f"solve {name}": digest for name, (_b, _i, digest) in CORPUS.items()}
+    for name, (baseline, validate) in CHECKS.items():
+        recorded[f"baseline {name}"] = baseline
+        recorded[f"validate {name}"] = validate
     recorded.update((f"gen {args}", digest) for args, digest in GEN.items())
     for (size, seed), (gda, probe) in MARKETS.items():
         recorded[f"gda {size} {seed}"] = gda
         recorded[f"probe {size} {seed}"] = probe
-    assert {name: digest for name, (_s, digest) in ours.items()} == recorded
+    assert {name: ours[name][1] for name in recorded} == recorded
+    assert all(ours[f"verify {name}"][0] == 0 for name in CORPUS)
     for python in others:
         assert _digests(python, spec) == ours, python

@@ -72,7 +72,7 @@ def _market_pools(size: int, seed: int) -> list[Instance]:
     with recorded_choices() as made:
         run_gda(multi)
     assert len(made) > 200
-    return [pool_cut(multi, pool) for pool, _choice in made]
+    return [pool_cut(pool) for pool, _choice in made]
 
 
 @pytest.mark.parametrize("size, seed", [(600, 2), (2000, 7)])
@@ -128,7 +128,7 @@ def test_pools_that_fit_are_taken_whole_without_a_choice():
     multi = _roomy_market()
     with recorded_choices() as made:
         result = run_gda(multi)
-    chosen_at = [pool.fixed for pool, _choice in made]
+    chosen_at = [pool.instance for pool, _choice in made]
     roomy = {c.id for c in multi.schools if c.capacity >= len(multi.student_ids)}
     fits = [
         (cid, rt) for rt in result.rounds for cid in rt.pools
@@ -138,6 +138,6 @@ def test_pools_that_fit_are_taken_whole_without_a_choice():
     assert all(rt.rejected[cid] == () for cid, rt in fits)
     # one choice per pool that does not fit, and none for a roomy school
     assert len(chosen_at) == sum(len(rt.pools) for rt in result.rounds) - len(fits)
-    assert not any(multi.instances[cid].fixed in chosen_at for cid in roomy)
+    assert not any(multi.instances[cid] in chosen_at for cid in roomy)
     # both reference loops, which choose every pool, give the same result
     assert_replays_match_references(multi)

@@ -36,12 +36,12 @@ def _gda_choices(
 ) -> list[tuple[str, Pool, Instance, ChoiceResult]]:
     """(school id, pool, pool cut from the school, result) of every choice
     GDA makes, the result's ids read off the school's priority."""
-    roots = {id(instance.fixed): cid for cid, instance in multi.instances.items()}
+    roots = {id(instance): cid for cid, instance in multi.instances.items()}
     with recorded_choices() as made:
         run_gda(multi)
     calls = []
     for pool, choice in made:
-        cid = roots[id(pool.fixed)]
+        cid = roots[id(pool.instance)]
         result = ChoiceResult(
             chosen_ids(multi.instances[cid], pool, choice),
             choice.counts,
@@ -49,7 +49,7 @@ def _gda_choices(
             choice.alpha,
             choice.targets,
         )
-        calls.append((cid, pool, pool_cut(multi, pool), result))
+        calls.append((cid, pool, pool_cut(pool), result))
     return calls
 
 
@@ -58,8 +58,8 @@ def _assert_warm_matches_cold(multi: MultiInstance) -> int:
     choices = _gda_choices(multi)
     for cid, pool, cut, warm in choices:
         cold = rebuilt_induced_instance(multi, cid, cut.priority)
-        assert pool.fixed is multi.instances[cid].fixed
-        assert cold.fixed is not pool.fixed
+        assert pool.instance is multi.instances[cid]
+        assert cold is not pool.instance
         assert_same_choice(warm, choice_flow(cold))
     return len(choices)
 
